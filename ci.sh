@@ -13,6 +13,13 @@ cargo test -q --offline
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny warnings, refine-* crates)"
+# Every intra-doc link must resolve, so docs naming a deleted item fail
+# here. The vendored stand-ins under vendor/ are not gated.
+DOC_PKGS="$(awk -F'"' '/^name/ {print "-p " $2; nextfile}' crates/*/Cargo.toml)"
+# shellcheck disable=SC2086 # one word per flag
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline $DOC_PKGS
+
 echo "== cross-jobs determinism (--jobs 1 vs --jobs 4)"
 # The outcome tables must be bit-identical at any worker count; diff the
 # stdout tables of a short sweep run serially and sharded.
@@ -50,8 +57,9 @@ fi
 echo "   identical tables with convergence on and off"
 
 echo "== engine equivalence (default superblock vs --engine step)"
-# The superblock-fused engine must be invisible in every output: diff the
-# same sweep against the per-instruction exact interpreter.
+# The fused engine must be invisible in every output: diff the default
+# sweep against `--engine step`, the exact oracle (every trial interpreted
+# from the initial state, no checkpoint restore, no convergence splice).
 ST="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --engine step 2>/dev/null)"
 if [ "$CK" != "$ST" ]; then
     echo "engine equivalence FAILED: superblock and step outputs differ" >&2

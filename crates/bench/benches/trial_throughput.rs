@@ -1,4 +1,4 @@
-//! `trial_throughput` — trials/sec for a fixed short sweep across the three
+//! `trial_throughput` — trials/sec for a fixed short sweep across four
 //! trial-execution modes, tracking the perf trajectory of the trial loop:
 //!
 //! * **convergence on** — checkpoint fast-forward + post-injection
@@ -7,13 +7,13 @@
 //!   the previous baseline);
 //! * **checkpoint off** — the cold full-execution path (`--no-checkpoint`)
 //!   under the superblock-fused engine;
-//! * **checkpoint off, step engine** — the same cold path on the
-//!   per-instruction exact interpreter (`--engine step`), isolating the
-//!   superblock engine's speedup where trials execute end to end.
+//! * **exact oracle** — `--engine step`, which interprets every trial per
+//!   instruction from the initial state, isolating the superblock engine's
+//!   speedup where trials execute end to end.
 //!
 //! Artifacts are pre-prepared outside the timed region so the measurement
 //! isolates trial execution (prepare cost is `compile_overhead`'s subject;
-//! the checkpoint-store build rides inside prepare). All three sweeps must
+//! the checkpoint-store build rides inside prepare). All four sweeps must
 //! produce identical outcome tables — the bench doubles as an equivalence
 //! check and **fails** on any mismatch.
 //!
@@ -162,8 +162,6 @@ fn main() {
         ("jobs".to_string(), 1u64.to_value()),
         ("trials_per_sec_convergence_on".to_string(), conv.tps.to_value()),
         ("trials_per_sec_convergence_off".to_string(), ckpt.tps.to_value()),
-        ("trials_per_sec_checkpoint_on".to_string(), ckpt.tps.to_value()),
-        ("trials_per_sec_checkpoint_off".to_string(), off.tps.to_value()),
         ("trials_per_sec_superblock_cold".to_string(), off.tps.to_value()),
         ("trials_per_sec_step_cold".to_string(), off_step.tps.to_value()),
         ("speedup_convergence_vs_checkpoint".to_string(), speedup_conv.to_value()),

@@ -31,8 +31,7 @@
 //!   times) as JSON on stdout instead of the text tables;
 //! * `--quiet` suppresses the live progress lines;
 //! * `--no-checkpoint` disables golden-run checkpoint fast-forward for
-//!   trials (slower; results are bit-identical either way — this is the
-//!   escape hatch and the differential-testing oracle);
+//!   trials (slower; results are bit-identical either way);
 //! * `--no-convergence` disables post-injection golden-convergence early
 //!   exit only, keeping checkpoint fast-forward (same bit-identical
 //!   guarantee — the convergence differential oracle);
@@ -40,10 +39,11 @@
 //!   interval in retired instructions (default 2048; must be nonzero);
 //! * `--engine superblock|step` selects the trial execution engine:
 //!   `superblock` (default) dispatches fused straight-line instruction
-//!   runs, `step` is the per-instruction exact interpreter. Bit-identical
-//!   outcome tables and traces either way (`step` is the engine
-//!   differential oracle); like `--no-checkpoint`, this stays outside the
-//!   artifact-cache key.
+//!   runs; `step` is the exact oracle — every trial interpreted per
+//!   instruction from the initial state, ignoring the checkpoint and
+//!   convergence flags. Bit-identical outcome tables and traces either
+//!   way; like `--no-checkpoint`, this stays outside the artifact-cache
+//!   key.
 
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::engine::EngineReport;
@@ -60,7 +60,8 @@ fn usage() -> ! {
          [--trials N] [--seed S] [--jobs N] [--apps A,B,...] \
          [--trace-out FILE] [--json] [--quiet] [--no-checkpoint] \
          [--no-convergence] [--checkpoint-interval N] [--engine superblock|step]\n\
-         \x20      refine-experiments trace-summary FILE"
+         \x20      refine-experiments trace-summary FILE\n\
+         (--engine step runs the exact oracle: no checkpoints, no convergence)"
     );
     std::process::exit(2);
 }

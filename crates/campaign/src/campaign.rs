@@ -88,9 +88,10 @@ pub struct CampaignConfig {
     /// Initial golden-run snapshot interval in retired instructions
     /// (`--checkpoint-interval`; must be nonzero).
     pub checkpoint_interval: u64,
-    /// Trial execution engine (`--engine {superblock,step}`). Both engines
-    /// are bit-identical; like `checkpoint`, this only changes wall-clock
-    /// time and stays outside the artifact-cache key.
+    /// Trial execution engine (`--engine {superblock,step}`): the fused
+    /// engine, or the exact oracle, which ignores `checkpoint` and
+    /// `convergence`. Both are bit-identical; like `checkpoint`, this only
+    /// changes wall-clock time and stays outside the artifact-cache key.
     pub engine: ExecEngine,
 }
 

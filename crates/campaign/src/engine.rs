@@ -226,7 +226,7 @@ pub struct EngineConfig {
     /// Initial checkpoint interval in retired instructions (must be
     /// nonzero; `--checkpoint-interval`).
     pub checkpoint_interval: u64,
-    /// Trial execution engine (fused superblocks or exact stepping).
+    /// Trial execution engine (the fused engine or the exact oracle).
     /// Bit-identical either way; outside the artifact-cache key.
     pub engine: ExecEngine,
 }

@@ -3,7 +3,7 @@
 //! `refine-campaign` — the fault-injection campaign harness: the paper's
 //! experiment workflow (§4.3, §5.3) end to end.
 //!
-//! * [`classify`] — outcome classification: *crash* (trap, non-zero exit,
+//! * [`mod@classify`] — outcome classification: *crash* (trap, non-zero exit,
 //!   or timeout at 10x the profiled execution), *SOC* (final printed output
 //!   differs from the golden output at 6 significant digits), or *benign*;
 //! * [`tools`] — a uniform interface over the three injectors (LLFI,

@@ -6,7 +6,7 @@ use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
     Binary, CheckpointConfig, CheckpointStore, ConvStats, FiRuntime, GoldenEnd, Machine, NoFi,
-    Predecoded, Probe, QuiescentRt, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
+    Probe, QuiescentRt, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
@@ -64,35 +64,31 @@ pub struct PreparedTool {
     /// site table — its opcodes resolve from the binary text at the
     /// faulting pc, see [`PreparedTool::site_opcode`]).
     pub site_opcodes: HashMap<u64, String>,
-    /// Golden-run checkpoints + predecoded text for trial fast-forward
-    /// (`None` with `--no-checkpoint`). Shared read-only across workers.
+    /// Golden-run checkpoints for trial fast-forward (`None` with
+    /// `--no-checkpoint`). Shared read-only across workers.
     pub fastpath: Option<Arc<FastPath>>,
     /// Detect post-injection golden convergence and splice the golden
     /// outcome (`--no-convergence` clears this; requires a fastpath).
     pub convergence: bool,
     /// The predecoded, superblock-fused text section for the fused engine.
-    /// Always built (it embeds the exact-step [`Predecoded`] stream too)
-    /// and shared read-only across workers; `--engine step` simply ignores
-    /// the fusion metadata.
+    /// Always built and shared read-only across workers; `--engine step`
+    /// does not use it.
     pub superblock: Arc<SuperblockProgram>,
 }
 
 /// The immutable fast-forward companion of a prepared binary: the
-/// profiling run's [`CheckpointStore`] and the [`Predecoded`] instruction
-/// stream for the quiescent inner loop.
+/// profiling run's [`CheckpointStore`] and its complete result.
 #[derive(Debug)]
 pub struct FastPath {
     /// Snapshots of the (quiescent) profiling run.
     pub store: CheckpointStore,
-    /// Flattened per-pc instruction stream.
-    pub pre: Predecoded,
     /// The complete golden profiling result, spliced into trials that
     /// re-converge with it post-injection.
     pub golden_run: RunResult,
 }
 
 /// How one trial actually executed, for engine accounting.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrialFastStats {
     /// The trial restored machine state from a golden-run checkpoint.
     pub restored: bool,
@@ -112,22 +108,6 @@ pub struct TrialFastStats {
     /// Instructions retired via exact single-step fallback inside the
     /// superblock loops this trial.
     pub sb_stepped_instrs: u64,
-}
-
-impl TrialFastStats {
-    /// Fold one trial's convergence-loop accounting into these stats.
-    fn apply(&mut self, stats: &ConvStats) {
-        self.converged = stats.converged;
-        self.conv_checked_instrs = stats.checked_instrs;
-        self.conv_saved_instrs = stats.saved_instrs;
-    }
-
-    /// Fold one trial's superblock dispatch accounting into these stats.
-    fn apply_sb(&mut self, stats: &SbStats) {
-        self.sb_dispatches = stats.dispatches;
-        self.sb_fused_instrs = stats.fused_instrs;
-        self.sb_stepped_instrs = stats.stepped_instrs;
-    }
 }
 
 /// A completed trial with its fault log and fast-forward accounting.
@@ -222,9 +202,7 @@ impl PreparedTool {
         assert!(population > 0, "{}: empty FI population", tool.name());
         let golden = Golden::from_run(&profile);
         let profile_cycles = profile.cycles;
-        let fastpath = store.map(|store| {
-            Arc::new(FastPath { pre: Predecoded::new(&binary), store, golden_run: profile })
-        });
+        let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: profile }));
         let superblock = build_superblock(&binary);
         PreparedTool {
             tool,
@@ -260,9 +238,7 @@ impl PreparedTool {
         assert!(rt.count > 0, "selected FI population is empty");
         let golden = Golden::from_run(&r);
         let profile_cycles = r.cycles;
-        let fastpath = store.map(|store| {
-            Arc::new(FastPath { pre: Predecoded::new(&c.binary), store, golden_run: r })
-        });
+        let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: r }));
         let superblock = build_superblock(&c.binary);
         PreparedTool {
             tool: Tool::Refine,
@@ -300,269 +276,100 @@ impl PreparedTool {
         self.run_trial_engine(ExecEngine::default(), target, seed)
     }
 
-    /// Full trial execution: fast-forwards through the quiescent prefix via
-    /// the golden-run checkpoint store when available, dispatching the
-    /// quiescent / post-fire / convergence regions through `engine`'s loops
-    /// (fused superblocks or per-instruction exact stepping). All engine ×
-    /// checkpoint combinations are bit-identical (outcome, output, cycles,
-    /// fault log) — the quiescent prefix of an injection run is
-    /// observationally equal to the profiling run, so a profiling-run
-    /// snapshot is an exact restore point for any trial whose target event
-    /// lies beyond it, and the fused loops replicate the exact loops'
-    /// accounting instruction-for-instruction.
+    /// Full trial execution under `engine`. [`ExecEngine::Step`] is exactly
+    /// [`PreparedTool::run_trial_exact`], the differential oracle.
+    /// [`ExecEngine::Superblock`] restores the nearest golden-run checkpoint
+    /// below the target (when a fastpath exists), runs the quiescent prefix
+    /// fused, attaches the real injector for the exact fire window, and
+    /// runs the post-fire suffix fused — convergence-tracked when enabled.
+    /// A cold trial (no fastpath) is the same path from the initial state
+    /// with no golden end. Both engines are bit-identical (outcome, output,
+    /// cycles, fault log): the quiescent prefix of an injection run is
+    /// observationally equal to the profiling run (the injection RNG is
+    /// consumed only at the fire), so a profiling-run snapshot is an exact
+    /// restore point for any trial whose target event lies beyond it, and
+    /// the fused loops replicate the exact loop's accounting
+    /// instruction-for-instruction.
     pub fn run_trial_engine(&self, engine: ExecEngine, target: u64, seed: u64) -> TrialRun {
-        let Some(fp) = self.fastpath.as_deref() else {
-            return match engine {
-                ExecEngine::Superblock => self.run_trial_cold_sb(target, seed),
-                ExecEngine::Step => self.run_trial_exact(target, seed),
-            };
-        };
-        let sb = (engine == ExecEngine::Superblock).then(|| self.superblock.as_ref());
-        let mut sbs = SbStats::default();
-        let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
-        let (mut m, count0, mut fast) = {
-            let _s = Span::enter(Phase::CheckpointRestore);
-            match fp.store.nearest_below(target) {
-                Some(ck) => (
-                    Machine::resume(&self.binary, &cfg, ck),
-                    ck.fi_count,
-                    TrialFastStats { restored: true, skipped_instrs: ck.retired, ..Default::default() },
-                ),
-                None => (Machine::new(&self.binary, &cfg), 0, TrialFastStats::default()),
+        match (engine, self.tool) {
+            (ExecEngine::Step, _) => self.run_trial_exact(target, seed),
+            (ExecEngine::Superblock, Tool::Refine | Tool::Llfi) => {
+                self.run_trial_fused::<InjectingRt>(target, seed)
             }
-        };
-        // Stop the fast loop one FI event short of the target so the exact
-        // loop — with the real injector attached — handles the firing event
-        // itself (and everything after it).
-        let stop = target.saturating_sub(1);
-        let golden = self.golden_end(fp);
-        let mut run = match self.tool {
-            Tool::Refine | Tool::Llfi => 'run: {
-                let mut q = QuiescentRt::starting_at(count0);
-                let quiesced = match sb {
-                    Some(sb) => m.run_sb_calls(sb, &mut q, stop, cfg.max_cycles, &mut sbs),
-                    None => m.run_quiescent_calls(&fp.pre, &mut q, stop, cfg.max_cycles),
-                };
-                if let Some(outcome) = quiesced {
-                    // Program ended (or timed out) before the target event:
-                    // the injector would never have fired.
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut rt = InjectingRt::resume(target, seed, q.count);
-                let Some(golden) = golden else {
-                    // Exact loop through the firing event, then the fused
-                    // loop (post-fire the injector is observationally
-                    // quiescent) or the attached exact run to the end.
-                    let outcome = match sb {
-                        Some(sb) => match m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
-                            Some(outcome) => outcome,
-                            None => m
-                                .run_sb_calls(sb, &mut rt, u64::MAX, cfg.max_cycles, &mut sbs)
-                                .expect("cycle-bounded run terminates"),
-                        },
-                        None => {
-                            let result = m.finish_run(cfg.max_cycles, &mut rt, None);
-                            break 'run TrialRun { result, log: rt.log, fast };
-                        }
-                    };
-                    break 'run TrialRun { result: m.into_result(outcome), log: rt.log, fast };
-                };
-                // Exact loop only through the firing event, then the
-                // monomorphized convergence loop for the suffix.
-                if let Some(outcome) = m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
-                    break 'run TrialRun { result: m.into_result(outcome), log: rt.log, fast };
-                }
-                let mut stats = ConvStats::default();
-                let mut q = QuiescentRt::starting_at(rt.fi_count());
-                let outcome = match sb {
-                    Some(sb) => m.run_sb_converging_calls(
-                        sb,
-                        &mut q,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                        &mut sbs,
-                    ),
-                    None => m.run_converging_calls(
-                        &fp.pre,
-                        &mut q,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                    ),
-                };
-                fast.apply(&stats);
-                TrialRun { result: m.into_result(outcome), log: rt.log, fast }
+            (ExecEngine::Superblock, Tool::Pinfi) => {
+                self.run_trial_fused::<PinfiInjector>(target, seed)
             }
-            Tool::Pinfi => 'run: {
-                let mut count = count0;
-                let quiesced = match sb {
-                    Some(sb) => m.run_sb_probed(
-                        sb,
-                        PIN_OVERHEAD_CYCLES,
-                        &mut count,
-                        stop,
-                        cfg.max_cycles,
-                        &mut sbs,
-                    ),
-                    None => m.run_quiescent_probed(
-                        &fp.pre,
-                        PIN_OVERHEAD_CYCLES,
-                        &mut count,
-                        stop,
-                        cfg.max_cycles,
-                    ),
-                };
-                if let Some(outcome) = quiesced {
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut probe = PinfiInjector::resume(target, seed, count);
-                let Some(golden) = golden else {
-                    // The probe detaches at fire, so post-fire execution is
-                    // probe-free: the fused loop with `NoFi` is exact.
-                    let outcome = match sb {
-                        Some(sb) => match m.run_exact_until_fired(
-                            cfg.max_cycles,
-                            &mut NoFi,
-                            Some(&mut probe),
-                        ) {
-                            Some(outcome) => outcome,
-                            None => m
-                                .run_sb_calls(sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut sbs)
-                                .expect("cycle-bounded run terminates"),
-                        },
-                        None => {
-                            let result = m.finish_run(cfg.max_cycles, &mut NoFi, Some(&mut probe));
-                            break 'run TrialRun { result, log: probe.log, fast };
-                        }
-                    };
-                    break 'run TrialRun { result: m.into_result(outcome), log: probe.log, fast };
-                };
-                if let Some(outcome) =
-                    m.run_exact_until_fired(cfg.max_cycles, &mut NoFi, Some(&mut probe))
-                {
-                    break 'run TrialRun { result: m.into_result(outcome), log: probe.log, fast };
-                }
-                let mut stats = ConvStats::default();
-                // The injector counted the firing event (== target) and
-                // detached; the convergence loop keeps tallying targets at
-                // fetch exactly as the attached profiling probe did.
-                let mut count = probe.fi_count();
-                let outcome = match sb {
-                    Some(sb) => m.run_sb_converging_probed(
-                        sb,
-                        &mut count,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                        &mut sbs,
-                    ),
-                    None => m.run_converging_probed(
-                        &fp.pre,
-                        &mut count,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                    ),
-                };
-                fast.apply(&stats);
-                TrialRun { result: m.into_result(outcome), log: probe.log, fast }
-            }
-        };
-        run.fast.apply_sb(&sbs);
-        run
+        }
     }
 
-    /// Cold (no-fastpath) trial under the fused engine: the same quiescent
-    /// -> fire -> run-to-end structure as the warm path, from the initial
-    /// state. This is where `--no-checkpoint` campaigns get their
-    /// superblock speedup; bit-identical to
-    /// [`PreparedTool::run_trial_exact`] by the same resume argument as the
-    /// checkpoint path (the counting runtime consumes no RNG before the
-    /// fire, and the PINFI probe detaches at fire).
-    fn run_trial_cold_sb(&self, target: u64, seed: u64) -> TrialRun {
+    /// The fused trial driver, monomorphized per FI-counting discipline.
+    fn run_trial_fused<I: Injector>(&self, target: u64, seed: u64) -> TrialRun {
         let sb = self.superblock.as_ref();
-        let mut sbs = SbStats::default();
         let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
-        let mut m = Machine::new(&self.binary, &cfg);
-        let stop = target.saturating_sub(1);
-        let fast = TrialFastStats::default();
-        let mut run = match self.tool {
-            Tool::Refine | Tool::Llfi => 'run: {
-                let mut q = QuiescentRt::default();
-                if let Some(outcome) = m.run_sb_calls(sb, &mut q, stop, cfg.max_cycles, &mut sbs)
-                {
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut rt = InjectingRt::resume(target, seed, q.count);
-                let outcome = match m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
-                    Some(outcome) => outcome,
-                    None => m
-                        .run_sb_calls(sb, &mut rt, u64::MAX, cfg.max_cycles, &mut sbs)
-                        .expect("cycle-bounded run terminates"),
-                };
-                TrialRun { result: m.into_result(outcome), log: rt.log, fast }
-            }
-            Tool::Pinfi => 'run: {
-                let mut count = 0u64;
-                if let Some(outcome) = m.run_sb_probed(
-                    sb,
-                    PIN_OVERHEAD_CYCLES,
-                    &mut count,
-                    stop,
-                    cfg.max_cycles,
-                    &mut sbs,
-                ) {
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut probe = PinfiInjector::resume(target, seed, count);
-                let outcome =
-                    match m.run_exact_until_fired(cfg.max_cycles, &mut NoFi, Some(&mut probe)) {
-                        Some(outcome) => outcome,
-                        None => m
-                            .run_sb_calls(sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut sbs)
-                            .expect("cycle-bounded run terminates"),
-                    };
-                TrialRun { result: m.into_result(outcome), log: probe.log, fast }
+        let fp = self.fastpath.as_deref();
+        let (mut m, restored) = {
+            let _s = fp.map(|_| Span::enter(Phase::CheckpointRestore));
+            match fp.and_then(|fp| fp.store.nearest_below(target)) {
+                Some(ck) => (Machine::resume(&self.binary, &cfg, ck), Some(ck)),
+                None => (Machine::new(&self.binary, &cfg), None),
             }
         };
-        run.fast.apply_sb(&sbs);
-        run
+        let golden = fp.and_then(|fp| self.golden_end(fp, I::PROBE_OVERHEAD));
+        let mut sbs = SbStats::default();
+        let mut conv = ConvStats::default();
+        let count = restored.map_or(0, |ck| ck.fi_count);
+        let max = cfg.max_cycles;
+        let (outcome, log) = match I::quiesce(&mut m, sb, target, seed, count, max, &mut sbs) {
+            // Program ended (or timed out) before the target event: the
+            // injector would never have fired.
+            Err(outcome) => (outcome, None),
+            Ok(mut inj) => {
+                let outcome = inj.fire_and_finish(&mut m, sb, golden, max, &mut conv, &mut sbs);
+                (outcome, inj.log())
+            }
+        };
+        let fast = TrialFastStats {
+            restored: restored.is_some(),
+            skipped_instrs: restored.map_or(0, |ck| ck.retired),
+            converged: conv.converged,
+            conv_checked_instrs: conv.checked_instrs,
+            conv_saved_instrs: conv.saved_instrs,
+            sb_dispatches: sbs.dispatches,
+            sb_fused_instrs: sbs.fused_instrs,
+            sb_stepped_instrs: sbs.stepped_instrs,
+        };
+        TrialRun { result: m.into_result(outcome), log, fast }
     }
 
     /// The golden run's terminal facts for convergence splicing, when
     /// convergence is enabled and the golden run exited cleanly (a golden
     /// trap or timeout — which does not occur for the suite programs —
     /// would make "rest is identical" splicing meaningless for timing).
-    fn golden_end<'g>(&self, fp: &'g FastPath) -> Option<GoldenEnd<'g>> {
+    /// `probe_overhead` is the per-fetch cycles the profiling run paid.
+    fn golden_end<'g>(
+        &self,
+        fp: &'g FastPath,
+        probe_overhead: u64,
+    ) -> Option<(&'g CheckpointStore, GoldenEnd<'g>)> {
         if !self.convergence {
             return None;
         }
         let g = &fp.golden_run;
         let RunOutcome::Exit(exit_code) = g.outcome else { return None };
-        Some(GoldenEnd {
+        let end = GoldenEnd {
             exit_code,
             output: &g.output,
             cycles: g.cycles,
             retired: g.instrs_retired,
-            // PINFI's profiling run paid per-fetch probe overhead that a
-            // detached post-fire trial does not; call-hook tools profile
-            // without a probe.
-            probe_overhead: match self.tool {
-                Tool::Pinfi => PIN_OVERHEAD_CYCLES,
-                Tool::Refine | Tool::Llfi => 0,
-            },
-        })
+            probe_overhead,
+        };
+        Some((&fp.store, end))
     }
 
     /// Reference trial execution: full interpretation from the initial
-    /// state, no checkpoint restore and no predecoded fast loop. This is
-    /// the `--no-checkpoint` path and the oracle the differential tests
-    /// compare [`PreparedTool::run_trial_full`] against.
+    /// state, no checkpoint restore, no fusion and no convergence splice.
+    /// This is the `--engine step` path and the oracle the differential
+    /// tests compare [`PreparedTool::run_trial_full`] against.
     pub fn run_trial_exact(&self, target: u64, seed: u64) -> TrialRun {
         let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
         match self.tool {
@@ -591,6 +398,146 @@ impl PreparedTool {
                 .map(|i| i.mnemonic()),
             Tool::Refine | Tool::Llfi => self.site_opcodes.get(&record.site).cloned(),
         }
+    }
+}
+
+/// The per-tool half of a fused trial: how FI events are counted and how
+/// the real injector attaches. REFINE and LLFI count events in their
+/// runtime hooks (`selInstr`/`injectFault`); PINFI's DBI probe tallies
+/// targets at fetch and pays per-fetch overhead until it fires and
+/// detaches. Each impl fixes its fused loops' counting discipline at
+/// compile time, so the trial driver is written once and no fused loop
+/// dispatches through `dyn`.
+trait Injector: Sized {
+    /// Per-fetch cycles the attached probe charges (0 for runtime hooks).
+    const PROBE_OVERHEAD: u64;
+
+    /// Run fused from `count` counted events to one event short of
+    /// `target`, then attach the injector for (`target`, `seed`). `Err`
+    /// carries the outcome when the run ended first.
+    fn quiesce(
+        m: &mut Machine<'_>,
+        sb: &SuperblockProgram,
+        target: u64,
+        seed: u64,
+        count: u64,
+        max_cycles: u64,
+        sbs: &mut SbStats,
+    ) -> Result<Self, RunOutcome>;
+
+    /// Run the exact loop through the firing event, then the fused suffix,
+    /// golden-convergence-tracked when `golden` is set.
+    fn fire_and_finish(
+        &mut self,
+        m: &mut Machine<'_>,
+        sb: &SuperblockProgram,
+        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
+        max_cycles: u64,
+        conv: &mut ConvStats,
+        sbs: &mut SbStats,
+    ) -> RunOutcome;
+
+    /// The fault log entry, once the injection fired.
+    fn log(&self) -> Option<FaultRecord>;
+}
+
+impl Injector for InjectingRt {
+    const PROBE_OVERHEAD: u64 = 0;
+
+    fn quiesce(
+        m: &mut Machine<'_>,
+        sb: &SuperblockProgram,
+        target: u64,
+        seed: u64,
+        count: u64,
+        max_cycles: u64,
+        sbs: &mut SbStats,
+    ) -> Result<Self, RunOutcome> {
+        let mut q = QuiescentRt::starting_at(count);
+        let stop = target.saturating_sub(1);
+        match m.run_sb::<_, false>(sb, &mut q, &mut 0, 0, stop, max_cycles, sbs) {
+            Some(outcome) => Err(outcome),
+            None => Ok(InjectingRt::resume(target, seed, q.count)),
+        }
+    }
+
+    fn fire_and_finish(
+        &mut self,
+        m: &mut Machine<'_>,
+        sb: &SuperblockProgram,
+        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
+        max: u64,
+        conv: &mut ConvStats,
+        sbs: &mut SbStats,
+    ) -> RunOutcome {
+        if let Some(outcome) = m.run_exact_until_fired(max, self, None) {
+            return outcome;
+        }
+        // Once fired, the injector only counts again.
+        let mut q = QuiescentRt::starting_at(self.fi_count());
+        match golden {
+            Some((store, g)) => {
+                m.run_sb_converging::<_, false>(sb, &mut q, &mut 0, store, g, max, conv, sbs)
+            }
+            None => m
+                .run_sb::<_, false>(sb, &mut q, &mut 0, 0, u64::MAX, max, sbs)
+                .expect("cycle-bounded run terminates"),
+        }
+    }
+
+    fn log(&self) -> Option<FaultRecord> {
+        self.log
+    }
+}
+
+impl Injector for PinfiInjector {
+    const PROBE_OVERHEAD: u64 = PIN_OVERHEAD_CYCLES;
+
+    fn quiesce(
+        m: &mut Machine<'_>,
+        sb: &SuperblockProgram,
+        target: u64,
+        seed: u64,
+        mut count: u64,
+        max_cycles: u64,
+        sbs: &mut SbStats,
+    ) -> Result<Self, RunOutcome> {
+        let stop = target.saturating_sub(1);
+        let overhead = Self::PROBE_OVERHEAD;
+        match m.run_sb::<_, true>(sb, &mut NoFi, &mut count, overhead, stop, max_cycles, sbs) {
+            Some(outcome) => Err(outcome),
+            None => Ok(PinfiInjector::resume(target, seed, count)),
+        }
+    }
+
+    fn fire_and_finish(
+        &mut self,
+        m: &mut Machine<'_>,
+        sb: &SuperblockProgram,
+        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
+        max: u64,
+        conv: &mut ConvStats,
+        sbs: &mut SbStats,
+    ) -> RunOutcome {
+        if let Some(outcome) = m.run_exact_until_fired(max, &mut NoFi, Some(self)) {
+            return outcome;
+        }
+        // The probe detached at the fire, so the suffix runs probe-free.
+        // Under convergence it keeps tallying targets at fetch from the
+        // injector's count, as the attached profiling probe did.
+        match golden {
+            Some((store, g)) => {
+                let mut count = self.fi_count();
+                m.run_sb_converging::<_, true>(sb, &mut NoFi, &mut count, store, g, max, conv, sbs)
+            }
+            None => m
+                .run_sb::<_, false>(sb, &mut NoFi, &mut 0, 0, u64::MAX, max, sbs)
+                .expect("cycle-bounded run terminates"),
+        }
+    }
+
+    fn log(&self) -> Option<FaultRecord> {
+        self.log
     }
 }
 

@@ -185,12 +185,16 @@ impl CheckpointOptions {
 /// counts, output, traces) — the choice only changes wall-clock cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// Superblock-fused direct-threaded dispatch with exact-step fallback
-    /// at FI windows and snapshot boundaries (the default).
+    /// Checkpoint restore, then superblock-fused direct-threaded dispatch
+    /// with exact-step fallback at FI windows and snapshot boundaries, and
+    /// convergence splicing when enabled (the default).
     #[default]
     Superblock,
-    /// The per-instruction exact interpreter everywhere (`--engine step`);
-    /// the reference the fused engine is differentially tested against.
+    /// The exact oracle (`--engine step`): every trial interpreted per
+    /// instruction from the initial state, with no checkpoint restore, no
+    /// fusion and no convergence splice, whatever the checkpoint options
+    /// say. The reference the fused engine is differentially tested
+    /// against.
     Step,
 }
 

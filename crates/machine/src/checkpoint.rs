@@ -16,16 +16,10 @@
 //! from the baseline image (the binary's data segment, an all-zero stack),
 //! so restore cost is proportional to the state the program actually
 //! touched, and clean pages are shared implicitly through the baseline.
-//!
-//! The companion [`Predecoded`] stream backs the monomorphized
-//! "no-FI-until-index" interpreter loop (`Machine::run_quiescent_calls` /
-//! `Machine::run_quiescent_probed`): per-pc instruction copies with their
-//! cycle cost and PINFI-target flag precomputed, so the quiescent region
-//! skips the `&mut dyn FiRuntime` virtual call and probe bookkeeping.
+//! After the restore, the trial's quiescent region runs through the fused
+//! engine ([`crate::superblock`]).
 
-use crate::binary::Binary;
 use crate::digest::{BaselineHashes, StateDigest};
-use crate::isa::{fi_outputs, MInstr};
 use crate::machine::OutEvent;
 
 /// Dirty-page granularity in 8-byte words (512-byte pages).
@@ -241,57 +235,6 @@ impl CheckpointStore {
     /// Words of captured page memory across all snapshots (diagnostics).
     pub fn memory_words(&self) -> usize {
         self.checkpoints.iter().map(Checkpoint::memory_words).sum()
-    }
-}
-
-/// One predecoded instruction slot: the instruction copy plus everything
-/// the quiescent inner loop needs without re-deriving it per iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct PredecodedEntry {
-    /// The instruction at this pc.
-    pub instr: MInstr,
-    /// Its cycle cost ([`MInstr::cycles`]).
-    pub cost: u64,
-    /// Does PINFI count it (it has FI output operands)?
-    pub is_target: bool,
-}
-
-/// A flattened, predecoded rendering of a binary's text section for the
-/// quiescent fast path.
-#[derive(Debug, Clone)]
-pub struct Predecoded {
-    entries: Vec<PredecodedEntry>,
-}
-
-impl Predecoded {
-    /// Predecode `binary`'s text section.
-    pub fn new(binary: &Binary) -> Self {
-        let entries = binary
-            .text
-            .iter()
-            .map(|i| PredecodedEntry {
-                instr: *i,
-                cost: i.cycles(),
-                is_target: !fi_outputs(i).is_empty(),
-            })
-            .collect();
-        Predecoded { entries }
-    }
-
-    /// The slot for `pc`, or `None` past the end of text (bad pc).
-    #[inline]
-    pub fn entry(&self, pc: u32) -> Option<&PredecodedEntry> {
-        self.entries.get(pc as usize)
-    }
-
-    /// Number of instruction slots (== text length).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True for an empty text section.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

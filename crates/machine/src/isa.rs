@@ -383,9 +383,9 @@ pub enum MInstr {
     FLd { fd: u8, mem: Mem },
     /// FPR store.
     FSt { fs: u8, mem: Mem },
-    /// Push GPR (sp -= 8; mem[sp] = rs).
+    /// Push GPR (`sp -= 8; mem[sp] = rs`).
     Push { rs: u8 },
-    /// Pop GPR (rd = mem[sp]; sp += 8).
+    /// Pop GPR (`rd = mem[sp]; sp += 8`).
     Pop { rd: u8 },
     /// Unconditional jump to instruction index.
     Jmp { target: u32 },

@@ -3,12 +3,12 @@
 use crate::binary::Binary;
 use crate::checkpoint::{
     apply_pages, diff_pages, Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore,
-    Predecoded, PAGE_WORDS,
+    PAGE_WORDS,
 };
 use crate::digest::{BaselineHashes, ConvHasher, StateDigest};
 use crate::isa::{fi_outputs, flags, AluOp, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, SP};
 use crate::probe::{Probe, ProbeAction};
-use crate::rt::{pack, FiRuntime, NoFi, QuiescentRt};
+use crate::rt::{pack, FiRuntime};
 
 /// Byte address where the data segment (globals) is mapped. Matches the IR
 /// interpreter's layout so pointer arithmetic behaves identically.
@@ -297,29 +297,13 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Run this machine to completion with the exact interpreter loop
-    /// (virtual runtime dispatch, probe bookkeeping) — the continuation
-    /// after a checkpoint restore and quiescent fast-forward.
-    pub fn finish_run(
-        mut self,
-        max_cycles: u64,
-        rt: &mut dyn FiRuntime,
-        probe: Option<&mut dyn Probe>,
-    ) -> RunResult {
-        let outcome = self
-            .exec_loop(max_cycles, rt, probe, None, None, false)
-            .expect("exec_loop completes unless until_fired");
-        self.into_result(outcome)
-    }
-
     /// Run the exact interpreter loop only until the fault *fires* (the
     /// runtime or probe reports [`FiRuntime::fired`]/[`Probe::fired`]
     /// after an instruction retires). Returns `Some(outcome)` if the run
     /// ended first (the fault never fired — deterministically impossible
     /// when the caller fast-forwarded to just below the target, but handled
-    /// for robustness), `None` once fired: the caller continues with a
-    /// convergence loop ([`Machine::run_converging_calls`] /
-    /// [`Machine::run_converging_probed`]) or [`Machine::finish_run`].
+    /// for robustness), `None` once fired: the caller continues the suffix
+    /// with [`Machine::run_sb`] or [`Machine::run_sb_converging`].
     pub fn run_exact_until_fired(
         &mut self,
         max_cycles: u64,
@@ -445,7 +429,7 @@ impl<'a> Machine<'a> {
                     }
                 }
             }
-            // --- Fired-fault handoff to the convergence loop. The firing
+            // --- Fired-fault handoff to the fused suffix. The firing
             // instruction (and its post-retirement injection) has fully
             // executed by this point.
             if until_fired && (probe_fired || rt.fired()) {
@@ -453,235 +437,6 @@ impl<'a> Machine<'a> {
             }
         };
         Some(outcome)
-    }
-
-    /// The quiescent fast path for call-hook tools (REFINE, LLFI): run
-    /// from the current state with a concrete counting-only runtime and the
-    /// predecoded stream `pre`, until `rt` has counted `stop` FI events —
-    /// no probe, no tracer, no virtual dispatch.
-    ///
-    /// Returns `Some(outcome)` when the run *ends* inside the quiescent
-    /// region (the event count never reached `stop`); `None` when the
-    /// boundary was reached and the caller must continue with the exact
-    /// loop ([`Machine::finish_run`]) under the real injector.
-    pub fn run_quiescent_calls(
-        &mut self,
-        pre: &Predecoded,
-        rt: &mut QuiescentRt,
-        stop: u64,
-        max_cycles: u64,
-    ) -> Option<RunOutcome> {
-        debug_assert_eq!(pre.len(), self.binary.text.len());
-        while rt.count < stop {
-            if self.cycles >= max_cycles {
-                return Some(RunOutcome::Timeout);
-            }
-            let Some(e) = pre.entry(self.pc) else {
-                return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
-            };
-            self.cycles += e.cost;
-            match self.step(&e.instr, rt) {
-                Ok(Step::Continue) => self.instrs_retired += 1,
-                Ok(Step::Halt(code)) => return Some(RunOutcome::Exit(code)),
-                Err(t) => return Some(RunOutcome::Trap(t)),
-            }
-        }
-        None
-    }
-
-    /// The quiescent fast path for the probed tool (PINFI): mirror the
-    /// exact loop's attached-probe accounting (`overhead` cycles per
-    /// instruction, FI-target counting *before* execution) without the
-    /// probe virtual call, until `count` reaches `stop`. Return contract as
-    /// [`Machine::run_quiescent_calls`].
-    pub fn run_quiescent_probed(
-        &mut self,
-        pre: &Predecoded,
-        overhead: u64,
-        count: &mut u64,
-        stop: u64,
-        max_cycles: u64,
-    ) -> Option<RunOutcome> {
-        debug_assert_eq!(pre.len(), self.binary.text.len());
-        let mut rt = NoFi;
-        while *count < stop {
-            if self.cycles >= max_cycles {
-                return Some(RunOutcome::Timeout);
-            }
-            let Some(e) = pre.entry(self.pc) else {
-                return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
-            };
-            self.cycles += overhead + e.cost;
-            if e.is_target {
-                *count += 1;
-            }
-            match self.step(&e.instr, &mut rt) {
-                Ok(Step::Continue) => self.instrs_retired += 1,
-                Ok(Step::Halt(code)) => return Some(RunOutcome::Exit(code)),
-                Err(t) => return Some(RunOutcome::Trap(t)),
-            }
-        }
-        None
-    }
-
-    /// Post-injection convergence loop for call-hook tools (REFINE, LLFI):
-    /// continue from the just-fired state under a counting-only runtime,
-    /// comparing the incremental state digest against each golden snapshot
-    /// when the trial reaches the snapshot's `(fi_count, pc)` position; on
-    /// match, splice the golden suffix and return its outcome. `rt.count`
-    /// must hold the FI-event count *after* the fault fired (identical to
-    /// what the profiling run had counted at the same point on
-    /// convergence).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_converging_calls(
-        &mut self,
-        pre: &Predecoded,
-        rt: &mut QuiescentRt,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-    ) -> RunOutcome {
-        self.converge_core::<QuiescentRt, false>(pre, rt, &mut 0, store, golden, max_cycles, stats)
-    }
-
-    /// Post-injection convergence loop for the probed tool (PINFI). The
-    /// trial runs *detached* (no probe overhead), but `count` keeps
-    /// tallying FI targets at fetch exactly as the attached profiling run
-    /// did, so digest FI counters are comparable. `count` must hold the
-    /// injector's event count at fire time (== its target).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_converging_probed(
-        &mut self,
-        pre: &Predecoded,
-        count: &mut u64,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-    ) -> RunOutcome {
-        let mut rt = NoFi;
-        self.converge_core::<NoFi, true>(pre, &mut rt, count, store, golden, max_cycles, stats)
-    }
-
-    /// Shared monomorphized convergence loop. `PROBED` selects the PINFI
-    /// FI-counter discipline (count targets at fetch via `count`) over the
-    /// call-hook one (`rt.fi_count()`). Execution accounting is identical
-    /// to the exact loop with no probe attached, so a non-converging trial
-    /// finishes bit-identically to [`Machine::finish_run`].
-    ///
-    /// Snapshots are matched by `(fi_count, pc)`, not retired count: for
-    /// the call-hook tools the taken injection branch retires instructions
-    /// the quiescent golden run never executed, so post-fire the trial's
-    /// retired counter is permanently skewed against golden's. The FI-event
-    /// counter is injection-invariant (the extra branch instructions are
-    /// runtime-call plumbing, not FI events), so a trial whose state
-    /// re-converges passes through every later golden snapshot at exactly
-    /// the snapshot's FI count and pc — where the full-state digest decides
-    /// — while the splice adds golden's *suffix deltas* onto the trial's
-    /// own counters, absorbing the skew without measuring it.
-    #[allow(clippy::too_many_arguments)]
-    fn converge_core<R: FiRuntime + ?Sized, const PROBED: bool>(
-        &mut self,
-        pre: &Predecoded,
-        rt: &mut R,
-        count: &mut u64,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-    ) -> RunOutcome {
-        debug_assert_eq!(pre.len(), self.binary.text.len());
-        let entry_retired = self.instrs_retired;
-        let fi_entry = if PROBED { *count } else { rt.fi_count() };
-        // First candidate: the earliest golden snapshot whose FI-event
-        // window the trial has not passed yet (fi_count is monotone along
-        // the run under both count disciplines).
-        let mut cursor = store.checkpoints.partition_point(|c| c.fi_count < fi_entry);
-        let mut inited = false;
-        let outcome = 'run: loop {
-            // Skip snapshots whose FI-event window has already passed
-            // without a state match (the while handles adjacent snapshots
-            // with equal counts, which interval thinning can produce).
-            let fi = if PROBED { *count } else { rt.fi_count() };
-            while store.checkpoints.get(cursor).is_some_and(|c| c.fi_count < fi) {
-                cursor += 1;
-            }
-            if let Some(ck) = store.checkpoints.get(cursor) {
-                if ck.fi_count == fi && ck.pc == self.pc {
-                    if !inited {
-                        // One full scan seeds the hasher; later checks pay
-                        // only for pages written since.
-                        self.conv = Some(Box::new(ConvHasher::scan(
-                            &store.baseline,
-                            &self.data,
-                            &self.binary.data,
-                            &self.stack,
-                            &self.output,
-                        )));
-                        inited = true;
-                    }
-                    let digest = self.conv_refresh(fi);
-                    if digest == ck.digest {
-                        // Converged: the remainder is deterministic and
-                        // equal to the golden run's from this snapshot on.
-                        // Add golden's suffix deltas onto the trial's own
-                        // counters (absorbing any injection-branch skew)
-                        // and correct for probe overhead the profiling run
-                        // paid but a detached post-fire trial does not
-                        // (the +1 fetch is the final non-retiring Halt).
-                        // Only splice when the spliced timing could not
-                        // have hit the cycle budget mid-suffix (cycles are
-                        // monotone, so final < budget implies no interior
-                        // timeout); otherwise keep executing — correct
-                        // either way.
-                        let suffix_retired = golden.retired - ck.retired;
-                        let suffix_fetches = suffix_retired + 1;
-                        let suffix_cycles = (golden.cycles - ck.cycles)
-                            - golden.probe_overhead * suffix_fetches;
-                        let final_cycles = self.cycles + suffix_cycles;
-                        if final_cycles < max_cycles {
-                            stats.converged = true;
-                            stats.checked_instrs = self.instrs_retired - entry_retired;
-                            stats.saved_instrs = suffix_retired;
-                            self.cycles = final_cycles;
-                            self.instrs_retired += suffix_retired;
-                            self.output.clear();
-                            self.output.extend_from_slice(golden.output);
-                            break 'run RunOutcome::Exit(golden.exit_code);
-                        }
-                    }
-                }
-            }
-            // One instruction: mirrors the exact loop's accounting (timeout
-            // before fetch, predecoded cost, FI-target tally for PROBED),
-            // with page write tracking once the hasher is live.
-            if self.cycles >= max_cycles {
-                break 'run RunOutcome::Timeout;
-            }
-            let Some(e) = pre.entry(self.pc) else {
-                break 'run RunOutcome::Trap(Trap::BadPc(self.pc as u64));
-            };
-            self.cycles += e.cost;
-            if PROBED && e.is_target {
-                *count += 1;
-            }
-            let stepped = if inited {
-                self.step_t::<R, true>(&e.instr, rt)
-            } else {
-                self.step_t::<R, false>(&e.instr, rt)
-            };
-            match stepped {
-                Ok(Step::Continue) => self.instrs_retired += 1,
-                Ok(Step::Halt(code)) => break 'run RunOutcome::Exit(code),
-                Err(t) => break 'run RunOutcome::Trap(t),
-            }
-        };
-        self.conv = None;
-        if !stats.converged {
-            stats.checked_instrs = self.instrs_retired - entry_retired;
-        }
-        outcome
     }
 
     /// Refresh the active convergence hasher against current memory and
@@ -983,6 +738,10 @@ impl<'a> Machine<'a> {
         self.flags = f;
     }
 
+    // Forced inline: the fused loops' exact-step fallback runs every
+    // runtime hook (and LLFI calls one per IR instruction), and an
+    // outlined call here measurably slows cold campaigns.
+    #[inline(always)]
     fn call_rt<R: FiRuntime + ?Sized>(&mut self, func: RtFunc, imm: u64, rt: &mut R) {
         match func {
             RtFunc::PrintI64 => self.output.push(OutEvent::I64(self.regs[0] as i64)),

@@ -37,10 +37,13 @@ pub trait FiRuntime {
     }
 }
 
-/// The counting-only runtime of the checkpoint fast path: semantically
-/// identical to the profiling library (count every event, never fire), but
-/// a concrete type so [`crate::Machine::run_quiescent_calls`]
-/// monomorphizes the hook dispatch away.
+/// The counting-only runtime of the fused loops: semantically identical to
+/// the profiling library (count every event, never fire), and a concrete
+/// type so [`crate::Machine::run_sb`] monomorphizes the hook dispatch down
+/// to an increment. A one-shot injector behaves exactly like this before
+/// its target event and after it fired, so trials run their quiescent
+/// prefix and post-fire suffix under it and attach the real injector only
+/// for the exact fire window.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QuiescentRt {
     /// FI population events counted so far.
@@ -48,7 +51,7 @@ pub struct QuiescentRt {
 }
 
 impl QuiescentRt {
-    /// A quiescent runtime resuming from a checkpoint's event count.
+    /// A quiescent runtime resuming from an event count.
     pub fn starting_at(count: u64) -> Self {
         QuiescentRt { count }
     }

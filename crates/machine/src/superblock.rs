@@ -1,4 +1,4 @@
-//! Superblock-fused direct-threaded execution engine.
+//! Superblock-fused direct-threaded execution engine: the trial fast path.
 //!
 //! The exact interpreter ([`Machine::step_t`](crate::machine::Machine)) pays
 //! a 31-arm `match` decode, branchy `Option<base>/Option<index>` effective
@@ -15,26 +15,27 @@
 //! must see exact per-call dispatch), at `Halt`, and at the last instruction
 //! of the text section (so the strict fallthrough pc-bounds trap is always
 //! raised by the exact step). Instructions that can trap mid-block (memory,
-//! divide, push/pop) *are* fused: [`Machine::exec_fused`] materializes the
+//! divide, push/pop) *are* fused: the block dispatcher materializes the
 //! exact architectural state at the trapping µop — same cycles (cost of the
 //! trapping instruction included, as the exact loop adds cost before
 //! stepping), same retired count (trapping instruction not retired), and
 //! `pc` left on the trapping instruction.
 //!
-//! The three fused loops ([`Machine::run_sb_calls`],
-//! [`Machine::run_sb_probed`], [`Machine::run_sb_converging_calls`] /
-//! [`Machine::run_sb_converging_probed`]) mirror their exact counterparts'
-//! accounting bit-for-bit and fall back to single exact steps whenever a
-//! block could cross a semantic boundary the exact loop observes
-//! per-instruction: the FI-event stop count, the cycle budget, or a golden
-//! snapshot's `(fi_count, pc)` match point.
+//! Two fused loops, each monomorphized over the runtime and the FI-counting
+//! discipline: [`Machine::run_sb`] (quiescent prefix and plain post-fire
+//! suffix) and [`Machine::run_sb_converging`] (post-fire suffix with golden
+//! convergence splicing). Both reproduce the exact interpreter's accounting
+//! bit-for-bit and fall back to single exact steps whenever a block could
+//! cross a semantic boundary the exact loop observes per-instruction: the
+//! FI-event stop count, the cycle budget, or a golden snapshot's
+//! `(fi_count, pc)` match point.
 
 use crate::binary::Binary;
-use crate::checkpoint::{CheckpointStore, Predecoded};
+use crate::checkpoint::CheckpointStore;
 use crate::digest::ConvHasher;
-use crate::isa::{AluOp, Cc, CvtKind, FAluOp, MInstr, Mem};
+use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem};
 use crate::machine::{ConvStats, GoldenEnd, Machine, RunOutcome, Step, Trap};
-use crate::rt::{FiRuntime, NoFi, QuiescentRt};
+use crate::rt::FiRuntime;
 
 /// A µop handler: executes one fused instruction's data side effects.
 /// Never touches `pc`, `cycles` or `instrs_retired` — the block dispatcher
@@ -53,6 +54,15 @@ struct Uop {
     c: u8,
     d: u8,
     imm: u64,
+}
+
+/// The exact-step fallback's view of one pc: the instruction with its cycle
+/// cost and PINFI-target flag precomputed.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    instr: MInstr,
+    cost: u64,
+    is_target: bool,
 }
 
 /// Dispatch counters for the superblock engine, reported through
@@ -77,8 +87,8 @@ impl SbStats {
 
 /// The predecoded, superblock-fused form of one binary's text section.
 ///
-/// Built once per prepared artifact (like [`Predecoded`], which it embeds
-/// for the exact-step fallback) and shared read-only across trial threads.
+/// Built once per prepared artifact and shared read-only across trial
+/// threads.
 #[derive(Debug)]
 pub struct SuperblockProgram {
     /// One µop per text instruction; terminator slots hold a placeholder
@@ -94,16 +104,19 @@ pub struct SuperblockProgram {
     /// Suffix-sum FI-target counts (PINFI accounting), same indexing
     /// identities as `fused_cost`.
     fused_targets: Vec<u64>,
-    /// The plain predecoded stream for exact-step fallback, so superblock
-    /// callers don't also need a separate [`Predecoded`].
-    pre: Predecoded,
+    /// Per-pc data for the exact-step fallback.
+    slots: Vec<Slot>,
 }
 
 impl SuperblockProgram {
     /// Predecode and fuse `binary`'s text section.
     pub fn new(binary: &Binary) -> Self {
         let n = binary.text.len();
-        let pre = Predecoded::new(binary);
+        let slots: Vec<Slot> = binary
+            .text
+            .iter()
+            .map(|i| Slot { instr: *i, cost: i.cycles(), is_target: !fi_outputs(i).is_empty() })
+            .collect();
         let uops: Vec<Uop> = binary.text.iter().map(lower).collect();
         let mut fused_len = vec![0u32; n];
         let mut fused_cost = vec![0u64; n];
@@ -115,17 +128,11 @@ impl SuperblockProgram {
             if is_terminator(&binary.text[pc]) || pc + 1 >= n {
                 continue;
             }
-            let e = pre.entry(pc as u32).expect("pc in range");
             fused_len[pc] = 1 + fused_len[pc + 1];
-            fused_cost[pc] = e.cost + fused_cost[pc + 1];
-            fused_targets[pc] = u64::from(e.is_target) + fused_targets[pc + 1];
+            fused_cost[pc] = slots[pc].cost + fused_cost[pc + 1];
+            fused_targets[pc] = u64::from(slots[pc].is_target) + fused_targets[pc + 1];
         }
-        SuperblockProgram { uops, fused_len, fused_cost, fused_targets, pre }
-    }
-
-    /// The embedded exact-step predecoded stream.
-    pub fn pre(&self) -> &Predecoded {
-        &self.pre
+        SuperblockProgram { uops, fused_len, fused_cost, fused_targets, slots }
     }
 
     /// Number of predecoded instructions (== text length).
@@ -194,40 +201,81 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// Superblock variant of [`Machine::run_quiescent_calls`]: identical
-    /// return contract and accounting, with straight-line runs dispatched
-    /// fused. Generic over the runtime so post-fire run-to-end can reuse it
-    /// with the live injector (`stop = u64::MAX`).
-    pub fn run_sb_calls<R: FiRuntime + ?Sized>(
+    /// Run with fused dispatch from the current state until `stop` FI
+    /// events have been counted. Returns `Some(outcome)` when the run ends
+    /// first, `None` at the boundary (the caller attaches the real injector
+    /// for the fire window); post-fire suffixes pass `stop = u64::MAX`.
+    /// Accounting is the exact interpreter's with no tracer attached.
+    ///
+    /// `PROBED` selects the FI-counting discipline at compile time:
+    ///
+    /// * `false` — call-hook tools (REFINE, LLFI): `rt` counts its
+    ///   `selInstr`/`injectFault` calls ([`FiRuntime::fi_count`]); `count`
+    ///   and `overhead` are unused;
+    /// * `true` — the probed tool (PINFI): FI targets are tallied into
+    ///   `count` at fetch and every fetched instruction costs `overhead`
+    ///   extra cycles, as under an attached DBI probe — both charged even
+    ///   for a trapping instruction.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_sb<R: FiRuntime + ?Sized, const PROBED: bool>(
         &mut self,
         sb: &SuperblockProgram,
         rt: &mut R,
+        count: &mut u64,
+        overhead: u64,
         stop: u64,
         max_cycles: u64,
         stats: &mut SbStats,
     ) -> Option<RunOutcome> {
         debug_assert_eq!(sb.len(), self.binary.text.len());
-        while rt.fi_count() < stop {
+        let overhead = if PROBED { overhead } else { 0 };
+        loop {
+            let fi = if PROBED { *count } else { rt.fi_count() };
+            if fi >= stop {
+                return None;
+            }
             if self.cycles >= max_cycles {
                 return Some(RunOutcome::Timeout);
             }
             let pc = self.pc as usize;
             let n = sb.fused_len.get(pc).copied().unwrap_or(0);
-            // Strict `<`: block-final cycles below budget implies no
-            // interior per-instruction timeout check could have fired
-            // (cycle costs are positive, so prefixes are strictly
-            // smaller). `CallRt` never fuses, so the FI count is constant
-            // across a block and the loop-top stop check stays exact.
-            if n > 0 && self.cycles + sb.fused_cost[pc] < max_cycles {
+            // Fuse only when the whole block stays below both boundaries;
+            // otherwise step exactly so the boundary instruction is the
+            // last one executed, as in the per-instruction loop. Strict `<`
+            // on cycles: cycle costs are positive, so a block-final total
+            // below budget means no interior timeout check could have
+            // fired. A call-hook count is constant across a block (`CallRt`
+            // never fuses), so the loop-top stop check covers it.
+            if n > 0
+                && (!PROBED || fi + sb.fused_targets[pc] < stop)
+                && self.cycles + sb.fused_cost[pc] + u64::from(n) * overhead < max_cycles
+            {
                 match self.exec_fused(sb, pc, n, stats) {
-                    Ok(()) => continue,
-                    Err(t) => return Some(RunOutcome::Trap(t)),
+                    Ok(()) => {
+                        if PROBED {
+                            self.cycles += u64::from(n) * overhead;
+                            *count += sb.fused_targets[pc];
+                        }
+                        continue;
+                    }
+                    Err(t) => {
+                        if PROBED {
+                            // Fetched up to and including the trapping µop.
+                            let next = self.pc as usize + 1;
+                            self.cycles += (next - pc) as u64 * overhead;
+                            *count += sb.fused_targets[pc] - sb.fused_targets[next];
+                        }
+                        return Some(RunOutcome::Trap(t));
+                    }
                 }
             }
-            let Some(e) = sb.pre.entry(self.pc) else {
+            let Some(e) = sb.slots.get(pc) else {
                 return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
             };
-            self.cycles += e.cost;
+            self.cycles += overhead + e.cost;
+            if PROBED && e.is_target {
+                *count += 1;
+            }
             match self.step(&e.instr, rt) {
                 Ok(Step::Continue) => {
                     self.instrs_retired += 1;
@@ -237,115 +285,32 @@ impl Machine<'_> {
                 Err(t) => return Some(RunOutcome::Trap(t)),
             }
         }
-        None
     }
 
-    /// Superblock variant of [`Machine::run_quiescent_probed`]: identical
-    /// return contract and attached-probe accounting (`overhead` cycles and
-    /// FI-target tally per fetched instruction, both charged even for the
-    /// trapping instruction).
-    pub fn run_sb_probed(
-        &mut self,
-        sb: &SuperblockProgram,
-        overhead: u64,
-        count: &mut u64,
-        stop: u64,
-        max_cycles: u64,
-        stats: &mut SbStats,
-    ) -> Option<RunOutcome> {
-        debug_assert_eq!(sb.len(), self.binary.text.len());
-        let mut rt = NoFi;
-        while *count < stop {
-            if self.cycles >= max_cycles {
-                return Some(RunOutcome::Timeout);
-            }
-            let pc = self.pc as usize;
-            let n = sb.fused_len.get(pc).copied().unwrap_or(0);
-            // Strict `<` on the target count: if the block could reach
-            // `stop` at or before its end, fall back to exact stepping so
-            // the boundary instruction is the last one executed — exactly
-            // as the per-instruction loop stops.
-            if n > 0
-                && *count + sb.fused_targets[pc] < stop
-                && self.cycles + sb.fused_cost[pc] + u64::from(n) * overhead < max_cycles
-            {
-                match self.exec_fused(sb, pc, n, stats) {
-                    Ok(()) => {
-                        self.cycles += u64::from(n) * overhead;
-                        *count += sb.fused_targets[pc];
-                        continue;
-                    }
-                    Err(t) => {
-                        let fetched = (self.pc as usize - pc) as u64 + 1;
-                        self.cycles += fetched * overhead;
-                        *count +=
-                            sb.fused_targets[pc] - sb.fused_targets[self.pc as usize + 1];
-                        return Some(RunOutcome::Trap(t));
-                    }
-                }
-            }
-            let Some(e) = sb.pre.entry(self.pc) else {
-                return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
-            };
-            self.cycles += overhead + e.cost;
-            if e.is_target {
-                *count += 1;
-            }
-            match self.step(&e.instr, &mut rt) {
-                Ok(Step::Continue) => {
-                    self.instrs_retired += 1;
-                    stats.stepped_instrs += 1;
-                }
-                Ok(Step::Halt(code)) => return Some(RunOutcome::Exit(code)),
-                Err(t) => return Some(RunOutcome::Trap(t)),
-            }
-        }
-        None
-    }
-
-    /// Superblock variant of [`Machine::run_converging_calls`]: same
-    /// snapshot-matching and splice semantics, with fused dispatch between
-    /// match points.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sb_converging_calls(
-        &mut self,
-        sb: &SuperblockProgram,
-        rt: &mut QuiescentRt,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-        sb_stats: &mut SbStats,
-    ) -> RunOutcome {
-        self.sb_converge_core::<QuiescentRt, false>(
-            sb, rt, &mut 0, store, golden, max_cycles, stats, sb_stats,
-        )
-    }
-
-    /// Superblock variant of [`Machine::run_converging_probed`]: detached
-    /// execution with fetch-time FI-target tallying, fused between snapshot
-    /// match points.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sb_converging_probed(
-        &mut self,
-        sb: &SuperblockProgram,
-        count: &mut u64,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-        sb_stats: &mut SbStats,
-    ) -> RunOutcome {
-        let mut rt = NoFi;
-        self.sb_converge_core::<NoFi, true>(
-            sb, &mut rt, count, store, golden, max_cycles, stats, sb_stats,
-        )
-    }
-
-    /// Shared fused convergence loop; see [`Machine`]'s exact
-    /// `converge_core` for the snapshot-matching discipline it replicates.
-    /// A block is fused only when no golden snapshot `(fi_count, pc)` match
-    /// point can fall strictly inside it:
+    /// Post-fire suffix with golden-convergence splicing: continue from the
+    /// just-fired state with fused dispatch, comparing the incremental state
+    /// digest against each golden snapshot when the trial reaches the
+    /// snapshot's `(fi_count, pc)` position; on a match, splice the golden
+    /// suffix and return its outcome. `PROBED` selects the FI-counting
+    /// discipline as in [`Machine::run_sb`], except that a probed trial
+    /// runs *detached* here (no per-fetch overhead) while `count` keeps
+    /// tallying targets at fetch exactly as the attached profiling run did,
+    /// so digest FI counters stay comparable. The FI count on entry must be
+    /// the one *after* the fault fired (the injector's target).
+    ///
+    /// Snapshots are matched by `(fi_count, pc)`, not retired count: for
+    /// the call-hook tools the taken injection branch retires instructions
+    /// the quiescent golden run never executed, so post-fire the trial's
+    /// retired counter is permanently skewed against golden's. The FI-event
+    /// counter is injection-invariant (the extra branch instructions are
+    /// runtime-call plumbing, not FI events), so a trial whose state
+    /// re-converges passes through every later golden snapshot at exactly
+    /// the snapshot's FI count and pc — where the full-state digest decides
+    /// — while the splice adds golden's *suffix deltas* onto the trial's
+    /// own counters, absorbing the skew without measuring it.
+    ///
+    /// A block is fused only when no snapshot match point can fall strictly
+    /// inside it:
     ///
     /// * call-hook tools: the FI count is constant across a block (no
     ///   `CallRt`), so only the current cursor snapshot could match, and
@@ -354,7 +319,7 @@ impl Machine<'_> {
     ///   fuse only when the cursor snapshot's window starts strictly after
     ///   the whole block's final count.
     #[allow(clippy::too_many_arguments)]
-    fn sb_converge_core<R: FiRuntime + ?Sized, const PROBED: bool>(
+    pub fn run_sb_converging<R: FiRuntime + ?Sized, const PROBED: bool>(
         &mut self,
         sb: &SuperblockProgram,
         rt: &mut R,
@@ -368,9 +333,15 @@ impl Machine<'_> {
         debug_assert_eq!(sb.len(), self.binary.text.len());
         let entry_retired = self.instrs_retired;
         let fi_entry = if PROBED { *count } else { rt.fi_count() };
+        // First candidate: the earliest golden snapshot whose FI-event
+        // window the trial has not passed yet (fi_count is monotone along
+        // the run under both count disciplines).
         let mut cursor = store.checkpoints.partition_point(|c| c.fi_count < fi_entry);
         let mut inited = false;
         let outcome = 'run: loop {
+            // Skip snapshots whose FI-event window has already passed
+            // without a state match (the while handles adjacent snapshots
+            // with equal counts, which interval thinning can produce).
             let fi = if PROBED { *count } else { rt.fi_count() };
             while store.checkpoints.get(cursor).is_some_and(|c| c.fi_count < fi) {
                 cursor += 1;
@@ -378,6 +349,8 @@ impl Machine<'_> {
             if let Some(ck) = store.checkpoints.get(cursor) {
                 if ck.fi_count == fi && ck.pc == self.pc {
                     if !inited {
+                        // One full scan seeds the hasher; later checks pay
+                        // only for pages written since.
                         self.conv = Some(Box::new(ConvHasher::scan(
                             &store.baseline,
                             &self.data,
@@ -389,6 +362,18 @@ impl Machine<'_> {
                     }
                     let digest = self.conv_refresh(fi);
                     if digest == ck.digest {
+                        // Converged: the remainder is deterministic and
+                        // equal to the golden run's from this snapshot on.
+                        // Add golden's suffix deltas onto the trial's own
+                        // counters (absorbing any injection-branch skew)
+                        // and correct for probe overhead the profiling run
+                        // paid but a detached post-fire trial does not
+                        // (the +1 fetch is the final non-retiring Halt).
+                        // Only splice when the spliced timing could not
+                        // have hit the cycle budget mid-suffix (cycles are
+                        // monotone, so final < budget implies no interior
+                        // timeout); otherwise keep executing — correct
+                        // either way.
                         let suffix_retired = golden.retired - ck.retired;
                         let suffix_fetches = suffix_retired + 1;
                         let suffix_cycles = (golden.cycles - ck.cycles)
@@ -443,7 +428,7 @@ impl Machine<'_> {
                     }
                 }
             }
-            let Some(e) = sb.pre.entry(self.pc) else {
+            let Some(e) = sb.slots.get(pc) else {
                 break 'run RunOutcome::Trap(Trap::BadPc(self.pc as u64));
             };
             self.cycles += e.cost;
@@ -781,6 +766,7 @@ mod tests {
     use super::*;
     use crate::binary::{Binary, Symbol};
     use crate::machine::RunConfig;
+    use crate::rt::NoFi;
 
     fn bin(text: Vec<MInstr>) -> Binary {
         let end = text.len() as u32;
@@ -793,15 +779,15 @@ mod tests {
         }
     }
 
-    /// Drive a full run through `run_sb_calls` with a NoFi runtime (stop
-    /// never reached) and return (outcome, cycles, retired).
+    /// Drive a full run through `run_sb` with a NoFi runtime (stop never
+    /// reached) and return (outcome, cycles, retired).
     fn run_sb(b: &Binary) -> (RunOutcome, u64, u64, SbStats) {
         let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
         let mut m = Machine::new(b, &cfg);
         let mut stats = SbStats::default();
         let out = m
-            .run_sb_calls(&sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut stats)
+            .run_sb::<_, false>(&sb, &mut NoFi, &mut 0, 0, u64::MAX, cfg.max_cycles, &mut stats)
             .expect("bounded run terminates");
         (out, m.cycles, m.instrs_retired, stats)
     }

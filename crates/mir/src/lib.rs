@@ -18,12 +18,12 @@
 //!    frame layout: exactly the machine instructions the paper's Listing 1b
 //!    shows and IR-level FI cannot see;
 //! 6. [`peephole`] — redundant-move cleanup;
-//! 7. [`emit`] — layout, branch resolution and linking into a
+//! 7. [`mod@emit`] — layout, branch resolution and linking into a
 //!    [`refine_machine::Binary`].
 //!
 //! The output of step 6 is an [`mfunc::MFunction`] — basic blocks of final
 //! physical-register machine instructions. REFINE's backend FI pass (in
-//! `refine-core`) transforms that structure right before [`emit`], which is
+//! `refine-core`) transforms that structure right before [`emit()`], which is
 //! the "right before code emission" placement of the paper's §4.2.2.
 
 pub mod emit;

@@ -1,5 +1,6 @@
-//! Engine equivalence: the superblock-fused engine and the per-instruction
-//! exact stepper must produce byte-identical campaigns.
+//! Engine equivalence: the superblock-fused engine and `--engine step`
+//! (the exact oracle, `run_trial_exact`) must produce byte-identical
+//! campaigns.
 //!
 //! Two layers of evidence:
 //!
@@ -8,16 +9,16 @@
 //!   per-trial provenance record multiset across engines and jobs counts,
 //!   with checkpointing on and off;
 //! * a property test driving `run_trial_engine` against the
-//!   `run_trial_exact` oracle over random (kernel, tool, target, seed)
-//!   points.
+//!   `run_trial_exact` oracle over random (kernel, tool, checkpointing,
+//!   target, seed) points.
 
 use proptest::prelude::*;
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
 };
-use refine_campaign::tools::{PreparedTool, Tool};
-use refine_core::ExecEngine;
+use refine_campaign::tools::{PreparedTool, Tool, TrialFastStats};
+use refine_core::{CheckpointOptions, ExecEngine};
 use refine_machine::OutEvent;
 use refine_telemetry::{TraceSink, TrialTrace};
 use std::sync::{Arc, OnceLock};
@@ -111,8 +112,8 @@ fn engines_byte_identical_across_suite_and_jobs() {
     assert_eq!(rec, base_rec);
 }
 
-/// Same identity with checkpointing off: this drives the cold superblock
-/// path (`run_trial_cold_sb`) against the cold exact path for every trial.
+/// Same identity with checkpointing off: this drives the cold fused path
+/// (no restore, no golden end) against the exact oracle for every trial.
 #[test]
 fn engines_byte_identical_without_checkpoints() {
     let cache = ArtifactCache::new();
@@ -209,17 +210,19 @@ const CORPUS: [&str; 8] = [
      }",
 ];
 
-fn corpus_prepared(kernel: usize, tool: Tool) -> &'static PreparedTool {
+fn corpus_prepared(kernel: usize, tool: Tool, checkpoint: bool) -> &'static PreparedTool {
     static CELLS: OnceLock<Vec<OnceLock<PreparedTool>>> = OnceLock::new();
-    let cells = CELLS.get_or_init(|| (0..CORPUS.len() * 3).map(|_| OnceLock::new()).collect());
+    let cells = CELLS.get_or_init(|| (0..CORPUS.len() * 6).map(|_| OnceLock::new()).collect());
     let ti = match tool {
         Tool::Llfi => 0,
         Tool::Refine => 1,
         Tool::Pinfi => 2,
     };
-    cells[kernel * 3 + ti].get_or_init(|| {
+    cells[(kernel * 3 + ti) * 2 + usize::from(checkpoint)].get_or_init(|| {
         let m = refine_frontend::compile_source(CORPUS[kernel]).unwrap();
-        PreparedTool::prepare(&m, tool)
+        let ckpt =
+            if checkpoint { CheckpointOptions::default() } else { CheckpointOptions::disabled() };
+        PreparedTool::prepare_opt(&m, tool, &ckpt)
     })
 }
 
@@ -237,18 +240,21 @@ fn bits(ev: &[OutEvent]) -> Vec<(u8, u64, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For random (kernel, tool, target, seed): both engines reproduce the
-    /// exact interpreter bit-for-bit — outcome, output, cycles, retired
-    /// instructions and the fault log.
+    /// For random (kernel, tool, checkpointing, target, seed): both
+    /// engines reproduce the exact interpreter bit-for-bit — outcome,
+    /// output, cycles, retired instructions and the fault log — warm (from
+    /// a checkpoint, with convergence) and cold. The step engine *is* the
+    /// oracle: no restore, no fused dispatch, no convergence.
     #[test]
     fn prop_engines_match_exact_oracle(
         kernel in 0usize..CORPUS.len(),
         tool_idx in 0usize..3,
+        checkpoint in any::<bool>(),
         frac in 0.0f64..1.0,
         seed in any::<u64>(),
     ) {
         let tool = Tool::all()[tool_idx];
-        let p = corpus_prepared(kernel, tool);
+        let p = corpus_prepared(kernel, tool, checkpoint);
         let target = 1 + ((p.population - 1) as f64 * frac) as u64;
         let oracle = p.run_trial_exact(target, seed);
         for engine in [ExecEngine::Superblock, ExecEngine::Step] {
@@ -261,5 +267,7 @@ proptest! {
             );
             prop_assert_eq!(t.log, oracle.log, "{:?}", engine);
         }
+        let step = p.run_trial_engine(ExecEngine::Step, target, seed);
+        prop_assert_eq!(step.fast, TrialFastStats::default());
     }
 }
