@@ -20,6 +20,12 @@ DOC_PKGS="$(awk -F'"' '/^name/ {print "-p " $2; nextfile}' crates/*/Cargo.toml)"
 # shellcheck disable=SC2086 # one word per flag
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline $DOC_PKGS
 
+echo "== perfbench type-check"
+# The benchmark harness is a workspace of its own, so the steps above never
+# build it; check it here so renaming a public item it uses fails before
+# merge. Only builds it (into perfbench/target), never modifies it.
+cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
+
 echo "== cross-jobs determinism (--jobs 1 vs --jobs 4)"
 # The outcome tables must be bit-identical at any worker count; diff the
 # stdout tables of a short sweep run serially and sharded.

@@ -60,19 +60,7 @@ pub fn run_suite(
     apps: Option<&[String]>,
     progress: impl FnMut(&str, Tool),
 ) -> SuiteResults {
-    run_suite_observed(cfg, apps, &SuiteObserver::default(), progress)
-}
-
-/// [`run_suite`] with observability: live progress reporting and per-trial
-/// provenance streaming. Accepts any benchmark [`refine_benchmarks::by_name`]
-/// knows, including the extras outside the paper's 14-app suite.
-pub fn run_suite_observed(
-    cfg: &CampaignConfig,
-    apps: Option<&[String]>,
-    obs: &SuiteObserver<'_>,
-    progress: impl FnMut(&str, Tool),
-) -> SuiteResults {
-    run_suite_sharded(cfg, apps, obs, progress).0
+    run_suite_sharded(cfg, apps, &SuiteObserver::default(), progress).0
 }
 
 /// The sharded sweep driver behind every suite run: flattens all
@@ -80,7 +68,10 @@ pub fn run_suite_observed(
 /// different campaigns interleave across the worker pool and each
 /// instrumented artifact is prepared exactly once via the
 /// [`ArtifactCache`]), and additionally returns the [`EngineReport`] with
-/// wall-clock, speedup and cache accounting.
+/// wall-clock, speedup and cache accounting. `obs` adds live progress
+/// reporting and per-trial provenance streaming. Accepts any benchmark
+/// [`refine_benchmarks::by_name`] knows, including the extras outside the
+/// paper's 14-app suite.
 ///
 /// `progress` is called once per campaign, in input order, as the sweep is
 /// assembled (campaign *completion* order is scheduling-dependent; results
@@ -414,6 +405,7 @@ pub fn fig5(suite: &SuiteResults) -> String {
 /// faults, which skew towards SOC.
 pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
     use refine_core::{FiOptions, InstrClass};
+    let ckpt = EngineConfig::from_campaign(cfg).checkpoint_options();
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -436,7 +428,7 @@ pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
             ("all", InstrClass::All),
         ] {
             let opts = FiOptions { fi: true, fi_instrs: class, ..FiOptions::all() };
-            let prepared = PreparedTool::prepare_refine_with(&module, &opts);
+            let prepared = PreparedTool::prepare_refine_with(&module, &opts, &ckpt);
             let r = run_campaign_prepared(&prepared, cfg);
             let p = r.counts.percentages();
             let _ = writeln!(

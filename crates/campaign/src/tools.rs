@@ -5,13 +5,15 @@ use refine_core::{CheckpointOptions, ExecEngine, FaultRecord, FiOptions, Injecti
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
-    Binary, CheckpointConfig, CheckpointStore, ConvStats, FiRuntime, GoldenEnd, Machine, NoFi,
-    Probe, QuiescentRt, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
+    Binary, CheckpointConfig, CheckpointStore, FiRuntime, GoldenEnd, Machine, NoFi, Probe,
+    QuiescentRt, RunConfig, RunOutcome, RunResult, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+pub use refine_machine::TrialFastStats;
 
 /// The three tools compared in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,29 +89,6 @@ pub struct FastPath {
     pub golden_run: RunResult,
 }
 
-/// How one trial actually executed, for engine accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrialFastStats {
-    /// The trial restored machine state from a golden-run checkpoint.
-    pub restored: bool,
-    /// Dynamic instructions skipped by that restore (0 when cold).
-    pub skipped_instrs: u64,
-    /// The trial converged with the golden run post-injection and its
-    /// outcome was spliced.
-    pub converged: bool,
-    /// Post-injection instructions executed under convergence checking.
-    pub conv_checked_instrs: u64,
-    /// Instructions not executed thanks to the golden-suffix splice.
-    pub conv_saved_instrs: u64,
-    /// Fused superblock dispatches this trial (0 under `--engine step`).
-    pub sb_dispatches: u64,
-    /// Instructions retired through fused dispatch this trial.
-    pub sb_fused_instrs: u64,
-    /// Instructions retired via exact single-step fallback inside the
-    /// superblock loops this trial.
-    pub sb_stepped_instrs: u64,
-}
-
 /// A completed trial with its fault log and fast-forward accounting.
 #[derive(Debug, Clone)]
 pub struct TrialRun {
@@ -162,12 +141,35 @@ impl PreparedTool {
     /// [`PreparedTool::prepare`] with explicit checkpointing knobs
     /// (`CheckpointOptions::disabled()` is the `--no-checkpoint` path).
     pub fn prepare_opt(module: &Module, tool: Tool, ckpt: &CheckpointOptions) -> PreparedTool {
+        Self::prepare_fi(module, tool, &FiOptions::all(), ckpt)
+    }
+
+    /// Prepare REFINE with custom flags (`-fi-funcs`/`-fi-instrs`
+    /// selections) and checkpointing knobs, for targeted campaigns and
+    /// class ablations.
+    pub fn prepare_refine_with(
+        module: &Module,
+        opts: &FiOptions,
+        ckpt: &CheckpointOptions,
+    ) -> PreparedTool {
+        assert!(opts.fi, "instrumentation must be enabled");
+        Self::prepare_fi(module, Tool::Refine, opts, ckpt)
+    }
+
+    /// The one prepare body; `refine_opts` selects REFINE's instrumented
+    /// sites and is ignored by the other tools.
+    fn prepare_fi(
+        module: &Module,
+        tool: Tool,
+        refine_opts: &FiOptions,
+        ckpt: &CheckpointOptions,
+    ) -> PreparedTool {
         let stack_words = 1 << 16;
         let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
         let mcfg = ckpt.enabled.then(|| ckpt.machine_config());
         let (binary, population, profile, store, site_opcodes) = match tool {
             Tool::Refine => {
-                let c = refine_core::compile_with_fi(module, OptLevel::O2, &FiOptions::all());
+                let c = refine_core::compile_with_fi(module, OptLevel::O2, refine_opts);
                 let opcodes =
                     c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
                 // REFINE's trigger-path scratch slot must be digest-exempt
@@ -219,53 +221,10 @@ impl PreparedTool {
         }
     }
 
-    /// Prepare REFINE with custom flags (`-fi-funcs`/`-fi-instrs`
-    /// selections), for targeted campaigns and class ablations.
-    pub fn prepare_refine_with(module: &Module, opts: &FiOptions) -> PreparedTool {
-        assert!(opts.fi, "instrumentation must be enabled");
-        let stack_words = 1 << 16;
-        let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
-        let c = refine_core::compile_with_fi(module, OptLevel::O2, opts);
-        let site_opcodes = c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
-        let ckpt = CheckpointOptions::default();
-        let mcfg = ckpt.enabled.then(|| {
-            let mut m = ckpt.machine_config();
-            m.exempt_data_words = c.digest_exempt_words();
-            m
-        });
-        let mut rt = ProfilingRt::default();
-        let (r, store) = profile_run(&c.binary, &cfg, &mut rt, None, mcfg);
-        assert!(rt.count > 0, "selected FI population is empty");
-        let golden = Golden::from_run(&r);
-        let profile_cycles = r.cycles;
-        let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: r }));
-        let superblock = build_superblock(&c.binary);
-        PreparedTool {
-            tool: Tool::Refine,
-            binary: c.binary,
-            population: rt.count,
-            golden,
-            profile_cycles,
-            timeout_cycles: profile_cycles.saturating_mul(10),
-            stack_words,
-            site_opcodes,
-            fastpath,
-            convergence: ckpt.enabled && ckpt.convergence,
-            superblock,
-        }
-    }
-
     /// Execute one fault-injection trial at dynamic target instruction
     /// `target` (1-based) with RNG stream `seed`.
     pub fn run_trial(&self, target: u64, seed: u64) -> RunResult {
-        self.run_trial_traced(target, seed).0
-    }
-
-    /// Like [`PreparedTool::run_trial`], but also returns the fault log
-    /// entry (when the injection fired) for provenance records.
-    pub fn run_trial_traced(&self, target: u64, seed: u64) -> (RunResult, Option<FaultRecord>) {
-        let t = self.run_trial_full(target, seed);
-        (t.result, t.log)
+        self.run_trial_full(target, seed).result
     }
 
     /// Full trial execution under the default engine
@@ -288,7 +247,7 @@ impl PreparedTool {
     /// observationally equal to the profiling run (the injection RNG is
     /// consumed only at the fire), so a profiling-run snapshot is an exact
     /// restore point for any trial whose target event lies beyond it, and
-    /// the fused loops replicate the exact loop's accounting
+    /// the fused loop replicates the exact loop's accounting
     /// instruction-for-instruction.
     pub fn run_trial_engine(&self, engine: ExecEngine, target: u64, seed: u64) -> TrialRun {
         match (engine, self.tool) {
@@ -315,28 +274,18 @@ impl PreparedTool {
             }
         };
         let golden = fp.and_then(|fp| self.golden_end(fp, I::PROBE_OVERHEAD));
-        let mut sbs = SbStats::default();
-        let mut conv = ConvStats::default();
+        let mut fast = TrialFastStats {
+            restored: restored.is_some(),
+            skipped_instrs: restored.map_or(0, |ck| ck.retired),
+            ..TrialFastStats::default()
+        };
         let count = restored.map_or(0, |ck| ck.fi_count);
         let max = cfg.max_cycles;
-        let (outcome, log) = match I::quiesce(&mut m, sb, target, seed, count, max, &mut sbs) {
+        let (outcome, log) = match I::quiesce(&mut m, sb, target, seed, count, max, &mut fast) {
             // Program ended (or timed out) before the target event: the
             // injector would never have fired.
             Err(outcome) => (outcome, None),
-            Ok(mut inj) => {
-                let outcome = inj.fire_and_finish(&mut m, sb, golden, max, &mut conv, &mut sbs);
-                (outcome, inj.log())
-            }
-        };
-        let fast = TrialFastStats {
-            restored: restored.is_some(),
-            skipped_instrs: restored.map_or(0, |ck| ck.retired),
-            converged: conv.converged,
-            conv_checked_instrs: conv.checked_instrs,
-            conv_saved_instrs: conv.saved_instrs,
-            sb_dispatches: sbs.dispatches,
-            sb_fused_instrs: sbs.fused_instrs,
-            sb_stepped_instrs: sbs.stepped_instrs,
+            Ok(mut inj) => (inj.fire_and_finish(&mut m, sb, golden, max, &mut fast), inj.log()),
         };
         TrialRun { result: m.into_result(outcome), log, fast }
     }
@@ -405,9 +354,9 @@ impl PreparedTool {
 /// the real injector attaches. REFINE and LLFI count events in their
 /// runtime hooks (`selInstr`/`injectFault`); PINFI's DBI probe tallies
 /// targets at fetch and pays per-fetch overhead until it fires and
-/// detaches. Each impl fixes its fused loops' counting discipline at
-/// compile time, so the trial driver is written once and no fused loop
-/// dispatches through `dyn`.
+/// detaches. Each impl fixes the fused loop's counting discipline at
+/// compile time, so the trial driver is written once and the fused loop
+/// never dispatches through `dyn`.
 trait Injector: Sized {
     /// Per-fetch cycles the attached probe charges (0 for runtime hooks).
     const PROBE_OVERHEAD: u64;
@@ -422,7 +371,7 @@ trait Injector: Sized {
         seed: u64,
         count: u64,
         max_cycles: u64,
-        sbs: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> Result<Self, RunOutcome>;
 
     /// Run the exact loop through the firing event, then the fused suffix,
@@ -433,8 +382,7 @@ trait Injector: Sized {
         sb: &SuperblockProgram,
         golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
         max_cycles: u64,
-        conv: &mut ConvStats,
-        sbs: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> RunOutcome;
 
     /// The fault log entry, once the injection fired.
@@ -451,11 +399,11 @@ impl Injector for InjectingRt {
         seed: u64,
         count: u64,
         max_cycles: u64,
-        sbs: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> Result<Self, RunOutcome> {
         let mut q = QuiescentRt::starting_at(count);
         let stop = target.saturating_sub(1);
-        match m.run_sb::<_, false>(sb, &mut q, &mut 0, 0, stop, max_cycles, sbs) {
+        match m.run_sb::<_, false>(sb, &mut q, &mut 0, 0, stop, None, max_cycles, stats) {
             Some(outcome) => Err(outcome),
             None => Ok(InjectingRt::resume(target, seed, q.count)),
         }
@@ -467,22 +415,15 @@ impl Injector for InjectingRt {
         sb: &SuperblockProgram,
         golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
         max: u64,
-        conv: &mut ConvStats,
-        sbs: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> RunOutcome {
         if let Some(outcome) = m.run_exact_until_fired(max, self, None) {
             return outcome;
         }
         // Once fired, the injector only counts again.
         let mut q = QuiescentRt::starting_at(self.fi_count());
-        match golden {
-            Some((store, g)) => {
-                m.run_sb_converging::<_, false>(sb, &mut q, &mut 0, store, g, max, conv, sbs)
-            }
-            None => m
-                .run_sb::<_, false>(sb, &mut q, &mut 0, 0, u64::MAX, max, sbs)
-                .expect("cycle-bounded run terminates"),
-        }
+        m.run_sb::<_, false>(sb, &mut q, &mut 0, 0, u64::MAX, golden, max, stats)
+            .expect("cycle-bounded run terminates")
     }
 
     fn log(&self) -> Option<FaultRecord> {
@@ -499,12 +440,12 @@ impl Injector for PinfiInjector {
         target: u64,
         seed: u64,
         mut count: u64,
-        max_cycles: u64,
-        sbs: &mut SbStats,
+        max: u64,
+        stats: &mut TrialFastStats,
     ) -> Result<Self, RunOutcome> {
         let stop = target.saturating_sub(1);
         let overhead = Self::PROBE_OVERHEAD;
-        match m.run_sb::<_, true>(sb, &mut NoFi, &mut count, overhead, stop, max_cycles, sbs) {
+        match m.run_sb::<_, true>(sb, &mut NoFi, &mut count, overhead, stop, None, max, stats) {
             Some(outcome) => Err(outcome),
             None => Ok(PinfiInjector::resume(target, seed, count)),
         }
@@ -516,24 +457,17 @@ impl Injector for PinfiInjector {
         sb: &SuperblockProgram,
         golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
         max: u64,
-        conv: &mut ConvStats,
-        sbs: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> RunOutcome {
         if let Some(outcome) = m.run_exact_until_fired(max, &mut NoFi, Some(self)) {
             return outcome;
         }
-        // The probe detached at the fire, so the suffix runs probe-free.
-        // Under convergence it keeps tallying targets at fetch from the
+        // The probe detached at the fire, so the suffix runs probe-free
+        // (no overhead) but keeps tallying targets at fetch from the
         // injector's count, as the attached profiling probe did.
-        match golden {
-            Some((store, g)) => {
-                let mut count = self.fi_count();
-                m.run_sb_converging::<_, true>(sb, &mut NoFi, &mut count, store, g, max, conv, sbs)
-            }
-            None => m
-                .run_sb::<_, false>(sb, &mut NoFi, &mut 0, 0, u64::MAX, max, sbs)
-                .expect("cycle-bounded run terminates"),
-        }
+        let mut count = self.fi_count();
+        m.run_sb::<_, true>(sb, &mut NoFi, &mut count, 0, u64::MAX, golden, max, stats)
+            .expect("cycle-bounded run terminates")
     }
 
     fn log(&self) -> Option<FaultRecord> {
@@ -565,6 +499,23 @@ mod tests {
         let pinfi = &prepared[2];
         assert_eq!(refine.population, pinfi.population);
         assert!(llfi.population < pinfi.population);
+    }
+
+    #[test]
+    fn prepare_refine_with_honours_checkpoint_options() {
+        let m = module();
+        let off = PreparedTool::prepare_refine_with(
+            &m,
+            &FiOptions::all(),
+            &CheckpointOptions::disabled(),
+        );
+        assert!(off.fastpath.is_none(), "disabled checkpointing must not build a store");
+        let ckpt = CheckpointOptions::default();
+        let custom = PreparedTool::prepare_refine_with(&m, &FiOptions::all(), &ckpt);
+        let standard = PreparedTool::prepare_opt(&m, Tool::Refine, &ckpt);
+        assert!(custom.fastpath.is_some());
+        assert_eq!(custom.population, standard.population);
+        assert_eq!(custom.binary.text.len(), standard.binary.text.len());
     }
 
     #[test]

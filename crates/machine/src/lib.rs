@@ -43,9 +43,9 @@ pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 pub use digest::{BaselineHashes, ConvHasher, StateDigest};
 pub use isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, FLAGS_BITS};
 pub use machine::{
-    ArchState, ConvStats, GoldenEnd, Machine, OutEvent, RunConfig, RunOutcome, RunResult, Tracer,
+    ArchState, GoldenEnd, Machine, OutEvent, RunConfig, RunOutcome, RunResult, Tracer,
     Trap,
 };
 pub use probe::{Probe, ProbeAction};
 pub use rt::{FiRuntime, NoFi, QuiescentRt};
-pub use superblock::{SbStats, SuperblockProgram};
+pub use superblock::{SuperblockProgram, TrialFastStats};

@@ -81,8 +81,9 @@ pub enum RunOutcome {
     Timeout,
 }
 
-/// The golden run's terminal facts, borrowed by the convergence loop so a
-/// converged trial can splice the remainder instead of executing it.
+/// The golden run's terminal facts, borrowed by a convergence-tracked
+/// [`Machine::run_sb`] so a converged trial can splice the remainder
+/// instead of executing it.
 #[derive(Debug, Clone, Copy)]
 pub struct GoldenEnd<'a> {
     /// The golden run's exit code (convergence is only attempted for runs
@@ -99,18 +100,6 @@ pub struct GoldenEnd<'a> {
     /// trial does not (PINFI's instrumentation tax); subtracted from the
     /// spliced suffix cycles so trial timing matches native execution.
     pub probe_overhead: u64,
-}
-
-/// What the convergence loop did for one trial.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConvStats {
-    /// Did the trial converge with the golden run (outcome spliced)?
-    pub converged: bool,
-    /// Post-injection instructions actually executed under convergence
-    /// checking.
-    pub checked_instrs: u64,
-    /// Instructions *not* executed because the golden suffix was spliced.
-    pub saved_instrs: u64,
 }
 
 /// A completed machine run.
@@ -184,8 +173,8 @@ pub struct Machine<'a> {
     pub(crate) output: Vec<OutEvent>,
     pub(crate) cycles: u64,
     pub(crate) instrs_retired: u64,
-    /// Incremental convergence hasher; `Some` only while a convergence
-    /// loop's tracked region is active.
+    /// Incremental convergence hasher; `Some` only while a
+    /// convergence-tracked [`Machine::run_sb`] has matched a snapshot.
     pub(crate) conv: Option<Box<ConvHasher>>,
 }
 
@@ -303,7 +292,8 @@ impl<'a> Machine<'a> {
     /// ended first (the fault never fired — deterministically impossible
     /// when the caller fast-forwarded to just below the target, but handled
     /// for robustness), `None` once fired: the caller continues the suffix
-    /// with [`Machine::run_sb`] or [`Machine::run_sb_converging`].
+    /// with [`Machine::run_sb`], convergence-tracked when it passes a golden
+    /// end.
     pub fn run_exact_until_fired(
         &mut self,
         max_cycles: u64,
@@ -738,7 +728,7 @@ impl<'a> Machine<'a> {
         self.flags = f;
     }
 
-    // Forced inline: the fused loops' exact-step fallback runs every
+    // Forced inline: the fused loop's exact-step fallback runs every
     // runtime hook (and LLFI calls one per IR instruction), and an
     // outlined call here measurably slows cold campaigns.
     #[inline(always)]

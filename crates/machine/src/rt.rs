@@ -37,7 +37,7 @@ pub trait FiRuntime {
     }
 }
 
-/// The counting-only runtime of the fused loops: semantically identical to
+/// The counting-only runtime of the fused loop: semantically identical to
 /// the profiling library (count every event, never fire), and a concrete
 /// type so [`crate::Machine::run_sb`] monomorphizes the hook dispatch down
 /// to an increment. A one-shot injector behaves exactly like this before

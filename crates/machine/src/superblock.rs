@@ -21,20 +21,22 @@
 //! stepping), same retired count (trapping instruction not retired), and
 //! `pc` left on the trapping instruction.
 //!
-//! Two fused loops, each monomorphized over the runtime and the FI-counting
-//! discipline: [`Machine::run_sb`] (quiescent prefix and plain post-fire
-//! suffix) and [`Machine::run_sb_converging`] (post-fire suffix with golden
-//! convergence splicing). Both reproduce the exact interpreter's accounting
-//! bit-for-bit and fall back to single exact steps whenever a block could
-//! cross a semantic boundary the exact loop observes per-instruction: the
-//! FI-event stop count, the cycle budget, or a golden snapshot's
-//! `(fi_count, pc)` match point.
+//! One fused loop, [`Machine::run_sb`], monomorphized over the runtime,
+//! the FI-counting discipline and whether a golden end is attached: the
+//! quiescent prefix and plain post-fire suffix run without snapshot checks
+//! or page-write tracking, and a post-fire suffix with convergence on
+//! splices the golden outcome once its state digest matches a golden
+//! snapshot. It reproduces the exact interpreter's accounting bit-for-bit
+//! and falls back to single exact steps whenever a block could cross a
+//! semantic boundary the exact loop observes per-instruction: the FI-event
+//! stop count, the cycle budget, or a golden snapshot's `(fi_count, pc)`
+//! match point.
 
 use crate::binary::Binary;
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::digest::ConvHasher;
 use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem};
-use crate::machine::{ConvStats, GoldenEnd, Machine, RunOutcome, Step, Trap};
+use crate::machine::{GoldenEnd, Machine, RunOutcome, Step, Trap};
 use crate::rt::FiRuntime;
 
 /// A µop handler: executes one fused instruction's data side effects.
@@ -65,24 +67,29 @@ struct Slot {
     is_target: bool,
 }
 
-/// Dispatch counters for the superblock engine, reported through
-/// `TrialFastStats` and the telemetry registry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SbStats {
-    /// Fused block dispatches (including blocks cut short by a trap).
-    pub dispatches: u64,
-    /// Instructions retired through fused dispatch.
-    pub fused_instrs: u64,
-    /// Instructions retired through exact single-step fallback inside the
-    /// superblock loops.
-    pub stepped_instrs: u64,
-}
-
-impl SbStats {
-    /// Total instructions retired under superblock loops (fused + stepped).
-    pub fn total_instrs(&self) -> u64 {
-        self.fused_instrs + self.stepped_instrs
-    }
+/// How one trial actually executed, for engine accounting: the checkpoint
+/// restore (filled in by the trial driver) and the convergence splice and
+/// dispatch counters (accumulated by [`Machine::run_sb`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrialFastStats {
+    /// The trial restored machine state from a golden-run checkpoint.
+    pub restored: bool,
+    /// Dynamic instructions skipped by that restore (0 when cold).
+    pub skipped_instrs: u64,
+    /// The trial converged with the golden run post-injection and its
+    /// outcome was spliced.
+    pub converged: bool,
+    /// Post-injection instructions executed under convergence checking.
+    pub conv_checked_instrs: u64,
+    /// Instructions not executed thanks to the golden-suffix splice.
+    pub conv_saved_instrs: u64,
+    /// Fused superblock dispatches this trial (0 for the exact oracle).
+    pub sb_dispatches: u64,
+    /// Instructions retired through fused dispatch this trial.
+    pub sb_fused_instrs: u64,
+    /// Instructions retired via exact single-step fallback inside the
+    /// fused loop this trial.
+    pub sb_stepped_instrs: u64,
 }
 
 /// The predecoded, superblock-fused form of one binary's text section.
@@ -176,7 +183,7 @@ impl Machine<'_> {
         sb: &SuperblockProgram,
         pc: usize,
         n: u32,
-        stats: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> Result<(), Trap> {
         let end = pc + n as usize;
         for (i, u) in sb.uops[pc..end].iter().enumerate() {
@@ -188,16 +195,16 @@ impl Machine<'_> {
                 self.cycles += sb.fused_cost[pc] - sb.fused_cost[k + 1];
                 self.instrs_retired += i as u64;
                 self.pc = k as u32;
-                stats.dispatches += 1;
-                stats.fused_instrs += i as u64;
+                stats.sb_dispatches += 1;
+                stats.sb_fused_instrs += i as u64;
                 return Err(t);
             }
         }
         self.cycles += sb.fused_cost[pc];
         self.instrs_retired += u64::from(n);
         self.pc = end as u32;
-        stats.dispatches += 1;
-        stats.fused_instrs += u64::from(n);
+        stats.sb_dispatches += 1;
+        stats.sb_fused_instrs += u64::from(n);
         Ok(())
     }
 
@@ -205,7 +212,8 @@ impl Machine<'_> {
     /// events have been counted. Returns `Some(outcome)` when the run ends
     /// first, `None` at the boundary (the caller attaches the real injector
     /// for the fire window); post-fire suffixes pass `stop = u64::MAX`.
-    /// Accounting is the exact interpreter's with no tracer attached.
+    /// Accounting is the exact interpreter's with no tracer attached; the
+    /// dispatch and convergence counters accumulate into `stats`.
     ///
     /// `PROBED` selects the FI-counting discipline at compile time:
     ///
@@ -215,7 +223,28 @@ impl Machine<'_> {
     /// * `true` — the probed tool (PINFI): FI targets are tallied into
     ///   `count` at fetch and every fetched instruction costs `overhead`
     ///   extra cycles, as under an attached DBI probe — both charged even
-    ///   for a trapping instruction.
+    ///   for a trapping instruction. A detached post-fire suffix passes
+    ///   `overhead = 0` and keeps tallying, as the profiling probe did.
+    ///
+    /// With a `golden` end (a post-fire suffix with convergence on; the FI
+    /// count on entry is the one *after* the fault fired), the run also
+    /// compares the incremental state digest against each golden snapshot
+    /// when the trial reaches the snapshot's `(fi_count, pc)` position, and
+    /// on a match splices the golden suffix and returns its outcome.
+    /// Snapshots are matched by `(fi_count, pc)`, not retired count: for
+    /// the call-hook tools the taken injection branch retires instructions
+    /// the quiescent golden run never executed, so post-fire the trial's
+    /// retired counter is permanently skewed against golden's. The FI-event
+    /// counter is injection-invariant (the extra branch instructions are
+    /// runtime-call plumbing, not FI events), so a trial whose state
+    /// re-converges passes through every later golden snapshot at exactly
+    /// the snapshot's FI count and pc — where the full-state digest decides
+    /// — while the splice adds golden's *suffix deltas* onto the trial's
+    /// own counters, absorbing the skew without measuring it.
+    ///
+    /// The loop body is written once and monomorphized on whether `golden`
+    /// is set, so quiescent prefixes and plain suffixes run with no
+    /// snapshot checks and no page-write tracking.
     #[allow(clippy::too_many_arguments)]
     pub fn run_sb<R: FiRuntime + ?Sized, const PROBED: bool>(
         &mut self,
@@ -224,31 +253,91 @@ impl Machine<'_> {
         count: &mut u64,
         overhead: u64,
         stop: u64,
+        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
+        max: u64,
+        stats: &mut TrialFastStats,
+    ) -> Option<RunOutcome> {
+        if golden.is_some() {
+            self.sb_loop::<R, PROBED, true>(sb, rt, count, overhead, stop, golden, max, stats)
+        } else {
+            self.sb_loop::<R, PROBED, false>(sb, rt, count, overhead, stop, None, max, stats)
+        }
+    }
+
+    /// The body of [`Machine::run_sb`]; `CONV` is `golden.is_some()`.
+    #[allow(clippy::too_many_arguments)]
+    fn sb_loop<R: FiRuntime + ?Sized, const PROBED: bool, const CONV: bool>(
+        &mut self,
+        sb: &SuperblockProgram,
+        rt: &mut R,
+        count: &mut u64,
+        overhead: u64,
+        stop: u64,
+        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
         max_cycles: u64,
-        stats: &mut SbStats,
+        stats: &mut TrialFastStats,
     ) -> Option<RunOutcome> {
         debug_assert_eq!(sb.len(), self.binary.text.len());
         let overhead = if PROBED { overhead } else { 0 };
-        loop {
+        let ckpts: &[Checkpoint] = match golden {
+            Some((store, _)) if CONV => &store.checkpoints,
+            _ => &[],
+        };
+        let (entry_retired, mut spliced) = (self.instrs_retired, 0);
+        // First candidate: the earliest golden snapshot whose FI-event
+        // window the trial has not passed yet (fi_count is monotone).
+        let fi_entry = if PROBED { *count } else { rt.fi_count() };
+        let mut cursor = ckpts.partition_point(|c| c.fi_count < fi_entry);
+        let outcome = loop {
             let fi = if PROBED { *count } else { rt.fi_count() };
             if fi >= stop {
-                return None;
+                break None;
+            }
+            if CONV {
+                // Skip snapshots whose window passed without a state match
+                // (interval thinning can leave adjacent equal counts).
+                while ckpts.get(cursor).is_some_and(|c| c.fi_count < fi) {
+                    cursor += 1;
+                }
+                if let (Some(ck), Some((store, end))) = (ckpts.get(cursor), golden) {
+                    if ck.fi_count == fi && ck.pc == self.pc {
+                        if let Some(saved) = self.splice_golden(store, ck, end, fi, max_cycles) {
+                            stats.converged = true;
+                            stats.conv_saved_instrs += saved;
+                            spliced = saved;
+                            break Some(RunOutcome::Exit(end.exit_code));
+                        }
+                    }
+                }
             }
             if self.cycles >= max_cycles {
-                return Some(RunOutcome::Timeout);
+                break Some(RunOutcome::Timeout);
             }
             let pc = self.pc as usize;
             let n = sb.fused_len.get(pc).copied().unwrap_or(0);
-            // Fuse only when the whole block stays below both boundaries;
+            // Fuse only when the whole block stays below every boundary;
             // otherwise step exactly so the boundary instruction is the
             // last one executed, as in the per-instruction loop. Strict `<`
             // on cycles: cycle costs are positive, so a block-final total
             // below budget means no interior timeout check could have
             // fired. A call-hook count is constant across a block (`CallRt`
-            // never fuses), so the loop-top stop check covers it.
+            // never fuses), so the loop-top stop check covers it, and the
+            // cursor snapshot can only match at a pc strictly inside the
+            // block, excluded explicitly; a probed count advances inside the
+            // block, so that snapshot's window must start after the block.
             if n > 0
                 && (!PROBED || fi + sb.fused_targets[pc] < stop)
                 && self.cycles + sb.fused_cost[pc] + u64::from(n) * overhead < max_cycles
+                && (!CONV
+                    || match ckpts.get(cursor) {
+                        None => true,
+                        Some(ck) if PROBED => ck.fi_count > fi + sb.fused_targets[pc],
+                        Some(ck) => {
+                            ck.fi_count != fi
+                                || (ck.pc as usize) <= pc
+                                || (ck.pc as usize) >= pc + n as usize
+                        }
+                    })
             {
                 match self.exec_fused(sb, pc, n, stats) {
                     Ok(()) => {
@@ -265,192 +354,73 @@ impl Machine<'_> {
                             self.cycles += (next - pc) as u64 * overhead;
                             *count += sb.fused_targets[pc] - sb.fused_targets[next];
                         }
-                        return Some(RunOutcome::Trap(t));
+                        break Some(RunOutcome::Trap(t));
                     }
                 }
             }
             let Some(e) = sb.slots.get(pc) else {
-                return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
+                break Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
             };
             self.cycles += overhead + e.cost;
             if PROBED && e.is_target {
                 *count += 1;
             }
-            match self.step(&e.instr, rt) {
+            // Page write tracking feeds the digest refresh; it is a no-op
+            // until the hasher is live.
+            match self.step_t::<R, CONV>(&e.instr, rt) {
                 Ok(Step::Continue) => {
                     self.instrs_retired += 1;
-                    stats.stepped_instrs += 1;
+                    stats.sb_stepped_instrs += 1;
                 }
-                Ok(Step::Halt(code)) => return Some(RunOutcome::Exit(code)),
-                Err(t) => return Some(RunOutcome::Trap(t)),
-            }
-        }
-    }
-
-    /// Post-fire suffix with golden-convergence splicing: continue from the
-    /// just-fired state with fused dispatch, comparing the incremental state
-    /// digest against each golden snapshot when the trial reaches the
-    /// snapshot's `(fi_count, pc)` position; on a match, splice the golden
-    /// suffix and return its outcome. `PROBED` selects the FI-counting
-    /// discipline as in [`Machine::run_sb`], except that a probed trial
-    /// runs *detached* here (no per-fetch overhead) while `count` keeps
-    /// tallying targets at fetch exactly as the attached profiling run did,
-    /// so digest FI counters stay comparable. The FI count on entry must be
-    /// the one *after* the fault fired (the injector's target).
-    ///
-    /// Snapshots are matched by `(fi_count, pc)`, not retired count: for
-    /// the call-hook tools the taken injection branch retires instructions
-    /// the quiescent golden run never executed, so post-fire the trial's
-    /// retired counter is permanently skewed against golden's. The FI-event
-    /// counter is injection-invariant (the extra branch instructions are
-    /// runtime-call plumbing, not FI events), so a trial whose state
-    /// re-converges passes through every later golden snapshot at exactly
-    /// the snapshot's FI count and pc — where the full-state digest decides
-    /// — while the splice adds golden's *suffix deltas* onto the trial's
-    /// own counters, absorbing the skew without measuring it.
-    ///
-    /// A block is fused only when no snapshot match point can fall strictly
-    /// inside it:
-    ///
-    /// * call-hook tools: the FI count is constant across a block (no
-    ///   `CallRt`), so only the current cursor snapshot could match, and
-    ///   only at a pc strictly inside the block — excluded explicitly;
-    /// * probed tool: the count advances at fetches inside the block, so
-    ///   fuse only when the cursor snapshot's window starts strictly after
-    ///   the whole block's final count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sb_converging<R: FiRuntime + ?Sized, const PROBED: bool>(
-        &mut self,
-        sb: &SuperblockProgram,
-        rt: &mut R,
-        count: &mut u64,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-        sb_stats: &mut SbStats,
-    ) -> RunOutcome {
-        debug_assert_eq!(sb.len(), self.binary.text.len());
-        let entry_retired = self.instrs_retired;
-        let fi_entry = if PROBED { *count } else { rt.fi_count() };
-        // First candidate: the earliest golden snapshot whose FI-event
-        // window the trial has not passed yet (fi_count is monotone along
-        // the run under both count disciplines).
-        let mut cursor = store.checkpoints.partition_point(|c| c.fi_count < fi_entry);
-        let mut inited = false;
-        let outcome = 'run: loop {
-            // Skip snapshots whose FI-event window has already passed
-            // without a state match (the while handles adjacent snapshots
-            // with equal counts, which interval thinning can produce).
-            let fi = if PROBED { *count } else { rt.fi_count() };
-            while store.checkpoints.get(cursor).is_some_and(|c| c.fi_count < fi) {
-                cursor += 1;
-            }
-            if let Some(ck) = store.checkpoints.get(cursor) {
-                if ck.fi_count == fi && ck.pc == self.pc {
-                    if !inited {
-                        // One full scan seeds the hasher; later checks pay
-                        // only for pages written since.
-                        self.conv = Some(Box::new(ConvHasher::scan(
-                            &store.baseline,
-                            &self.data,
-                            &self.binary.data,
-                            &self.stack,
-                            &self.output,
-                        )));
-                        inited = true;
-                    }
-                    let digest = self.conv_refresh(fi);
-                    if digest == ck.digest {
-                        // Converged: the remainder is deterministic and
-                        // equal to the golden run's from this snapshot on.
-                        // Add golden's suffix deltas onto the trial's own
-                        // counters (absorbing any injection-branch skew)
-                        // and correct for probe overhead the profiling run
-                        // paid but a detached post-fire trial does not
-                        // (the +1 fetch is the final non-retiring Halt).
-                        // Only splice when the spliced timing could not
-                        // have hit the cycle budget mid-suffix (cycles are
-                        // monotone, so final < budget implies no interior
-                        // timeout); otherwise keep executing — correct
-                        // either way.
-                        let suffix_retired = golden.retired - ck.retired;
-                        let suffix_fetches = suffix_retired + 1;
-                        let suffix_cycles = (golden.cycles - ck.cycles)
-                            - golden.probe_overhead * suffix_fetches;
-                        let final_cycles = self.cycles + suffix_cycles;
-                        if final_cycles < max_cycles {
-                            stats.converged = true;
-                            stats.checked_instrs = self.instrs_retired - entry_retired;
-                            stats.saved_instrs = suffix_retired;
-                            self.cycles = final_cycles;
-                            self.instrs_retired += suffix_retired;
-                            self.output.clear();
-                            self.output.extend_from_slice(golden.output);
-                            break 'run RunOutcome::Exit(golden.exit_code);
-                        }
-                    }
-                }
-            }
-            if self.cycles >= max_cycles {
-                break 'run RunOutcome::Timeout;
-            }
-            let pc = self.pc as usize;
-            let n = sb.fused_len.get(pc).copied().unwrap_or(0);
-            if n > 0 && self.cycles + sb.fused_cost[pc] < max_cycles {
-                let fusable = match store.checkpoints.get(cursor) {
-                    None => true,
-                    Some(ck) => {
-                        if PROBED {
-                            ck.fi_count > *count + sb.fused_targets[pc]
-                        } else {
-                            ck.fi_count != fi
-                                || (ck.pc as usize) <= pc
-                                || (ck.pc as usize) >= pc + n as usize
-                        }
-                    }
-                };
-                if fusable {
-                    match self.exec_fused(sb, pc, n, sb_stats) {
-                        Ok(()) => {
-                            if PROBED {
-                                *count += sb.fused_targets[pc];
-                            }
-                            continue;
-                        }
-                        Err(t) => {
-                            if PROBED {
-                                *count += sb.fused_targets[pc]
-                                    - sb.fused_targets[self.pc as usize + 1];
-                            }
-                            break 'run RunOutcome::Trap(t);
-                        }
-                    }
-                }
-            }
-            let Some(e) = sb.slots.get(pc) else {
-                break 'run RunOutcome::Trap(Trap::BadPc(self.pc as u64));
-            };
-            self.cycles += e.cost;
-            if PROBED && e.is_target {
-                *count += 1;
-            }
-            // TRACK=true is a no-op until the hasher is live, so a single
-            // monomorphization covers both phases without semantic drift.
-            match self.step_t::<R, true>(&e.instr, rt) {
-                Ok(Step::Continue) => {
-                    self.instrs_retired += 1;
-                    sb_stats.stepped_instrs += 1;
-                }
-                Ok(Step::Halt(code)) => break 'run RunOutcome::Exit(code),
-                Err(t) => break 'run RunOutcome::Trap(t),
+                Ok(Step::Halt(code)) => break Some(RunOutcome::Exit(code)),
+                Err(t) => break Some(RunOutcome::Trap(t)),
             }
         };
-        self.conv = None;
-        if !stats.converged {
-            stats.checked_instrs = self.instrs_retired - entry_retired;
+        if CONV {
+            self.conv = None;
+            stats.conv_checked_instrs += self.instrs_retired - spliced - entry_retired;
         }
         outcome
+    }
+
+    /// At golden snapshot `ck`'s match point: if the trial's state digest
+    /// equals the snapshot's, the remainder is deterministic and equal to
+    /// the golden run's, so splice `end` onto the trial and return the
+    /// instructions saved. Golden's suffix deltas go onto the trial's own
+    /// counters, less the probe overhead the profiling run paid but a
+    /// detached post-fire trial does not (the +1 fetch is the final
+    /// non-retiring `Halt`). No splice when the spliced timing would reach
+    /// the cycle budget (cycles are monotone, so a final total below it
+    /// rules out an interior timeout); the caller keeps executing.
+    fn splice_golden(
+        &mut self,
+        store: &CheckpointStore,
+        ck: &Checkpoint,
+        end: GoldenEnd<'_>,
+        fi: u64,
+        max_cycles: u64,
+    ) -> Option<u64> {
+        if self.conv.is_none() {
+            // One full scan seeds the hasher; later checks pay only for
+            // pages written since.
+            let (data, init, stack) = (&self.data, &self.binary.data, &self.stack);
+            let hasher = ConvHasher::scan(&store.baseline, data, init, stack, &self.output);
+            self.conv = Some(Box::new(hasher));
+        }
+        if self.conv_refresh(fi) != ck.digest {
+            return None;
+        }
+        let saved = end.retired - ck.retired;
+        let final_cycles =
+            self.cycles + ((end.cycles - ck.cycles) - end.probe_overhead * (saved + 1));
+        if final_cycles >= max_cycles {
+            return None;
+        }
+        self.cycles = final_cycles;
+        self.instrs_retired += saved;
+        self.output.clear();
+        self.output.extend_from_slice(end.output);
+        Some(saved)
     }
 }
 
@@ -781,13 +751,14 @@ mod tests {
 
     /// Drive a full run through `run_sb` with a NoFi runtime (stop never
     /// reached) and return (outcome, cycles, retired).
-    fn run_sb(b: &Binary) -> (RunOutcome, u64, u64, SbStats) {
+    fn run_sb(b: &Binary) -> (RunOutcome, u64, u64, TrialFastStats) {
         let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
         let mut m = Machine::new(b, &cfg);
-        let mut stats = SbStats::default();
+        let mut stats = TrialFastStats::default();
+        let max = cfg.max_cycles;
         let out = m
-            .run_sb::<_, false>(&sb, &mut NoFi, &mut 0, 0, u64::MAX, cfg.max_cycles, &mut stats)
+            .run_sb::<_, false>(&sb, &mut NoFi, &mut 0, 0, u64::MAX, None, max, &mut stats)
             .expect("bounded run terminates");
         (out, m.cycles, m.instrs_retired, stats)
     }
@@ -809,10 +780,10 @@ mod tests {
         let (out, cycles, retired, stats) = run_sb(&b);
         assert_eq!((out, cycles, retired), run_exact(&b));
         assert_eq!(out, RunOutcome::Exit(0));
-        assert_eq!(stats.dispatches, 1);
-        assert_eq!(stats.fused_instrs, 4);
+        assert_eq!(stats.sb_dispatches, 1);
+        assert_eq!(stats.sb_fused_instrs, 4);
         // Halt ends the run without retiring, exactly like the exact loop.
-        assert_eq!(stats.stepped_instrs, 0);
+        assert_eq!(stats.sb_stepped_instrs, 0);
     }
 
     #[test]
@@ -850,8 +821,8 @@ mod tests {
         let (out, cycles, retired, stats) = run_sb(&b);
         assert_eq!((out, cycles, retired), run_exact(&b));
         assert_eq!(out, RunOutcome::Exit(0));
-        assert!(stats.dispatches >= 10);
-        assert!(stats.fused_instrs > stats.stepped_instrs);
+        assert!(stats.sb_dispatches >= 10);
+        assert!(stats.sb_fused_instrs > stats.sb_stepped_instrs);
     }
 
     #[test]

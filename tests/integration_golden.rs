@@ -106,10 +106,12 @@ fn interpreter_matches_snapshots() {
 }
 
 /// Snapshot hygiene: no stray snapshot files for programs that no longer
-/// exist (renames must move their snapshot).
+/// exist (renames must move their snapshot). The fast-path counter
+/// snapshot of `integration_fastpath` is the one non-program file.
 #[test]
 fn no_orphan_snapshots() {
-    let known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
+    let mut known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
+    known.push("fastpath_counters.txt".to_string());
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden missing") {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
         assert!(
