@@ -6,7 +6,7 @@ use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
     Binary, CheckpointConfig, CheckpointStore, FiRuntime, GoldenEnd, Machine, NoFi, Probe,
-    QuiescentRt, RunConfig, RunOutcome, RunResult, SuperblockProgram,
+    RunConfig, RunOutcome, RunResult, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
@@ -123,10 +123,15 @@ fn asm_mnemonic(asm: &str) -> String {
     asm.split_whitespace().next().unwrap_or("?").to_string()
 }
 
-/// Predecode + fuse one prepared binary under its telemetry span.
-fn build_superblock(binary: &Binary) -> Arc<SuperblockProgram> {
+/// Predecode + fuse one prepared binary under its telemetry span, counting
+/// the FI events `tool` samples: PINFI's probe counts FI targets at fetch,
+/// REFINE and LLFI count their hook calls.
+fn build_superblock(binary: &Binary, tool: Tool) -> Arc<SuperblockProgram> {
     let _s = Span::enter(Phase::SuperblockBuild);
-    let sb = Arc::new(SuperblockProgram::new(binary));
+    let sb = Arc::new(match tool {
+        Tool::Pinfi => SuperblockProgram::probed(binary),
+        Tool::Refine | Tool::Llfi => SuperblockProgram::new(binary),
+    });
     registry().superblock_built.incr();
     sb
 }
@@ -205,7 +210,7 @@ impl PreparedTool {
         let golden = Golden::from_run(&profile);
         let profile_cycles = profile.cycles;
         let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: profile }));
-        let superblock = build_superblock(&binary);
+        let superblock = build_superblock(&binary, tool);
         PreparedTool {
             tool,
             binary,
@@ -261,7 +266,10 @@ impl PreparedTool {
         }
     }
 
-    /// The fused trial driver, monomorphized per FI-counting discipline.
+    /// The fused trial driver, monomorphized per injector. The quiescent
+    /// prefix and the post-fire suffix both run in the counting-only fused
+    /// loop, which tallies the FI events the prepared superblock program
+    /// counts; only the fire window runs the real injector, exactly.
     fn run_trial_fused<I: Injector>(&self, target: u64, seed: u64) -> TrialRun {
         let sb = self.superblock.as_ref();
         let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
@@ -279,13 +287,25 @@ impl PreparedTool {
             skipped_instrs: restored.map_or(0, |ck| ck.retired),
             ..TrialFastStats::default()
         };
-        let count = restored.map_or(0, |ck| ck.fi_count);
+        let mut count = restored.map_or(0, |ck| ck.fi_count);
         let max = cfg.max_cycles;
-        let (outcome, log) = match I::quiesce(&mut m, sb, target, seed, count, max, &mut fast) {
+        let stop = target.saturating_sub(1);
+        let prefix = m.run_sb(sb, &mut count, I::PROBE_OVERHEAD, stop, None, max, &mut fast);
+        let (outcome, log) = match prefix {
             // Program ended (or timed out) before the target event: the
             // injector would never have fired.
-            Err(outcome) => (outcome, None),
-            Ok(mut inj) => (inj.fire_and_finish(&mut m, sb, golden, max, &mut fast), inj.log()),
+            Some(outcome) => (outcome, None),
+            None => {
+                let mut inj = I::resume(target, seed, count);
+                let outcome = inj.fire(&mut m, max).unwrap_or_else(|| {
+                    // Once fired, the injector only counts again, and a
+                    // probe has detached (no per-fetch overhead).
+                    let mut count = inj.events();
+                    m.run_sb(sb, &mut count, 0, u64::MAX, golden, max, &mut fast)
+                        .expect("cycle-bounded run terminates")
+                });
+                (outcome, inj.log())
+            }
         };
         TrialRun { result: m.into_result(outcome), log, fast }
     }
@@ -350,40 +370,24 @@ impl PreparedTool {
     }
 }
 
-/// The per-tool half of a fused trial: how FI events are counted and how
-/// the real injector attaches. REFINE and LLFI count events in their
-/// runtime hooks (`selInstr`/`injectFault`); PINFI's DBI probe tallies
-/// targets at fetch and pays per-fetch overhead until it fires and
-/// detaches. Each impl fixes the fused loop's counting discipline at
-/// compile time, so the trial driver is written once and the fused loop
-/// never dispatches through `dyn`.
+/// The per-tool half of a fused trial: how the real injector attaches for
+/// the fire window. REFINE and LLFI inject from their runtime hooks
+/// (`selInstr`/`injectFault`); PINFI's DBI probe pays per-fetch overhead
+/// until it fires and detaches.
 trait Injector: Sized {
     /// Per-fetch cycles the attached probe charges (0 for runtime hooks).
     const PROBE_OVERHEAD: u64;
 
-    /// Run fused from `count` counted events to one event short of
-    /// `target`, then attach the injector for (`target`, `seed`). `Err`
-    /// carries the outcome when the run ended first.
-    fn quiesce(
-        m: &mut Machine<'_>,
-        sb: &SuperblockProgram,
-        target: u64,
-        seed: u64,
-        count: u64,
-        max_cycles: u64,
-        stats: &mut TrialFastStats,
-    ) -> Result<Self, RunOutcome>;
+    /// The injector for (`target`, `seed`) after `counted` quiescent FI
+    /// events.
+    fn resume(target: u64, seed: u64, counted: u64) -> Self;
 
-    /// Run the exact loop through the firing event, then the fused suffix,
-    /// golden-convergence-tracked when `golden` is set.
-    fn fire_and_finish(
-        &mut self,
-        m: &mut Machine<'_>,
-        sb: &SuperblockProgram,
-        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
-        max_cycles: u64,
-        stats: &mut TrialFastStats,
-    ) -> RunOutcome;
+    /// Run the exact loop through the firing event; `Some` carries the
+    /// outcome when the run ended first.
+    fn fire(&mut self, m: &mut Machine<'_>, max_cycles: u64) -> Option<RunOutcome>;
+
+    /// FI events counted so far.
+    fn events(&self) -> u64;
 
     /// The fault log entry, once the injection fired.
     fn log(&self) -> Option<FaultRecord>;
@@ -392,38 +396,16 @@ trait Injector: Sized {
 impl Injector for InjectingRt {
     const PROBE_OVERHEAD: u64 = 0;
 
-    fn quiesce(
-        m: &mut Machine<'_>,
-        sb: &SuperblockProgram,
-        target: u64,
-        seed: u64,
-        count: u64,
-        max_cycles: u64,
-        stats: &mut TrialFastStats,
-    ) -> Result<Self, RunOutcome> {
-        let mut q = QuiescentRt::starting_at(count);
-        let stop = target.saturating_sub(1);
-        match m.run_sb::<_, false>(sb, &mut q, &mut 0, 0, stop, None, max_cycles, stats) {
-            Some(outcome) => Err(outcome),
-            None => Ok(InjectingRt::resume(target, seed, q.count)),
-        }
+    fn resume(target: u64, seed: u64, counted: u64) -> Self {
+        InjectingRt::resume(target, seed, counted)
     }
 
-    fn fire_and_finish(
-        &mut self,
-        m: &mut Machine<'_>,
-        sb: &SuperblockProgram,
-        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
-        max: u64,
-        stats: &mut TrialFastStats,
-    ) -> RunOutcome {
-        if let Some(outcome) = m.run_exact_until_fired(max, self, None) {
-            return outcome;
-        }
-        // Once fired, the injector only counts again.
-        let mut q = QuiescentRt::starting_at(self.fi_count());
-        m.run_sb::<_, false>(sb, &mut q, &mut 0, 0, u64::MAX, golden, max, stats)
-            .expect("cycle-bounded run terminates")
+    fn fire(&mut self, m: &mut Machine<'_>, max_cycles: u64) -> Option<RunOutcome> {
+        m.run_exact_until_fired(max_cycles, self, None)
+    }
+
+    fn events(&self) -> u64 {
+        self.fi_count()
     }
 
     fn log(&self) -> Option<FaultRecord> {
@@ -434,40 +416,16 @@ impl Injector for InjectingRt {
 impl Injector for PinfiInjector {
     const PROBE_OVERHEAD: u64 = PIN_OVERHEAD_CYCLES;
 
-    fn quiesce(
-        m: &mut Machine<'_>,
-        sb: &SuperblockProgram,
-        target: u64,
-        seed: u64,
-        mut count: u64,
-        max: u64,
-        stats: &mut TrialFastStats,
-    ) -> Result<Self, RunOutcome> {
-        let stop = target.saturating_sub(1);
-        let overhead = Self::PROBE_OVERHEAD;
-        match m.run_sb::<_, true>(sb, &mut NoFi, &mut count, overhead, stop, None, max, stats) {
-            Some(outcome) => Err(outcome),
-            None => Ok(PinfiInjector::resume(target, seed, count)),
-        }
+    fn resume(target: u64, seed: u64, counted: u64) -> Self {
+        PinfiInjector::resume(target, seed, counted)
     }
 
-    fn fire_and_finish(
-        &mut self,
-        m: &mut Machine<'_>,
-        sb: &SuperblockProgram,
-        golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
-        max: u64,
-        stats: &mut TrialFastStats,
-    ) -> RunOutcome {
-        if let Some(outcome) = m.run_exact_until_fired(max, &mut NoFi, Some(self)) {
-            return outcome;
-        }
-        // The probe detached at the fire, so the suffix runs probe-free
-        // (no overhead) but keeps tallying targets at fetch from the
-        // injector's count, as the attached profiling probe did.
-        let mut count = self.fi_count();
-        m.run_sb::<_, true>(sb, &mut NoFi, &mut count, 0, u64::MAX, golden, max, stats)
-            .expect("cycle-bounded run terminates")
+    fn fire(&mut self, m: &mut Machine<'_>, max_cycles: u64) -> Option<RunOutcome> {
+        m.run_exact_until_fired(max_cycles, &mut NoFi, Some(self))
+    }
+
+    fn events(&self) -> u64 {
+        self.fi_count()
     }
 
     fn log(&self) -> Option<FaultRecord> {

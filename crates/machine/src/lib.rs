@@ -47,5 +47,5 @@ pub use machine::{
     Trap,
 };
 pub use probe::{Probe, ProbeAction};
-pub use rt::{FiRuntime, NoFi, QuiescentRt};
+pub use rt::{FiRuntime, NoFi};
 pub use superblock::{SuperblockProgram, TrialFastStats};

@@ -728,9 +728,9 @@ impl<'a> Machine<'a> {
         self.flags = f;
     }
 
-    // Forced inline: the fused loop's exact-step fallback runs every
-    // runtime hook (and LLFI calls one per IR instruction), and an
-    // outlined call here measurably slows cold campaigns.
+    // Forced inline: the exact loops run every runtime hook (LLFI calls
+    // one per IR instruction), and an outlined call here measurably slowed
+    // cold campaigns.
     #[inline(always)]
     fn call_rt<R: FiRuntime + ?Sized>(&mut self, func: RtFunc, imm: u64, rt: &mut R) {
         match func {

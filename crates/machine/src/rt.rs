@@ -37,48 +37,6 @@ pub trait FiRuntime {
     }
 }
 
-/// The counting-only runtime of the fused loop: semantically identical to
-/// the profiling library (count every event, never fire), and a concrete
-/// type so [`crate::Machine::run_sb`] monomorphizes the hook dispatch down
-/// to an increment. A one-shot injector behaves exactly like this before
-/// its target event and after it fired, so trials run their quiescent
-/// prefix and post-fire suffix under it and attach the real injector only
-/// for the exact fire window.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct QuiescentRt {
-    /// FI population events counted so far.
-    pub count: u64,
-}
-
-impl QuiescentRt {
-    /// A quiescent runtime resuming from an event count.
-    pub fn starting_at(count: u64) -> Self {
-        QuiescentRt { count }
-    }
-}
-
-impl FiRuntime for QuiescentRt {
-    fn sel_instr(&mut self, _site: u64) -> bool {
-        self.count += 1;
-        false
-    }
-
-    fn setup_fi(&mut self, _nops: u32, _sizes: &[u32]) -> (u32, u32) {
-        // Unreachable in practice: instrumentation only calls setupFI when
-        // selInstr returned true.
-        (0, 0)
-    }
-
-    fn llfi_inject(&mut self, _site: u64, value: u64, _bits: u32) -> u64 {
-        self.count += 1;
-        value
-    }
-
-    fn fi_count(&self) -> u64 {
-        self.count
-    }
-}
-
 /// A no-op runtime for running uninstrumented binaries.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoFi;

@@ -10,16 +10,18 @@
 //!   with checkpointing on and off;
 //! * a property test driving `run_trial_engine` against the
 //!   `run_trial_exact` oracle over random (kernel, tool, checkpointing,
-//!   target, seed) points.
+//!   target, seed) points;
+//! * a deterministic sweep of the first and last targets of every corpus
+//!   kernel and tool against the same oracle.
 
 use proptest::prelude::*;
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
 };
-use refine_campaign::tools::{PreparedTool, Tool, TrialFastStats};
-use refine_core::{CheckpointOptions, ExecEngine};
-use refine_machine::OutEvent;
+use refine_campaign::tools::{PreparedTool, Tool, TrialFastStats, TrialRun};
+use refine_core::{CheckpointOptions, ExecEngine, FaultRecord};
+use refine_machine::{OutEvent, RunOutcome};
 use refine_telemetry::{TraceSink, TrialTrace};
 use std::sync::{Arc, OnceLock};
 
@@ -269,5 +271,42 @@ proptest! {
         }
         let step = p.run_trial_engine(ExecEngine::Step, target, seed);
         prop_assert_eq!(step.fast, TrialFastStats::default());
+    }
+}
+
+/// Everything a trial must reproduce bit-for-bit: outcome, output, cycles,
+/// retired instructions and the fault log.
+type TrialFacts = (RunOutcome, Vec<(u8, u64, String)>, u64, u64, Option<FaultRecord>);
+
+fn facts(t: &TrialRun) -> TrialFacts {
+    let r = &t.result;
+    (r.outcome, bits(&r.output), r.cycles, r.instrs_retired, t.log)
+}
+
+/// Edge targets, deterministically: the first 32 and the last 8 FI events
+/// of every corpus kernel under every tool, warm and cold, against the
+/// exact oracle. Early targets stop the quiescent prefix inside the first
+/// traces and late ones fire near the end of the run, boundaries the
+/// property test above only samples at random.
+#[test]
+fn edge_targets_match_exact_oracle() {
+    for kernel in 0..CORPUS.len() {
+        for tool in Tool::all() {
+            for checkpoint in [true, false] {
+                let p = corpus_prepared(kernel, tool, checkpoint);
+                let pop = p.population;
+                let first = 1..=pop.min(32);
+                let last = pop.saturating_sub(7).max(1)..=pop;
+                for target in first.chain(last) {
+                    let seed = target.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    assert_eq!(
+                        facts(&p.run_trial_full(target, seed)),
+                        facts(&p.run_trial_exact(target, seed)),
+                        "kernel {kernel} {} checkpoint={checkpoint} target {target}/{pop}",
+                        tool.name()
+                    );
+                }
+            }
+        }
     }
 }

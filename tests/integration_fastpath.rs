@@ -12,9 +12,16 @@
 //! ```text
 //! REFINE_UPDATE_GOLDEN=1 cargo test --test integration_fastpath
 //! ```
+//!
+//! A second check couples the fused engine to the REFINE pass: every site
+//! the pass emits must run its non-firing path as one site-skip µop.
 
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
+use refine_core::FiOptions;
+use refine_ir::passes::OptLevel;
+use refine_machine::{MInstr, RtFunc, SuperblockProgram};
+use std::collections::HashMap;
 use std::fmt::Write;
 use std::path::PathBuf;
 
@@ -66,4 +73,37 @@ fn fastpath_counters_match_snapshot() {
         "fast-path work counters drifted from the committed snapshot; if \
          intentional, regenerate with REFINE_UPDATE_GOLDEN=1"
     );
+}
+
+/// The site skip matches the exact PreFI/PostFI shape `refine_core::pass`
+/// emits; if that emission changes, REFINE trials silently fall back to one
+/// µop per instruction. Every site of every suite app must be recognised.
+#[test]
+fn every_refine_site_is_a_site_skip() {
+    for b in refine_benchmarks::all() {
+        let c = refine_core::compile_with_fi(&b.module(), OptLevel::O2, &FiOptions::all());
+        let sb = SuperblockProgram::new(&c.binary);
+        // `selInstr(site)` is the fourth instruction of the site's PreFI.
+        let pre_fi: HashMap<u64, usize> = c
+            .binary
+            .text
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, i)| match *i {
+                MInstr::CallRt { func: RtFunc::FiSelInstr, imm } => Some((imm, pc.checked_sub(3)?)),
+                _ => None,
+            })
+            .collect();
+        assert!(!c.sites.is_empty(), "{}: no sites", b.name);
+        for site in &c.sites {
+            let pc = pre_fi[&site.id];
+            assert!(
+                sb.is_site_skip(pc),
+                "{}: site {} ({}) with PreFI at pc {pc} is not a site skip",
+                b.name,
+                site.id,
+                site.asm
+            );
+        }
+    }
 }
