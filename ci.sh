@@ -74,6 +74,21 @@ if [ "$CK" != "$ST" ]; then
 fi
 echo "   identical tables under both engines"
 
+echo "== perfbench exact-facts digests (traced, vs tests/golden/perfbench_digests.txt)"
+# A traced perfbench run replays its reference sweep on the exact oracle and
+# prints a digest of the exact facts: population, profile cycles, checkpoint
+# facts, outcome tables and work counters. Compare against the committed
+# digests, so the oracle cross-check runs here too.
+grep -v '^#' tests/golden/perfbench_digests.txt | while read -r workload seed want; do
+    got="$(python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 4 --trace 1 \
+        2>&1 >/dev/null | sed -n 's/^perfbench: exact-facts digest //p')"
+    if [ "$got" != "$want" ]; then
+        echo "perfbench digest FAILED: $workload seed $seed printed '$got', expected $want" >&2
+        exit 1
+    fi
+    echo "   $workload seed $seed: $got"
+done
+
 echo "== trial_throughput bench (smoke)"
 # Fails on its own if the on/off sweeps mismatch or the superblock engine
 # loses its cold speedup; records trials/sec in BENCH_trials.json.

@@ -24,7 +24,6 @@
 use crate::campaign::{execute_trial, program_salt, CampaignResult, OutcomeCounts};
 use crate::classify::Outcome;
 use crate::tools::{PreparedTool, Tool};
-use parking_lot::Mutex;
 use refine_core::ExecEngine;
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
@@ -32,7 +31,7 @@ use refine_telemetry::{Phase, Progress, Span, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Default number of trial indices a worker claims per cursor fetch.
@@ -129,7 +128,7 @@ impl ArtifactCache {
         build: impl FnOnce() -> PreparedTool,
     ) -> Arc<PreparedTool> {
         let slot = {
-            let mut slots = self.slots.lock();
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(slots.entry(key.clone()).or_default())
         };
         let mut built = false;
@@ -159,7 +158,7 @@ impl ArtifactCache {
     /// or a hit against an older cache generation).
     pub fn prepare_ns_of(&self, key: &ArtifactKey) -> Option<u64> {
         let slot = {
-            let slots = self.slots.lock();
+            let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(slots.get(key)?)
         };
         slot.get().map(|(_, ns)| *ns)
@@ -167,7 +166,7 @@ impl ArtifactCache {
 
     /// Artifacts currently resident.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when nothing has been cached yet.

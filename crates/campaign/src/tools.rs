@@ -1,14 +1,14 @@
 //! A uniform interface over the three fault injectors.
 
 use crate::classify::Golden;
-use refine_core::{CheckpointOptions, ExecEngine, FaultRecord, FiOptions, InjectingRt, ProfilingRt};
+use refine_core::{CheckpointOptions, ExecEngine, FaultRecord, FiOptions, InjectingRt};
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
-    Binary, CheckpointConfig, CheckpointStore, FiRuntime, GoldenEnd, Machine, NoFi, Probe,
-    RunConfig, RunOutcome, RunResult, SuperblockProgram,
+    BaselineHashes, Binary, CheckpointBuilder, CheckpointStore, FiRuntime, GoldenEnd, Machine,
+    NoFi, Probe, RunConfig, RunOutcome, RunResult, SuperblockProgram,
 };
-use refine_pinfi::{PinfiInjector, PinfiProfiler, PIN_OVERHEAD_CYCLES};
+use refine_pinfi::{PinfiInjector, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -100,24 +100,6 @@ pub struct TrialRun {
     pub fast: TrialFastStats,
 }
 
-/// Run the profiling phase, capturing checkpoints when `ckpt` is set.
-fn profile_run(
-    binary: &Binary,
-    cfg: &RunConfig,
-    rt: &mut dyn FiRuntime,
-    probe: Option<&mut dyn Probe>,
-    ckpt: Option<CheckpointConfig>,
-) -> (RunResult, Option<CheckpointStore>) {
-    match ckpt {
-        Some(cc) => {
-            let _s = Span::enter(Phase::CheckpointBuild);
-            let (r, store) = Machine::run_checkpointed(binary, cfg, rt, probe, &cc);
-            (r, Some(store))
-        }
-        None => (Machine::run(binary, cfg, rt, probe), None),
-    }
-}
-
 /// First token of a disassembly line (`"add r1, r2, r3"` -> `"add"`).
 fn asm_mnemonic(asm: &str) -> String {
     asm.split_whitespace().next().unwrap_or("?").to_string()
@@ -163,6 +145,11 @@ impl PreparedTool {
 
     /// The one prepare body; `refine_opts` selects REFINE's instrumented
     /// sites and is ignored by the other tools.
+    ///
+    /// The profiling run is fused through the prepared superblock program,
+    /// which counts the FI events `tool` samples, and captures the golden
+    /// checkpoints as it goes (none with checkpointing off). PINFI's run
+    /// pays its attached probe's per-fetch overhead.
     fn prepare_fi(
         module: &Module,
         tool: Tool,
@@ -171,21 +158,18 @@ impl PreparedTool {
     ) -> PreparedTool {
         let stack_words = 1 << 16;
         let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
-        let mcfg = ckpt.enabled.then(|| ckpt.machine_config());
-        let (binary, population, profile, store, site_opcodes) = match tool {
+        let mut mcfg = ckpt.enabled.then(|| ckpt.machine_config());
+        let (binary, site_opcodes) = match tool {
             Tool::Refine => {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, refine_opts);
                 let opcodes =
                     c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
                 // REFINE's trigger-path scratch slot must be digest-exempt
                 // or a fired trial can never match a golden digest.
-                let mcfg = mcfg.map(|mut m| {
+                if let Some(m) = mcfg.as_mut() {
                     m.exempt_data_words = c.digest_exempt_words();
-                    m
-                });
-                let mut rt = ProfilingRt::default();
-                let (r, store) = profile_run(&c.binary, &cfg, &mut rt, None, mcfg);
-                (c.binary, rt.count, r, store, opcodes)
+                }
+                (c.binary, opcodes)
             }
             Tool::Llfi => {
                 let (c, sites) = refine_llfi::compile_with_llfi(
@@ -194,23 +178,30 @@ impl PreparedTool {
                     &refine_llfi::LlfiOptions::default(),
                 );
                 let opcodes = sites.iter().map(|s| (s.id, s.opcode.clone())).collect();
-                let mut rt = ProfilingRt::default();
-                let (r, store) = profile_run(&c.binary, &cfg, &mut rt, None, mcfg);
-                (c.binary, rt.count, r, store, opcodes)
+                (c.binary, opcodes)
             }
             Tool::Pinfi => {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, &FiOptions::default());
-                let _s = Span::enter(Phase::FiPinfiProbe);
-                let mut probe = PinfiProfiler::default();
-                let (r, store) = profile_run(&c.binary, &cfg, &mut NoFi, Some(&mut probe), mcfg);
-                (c.binary, probe.count, r, store, HashMap::new())
+                (c.binary, HashMap::new())
             }
+        };
+        let superblock = build_superblock(&binary, tool);
+        let (profile, population, store) = {
+            let _probe = (tool == Tool::Pinfi).then(|| Span::enter(Phase::FiPinfiProbe));
+            let _build = mcfg.map(|_| Span::enter(Phase::CheckpointBuild));
+            let overhead = if tool == Tool::Pinfi { PIN_OVERHEAD_CYCLES } else { 0 };
+            let mut builder = mcfg.map(|c| {
+                let baseline = BaselineHashes::new(&binary.data, stack_words, c.exempt_data_words);
+                CheckpointBuilder::new(&c, baseline)
+            });
+            let (profile, population) =
+                Machine::run_profile(&binary, &cfg, &superblock, overhead, builder.as_mut());
+            (profile, population, builder.map(|b| b.finish(stack_words)))
         };
         assert!(population > 0, "{}: empty FI population", tool.name());
         let golden = Golden::from_run(&profile);
         let profile_cycles = profile.cycles;
         let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: profile }));
-        let superblock = build_superblock(&binary, tool);
         PreparedTool {
             tool,
             binary,

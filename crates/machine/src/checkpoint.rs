@@ -1,4 +1,4 @@
-//! Golden-run checkpointing and the predecoded quiescent fast path.
+//! Golden-run checkpointing.
 //!
 //! A fault-injection trial is bit-identical to the fault-free profiling run
 //! up to its dynamic injection index (the campaign engine's determinism
@@ -16,8 +16,11 @@
 //! from the baseline image (the binary's data segment, an all-zero stack),
 //! so restore cost is proportional to the state the program actually
 //! touched, and clean pages are shared implicitly through the baseline.
-//! After the restore, the trial's quiescent region runs through the fused
-//! engine ([`crate::superblock`]).
+//! The profiling run itself is fused
+//! ([`Machine::run_profile`](crate::Machine::run_profile)) and captures
+//! incrementally: a snapshot compares only the pages the run has ever
+//! written against the baseline, which yields exactly the full-segment
+//! [`diff_pages`] result.
 
 use crate::digest::{BaselineHashes, StateDigest};
 use crate::machine::OutEvent;
@@ -36,20 +39,75 @@ pub struct DirtyPage {
 }
 
 /// Diff a memory segment against its baseline (`None` = all zeros),
-/// returning the pages that changed.
+/// returning the pages that changed. This full-segment scan is the
+/// reference the profiling run's incremental capture reproduces.
 pub fn diff_pages(cur: &[u64], baseline: Option<&[u64]>) -> Vec<DirtyPage> {
-    let mut out = Vec::new();
-    for (i, chunk) in cur.chunks(PAGE_WORDS).enumerate() {
-        let start = i * PAGE_WORDS;
-        let clean = match baseline {
-            Some(b) => chunk == &b[start..start + chunk.len()],
-            None => chunk.iter().all(|&w| w == 0),
-        };
-        if !clean {
-            out.push(DirtyPage { index: i as u32, words: chunk.into() });
+    (0..cur.len().div_ceil(PAGE_WORDS)).filter_map(|i| dirty_page(cur, baseline, i)).collect()
+}
+
+/// Page `i` of `cur` when it differs from the baseline (`None` = zeros).
+fn dirty_page(cur: &[u64], baseline: Option<&[u64]>, i: usize) -> Option<DirtyPage> {
+    let start = i * PAGE_WORDS;
+    let chunk = &cur[start..(start + PAGE_WORDS).min(cur.len())];
+    let clean = match baseline {
+        Some(b) => chunk == &b[start..start + chunk.len()],
+        None => chunk.iter().all(|&w| w == 0),
+    };
+    (!clean).then(|| DirtyPage { index: i as u32, words: chunk.into() })
+}
+
+/// The pages a profiling run has written since its initial state, one
+/// bitmap per segment. Every other page still holds its baseline content,
+/// so diffing only these equals [`diff_pages`] over the whole segment.
+#[derive(Debug)]
+pub(crate) struct WrittenPages {
+    data: Vec<u64>,
+    stack: Vec<u64>,
+}
+
+impl WrittenPages {
+    /// No page written yet, for segments of `data_words` and `stack_words`.
+    pub(crate) fn new(data_words: usize, stack_words: usize) -> Self {
+        let bitmap = |words: usize| vec![0; words.div_ceil(PAGE_WORDS).div_ceil(64)];
+        WrittenPages { data: bitmap(data_words), stack: bitmap(stack_words) }
+    }
+
+    /// Add the pages of two write-tracking dirty lists.
+    pub(crate) fn mark(&mut self, data: &[u32], stack: &[u32]) {
+        for (bits, pages) in [(&mut self.data, data), (&mut self.stack, stack)] {
+            for &p in pages {
+                bits[p as usize / 64] |= 1 << (p % 64);
+            }
         }
     }
-    out
+
+    /// The data and stack page lists of a snapshot of `data` (baseline:
+    /// the binary's data segment) and `stack` (baseline: zeros).
+    pub(crate) fn diff(
+        &self,
+        data: &[u64],
+        data_baseline: &[u64],
+        stack: &[u64],
+    ) -> (Vec<DirtyPage>, Vec<DirtyPage>) {
+        let diff = |bits: &[u64], cur: &[u64], baseline| {
+            set_bits(bits).filter_map(|i| dirty_page(cur, baseline, i)).collect()
+        };
+        (diff(&self.data, data, Some(data_baseline)), diff(&self.stack, stack, None))
+    }
+}
+
+/// The indices of the set bits of `bits`, ascending.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Overwrite `dst` with the captured pages (inverse of [`diff_pages`],
@@ -63,7 +121,7 @@ pub fn apply_pages(pages: &[DirtyPage], dst: &mut [u64]) {
 
 /// A full architectural snapshot of one point of the profiling run,
 /// restorable by [`crate::Machine::resume`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// General-purpose register file.
     pub regs: [u64; 16],
@@ -88,8 +146,8 @@ pub struct Checkpoint {
     pub data_pages: Vec<DirtyPage>,
     /// Stack pages differing from the all-zero initial stack.
     pub stack_pages: Vec<DirtyPage>,
-    /// Incremental state digest at this boundary, stamped by
-    /// [`CheckpointBuilder::push`]; trials compare against it at the same
+    /// State digest at this boundary (the profiling run's incremental
+    /// [`crate::ConvHasher`] digest); trials compare against it at the same
     /// `(fi_count, pc)` point to detect golden convergence.
     pub digest: StateDigest,
 }
@@ -101,7 +159,7 @@ impl Checkpoint {
     }
 }
 
-/// Snapshot-capture knobs for [`crate::Machine::run_checkpointed`].
+/// Snapshot-capture knobs for a [`CheckpointBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Snapshot every this many retired instructions.
@@ -123,20 +181,21 @@ impl Default for CheckpointConfig {
     }
 }
 
-/// Accumulates snapshots during a profiling run, thinning when the cap is
-/// hit; [`CheckpointBuilder::finish`] seals the immutable store.
+/// Accumulates snapshots during a profiling run
+/// ([`crate::Machine::run_profile`]), thinning when the cap is hit;
+/// [`CheckpointBuilder::finish`] seals the immutable store.
 #[derive(Debug)]
 pub struct CheckpointBuilder {
     max: usize,
     interval: u64,
     checkpoints: Vec<Checkpoint>,
-    baseline: BaselineHashes,
+    pub(crate) baseline: BaselineHashes,
 }
 
 impl CheckpointBuilder {
     /// Empty builder with `cfg`'s interval and cap (both clamped to >= 1).
     /// `baseline` is the precomputed hash table of the run's initial
-    /// memory image, used to stamp each snapshot's convergence digest.
+    /// memory image, which seeds the run's convergence digests.
     pub fn new(cfg: &CheckpointConfig, baseline: BaselineHashes) -> Self {
         CheckpointBuilder {
             max: cfg.max_checkpoints.max(1),
@@ -146,27 +205,19 @@ impl CheckpointBuilder {
         }
     }
 
-    /// Should a snapshot be captured after `retired` instructions?
+    /// The next retired count after `retired` at which a snapshot is due:
+    /// the next multiple of the current interval. Ask again after each
+    /// [`CheckpointBuilder::push`], which may double the interval.
     #[inline]
-    pub fn due(&self, retired: u64) -> bool {
-        retired > 0 && retired.is_multiple_of(self.interval)
+    pub fn next_due(&self, retired: u64) -> u64 {
+        (retired / self.interval + 1) * self.interval
     }
 
-    /// Record a snapshot. When the cap is reached, every other snapshot is
-    /// dropped and the interval doubles; survivors (even multiples of the
-    /// old interval) stay aligned to the new one, and `ck` itself is kept
-    /// only if it is too.
-    pub fn push(&mut self, mut ck: Checkpoint) {
-        ck.digest = self.baseline.checkpoint_digest(
-            &ck.regs,
-            &ck.fregs,
-            ck.flags,
-            ck.pc,
-            ck.fi_count,
-            &ck.output,
-            &ck.data_pages,
-            &ck.stack_pages,
-        );
+    /// Record a snapshot (its digest already stamped). When the cap is
+    /// reached, every other snapshot is dropped and the interval doubles;
+    /// survivors (even multiples of the old interval) stay aligned to the
+    /// new one, and `ck` itself is kept only if it is too.
+    pub fn push(&mut self, ck: Checkpoint) {
         if self.checkpoints.len() >= self.max {
             let mut nth = 0usize;
             self.checkpoints.retain(|_| {
@@ -309,13 +360,9 @@ mod tests {
         let cfg = CheckpointConfig { interval: 10, max_checkpoints: 4, ..Default::default() };
         let mut b = builder(&cfg);
         let mut retired = 0;
-        let mut pushed = 0u64;
-        while pushed < 12 {
-            retired += 10;
-            if b.due(retired) {
-                pushed += 1;
-                b.push(ck(retired, retired / 10));
-            }
+        for _ in 0..12 {
+            retired = b.next_due(retired);
+            b.push(ck(retired, retired / 10));
         }
         let store = b.finish(64);
         assert!(store.len() <= cfg.max_checkpoints);
@@ -333,9 +380,29 @@ mod tests {
     #[test]
     fn due_respects_interval() {
         let b = builder(&CheckpointConfig { interval: 100, max_checkpoints: 8, ..Default::default() });
-        assert!(!b.due(0));
-        assert!(!b.due(99));
-        assert!(b.due(100));
-        assert!(b.due(700));
+        assert_eq!(b.next_due(0), 100);
+        assert_eq!(b.next_due(99), 100);
+        assert_eq!(b.next_due(100), 200);
+        assert_eq!(b.next_due(650), 700);
+    }
+
+    #[test]
+    fn written_pages_diff_equals_full_scan() {
+        let baseline: Vec<u64> = (0..3 * PAGE_WORDS as u64 + 5).collect();
+        let mut data = baseline.clone();
+        let mut stack = vec![0u64; 70 * PAGE_WORDS];
+        let mut written = WrittenPages::new(data.len(), stack.len());
+        data[2] = 1; // page 0
+        data[3 * PAGE_WORDS + 4] = 0; // the short last page
+        data[PAGE_WORDS] = 7; // page 1, written back below
+        stack[65 * PAGE_WORDS] = 9; // past the first bitmap word
+        stack[3] = 4;
+        written.mark(&[0, 3, 1], &[65, 0]);
+        data[PAGE_WORDS] = baseline[PAGE_WORDS];
+        let (data_pages, stack_pages) = written.diff(&data, &baseline, &stack);
+        assert_eq!(data_pages, diff_pages(&data, Some(&baseline)));
+        assert_eq!(stack_pages, diff_pages(&stack, None));
+        assert_eq!(data_pages.iter().map(|p| p.index).collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(stack_pages.iter().map(|p| p.index).collect::<Vec<_>>(), vec![0, 65]);
     }
 }

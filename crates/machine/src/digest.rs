@@ -5,22 +5,21 @@
 //! flags, pc, memory, emitted output, FI-event counter) equals the golden
 //! profiling run's state at the *same `(fi_count, pc)` point* has a
 //! deterministic remainder identical to the golden run's — its verdict is
-//! decidable without executing the suffix. This module provides the digest
-//! the two sides compare:
+//! decidable without executing the suffix. Both sides compute that digest
+//! with the same incremental [`ConvHasher`] against precomputed
+//! [`BaselineHashes`]: per-page hash tables updated from the
+//! write-tracking dirty list, O(pages written since the last boundary) per
+//! digest.
 //!
-//! * the golden side stamps every [`crate::Checkpoint`] with a
-//!   [`StateDigest`] computed from the snapshot's dirty pages against
-//!   precomputed [`BaselineHashes`] — O(dirty pages) per interval on top of
-//!   the page diff the snapshot already performs;
-//! * the trial side maintains a [`ConvHasher`]: per-page hash tables seeded
-//!   by one baseline scan at the first checkpoint boundary after the fault
-//!   fires, then updated incrementally from the write-tracking dirty list —
-//!   O(pages written since the last boundary) per comparison.
+//! * The golden side seeds its hasher at the profiling run's initial state
+//!   and stamps every [`crate::Checkpoint`] with the digest at its
+//!   boundary.
+//! * The trial side seeds its hasher by one baseline scan at the first
+//!   checkpoint boundary after the fault fires.
 //!
 //! Memory hashing is additive (an AdHash-style commutative aggregate of
-//! per-page hashes, each binding its page index), which is what makes both
-//! incremental maintenance and the checkpoint-side dirty-page shortcut
-//! exact rather than approximate. The digest carries two independently
+//! per-page hashes, each binding its page index), which is what makes
+//! incremental maintenance exact rather than approximate. The digest carries two independently
 //! seeded 64-bit lanes; a false convergence requires a simultaneous
 //! collision in both (probability ~2^-128 per comparison, vastly below the
 //! fault-sampling noise floor of a 1068-trial campaign).
@@ -32,7 +31,7 @@
 //! otherwise exact state match. See
 //! [`crate::CheckpointConfig::exempt_data_words`].
 
-use crate::checkpoint::{DirtyPage, PAGE_WORDS};
+use crate::checkpoint::PAGE_WORDS;
 use crate::machine::OutEvent;
 
 /// Independent lane count of the digest (128 bits total).
@@ -145,10 +144,9 @@ impl OutputHasher {
 }
 
 /// Combine the architectural scalars, the output stream and the memory
-/// aggregate into the final digest. Shared verbatim by the golden
-/// (checkpoint) and trial (incremental) sides.
+/// aggregate into the final digest.
 #[allow(clippy::too_many_arguments)]
-pub fn combine_digest(
+fn combine_digest(
     regs: &[u64; 16],
     fregs: &[u64; 16],
     flags: u8,
@@ -230,46 +228,14 @@ impl BaselineHashes {
         }
         b
     }
-
-    /// Digest of a golden-run snapshot directly from its dirty-page diff:
-    /// start from the baseline aggregate and swap in the hash of each page
-    /// the snapshot captured — O(dirty pages).
-    #[allow(clippy::too_many_arguments)]
-    pub fn checkpoint_digest(
-        &self,
-        regs: &[u64; 16],
-        fregs: &[u64; 16],
-        flags: u8,
-        pc: u32,
-        fi_count: u64,
-        output: &[OutEvent],
-        data_pages: &[DirtyPage],
-        stack_pages: &[DirtyPage],
-    ) -> StateDigest {
-        let mut agg = self.agg;
-        for (l, a) in agg.iter_mut().enumerate() {
-            for p in data_pages {
-                let h = page_hash_exempt(self.exempt, l, p.index, &p.words);
-                *a = a.wrapping_sub(self.data[l][p.index as usize]).wrapping_add(h);
-            }
-            for p in stack_pages {
-                let h = page_hash(l, p.index, &p.words);
-                *a = a.wrapping_sub(self.stack[l][p.index as usize]).wrapping_add(h);
-            }
-        }
-        let mut out = OutputHasher::default();
-        for ev in output {
-            out.absorb(ev);
-        }
-        combine_digest(regs, fregs, flags, pc, fi_count, output.len(), &out, agg)
-    }
 }
 
-/// The trial side's incremental memory/output hasher, owned by the machine
-/// while its convergence loop runs. Seeded by one full baseline scan at
-/// the first checkpoint boundary after the fault fired; thereafter the
-/// tracked interpreter marks written pages and [`ConvHasher::refresh`]
-/// rehashes only those.
+/// The incremental memory/output hasher, owned by the machine while a
+/// checkpointed profiling run or a trial's convergence loop runs. Seeded
+/// by one full baseline scan (at the profiling run's initial state, or at
+/// a trial's first checkpoint boundary after the fault fired); thereafter
+/// the tracked interpreter marks written pages and
+/// [`ConvHasher::refresh`] rehashes only those.
 #[derive(Debug)]
 pub struct ConvHasher {
     data: [Vec<u64>; LANES],
@@ -361,6 +327,11 @@ impl ConvHasher {
             self.stack_bits[w] |= 1 << b;
             self.stack_dirty.push(page);
         }
+    }
+
+    /// The data and stack pages marked since the last refresh.
+    pub(crate) fn pending(&self) -> (&[u32], &[u32]) {
+        (&self.data_dirty, &self.stack_dirty)
     }
 
     /// Bring the page hashes and output absorber up to date with the
@@ -476,27 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_digest_matches_trial_scan() {
-        let baseline: Vec<u64> = (0..256).map(|i| i ^ 42).collect();
-        let base = BaselineHashes::new(&baseline, 150, (0, 0));
-        let mut data = baseline.clone();
-        let mut stack = vec![0u64; 150];
-        data[65] = 7;
-        stack[149] = 8;
-        let out = vec![OutEvent::F64(1.5)];
-        let regs = [3u64; 16];
-        let fregs = [4u64; 16];
-
-        let data_pages = crate::checkpoint::diff_pages(&data, Some(&baseline));
-        let stack_pages = crate::checkpoint::diff_pages(&stack, None);
-        let golden = base.checkpoint_digest(
-            &regs, &fregs, 2, 17, 5, &out, &data_pages, &stack_pages,
-        );
-        let h = ConvHasher::scan(&base, &data, &baseline, &stack, &out);
-        assert_eq!(h.digest(&regs, &fregs, 2, 17, 5), golden);
-    }
-
-    #[test]
     fn digest_distinguishes_each_component() {
         let baseline: Vec<u64> = vec![0; PAGE_WORDS];
         let base = BaselineHashes::new(&baseline, PAGE_WORDS, (0, 0));
@@ -543,13 +493,6 @@ mod tests {
         h.mark_data(1);
         h.refresh(&data, &stack, &[]);
         assert_eq!(h.digest(&[0; 16], &[0; 16], 0, 0, 0), d0, "incremental path");
-
-        // ... and the golden (checkpoint) side must agree.
-        let pages = crate::checkpoint::diff_pages(&data, Some(&baseline));
-        let golden = base.checkpoint_digest(
-            &[0; 16], &[0; 16], 0, 0, 0, &[], &pages, &[],
-        );
-        assert_eq!(golden, d0, "checkpoint path");
 
         // A neighbouring (non-exempt) word still changes it.
         let mut data = baseline.clone();

@@ -39,7 +39,7 @@ pub mod rt;
 pub mod superblock;
 
 pub use binary::{Binary, Symbol};
-pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
+pub use checkpoint::{Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore};
 pub use digest::{BaselineHashes, ConvHasher, StateDigest};
 pub use isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, FLAGS_BITS};
 pub use machine::{

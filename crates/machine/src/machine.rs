@@ -1,11 +1,8 @@
 //! The M64 execution engine.
 
 use crate::binary::Binary;
-use crate::checkpoint::{
-    apply_pages, diff_pages, Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore,
-    PAGE_WORDS,
-};
-use crate::digest::{BaselineHashes, ConvHasher, StateDigest};
+use crate::checkpoint::{apply_pages, diff_pages, Checkpoint, DirtyPage, PAGE_WORDS};
+use crate::digest::{ConvHasher, StateDigest};
 use crate::isa::{fi_outputs, flags, AluOp, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, SP};
 use crate::probe::{Probe, ProbeAction};
 use crate::rt::{pack, FiRuntime};
@@ -173,8 +170,9 @@ pub struct Machine<'a> {
     pub(crate) output: Vec<OutEvent>,
     pub(crate) cycles: u64,
     pub(crate) instrs_retired: u64,
-    /// Incremental convergence hasher; `Some` only while a
-    /// convergence-tracked [`Machine::run_sb`] has matched a snapshot.
+    /// Incremental state hasher; `Some` only while a checkpointed
+    /// [`Machine::run_profile`] runs or a convergence-tracked
+    /// [`Machine::run_sb`] has matched a snapshot.
     pub(crate) conv: Option<Box<ConvHasher>>,
 }
 
@@ -222,33 +220,9 @@ impl<'a> Machine<'a> {
     ) -> RunResult {
         let mut m = Machine::new(binary, cfg);
         let outcome = m
-            .exec_loop(cfg.max_cycles, rt, probe, tracer, None, false)
+            .exec_loop(cfg.max_cycles, rt, probe, tracer, false)
             .expect("exec_loop completes unless until_fired");
         m.into_result(outcome)
-    }
-
-    /// Like [`Machine::run`], additionally capturing full-state snapshots
-    /// every `ckpt.interval` retired instructions, stamped with the current
-    /// FI-event count (from the probe when one is attached, else from the
-    /// runtime's [`FiRuntime::fi_count`]).
-    ///
-    /// Only meaningful for *quiescent* runs (profiling: nothing ever
-    /// fires), whose state at every point is by construction identical to
-    /// the pre-injection prefix of every trial.
-    pub fn run_checkpointed(
-        binary: &'a Binary,
-        cfg: &RunConfig,
-        rt: &mut dyn FiRuntime,
-        probe: Option<&mut dyn Probe>,
-        ckpt: &CheckpointConfig,
-    ) -> (RunResult, CheckpointStore) {
-        let baseline = BaselineHashes::new(&binary.data, cfg.stack_words, ckpt.exempt_data_words);
-        let mut builder = CheckpointBuilder::new(ckpt, baseline);
-        let mut m = Machine::new(binary, cfg);
-        let outcome = m
-            .exec_loop(cfg.max_cycles, rt, probe, None, Some(&mut builder), false)
-            .expect("exec_loop completes unless until_fired");
-        (m.into_result(outcome), builder.finish(cfg.stack_words))
     }
 
     /// Reconstruct the machine exactly as it was when `ck` was captured
@@ -269,8 +243,23 @@ impl<'a> Machine<'a> {
     }
 
     /// Capture the current architectural state as a [`Checkpoint`] stamped
-    /// with `fi_count` (the FI-event counter value at this point).
+    /// with `fi_count` (the FI-event counter value at this point), diffing
+    /// both whole memory segments and leaving the digest
+    /// [`StateDigest::ZERO`]. This full scan is the reference for the
+    /// incremental capture of [`Machine::run_profile`].
     pub fn snapshot(&self, fi_count: u64) -> Checkpoint {
+        let data = diff_pages(&self.data, Some(&self.binary.data));
+        self.checkpoint(fi_count, (data, diff_pages(&self.stack, None)), StateDigest::ZERO)
+    }
+
+    /// A [`Checkpoint`] of the current registers, counters and output with
+    /// the given `(data, stack)` page lists and digest.
+    pub(crate) fn checkpoint(
+        &self,
+        fi_count: u64,
+        (data_pages, stack_pages): (Vec<DirtyPage>, Vec<DirtyPage>),
+        digest: StateDigest,
+    ) -> Checkpoint {
         Checkpoint {
             regs: self.regs,
             fregs: self.fregs,
@@ -280,9 +269,9 @@ impl<'a> Machine<'a> {
             retired: self.instrs_retired,
             fi_count,
             output: self.output.clone(),
-            data_pages: diff_pages(&self.data, Some(&self.binary.data)),
-            stack_pages: diff_pages(&self.stack, None),
-            digest: StateDigest::ZERO, // stamped by CheckpointBuilder::push
+            data_pages,
+            stack_pages,
+            digest,
         }
     }
 
@@ -300,7 +289,7 @@ impl<'a> Machine<'a> {
         rt: &mut dyn FiRuntime,
         probe: Option<&mut dyn Probe>,
     ) -> Option<RunOutcome> {
-        self.exec_loop(max_cycles, rt, probe, None, None, true)
+        self.exec_loop(max_cycles, rt, probe, None, true)
     }
 
     /// Package a finished (or fast-path-terminated) machine into a
@@ -315,8 +304,9 @@ impl<'a> Machine<'a> {
     }
 
     /// The exact interpreter loop shared by every entry point: probe
-    /// consultation, virtual runtime dispatch, post-retirement injection,
-    /// tracing, and (for checkpointed profiling runs) snapshot capture.
+    /// consultation, virtual runtime dispatch, post-retirement injection
+    /// and tracing. It serves the exact oracle and a fused trial's fire
+    /// window; profiling runs are fused ([`Machine::run_profile`]).
     ///
     /// With `until_fired` set, the loop additionally stops (returning
     /// `None`) right after the instruction on which the runtime or probe
@@ -328,13 +318,8 @@ impl<'a> Machine<'a> {
         rt: &mut dyn FiRuntime,
         mut probe: Option<&mut dyn Probe>,
         mut tracer: Option<&mut dyn Tracer>,
-        mut builder: Option<&mut CheckpointBuilder>,
         until_fired: bool,
     ) -> Option<RunOutcome> {
-        // When a probe is attached it owns the FI-event counter (PINFI);
-        // otherwise the runtime does. If an attached probe detaches, the
-        // counter source is gone and snapshotting stops.
-        let probe_counts = probe.is_some();
         let outcome = loop {
             if self.cycles >= max_cycles {
                 break RunOutcome::Timeout;
@@ -406,18 +391,6 @@ impl<'a> Machine<'a> {
                     flags: self.flags,
                     retired: self.instrs_retired - 1,
                 });
-            }
-            if let Some(b) = builder.as_deref_mut() {
-                if b.due(self.instrs_retired) {
-                    let fi_count = match (&probe, probe_counts) {
-                        (Some(p), _) => Some(p.fi_count()),
-                        (None, false) => Some(rt.fi_count()),
-                        (None, true) => None, // counter detached with the probe
-                    };
-                    if let Some(fc) = fi_count {
-                        b.push(self.snapshot(fc));
-                    }
-                }
             }
             // --- Fired-fault handoff to the fused suffix. The firing
             // instruction (and its post-retirement injection) has fully

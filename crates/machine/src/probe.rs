@@ -62,8 +62,8 @@ pub trait Probe {
     }
 
     /// Number of FI population events this probe has counted so far.
-    /// Checkpointed profiling stamps snapshots with this value; probes
-    /// that keep no counter report 0.
+    /// A fused trial continues its post-fire suffix from this value;
+    /// probes that keep no counter report 0.
     fn fi_count(&self) -> u64 {
         0
     }

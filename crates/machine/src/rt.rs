@@ -23,8 +23,8 @@ pub trait FiRuntime {
     fn llfi_inject(&mut self, site: u64, value: u64, bits: u32) -> u64;
 
     /// Number of FI population events this runtime has counted so far.
-    /// Checkpointed profiling stamps snapshots with this value; runtimes
-    /// that keep no counter report 0.
+    /// A fused trial continues its post-fire suffix from this value;
+    /// runtimes that keep no counter report 0.
     fn fi_count(&self) -> u64 {
         0
     }

@@ -41,21 +41,25 @@
 //! stepping), same retired count (trapping instruction not retired), and
 //! `pc` left on the trapping instruction.
 //!
-//! One fused loop, [`Machine::run_sb`], monomorphized over whether a golden
-//! end is attached: the quiescent prefix and plain post-fire suffix run
-//! without snapshot checks or page-write tracking, and a post-fire suffix
-//! with convergence on splices the golden outcome once its state digest
-//! matches a golden snapshot. It reproduces the exact interpreter's
-//! accounting bit-for-bit and falls back to single exact steps whenever a
-//! trace could cross a semantic boundary the exact loop observes
-//! per-instruction: the FI-event stop count, the cycle budget, or a golden
-//! snapshot's `(fi_count, pc)` match point.
+//! One fused loop, monomorphized over three modes: the quiescent prefix
+//! and plain post-fire suffix of [`Machine::run_sb`] run without snapshot
+//! checks or page-write tracking; a post-fire suffix with convergence on
+//! splices the golden outcome once its state digest matches a golden
+//! snapshot; and a checkpointed profiling run ([`Machine::run_profile`])
+//! stops at each due retired count to capture a snapshot incrementally. It
+//! reproduces the exact interpreter's accounting bit-for-bit and falls back
+//! to single exact steps whenever a trace could cross a semantic boundary
+//! the exact loop observes per-instruction: the FI-event stop count, the
+//! cycle budget, a golden snapshot's `(fi_count, pc)` match point, or a
+//! snapshot's due retired count.
 
 use crate::binary::Binary;
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::{Checkpoint, CheckpointBuilder, CheckpointStore, WrittenPages};
 use crate::digest::ConvHasher;
 use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
-use crate::machine::{GoldenEnd, Machine, RunOutcome, Step, Trap, GLOBAL_BASE};
+use crate::machine::{
+    GoldenEnd, Machine, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
+};
 use crate::rt::NoFi;
 
 /// A µop handler: executes one fused instruction's data side effects.
@@ -109,6 +113,12 @@ struct Slot {
 
 /// Instructions one site skip retires: the 7 of PreFI and the 3 of PostFI.
 const SITE_SKIP_LEN: u32 = 10;
+
+/// [`Machine::sb_loop`] modes: a quiescent prefix or plain suffix, a
+/// convergence-tracked suffix, and a checkpointed profiling run.
+const PLAIN: u8 = 0;
+const CONV: u8 = 1;
+const CAPTURE: u8 = 2;
 
 /// How one trial actually executed, for engine accounting: the checkpoint
 /// restore (filled in by the trial driver) and the convergence splice and
@@ -350,7 +360,7 @@ fn save_word(binary: &Binary, mem: &Mem) -> Option<u64> {
     ok.then_some(addr)
 }
 
-impl Machine<'_> {
+impl<'a> Machine<'a> {
     /// Execute the trace headed at `head` (`fused_len[head] > 0`
     /// guaranteed by the caller), tallying its FI events into `count` and
     /// `overhead` cycles per fetched instruction. On success `pc` lands on
@@ -443,27 +453,80 @@ impl Machine<'_> {
         stats: &mut TrialFastStats,
     ) -> Option<RunOutcome> {
         if golden.is_some() {
-            self.sb_loop::<true>(sb, count, overhead, stop, golden, max, stats)
+            self.sb_loop::<CONV>(sb, count, overhead, stop, golden, 0, max, stats)
         } else {
-            self.sb_loop::<false>(sb, count, overhead, stop, None, max, stats)
+            self.sb_loop::<PLAIN>(sb, count, overhead, stop, None, 0, max, stats)
         }
     }
 
-    /// The body of [`Machine::run_sb`]; `CONV` is `golden.is_some()`.
+    /// A fault-free profiling run of `binary` from its initial state to the
+    /// end, fused through `sb` (built for `binary`, fixing which
+    /// instructions are FI events) with `overhead` cycles per fetched
+    /// instruction (an attached DBI probe's, PINFI's; 0 for the call-hook
+    /// tools). Returns the run and its FI-event count, the population.
+    ///
+    /// With a `builder` it also captures a snapshot each time the retired
+    /// count reaches [`CheckpointBuilder::next_due`], exactly where the
+    /// per-instruction loop would after that retire. Capture is
+    /// incremental: a [`ConvHasher`] seeded at the initial state tracks
+    /// every store, so a snapshot's digest costs O(pages written since the
+    /// last one), and its page lists compare only the pages ever written
+    /// against the baseline. Snapshots equal [`Machine::snapshot`] stamped
+    /// with the digest of [`ConvHasher::scan`].
+    pub fn run_profile(
+        binary: &'a Binary,
+        cfg: &RunConfig,
+        sb: &SuperblockProgram,
+        overhead: u64,
+        builder: Option<&mut CheckpointBuilder>,
+    ) -> (RunResult, u64) {
+        let mut m = Machine::new(binary, cfg);
+        let (mut count, stats) = (0, &mut TrialFastStats::default());
+        let max = cfg.max_cycles;
+        let Some(b) = builder else {
+            let outcome = m.run_sb(sb, &mut count, overhead, u64::MAX, None, max, stats);
+            return (m.into_result(outcome.expect("a run with no stop count ends")), count);
+        };
+        let hasher = ConvHasher::scan(&b.baseline, &m.data, &binary.data, &m.stack, &m.output);
+        m.conv = Some(Box::new(hasher));
+        let mut written = WrittenPages::new(m.data.len(), m.stack.len());
+        let outcome = loop {
+            let due = b.next_due(m.instrs_retired);
+            let run =
+                m.sb_loop::<CAPTURE>(sb, &mut count, overhead, u64::MAX, None, due, max, stats);
+            if let Some(outcome) = run {
+                break outcome;
+            }
+            let (data, stack) = m.conv.as_deref().expect("capture hasher live").pending();
+            written.mark(data, stack);
+            let digest = m.conv_refresh(count);
+            let pages = written.diff(&m.data, &binary.data, &m.stack);
+            b.push(m.checkpoint(count, pages, digest));
+        };
+        m.conv = None;
+        (m.into_result(outcome), count)
+    }
+
+    /// The body of [`Machine::run_sb`] and [`Machine::run_profile`]. `MODE`
+    /// is [`CONV`] when `golden` is set, [`CAPTURE`] for a checkpointed
+    /// profiling run, which returns `None` once `due` instructions have
+    /// retired, and [`PLAIN`] otherwise; `due` is ignored outside
+    /// [`CAPTURE`].
     #[allow(clippy::too_many_arguments)]
-    fn sb_loop<const CONV: bool>(
+    fn sb_loop<const MODE: u8>(
         &mut self,
         sb: &SuperblockProgram,
         count: &mut u64,
         overhead: u64,
         stop: u64,
         golden: Option<(&CheckpointStore, GoldenEnd<'_>)>,
+        due: u64,
         max_cycles: u64,
         stats: &mut TrialFastStats,
     ) -> Option<RunOutcome> {
         debug_assert_eq!(sb.len(), self.binary.text.len());
         let ckpts: &[Checkpoint] = match golden {
-            Some((store, _)) if CONV => &store.checkpoints,
+            Some((store, _)) if MODE == CONV => &store.checkpoints,
             _ => &[],
         };
         let (entry_retired, mut spliced) = (self.instrs_retired, 0);
@@ -475,7 +538,7 @@ impl Machine<'_> {
             if fi >= stop {
                 break None;
             }
-            if CONV {
+            if MODE == CONV {
                 // Skip snapshots whose window passed without a state match
                 // (interval thinning can leave adjacent equal counts).
                 while ckpts.get(cursor).is_some_and(|c| c.fi_count < fi) {
@@ -492,6 +555,11 @@ impl Machine<'_> {
                     }
                 }
             }
+            // The per-instruction loop snapshots right after the due
+            // retire, before it checks the cycle budget.
+            if MODE == CAPTURE && self.instrs_retired == due {
+                break None;
+            }
             if self.cycles >= max_cycles {
                 break Some(RunOutcome::Timeout);
             }
@@ -503,11 +571,13 @@ impl Machine<'_> {
             // exit only shortens the trace, so full-trace totals bound it.
             // Strict `<` on cycles: cycle costs are positive, so a
             // trace-final total below budget means no interior timeout
-            // check could have fired.
+            // check could have fired. A trace may end exactly on the due
+            // retired count: the snapshot is taken after it.
             if n > 0
                 && fi + u64::from(sb.fused_events[pc]) < stop
                 && self.cycles + sb.fused_cost[pc] + u64::from(n) * overhead < max_cycles
-                && (!CONV || sb.passes_no_snapshot(&ckpts[cursor..], fi, pc))
+                && (MODE != CONV || sb.passes_no_snapshot(&ckpts[cursor..], fi, pc))
+                && (MODE != CAPTURE || self.instrs_retired + u64::from(n) <= due)
             {
                 match self.exec_trace(sb, pc, count, overhead, stats) {
                     Ok(()) => continue,
@@ -520,8 +590,13 @@ impl Machine<'_> {
             self.cycles += overhead + e.cost;
             *count += u64::from(e.is_event);
             // Page write tracking feeds the digest refresh; it is a no-op
-            // until the hasher is live.
-            match self.step_t::<NoFi, CONV>(&e.instr, &mut NoFi) {
+            // while no hasher is live.
+            let step = if MODE == PLAIN {
+                self.step_t::<NoFi, false>(&e.instr, &mut NoFi)
+            } else {
+                self.step_t::<NoFi, true>(&e.instr, &mut NoFi)
+            };
+            match step {
                 Ok(Step::Continue) => {
                     self.instrs_retired += 1;
                     stats.sb_stepped_instrs += 1;
@@ -530,7 +605,7 @@ impl Machine<'_> {
                 Err(t) => break Some(RunOutcome::Trap(t)),
             }
         };
-        if CONV {
+        if MODE == CONV {
             self.conv = None;
             stats.conv_checked_instrs += self.instrs_retired - spliced - entry_retired;
         }
@@ -583,7 +658,7 @@ impl Machine<'_> {
 // Each handler mirrors one `step_t` arm's data side effects exactly (the FI
 // hooks as a counting-only runtime executes them). Stores
 // always use `mem_write_t::<true>` / `push_t::<true>`: page tracking is a
-// no-op while no convergence hasher is live, and required when one is.
+// no-op while no hasher is live, and required when one is.
 
 fn u_nop(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
     Ok(())
@@ -933,7 +1008,9 @@ fn lower(instr: &MInstr) -> Uop {
 mod tests {
     use super::*;
     use crate::binary::{Binary, Symbol};
-    use crate::machine::RunConfig;
+    use crate::checkpoint::CheckpointConfig;
+    use crate::digest::BaselineHashes;
+    use crate::probe::{CountingProbe, Probe, ProbeAction};
     use crate::rt::FiRuntime;
 
     fn bin(text: Vec<MInstr>) -> Binary {
@@ -1094,8 +1171,10 @@ mod tests {
     }
 
     /// Architectural state both loops must agree on.
-    fn state(m: &Machine<'_>) -> (u32, u64, u64, [u64; 16], u8, Vec<u64>) {
-        (m.pc, m.cycles, m.instrs_retired, m.regs, m.flags, m.data.clone())
+    type State = (u32, u64, u64, [u64; 16], u8, Vec<u64>, Vec<u64>);
+
+    fn state(m: &Machine<'_>) -> State {
+        (m.pc, m.cycles, m.instrs_retired, m.regs, m.flags, m.data.clone(), m.stack.clone())
     }
 
     /// Run `b` fused until `stop` events (or the end) and exactly until
@@ -1281,5 +1360,182 @@ mod tests {
         }
         let (out, ..) = fused_vs_exact(&near_misses[1], u64::MAX);
         assert_eq!(out, Some(RunOutcome::Trap(Trap::Segfault(outside as u64))));
+    }
+
+    /// Stops `run_exact_until_fired` right after the retire that reaches
+    /// `due`, charging `overhead` cycles per fetch and counting fetched FI
+    /// targets, as an attached DBI profiler does.
+    struct DueProbe {
+        due: u64,
+        at_due: bool,
+        overhead: u64,
+        targets: u64,
+    }
+
+    impl DueProbe {
+        fn new(overhead: u64) -> Self {
+            DueProbe { due: u64::MAX, at_due: false, overhead, targets: 0 }
+        }
+    }
+
+    impl Probe for DueProbe {
+        fn before(&mut self, _pc: u32, instr: &MInstr, retired: u64) -> ProbeAction {
+            self.at_due = retired + 1 == self.due;
+            self.targets += u64::from(!fi_outputs(instr).is_empty());
+            ProbeAction::Continue
+        }
+        fn overhead_cycles(&self) -> u64 {
+            self.overhead
+        }
+        fn fired(&self) -> bool {
+            self.at_due
+        }
+    }
+
+    /// A first trace that stores, crosses a forward `Jmp` and side-exits
+    /// at a `Jcc` guard, into a loop body that stores to data and stack;
+    /// 13 instructions retire before the `Halt`.
+    fn boundary_program() -> Binary {
+        bin(vec![
+            MInstr::MovRI { rd: 1, imm: GLOBAL_BASE as i64 },
+            MInstr::MovRI { rd: 2, imm: 2 },
+            MInstr::St { rs: 2, mem: Mem::base_disp(1, 0) },
+            MInstr::Jmp { target: 5 },
+            MInstr::Nop,
+            MInstr::CmpI { ra: 2, imm: 2 }, // loop head
+            MInstr::Jcc { cc: Cc::E, target: 9 },
+            MInstr::MovRI { rd: 0, imm: 0 },
+            MInstr::Halt,
+            MInstr::AluI { op: AluOp::Sub, rd: 2, ra: 2, imm: 1 },
+            MInstr::St { rs: 2, mem: Mem::base_disp(1, 8) },
+            MInstr::Push { rs: 2 },
+            MInstr::Jmp { target: 5 },
+        ])
+    }
+
+    #[test]
+    fn capture_boundary_anywhere_in_a_trace_leaves_exact_state() {
+        let b = boundary_program();
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!((sb.fused_len[0], sb.trace_end[0], sb.fused_len[9]), (7, 8, 3));
+        let cfg = RunConfig::default();
+        let max = cfg.max_cycles;
+        for due in 1..=14 {
+            let (mut fused, mut exact) = (Machine::new(&b, &cfg), Machine::new(&b, &cfg));
+            let (mut count, mut stats) = (0, TrialFastStats::default());
+            let out =
+                fused.sb_loop::<CAPTURE>(&sb, &mut count, 0, u64::MAX, None, due, max, &mut stats);
+            let mut probe = DueProbe { due, ..DueProbe::new(0) };
+            let exact_out = exact.run_exact_until_fired(max, &mut NoFi, Some(&mut probe));
+            assert_eq!(out, exact_out, "due {due}");
+            assert_eq!(state(&fused), state(&exact), "due {due}");
+            assert_eq!(out.is_none(), due <= 13, "due {due}");
+            if due == 9 {
+                // The side-exited entry trace, then the loop body's whole
+                // trace ending exactly on the due count: both fused.
+                assert_eq!((stats.sb_dispatches, stats.sb_stepped_instrs), (2, 0));
+            }
+        }
+    }
+
+    /// Profile `b` fused through `sb` with a snapshot every `interval`
+    /// retired instructions, assert the run and every snapshot equal the
+    /// exact loop's full-scan ones (digest from a full `ConvHasher::scan`),
+    /// and return the fused store.
+    fn profile_vs_exact(
+        b: &Binary,
+        sb: &SuperblockProgram,
+        overhead: u64,
+        interval: u64,
+    ) -> CheckpointStore {
+        let cfg = RunConfig::default();
+        let ckpt = CheckpointConfig { interval, ..CheckpointConfig::default() };
+        let baseline = BaselineHashes::new(&b.data, cfg.stack_words, (0, 0));
+        let mut builder = CheckpointBuilder::new(&ckpt, baseline.clone());
+        let (fused, count) = Machine::run_profile(b, &cfg, sb, overhead, Some(&mut builder));
+        let store = builder.finish(cfg.stack_words);
+
+        let mut m = Machine::new(b, &cfg);
+        let (mut rt, mut probe) = (CountTo { count: 0, at: u64::MAX }, DueProbe::new(overhead));
+        let mut snapshots = Vec::new();
+        let outcome = loop {
+            probe.due = (m.instrs_retired / interval + 1) * interval;
+            let run = m.run_exact_until_fired(cfg.max_cycles, &mut rt, Some(&mut probe));
+            if let Some(outcome) = run {
+                break outcome;
+            }
+            let fi = if sb.probed { probe.targets } else { rt.count };
+            let mut ck = m.snapshot(fi);
+            let hasher = ConvHasher::scan(&baseline, &m.data, &b.data, &m.stack, &m.output);
+            ck.digest = hasher.digest(&m.regs, &m.fregs, m.flags, m.pc, fi);
+            snapshots.push(ck);
+        };
+        let events = if sb.probed { probe.targets } else { rt.count };
+        let exact = m.into_result(outcome);
+        assert_eq!(
+            (fused.outcome, fused.output, fused.cycles, fused.instrs_retired, count),
+            (exact.outcome, exact.output, exact.cycles, exact.instrs_retired, events)
+        );
+        assert_eq!(store.checkpoints, snapshots);
+        store
+    }
+
+    #[test]
+    fn halt_or_trap_before_the_due_count_takes_no_snapshot() {
+        let halts = boundary_program();
+        let sb = SuperblockProgram::new(&halts);
+        assert!(profile_vs_exact(&halts, &sb, 0, 14).is_empty());
+        // The 13th retire is due: its snapshot is taken, on the `Halt`.
+        let store = profile_vs_exact(&halts, &sb, 0, 13);
+        let points: Vec<_> = store.checkpoints.iter().map(|c| (c.retired, c.pc)).collect();
+        assert_eq!(points, [(13, 8)]);
+        let traps = bin(vec![
+            MInstr::MovRI { rd: 1, imm: 1 },
+            MInstr::MovRI { rd: 2, imm: 0 },
+            MInstr::Alu { op: AluOp::Div, rd: 0, ra: 1, rb: 2 },
+            MInstr::Halt,
+        ]);
+        let sb = SuperblockProgram::new(&traps);
+        assert!(profile_vs_exact(&traps, &sb, 0, 3).is_empty());
+        assert_eq!(profile_vs_exact(&traps, &sb, 0, 2).len(), 1);
+    }
+
+    #[test]
+    fn probe_overhead_is_charged_per_fetched_instruction() {
+        let b = boundary_program();
+        let sb = SuperblockProgram::probed(&b);
+        let cfg = RunConfig::default();
+        let (fused, count) = Machine::run_profile(&b, &cfg, &sb, 10, None);
+        let mut probe = CountingProbe::new(|i| !fi_outputs(i).is_empty());
+        assert_eq!(probe.overhead_cycles(), 10);
+        let exact = Machine::run(&b, &cfg, &mut NoFi, Some(&mut probe));
+        assert_eq!(
+            (fused.cycles, fused.instrs_retired, count),
+            (exact.cycles, exact.instrs_retired, probe.count)
+        );
+        // Every retired instruction and the final `Halt` were fetched.
+        let native = Machine::run(&b, &cfg, &mut NoFi, None);
+        assert_eq!(fused.cycles, native.cycles + 10 * (native.instrs_retired + 1));
+        for interval in [1, 2, 5] {
+            profile_vs_exact(&b, &sb, 10, interval);
+        }
+    }
+
+    #[test]
+    fn page_written_back_to_its_baseline_is_not_captured() {
+        let word = Mem::abs(GLOBAL_BASE as i64);
+        let b = bin(vec![
+            MInstr::MovRI { rd: 1, imm: 7 },
+            MInstr::St { rs: 1, mem: word },
+            MInstr::Push { rs: 1 },
+            MInstr::MovRI { rd: 1, imm: 0 },
+            MInstr::St { rs: 1, mem: word }, // the data word is 0 again
+            MInstr::Halt,
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        let store = profile_vs_exact(&b, &sb, 0, 1);
+        let pages = |c: &Checkpoint| (c.data_pages.len(), c.stack_pages.len());
+        let counts: Vec<_> = store.checkpoints.iter().map(pages).collect();
+        assert_eq!(counts, [(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)]);
     }
 }

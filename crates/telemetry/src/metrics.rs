@@ -1,14 +1,14 @@
 //! Lock-cheap metrics registry.
 //!
 //! Hot-path recording is a handful of relaxed atomic ops (counters,
-//! histogram buckets). The only lock is a `parking_lot::Mutex` around the
+//! histogram buckets). The only lock is a `std::sync::Mutex` around the
 //! trap-cause breakdown, which is touched solely on crashing trials.
 
 use crate::span::{Phase, PhasesSnapshot};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Number of power-of-two histogram buckets: bucket `i` counts values
 /// `v` with `v.bits() == i`, i.e. upper bound `2^i - 1`; the last bucket
@@ -298,7 +298,8 @@ impl Registry {
         self.outcomes[outcome as usize].incr();
         self.trials_total.incr();
         if let Some(cause) = trap {
-            *self.traps.lock().entry(cause.to_string()).or_insert(0) += 1;
+            let mut traps = self.traps.lock().unwrap_or_else(PoisonError::into_inner);
+            *traps.entry(cause.to_string()).or_insert(0) += 1;
         }
     }
 
@@ -319,7 +320,7 @@ impl Registry {
                 soc: self.outcomes[OutcomeKind::Soc as usize].get(),
                 benign: self.outcomes[OutcomeKind::Benign as usize].get(),
             },
-            traps: self.traps.lock().clone(),
+            traps: self.traps.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             phases: Phase::snapshot_all(),
             artifact_cache: ArtifactCacheSnapshot {
                 hits: self.artifact_cache_hits.get(),

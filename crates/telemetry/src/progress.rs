@@ -6,9 +6,9 @@
 //! `try_lock`, so worker threads never queue behind the terminal.
 
 use crate::metrics::OutcomeKind;
-use parking_lot::Mutex;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 const PRINT_INTERVAL_MS: u64 = 200;
@@ -62,7 +62,7 @@ impl Progress {
 
     /// Set the `app/tool` prefix shown on the progress line.
     pub fn set_label(&self, label: impl Into<String>) {
-        *self.label.lock() = label.into();
+        *self.label.lock().unwrap_or_else(PoisonError::into_inner) = label.into();
     }
 
     /// Record one finished trial and maybe refresh the progress line.
@@ -102,7 +102,7 @@ impl Progress {
         let soc = self.outcomes[OutcomeKind::Soc as usize].load(Ordering::Relaxed);
         let benign = self.outcomes[OutcomeKind::Benign as usize].load(Ordering::Relaxed);
         let pct = |n: u64| n as f64 * 100.0 / done.max(1) as f64;
-        let label = self.label.lock().clone();
+        let label = self.label.lock().unwrap_or_else(PoisonError::into_inner).clone();
         let ctotal = self.campaigns_total.load(Ordering::Relaxed);
         let campaigns = if ctotal > 0 {
             format!("  {}/{} campaigns", self.campaigns_done.load(Ordering::Relaxed), ctotal)

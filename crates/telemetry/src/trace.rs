@@ -5,12 +5,11 @@
 //! line to a [`TraceSink`]. The [`TraceSummary`] aggregator folds a trace
 //! file back into an injection-site × outcome table.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Provenance record for one fault-injection trial.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,18 +76,18 @@ impl TraceSink {
     pub fn write(&self, t: &TrialTrace) -> std::io::Result<()> {
         let mut line = serde::json::to_string(t);
         line.push('\n');
-        self.out.lock().write_all(line.as_bytes())
+        self.out.lock().unwrap_or_else(PoisonError::into_inner).write_all(line.as_bytes())
     }
 
     /// Flush buffered records to the underlying writer.
     pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().flush()
+        self.out.lock().unwrap_or_else(PoisonError::into_inner).flush()
     }
 }
 
 impl Drop for TraceSink {
     fn drop(&mut self) {
-        let _ = self.out.lock().flush();
+        let _ = self.out.lock().unwrap_or_else(PoisonError::into_inner).flush();
     }
 }
 
@@ -99,7 +98,8 @@ pub struct TraceBuffer(Arc<Mutex<Vec<u8>>>);
 impl TraceBuffer {
     /// The JSONL text accumulated so far (flush the sink first).
     pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.0.lock()).into_owned()
+        let bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        String::from_utf8_lossy(&bytes).into_owned()
     }
 
     /// Parse the accumulated records.
@@ -110,7 +110,7 @@ impl TraceBuffer {
 
 impl Write for TraceBuffer {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().extend_from_slice(buf);
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).extend_from_slice(buf);
         Ok(buf.len())
     }
 

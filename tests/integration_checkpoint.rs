@@ -3,12 +3,21 @@
 //! replacement for full trial interpretation — same outcome tables, same
 //! fault records, same trace streams — at every jobs count and for all
 //! three tools (the DESIGN.md checkpoint-semantics invariant, end to end).
+//! The fused, incrementally captured profiling run that builds the
+//! checkpoints is checked against the exact interpreter here too.
 
 use proptest::prelude::*;
 use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::classify::Golden;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
-use refine_core::CheckpointOptions;
+use refine_core::{CheckpointOptions, ProfilingRt};
+use refine_machine::checkpoint::apply_pages;
+use refine_machine::{
+    BaselineHashes, Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore, ConvHasher,
+    MInstr, Machine, Probe, ProbeAction, RunConfig, RunResult,
+};
+use refine_pinfi::{PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{TraceSink, TrialTrace};
 use serde::Serialize;
 
@@ -78,6 +87,142 @@ fn late_targets_restore_from_checkpoints() {
     assert!(off.fastpath.is_none(), "--no-checkpoint must not build a store");
     let t = off.run_trial_full(off.population, 1);
     assert!(!t.fast.restored);
+}
+
+/// The exact loop's view of a profiling run: forwards PINFI's counting
+/// and per-fetch overhead to its profiler, and reports "fired" on the
+/// instruction whose retire reaches `due`, so `run_exact_until_fired`
+/// stops exactly where a snapshot is due.
+struct DueProbe<'p> {
+    pinfi: Option<&'p mut PinfiProfiler>,
+    due: u64,
+    at_due: bool,
+}
+
+impl Probe for DueProbe<'_> {
+    fn before(&mut self, pc: u32, instr: &MInstr, retired: u64) -> ProbeAction {
+        self.at_due = retired + 1 == self.due;
+        match self.pinfi.as_deref_mut() {
+            Some(p) => p.before(pc, instr, retired),
+            None => ProbeAction::Continue,
+        }
+    }
+
+    fn overhead_cycles(&self) -> u64 {
+        self.pinfi.as_deref().map_or(0, Probe::overhead_cycles)
+    }
+
+    fn fired(&self) -> bool {
+        self.at_due
+    }
+}
+
+/// The oracle profiling run of `p`'s binary on the exact interpreter: a
+/// full-scan snapshot at every due retired count, its digest from a full
+/// [`ConvHasher::scan`] of the memory the snapshot restores. Returns the
+/// run, its FI population and the store (`None` without `ckpt`).
+fn exact_profile(
+    p: &PreparedTool,
+    ckpt: Option<CheckpointConfig>,
+) -> (RunResult, u64, Option<CheckpointStore>) {
+    let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: p.stack_words };
+    let baseline =
+        ckpt.map(|c| BaselineHashes::new(&p.binary.data, p.stack_words, c.exempt_data_words));
+    let mut builder = ckpt.zip(baseline.clone()).map(|(c, b)| CheckpointBuilder::new(&c, b));
+    let (mut rt, mut pinfi) = (ProfilingRt::default(), PinfiProfiler::default());
+    let mut m = Machine::new(&p.binary, &cfg);
+    let mut retired = 0;
+    let outcome = loop {
+        let due = builder.as_ref().map_or(u64::MAX, |b| b.next_due(retired));
+        let mut probe =
+            DueProbe { pinfi: (p.tool == Tool::Pinfi).then_some(&mut pinfi), due, at_due: false };
+        if let Some(outcome) = m.run_exact_until_fired(cfg.max_cycles, &mut rt, Some(&mut probe)) {
+            break outcome;
+        }
+        retired = due;
+        let fi_count = if p.tool == Tool::Pinfi { pinfi.count } else { rt.count };
+        let mut ck = m.snapshot(fi_count);
+        let (mut data, mut stack) = (p.binary.data.clone(), vec![0; p.stack_words]);
+        apply_pages(&ck.data_pages, &mut data);
+        apply_pages(&ck.stack_pages, &mut stack);
+        let base = baseline.as_ref().unwrap();
+        let hasher = ConvHasher::scan(base, &data, &p.binary.data, &stack, &ck.output);
+        ck.digest = hasher.digest(&ck.regs, &ck.fregs, ck.flags, ck.pc, ck.fi_count);
+        builder.as_mut().unwrap().push(ck);
+    };
+    let population = if p.tool == Tool::Pinfi { pinfi.count } else { rt.count };
+    (m.into_result(outcome), population, builder.map(|b| b.finish(p.stack_words)))
+}
+
+/// Assert the fused profiling run `fused` (result, population, store)
+/// equals the exact oracle's.
+fn assert_profiles_equal(
+    ctx: &str,
+    fused: (&RunResult, u64, Option<&CheckpointStore>),
+    exact: (&RunResult, u64, Option<&CheckpointStore>),
+) {
+    let ((fr, fpop, fs), (er, epop, es)) = (fused, exact);
+    assert_eq!(fr.outcome, er.outcome, "{ctx}: outcome");
+    assert_eq!(fr.output, er.output, "{ctx}: output");
+    assert_eq!(fr.cycles, er.cycles, "{ctx}: cycles");
+    assert_eq!(fr.instrs_retired, er.instrs_retired, "{ctx}: retired");
+    assert_eq!(fpop, epop, "{ctx}: population");
+    let (Some(fs), Some(es)) = (fs, es) else {
+        assert!(fs.is_none() && es.is_none(), "{ctx}: one side has a store");
+        return;
+    };
+    assert_eq!(fs.interval, es.interval, "{ctx}: final interval");
+    assert_eq!(fs.len(), es.len(), "{ctx}: checkpoint count");
+    for (i, (f, e)) in fs.checkpoints.iter().zip(&es.checkpoints).enumerate() {
+        let ctx = format!("{ctx} checkpoint {i} (retired {})", e.retired);
+        let regs = |c: &Checkpoint| (c.regs, c.fregs, c.flags, c.pc);
+        let counters = |c: &Checkpoint| (c.cycles, c.retired, c.fi_count);
+        assert_eq!(regs(f), regs(e), "{ctx}: registers");
+        assert_eq!(counters(f), counters(e), "{ctx}: counters");
+        assert_eq!(f.output, e.output, "{ctx}: output");
+        assert_eq!(f.data_pages, e.data_pages, "{ctx}: data pages");
+        assert_eq!(f.stack_pages, e.stack_pages, "{ctx}: stack pages");
+        assert_eq!(f.digest, e.digest, "{ctx}: digest");
+    }
+}
+
+/// The prepare-time profiling run is fused and captures its checkpoints
+/// incrementally; over the 14-app suite x 3 tools it must equal the exact
+/// interpreter snapshotting by full scan — with the default capture
+/// settings, with a thinning one (interval 97, cap 8), and with
+/// checkpointing off.
+#[test]
+fn fused_profiling_equals_exact_profiling() {
+    let thinning =
+        CheckpointOptions { interval: 97, max_checkpoints: 8, ..CheckpointOptions::default() };
+    let configs = [("default", CheckpointOptions::default()), ("thinning", thinning)];
+    for b in refine_benchmarks::all() {
+        let m = b.module();
+        for tool in Tool::all() {
+            for (label, opts) in &configs {
+                let p = PreparedTool::prepare_opt(&m, tool, opts);
+                let fp = p.fastpath.as_deref().expect("checkpointing on builds a store");
+                let exempt_data_words = fp.store.baseline.exempt;
+                let ckpt = CheckpointConfig { exempt_data_words, ..opts.machine_config() };
+                let (er, epop, es) = exact_profile(&p, Some(ckpt));
+                let ctx = format!("{} {} {label}", b.name, tool.name());
+                let fused = (&fp.golden_run, p.population, Some(&fp.store));
+                assert_profiles_equal(&ctx, fused, (&er, epop, es.as_ref()));
+                assert_eq!(p.profile_cycles, er.cycles, "{ctx}: profile cycles");
+            }
+            // Checkpointing off: the same fused call without a builder.
+            let p = PreparedTool::prepare_opt(&m, tool, &CheckpointOptions::disabled());
+            let (er, epop, _) = exact_profile(&p, None);
+            let ctx = format!("{} {} no-checkpoint", b.name, tool.name());
+            let facts = (p.population, p.profile_cycles);
+            assert_eq!(facts, (epop, er.cycles), "{ctx}: population, cycles");
+            assert_eq!(p.golden, Golden::from_run(&er), "{ctx}: golden");
+            let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: p.stack_words };
+            let overhead = if tool == Tool::Pinfi { PIN_OVERHEAD_CYCLES } else { 0 };
+            let (fr, fpop) = Machine::run_profile(&p.binary, &cfg, &p.superblock, overhead, None);
+            assert_profiles_equal(&ctx, (&fr, fpop, None), (&er, epop, None));
+        }
+    }
 }
 
 /// Per-trial differential harness: prepare one kernel with a custom

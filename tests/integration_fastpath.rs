@@ -7,7 +7,10 @@
 //! restores and skipped instructions, convergence hits and checked/saved
 //! instructions, fused dispatches and fused/stepped instructions, per
 //! campaign, with the default checkpoint and convergence settings and with
-//! checkpointing off. Regenerate deliberately with:
+//! checkpointing off. It also pins each campaign's profiling facts
+//! (`prof_*`): FI population, profile cycles, and with checkpointing on the
+//! golden retired count, checkpoint count and final snapshot interval.
+//! Regenerate deliberately with:
 //!
 //! ```text
 //! REFINE_UPDATE_GOLDEN=1 cargo test --test integration_fastpath
@@ -18,7 +21,8 @@
 
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
-use refine_core::FiOptions;
+use refine_campaign::tools::{PreparedTool, Tool};
+use refine_core::{CheckpointOptions, FiOptions};
 use refine_ir::passes::OptLevel;
 use refine_machine::{MInstr, RtFunc, SuperblockProgram};
 use std::collections::HashMap;
@@ -29,11 +33,13 @@ fn snapshot_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fastpath_counters.txt")
 }
 
+const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
+
 /// HPCCG-1.0 and CoMD x 3 tools x 12 trials, seed 7, two workers: one line
 /// of counters per campaign.
 fn render(label: &str, checkpoint: bool, out: &mut String) {
     let cfg = CampaignConfig { trials: 12, seed: 7, jobs: 2, checkpoint, ..CampaignConfig::default() };
-    let apps = ["HPCCG-1.0".to_string(), "CoMD".to_string()];
+    let apps = APPS.map(String::from);
     let (_, report) = run_suite_sharded(&cfg, Some(&apps), &SuiteObserver::default(), |_, _| {});
     for s in &report.stats {
         let _ = writeln!(
@@ -55,11 +61,40 @@ fn render(label: &str, checkpoint: bool, out: &mut String) {
     }
 }
 
+/// The same campaigns' profiling runs: one line of facts per campaign.
+fn render_profiles(label: &str, ckpt: &CheckpointOptions, out: &mut String) {
+    for app in APPS {
+        let m = refine_benchmarks::by_name(app).unwrap().module();
+        for tool in Tool::all() {
+            let p = PreparedTool::prepare_opt(&m, tool, ckpt);
+            let _ = write!(
+                out,
+                "{label} {app} {} prof_population={} prof_cycles={}",
+                tool.name(),
+                p.population,
+                p.profile_cycles
+            );
+            if let Some(fp) = p.fastpath.as_deref() {
+                let _ = write!(
+                    out,
+                    " prof_golden_retired={} prof_ckpts={} prof_ckpt_interval={}",
+                    fp.golden_run.instrs_retired,
+                    fp.store.len(),
+                    fp.store.interval
+                );
+            }
+            out.push('\n');
+        }
+    }
+}
+
 #[test]
 fn fastpath_counters_match_snapshot() {
     let mut rendered = String::new();
     render("default", true, &mut rendered);
     render("no-checkpoint", false, &mut rendered);
+    render_profiles("default", &CheckpointOptions::default(), &mut rendered);
+    render_profiles("no-checkpoint", &CheckpointOptions::disabled(), &mut rendered);
     let path = snapshot_path();
     if std::env::var_os("REFINE_UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, &rendered).unwrap();

@@ -106,12 +106,13 @@ fn interpreter_matches_snapshots() {
 }
 
 /// Snapshot hygiene: no stray snapshot files for programs that no longer
-/// exist (renames must move their snapshot). The fast-path counter
-/// snapshot of `integration_fastpath` is the one non-program file.
+/// exist (renames must move their snapshot). The non-program files are
+/// the fast-path counter snapshot of `integration_fastpath` and the
+/// perfbench digests ci.sh checks.
 #[test]
 fn no_orphan_snapshots() {
     let mut known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
-    known.push("fastpath_counters.txt".to_string());
+    known.extend(["fastpath_counters.txt", "perfbench_digests.txt"].map(String::from));
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden missing") {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
         assert!(
