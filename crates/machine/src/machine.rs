@@ -174,6 +174,10 @@ pub struct Machine<'a> {
     /// [`Machine::run_profile`] runs or a convergence-tracked
     /// [`Machine::run_sb`] has matched a snapshot.
     pub(crate) conv: Option<Box<ConvHasher>>,
+    /// The save-area words (`r0`, FLAGS) of the REFINE sites fused µops
+    /// absorb, copied from the running `SuperblockProgram` by the fused
+    /// loop.
+    pub(crate) site_words: (u64, u64),
 }
 
 impl<'a> Machine<'a> {
@@ -193,6 +197,7 @@ impl<'a> Machine<'a> {
             cycles: 0,
             instrs_retired: 0,
             conv: None,
+            site_words: (0, 0),
         };
         m.regs[SP as usize] = STACK_TOP;
         m
@@ -430,6 +435,7 @@ impl<'a> Machine<'a> {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn mem_read(&self, addr: u64) -> Result<u64, Trap> {
         if !addr.is_multiple_of(8) {
             return Err(Trap::Misaligned(addr));
@@ -449,6 +455,7 @@ impl<'a> Machine<'a> {
     /// Memory write, optionally marking the written page in the active
     /// convergence hasher. `TRACK` is const so the untracked paths compile
     /// to exactly the pre-convergence store.
+    #[inline(always)]
     pub(crate) fn mem_write_t<const TRACK: bool>(&mut self, addr: u64, val: u64) -> Result<(), Trap> {
         if !addr.is_multiple_of(8) {
             return Err(Trap::Misaligned(addr));
@@ -539,12 +546,14 @@ impl<'a> Machine<'a> {
         Ok(res)
     }
 
+    #[inline(always)]
     pub(crate) fn push_t<const TRACK: bool>(&mut self, val: u64) -> Result<(), Trap> {
         let sp = self.regs[SP as usize].wrapping_sub(8);
         self.regs[SP as usize] = sp;
         self.mem_write_t::<TRACK>(sp, val)
     }
 
+    #[inline(always)]
     pub(crate) fn pop(&mut self) -> Result<u64, Trap> {
         let sp = self.regs[SP as usize];
         let v = self.mem_read(sp)?;

@@ -10,14 +10,32 @@
 //! direct-threaded fn-pointer calls with one cycles/retired/pc/event update
 //! per trace.
 //!
-//! Traces: every µop carries the pc it continues to. A trace follows
-//! fall-through, crosses an unconditional `Jmp` whose target lies ahead,
-//! and crosses a `Jcc` along its fall-through: the `Jcc` µop is a guard,
-//! and when its condition holds the trace side-exits (the `Jcc` retires and
-//! `pc` becomes its target). Every trace edge points forward, so one
-//! reverse scan builds the per-pc suffix sums (`fused_x[pc] = x[pc] +
-//! fused_x[next[pc]]`) and a trace stopped early at µop `k` — by a trap or
-//! a side exit — is accounted with `fused_x[head] - fused_x[next[k]]`.
+//! Traces: a trace follows fall-through, crosses an unconditional `Jmp`
+//! whose target lies ahead, and crosses a `Jcc` along its fall-through:
+//! the `Jcc` µop is a guard, and when its condition holds the trace
+//! side-exits (the `Jcc` retires and `pc` becomes its target). Every trace
+//! edge points forward, so one reverse scan builds per-pc suffix sums along
+//! the trace's instruction path (`fused_x[pc] = x[pc] + fused_x[succ]`).
+//!
+//! Dispatch: every µop carries the pc of the next µop its trace
+//! dispatches, which may skip ahead of the instruction path, because the
+//! accounting never reads it. A trace run to its end is accounted with
+//! `fused_x[head]`; one stopped early — by a trap or a side exit — is
+//! accounted by the stopping µop `k` itself, `fused_x[head] - fused_x[k] +
+//! x[k]`, since a stopping µop is always one instruction. Three rules skip
+//! ahead:
+//!
+//! - *No-op linking*: a `Nop`, a forward `Jmp` and an LLFI `injectFault`
+//!   hook do nothing while the runtime only counts, so a µop's `next` skips
+//!   them and they run only as trace heads.
+//! - *LLFI hook µops*: `mov r0 <- x; injectFault; mov y <- r0` (integer or
+//!   floating-point) is one copy µop.
+//! - *Site absorption*: the non-firing path REFINE emits around each site
+//!   (save `r0`/FLAGS, `selInstr`, test, skip, restore) nets out to two
+//!   save-area stores. A one-instruction µop followed by a site runs its
+//!   site-absorbing variant (its handler with `S = true`): the instruction,
+//!   then — only if it completed — the stores. A site's own *site skip* µop
+//!   runs only where a trace starts on it.
 //!
 //! The fused loop only ever runs counting-only runtimes (a one-shot
 //! injector is counting-only before its target event and after it fired),
@@ -26,9 +44,7 @@
 //! event is fixed when the program is built — hook calls
 //! ([`SuperblockProgram::new`], REFINE and LLFI) or FI targets at fetch
 //! ([`SuperblockProgram::probed`], PINFI) — and events are tallied through
-//! a suffix sum like cycles. The non-firing path REFINE emits around each
-//! site (save `r0`/FLAGS, `selInstr`, test, skip, restore) collapses into a
-//! single *site skip* µop doing the two save-area stores.
+//! a suffix sum like cycles.
 //!
 //! Fusion boundaries: a trace ends at a backward `Jmp`, `Call`, `Ret`,
 //! `Halt`, a non-FI `CallRt` (output events and libm calls), `setupFI`, a
@@ -90,7 +106,8 @@ impl From<Trap> for Exit {
 struct Uop {
     exec: UopFn,
     imm: u64,
-    /// The pc the trace continues at after this µop.
+    /// The pc of the next µop the trace dispatches, past any no-ops and an
+    /// absorbed site, or the trace's end.
     next: u32,
     a: u8,
     b: u8,
@@ -110,9 +127,6 @@ struct Slot {
     cost: u64,
     is_event: bool,
 }
-
-/// Instructions one site skip retires: the 7 of PreFI and the 3 of PostFI.
-const SITE_SKIP_LEN: u32 = 10;
 
 /// [`Machine::sb_loop`] modes: a quiescent prefix or plain suffix, a
 /// convergence-tracked suffix, and a checkpointed profiling run.
@@ -157,9 +171,10 @@ pub struct SuperblockProgram {
     /// `fused_len[pc]` = instructions the trace headed at `pc` retires
     /// when it runs to its end (0 when `pc` must be stepped exactly).
     fused_len: Vec<u32>,
-    /// Suffix-sum cycle costs along the trace: `fused_cost[pc]` is the
-    /// full trace cost, and a trace from `head` stopped after µop `k` costs
-    /// `fused_cost[head] - fused_cost[next[k]]`.
+    /// Suffix-sum cycle costs along the trace's instruction path:
+    /// `fused_cost[pc]` is the full trace cost, and a trace from `head`
+    /// stopped by the one-instruction µop at `k` costs `fused_cost[head] -
+    /// fused_cost[k] + slots[k].cost`.
     fused_cost: Vec<u64>,
     /// Suffix-sum FI-event counts, same indexing identities.
     fused_events: Vec<u32>,
@@ -168,6 +183,9 @@ pub struct SuperblockProgram {
     trace_end: Vec<u32>,
     /// Per-pc data for the exact-step fallback.
     slots: Vec<Slot>,
+    /// The save-area words (`r0`, FLAGS) every skipped REFINE site stores
+    /// to: the `save_base` pair of `refine_core::pass`.
+    site_words: (u64, u64),
     /// FI events are FI targets at fetch (PINFI), not hook calls.
     probed: bool,
 }
@@ -197,33 +215,63 @@ impl SuperblockProgram {
                 Slot { instr: *i, cost: i.cycles(), is_event }
             })
             .collect();
-        let mut uops: Vec<Uop> = text.iter().map(lower).collect();
+        let mut uops: Vec<Uop> = text.iter().map(lower::<false>).collect();
         let mut fused_len = vec![0u32; n];
         let mut fused_cost = vec![0u64; n];
         let mut fused_events = vec![0u32; n];
         let mut trace_end = vec![0u32; n];
+        // Build-time only: `link[pc]` is the first µop a trace passing `pc`
+        // dispatches (past any no-ops), and `skips[pc]` marks the site-skip
+        // µops a predecessor may absorb.
+        let mut link: Vec<u32> = (0..n as u32).collect();
+        let mut skips = vec![false; n];
+        let mut site_words = None;
         // Reverse scan: every trace edge points forward, so a successor's
-        // sums are final before its predecessors read them.
+        // sums and links are final before its predecessors read them.
         for pc in (0..n).rev() {
-            let (next, len, cost, events) = if let Some((post, a, b)) = site_skip(binary, pc) {
-                let run = (pc..pc + 7).chain(post..post + 3);
-                let cost = run.clone().map(|k| slots[k].cost).sum();
-                let events = run.filter(|&k| slots[k].is_event).count() as u32;
-                uops[pc] =
-                    Uop { exec: u_site_skip, imm: a | b << 32, next: 0, a: 0, b: 0, c: 0, d: 0 };
-                (post + 3, SITE_SKIP_LEN, cost, events)
-            } else if let Some(next) = successor(&text[pc], pc, n) {
-                (next, 1, slots[pc].cost, u32::from(slots[pc].is_event))
-            } else {
+            let Some(succ) = successor(&text[pc], pc, n) else {
                 continue;
             };
+            fused_len[pc] = 1 + fused_len[succ];
+            fused_cost[pc] = slots[pc].cost + fused_cost[succ];
+            fused_events[pc] = u32::from(slots[pc].is_event) + fused_events[succ];
+            trace_end[pc] = if fused_len[succ] > 0 { trace_end[succ] } else { succ as u32 };
+            if is_noop(&text[pc]) {
+                link[pc] = link[succ];
+            }
+            // Every site stores to the same two save-area words; one that
+            // does not runs one µop per instruction.
+            let site = site_skip(binary, pc)
+                .filter(|&(_, words)| *site_words.get_or_insert(words) == words);
+            // The real pc after the instructions this µop covers itself.
+            let after = if let Some((post, _)) = site {
+                uops[pc].exec = u_nop::<true>;
+                skips[pc] = true;
+                post + 3
+            } else if let Some(copy) = hook_copy(text, pc) {
+                uops[pc] = copy;
+                pc + 3
+            } else {
+                succ
+            };
+            let mut next = link[after] as usize;
+            if after == succ && skips[next] {
+                uops[pc].exec = lower::<true>(&text[pc]).exec;
+                next = uops[next].next as usize;
+            }
             uops[pc].next = next as u32;
-            fused_len[pc] = len + fused_len[next];
-            fused_cost[pc] = cost + fused_cost[next];
-            fused_events[pc] = events + fused_events[next];
-            trace_end[pc] = if fused_len[next] > 0 { trace_end[next] } else { next as u32 };
         }
-        SuperblockProgram { uops, fused_len, fused_cost, fused_events, trace_end, slots, probed }
+        let site_words = site_words.unwrap_or_default();
+        SuperblockProgram {
+            uops,
+            fused_len,
+            fused_cost,
+            fused_events,
+            trace_end,
+            slots,
+            site_words,
+            probed,
+        }
     }
 
     /// Number of predecoded instructions (== text length).
@@ -252,12 +300,15 @@ impl SuperblockProgram {
         (0..n).filter(|&pc| self.fused_len[pc] > 0 && !entered[pc]).count()
     }
 
-    /// Whether the REFINE site whose PreFI starts at `pc` runs its
-    /// non-firing path as one site-skip µop.
-    pub fn is_site_skip(&self, pc: usize) -> bool {
-        self.fused_len.get(pc).is_some_and(|&len| {
-            len > 0 && len - self.fused_len[self.uops[pc].next as usize] == SITE_SKIP_LEN
-        })
+    /// What one dispatch of the µop at `pc` does when it completes without
+    /// an exit: the instructions it retires (its own, the REFINE site it
+    /// absorbed, the no-ops it links past) and the pc its trace continues
+    /// at, the next µop dispatched or the trace's end. `None` when `pc` is
+    /// stepped exactly.
+    pub fn dispatch(&self, pc: usize) -> Option<(u32, usize)> {
+        let len = *self.fused_len.get(pc)?;
+        let next = self.uops[pc].next as usize;
+        (len > 0).then(|| (len - self.fused_len[next], next))
     }
 
     /// Whether a run entering the trace headed at `pc` with `fi` events
@@ -305,6 +356,38 @@ fn successor(instr: &MInstr, pc: usize, n: usize) -> Option<usize> {
     (next < n).then_some(next)
 }
 
+/// A µop with no effect while the runtime only counts: a `Nop`, a forward
+/// `Jmp` or an LLFI `injectFault` hook. A trace links past it, so it runs
+/// only as a trace head.
+fn is_noop(i: &MInstr) -> bool {
+    matches!(
+        i,
+        MInstr::Nop
+            | MInstr::Jmp { .. }
+            | MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. }
+    )
+}
+
+/// Match LLFI's hook plumbing at `pc`, `mov r0 <- x; injectFaultI; mov y
+/// <- r0` or its `fmov`/`injectFaultF` form, and build its one copy µop: the
+/// hook is the identity while the runtime only counts. Only where the third
+/// instruction falls through inside the text, so the three are one trace.
+fn hook_copy(text: &[MInstr], pc: usize) -> Option<Uop> {
+    use MInstr::{CallRt, FMovRR, MovRR};
+    if pc + 3 >= text.len() {
+        return None;
+    }
+    match text[pc..pc + 3] {
+        [MovRR { rd: 0, ra }, CallRt { func: RtFunc::LlfiInjectI, .. }, MovRR { rd, ra: 0 }] => {
+            Some(simple(u_copy, rd, ra, 0, 0))
+        }
+        [FMovRR { fd: 0, fa }, CallRt { func: RtFunc::LlfiInjectF, .. }, FMovRR { fd, fa: 0 }] => {
+            Some(simple(u_fcopy, fd, fa, 0, 0))
+        }
+        _ => None,
+    }
+}
+
 /// Match the non-firing path `refine_core::pass` emits for one FI site
 /// with its PreFI at `pc`:
 ///
@@ -315,10 +398,11 @@ fn successor(instr: &MInstr, pc: usize, n: usize) -> Option<usize> {
 /// ```
 ///
 /// With `selInstr` returning 0 its net effect is the two stores — `r0`
-/// and FLAGS end unchanged. Returns `(post, A, F)` only when `post` lies
-/// ahead, the run falls through inside the text, and `A` and `F` are
-/// distinct aligned absolute data-segment words (so the skip cannot trap).
-fn site_skip(binary: &Binary, pc: usize) -> Option<(usize, u64, u64)> {
+/// and FLAGS end unchanged. Returns `(post, (A, F))` only when the ten
+/// instructions are one trace (`setup` inside the text, `post` ahead, the
+/// run falling through inside the text) and `A` and `F` are distinct
+/// aligned absolute data-segment words (so the stores cannot trap).
+fn site_skip(binary: &Binary, pc: usize) -> Option<(usize, (u64, u64))> {
     use MInstr::{CallRt, CmpI, Jcc, Jmp, Ld, RdFlags, St, WrFlags};
     let text = &binary.text;
     let pre = text.get(pc..pc + 7)?;
@@ -338,25 +422,24 @@ fn site_skip(binary: &Binary, pc: usize) -> Option<(usize, u64, u64)> {
     let plumbing = matches!(pre[1], RdFlags { rd: 0 })
         && matches!(pre[3], CallRt { func: RtFunc::FiSelInstr, .. })
         && matches!(pre[4], CmpI { ra: 0, imm: 0 })
-        && matches!(pre[5], Jcc { cc: Cc::Ne, .. })
+        && matches!(pre[5], Jcc { cc: Cc::Ne, target } if (target as usize) < text.len())
         && matches!(text[post + 1], WrFlags { rs: 0 });
     if !plumbing {
         return None;
     }
     let (a, f) = (save_word(binary, &save_r0)?, save_word(binary, &save_flags)?);
-    (a != f && load_r0 == save_r0 && load_flags == save_flags).then_some((post, a, f))
+    (a != f && load_r0 == save_r0 && load_flags == save_flags).then_some((post, (a, f)))
 }
 
 /// The address `mem` names when it is an absolute, aligned word of the
-/// data segment (below 4 GiB, so two fit in one µop immediate).
+/// data segment.
 fn save_word(binary: &Binary, mem: &Mem) -> Option<u64> {
     let addr = u64::try_from(mem.disp).ok()?;
     let word = addr.checked_sub(GLOBAL_BASE)? / 8;
     let ok = mem.base.is_none()
         && mem.index.is_none()
         && addr.is_multiple_of(8)
-        && word < binary.data.len() as u64
-        && addr <= u64::from(u32::MAX);
+        && word < binary.data.len() as u64;
     ok.then_some(addr)
 }
 
@@ -378,28 +461,38 @@ impl<'a> Machine<'a> {
     ) -> Result<(), Trap> {
         let end = sb.trace_end[head] as usize;
         let mut k = head;
-        // `stop` is the trace position after the last fetched µop.
+        // `stop` is the µop that ended the trace early, if one did.
         let (stop, pc, result) = loop {
             let u = &sb.uops[k];
             match (u.exec)(self, u) {
                 Ok(()) => {
                     k = u.next as usize;
                     if k == end {
-                        break (end, end, Ok(()));
+                        break (None, end, Ok(()));
                     }
                 }
-                Err(Exit::Taken) => break (u.next as usize, u.imm as usize, Ok(())),
+                Err(Exit::Taken) => break (Some(k), u.imm as usize, Ok(())),
                 // The exact loop adds the trapping instruction's cost
                 // before stepping but does not retire it, and leaves pc on
-                // the trapping instruction (always a single-instruction
-                // µop).
-                Err(Exit::Trap(t)) => break (u.next as usize, k, Err(t)),
+                // the trapping instruction.
+                Err(Exit::Trap(t)) => break (Some(k), k, Err(t)),
             }
         };
-        let fetched = u64::from(sb.fused_len[head] - sb.fused_len[stop]);
+        // A stopping µop is one instruction (an absorbed site runs only
+        // after it completes), so the trace fetched its path up to `k` and
+        // `k` itself: the suffix sums from `k` less `k`'s own share.
+        let (rest_len, rest_cost, rest_events) = stop.map_or((0, 0, 0), |k| {
+            let own = &sb.slots[k];
+            (
+                sb.fused_len[k] - 1,
+                sb.fused_cost[k] - own.cost,
+                sb.fused_events[k] - u32::from(own.is_event),
+            )
+        });
+        let fetched = u64::from(sb.fused_len[head] - rest_len);
         let retired = fetched - u64::from(result.is_err());
-        self.cycles += sb.fused_cost[head] - sb.fused_cost[stop] + fetched * overhead;
-        *count += u64::from(sb.fused_events[head] - sb.fused_events[stop]);
+        self.cycles += sb.fused_cost[head] - rest_cost + fetched * overhead;
+        *count += u64::from(sb.fused_events[head] - rest_events);
         self.instrs_retired += retired;
         self.pc = pc as u32;
         stats.sb_dispatches += 1;
@@ -525,6 +618,7 @@ impl<'a> Machine<'a> {
         stats: &mut TrialFastStats,
     ) -> Option<RunOutcome> {
         debug_assert_eq!(sb.len(), self.binary.text.len());
+        self.site_words = sb.site_words;
         let ckpts: &[Checkpoint] = match golden {
             Some((store, _)) if MODE == CONV => &store.checkpoints,
             _ => &[],
@@ -658,10 +752,30 @@ impl<'a> Machine<'a> {
 // Each handler mirrors one `step_t` arm's data side effects exactly (the FI
 // hooks as a counting-only runtime executes them). Stores
 // always use `mem_write_t::<true>` / `push_t::<true>`: page tracking is a
-// no-op while no hasher is live, and required when one is.
+// no-op while no hasher is live, and required when one is. Every handler
+// that is one instruction takes a const `S`: with `S` it absorbed the
+// REFINE site skip after it and ends with [`done`]'s stores.
 
-fn u_nop(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+/// Finish a one-instruction µop. With `S` it then runs the non-firing path
+/// of the REFINE site after it ([`site_skip`]): save `r0` and FLAGS to the
+/// program's save-area words, both provably in the data segment, so
+/// neither store can trap. A handler that trapped or took its guard
+/// returned before this, leaving the words untouched.
+#[inline(always)]
+fn done<const S: bool>(m: &mut Machine<'_>) -> Result<(), Exit> {
+    if S {
+        let (a, f) = m.site_words;
+        m.mem_write_t::<true>(a, m.regs[0])?;
+        m.mem_write_t::<true>(f, u64::from(m.flags))?;
+        // PostFI's `wrflags` keeps only the four architectural flag bits.
+        m.flags &= 0xf;
+    }
     Ok(())
+}
+
+/// A no-op; with `S`, a site skip on its own (the site heads a trace).
+fn u_nop<const S: bool>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+    done::<S>(m)
 }
 
 fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
@@ -669,60 +783,65 @@ fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
 }
 
 /// A `Jcc` guard: side-exit to the target (`imm`) when the condition holds.
-fn u_jcc<const C: usize>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+fn u_jcc<const C: usize, const S: bool>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
     if CCS[C].eval(m.flags) {
         Err(Exit::Taken)
     } else {
-        Ok(())
+        done::<S>(m)
     }
 }
 
-fn jcc_fn(cc: Cc) -> UopFn {
+fn jcc_fn<const S: bool>(cc: Cc) -> UopFn {
     match cc {
-        Cc::E => u_jcc::<0>,
-        Cc::Ne => u_jcc::<1>,
-        Cc::Lt => u_jcc::<2>,
-        Cc::Le => u_jcc::<3>,
-        Cc::Gt => u_jcc::<4>,
-        Cc::Ge => u_jcc::<5>,
+        Cc::E => u_jcc::<0, S>,
+        Cc::Ne => u_jcc::<1, S>,
+        Cc::Lt => u_jcc::<2, S>,
+        Cc::Le => u_jcc::<3, S>,
+        Cc::Gt => u_jcc::<4, S>,
+        Cc::Ge => u_jcc::<5, S>,
     }
 }
 
 /// `selInstr` under a counting-only runtime: never inject.
-fn u_sel_instr(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+fn u_sel_instr<const S: bool>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
     m.regs[0] = 0;
+    done::<S>(m)
+}
+
+/// LLFI's integer hook plumbing ([`hook_copy`]): `r0 = x; y = r0`.
+fn u_copy(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    let v = m.regs[u.b as usize];
+    m.regs[0] = v;
+    m.regs[u.a as usize] = v;
     Ok(())
 }
 
-/// A REFINE site's whole non-firing path ([`site_skip`]): save `r0` and
-/// FLAGS to the two save-area words packed in `imm`; both provably in the
-/// data segment, so neither store can trap.
-fn u_site_skip(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.mem_write_t::<true>(u.imm & 0xffff_ffff, m.regs[0])?;
-    m.mem_write_t::<true>(u.imm >> 32, u64::from(m.flags))?;
-    // PostFI's `wrflags` keeps only the four architectural flag bits.
-    m.flags &= 0xf;
+/// LLFI's floating-point hook plumbing: `f0 = x; y = f0`.
+fn u_fcopy(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    let v = m.fregs[u.b as usize];
+    m.fregs[0] = v;
+    m.fregs[u.a as usize] = v;
     Ok(())
 }
 
-fn u_mov_rr(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_mov_rr<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = m.regs[u.b as usize];
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_mov_ri(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_mov_ri<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = u.imm;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_fmov_rr(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fmov_rr<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.fregs[u.a as usize] = m.fregs[u.b as usize];
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_fmov_ri(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fmov_ri<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.fregs[u.a as usize] = u.imm;
-    Ok(())
+    done::<S>(m)
 }
 
 const ALU_OPS: [AluOp; 11] = [
@@ -739,83 +858,79 @@ const ALU_OPS: [AluOp; 11] = [
     AluOp::AShr,
 ];
 
-fn u_alu_rr<const OP: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let r = m.alu(
-        ALU_OPS[OP],
-        m.regs[u.b as usize] as i64,
-        m.regs[u.c as usize] as i64,
-    )?;
+fn u_alu_rr<const OP: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    let r = m.alu(ALU_OPS[OP], m.regs[u.b as usize] as i64, m.regs[u.c as usize] as i64)?;
     m.regs[u.a as usize] = r as u64;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_alu_ri<const OP: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_alu_ri<const OP: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let r = m.alu(ALU_OPS[OP], m.regs[u.b as usize] as i64, u.imm as i64)?;
     m.regs[u.a as usize] = r as u64;
-    Ok(())
+    done::<S>(m)
 }
 
-fn alu_rr_fn(op: AluOp) -> UopFn {
+fn alu_rr_fn<const S: bool>(op: AluOp) -> UopFn {
     match op {
-        AluOp::Add => u_alu_rr::<0>,
-        AluOp::Sub => u_alu_rr::<1>,
-        AluOp::Mul => u_alu_rr::<2>,
-        AluOp::Div => u_alu_rr::<3>,
-        AluOp::Rem => u_alu_rr::<4>,
-        AluOp::And => u_alu_rr::<5>,
-        AluOp::Or => u_alu_rr::<6>,
-        AluOp::Xor => u_alu_rr::<7>,
-        AluOp::Shl => u_alu_rr::<8>,
-        AluOp::LShr => u_alu_rr::<9>,
-        AluOp::AShr => u_alu_rr::<10>,
+        AluOp::Add => u_alu_rr::<0, S>,
+        AluOp::Sub => u_alu_rr::<1, S>,
+        AluOp::Mul => u_alu_rr::<2, S>,
+        AluOp::Div => u_alu_rr::<3, S>,
+        AluOp::Rem => u_alu_rr::<4, S>,
+        AluOp::And => u_alu_rr::<5, S>,
+        AluOp::Or => u_alu_rr::<6, S>,
+        AluOp::Xor => u_alu_rr::<7, S>,
+        AluOp::Shl => u_alu_rr::<8, S>,
+        AluOp::LShr => u_alu_rr::<9, S>,
+        AluOp::AShr => u_alu_rr::<10, S>,
     }
 }
 
-fn alu_ri_fn(op: AluOp) -> UopFn {
+fn alu_ri_fn<const S: bool>(op: AluOp) -> UopFn {
     match op {
-        AluOp::Add => u_alu_ri::<0>,
-        AluOp::Sub => u_alu_ri::<1>,
-        AluOp::Mul => u_alu_ri::<2>,
-        AluOp::Div => u_alu_ri::<3>,
-        AluOp::Rem => u_alu_ri::<4>,
-        AluOp::And => u_alu_ri::<5>,
-        AluOp::Or => u_alu_ri::<6>,
-        AluOp::Xor => u_alu_ri::<7>,
-        AluOp::Shl => u_alu_ri::<8>,
-        AluOp::LShr => u_alu_ri::<9>,
-        AluOp::AShr => u_alu_ri::<10>,
+        AluOp::Add => u_alu_ri::<0, S>,
+        AluOp::Sub => u_alu_ri::<1, S>,
+        AluOp::Mul => u_alu_ri::<2, S>,
+        AluOp::Div => u_alu_ri::<3, S>,
+        AluOp::Rem => u_alu_ri::<4, S>,
+        AluOp::And => u_alu_ri::<5, S>,
+        AluOp::Or => u_alu_ri::<6, S>,
+        AluOp::Xor => u_alu_ri::<7, S>,
+        AluOp::Shl => u_alu_ri::<8, S>,
+        AluOp::LShr => u_alu_ri::<9, S>,
+        AluOp::AShr => u_alu_ri::<10, S>,
     }
 }
 
-fn u_cmp(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_cmp<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.cmp_flags(m.regs[u.a as usize] as i64, m.regs[u.b as usize] as i64);
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_cmp_i(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_cmp_i<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.cmp_flags(m.regs[u.a as usize] as i64, u.imm as i64);
-    Ok(())
+    done::<S>(m)
 }
 
 const CCS: [Cc; 6] = [Cc::E, Cc::Ne, Cc::Lt, Cc::Le, Cc::Gt, Cc::Ge];
 
-fn u_setcc<const C: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_setcc<const C: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = CCS[C].eval(m.flags) as u64;
-    Ok(())
+    done::<S>(m)
 }
 
-fn setcc_fn(cc: Cc) -> UopFn {
+fn setcc_fn<const S: bool>(cc: Cc) -> UopFn {
     match cc {
-        Cc::E => u_setcc::<0>,
-        Cc::Ne => u_setcc::<1>,
-        Cc::Lt => u_setcc::<2>,
-        Cc::Le => u_setcc::<3>,
-        Cc::Gt => u_setcc::<4>,
-        Cc::Ge => u_setcc::<5>,
+        Cc::E => u_setcc::<0, S>,
+        Cc::Ne => u_setcc::<1, S>,
+        Cc::Lt => u_setcc::<2, S>,
+        Cc::Le => u_setcc::<3, S>,
+        Cc::Gt => u_setcc::<4, S>,
+        Cc::Ge => u_setcc::<5, S>,
     }
 }
 
-fn u_falu<const OP: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_falu<const OP: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let (a, b) = (m.f(u.b), m.f(u.c));
     let r = match OP {
         0 => a + b,
@@ -826,27 +941,27 @@ fn u_falu<const OP: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
         _ => a.max(b),
     };
     m.set_f(u.a, r);
-    Ok(())
+    done::<S>(m)
 }
 
-fn falu_fn(op: FAluOp) -> UopFn {
+fn falu_fn<const S: bool>(op: FAluOp) -> UopFn {
     match op {
-        FAluOp::Add => u_falu::<0>,
-        FAluOp::Sub => u_falu::<1>,
-        FAluOp::Mul => u_falu::<2>,
-        FAluOp::Div => u_falu::<3>,
-        FAluOp::Min => u_falu::<4>,
-        FAluOp::Max => u_falu::<5>,
+        FAluOp::Add => u_falu::<0, S>,
+        FAluOp::Sub => u_falu::<1, S>,
+        FAluOp::Mul => u_falu::<2, S>,
+        FAluOp::Div => u_falu::<3, S>,
+        FAluOp::Min => u_falu::<4, S>,
+        FAluOp::Max => u_falu::<5, S>,
     }
 }
 
-fn u_fcmp(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fcmp<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let (a, b) = (m.f(u.a), m.f(u.b));
     m.fcmp_flags(a, b);
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_cvt<const K: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_cvt<const K: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     match K {
         0 => {
             let v = m.regs[u.b as usize] as i64 as f64;
@@ -856,15 +971,15 @@ fn u_cvt<const K: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
         2 => m.fregs[u.a as usize] = m.regs[u.b as usize],
         _ => m.regs[u.a as usize] = m.fregs[u.b as usize],
     }
-    Ok(())
+    done::<S>(m)
 }
 
-fn cvt_fn(kind: CvtKind) -> UopFn {
+fn cvt_fn<const S: bool>(kind: CvtKind) -> UopFn {
     match kind {
-        CvtKind::SiToF => u_cvt::<0>,
-        CvtKind::FToSi => u_cvt::<1>,
-        CvtKind::BitsToF => u_cvt::<2>,
-        CvtKind::FToBits => u_cvt::<3>,
+        CvtKind::SiToF => u_cvt::<0, S>,
+        CvtKind::FToSi => u_cvt::<1, S>,
+        CvtKind::BitsToF => u_cvt::<2, S>,
+        CvtKind::FToBits => u_cvt::<3, S>,
     }
 }
 
@@ -882,69 +997,87 @@ fn uop_addr<const BASE: bool, const INDEX: bool>(m: &Machine<'_>, u: &Uop) -> u6
     a
 }
 
-fn u_ld<const BASE: bool, const INDEX: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_ld<const BASE: bool, const INDEX: bool, const S: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
     m.regs[u.d as usize] = m.mem_read(a)?;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_st<const BASE: bool, const INDEX: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_st<const BASE: bool, const INDEX: bool, const S: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
-    Ok(m.mem_write_t::<true>(a, m.regs[u.d as usize])?)
+    m.mem_write_t::<true>(a, m.regs[u.d as usize])?;
+    done::<S>(m)
 }
 
-fn u_fld<const BASE: bool, const INDEX: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fld<const BASE: bool, const INDEX: bool, const S: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
     m.fregs[u.d as usize] = m.mem_read(a)?;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_fst<const BASE: bool, const INDEX: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fst<const BASE: bool, const INDEX: bool, const S: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
-    Ok(m.mem_write_t::<true>(a, m.fregs[u.d as usize])?)
+    m.mem_write_t::<true>(a, m.fregs[u.d as usize])?;
+    done::<S>(m)
 }
 
-fn u_lea<const BASE: bool, const INDEX: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_lea<const BASE: bool, const INDEX: bool, const S: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
     m.regs[u.d as usize] = uop_addr::<BASE, INDEX>(m, u);
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_push(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    Ok(m.push_t::<true>(m.regs[u.a as usize])?)
+fn u_push<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    m.push_t::<true>(m.regs[u.a as usize])?;
+    done::<S>(m)
 }
 
-fn u_pop(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_pop<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let v = m.pop()?;
     m.regs[u.a as usize] = v;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_rdflags(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_rdflags<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = m.flags as u64;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_wrflags(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_wrflags<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.flags = (m.regs[u.a as usize] & 0xf) as u8;
-    Ok(())
+    done::<S>(m)
 }
 
-fn u_fxori(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fxori<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.fregs[u.a as usize] ^= u.imm;
-    Ok(())
+    done::<S>(m)
 }
 
 /// Select the memory-shape instantiation of a base/index const-generic
 /// handler for `$mem` and build its µop (a = base, b = index, c = scale,
 /// d = data register, imm = displacement).
 macro_rules! mem_uop {
-    ($f:ident, $mem:expr, $data:expr) => {{
+    ($f:ident, $s:ident, $mem:expr, $data:expr) => {{
         let mem: &Mem = $mem;
         let exec: UopFn = match (mem.base.is_some(), mem.index.is_some()) {
-            (false, false) => $f::<false, false>,
-            (true, false) => $f::<true, false>,
-            (false, true) => $f::<false, true>,
-            (true, true) => $f::<true, true>,
+            (false, false) => $f::<false, false, $s>,
+            (true, false) => $f::<true, false, $s>,
+            (false, true) => $f::<false, true, $s>,
+            (true, true) => $f::<true, true, $s>,
         };
         let (ix, scale) = mem.index.unwrap_or((0, 0));
         Uop {
@@ -964,40 +1097,41 @@ fn simple(exec: UopFn, a: u8, b: u8, c: u8, imm: u64) -> Uop {
 }
 
 /// Lower one instruction to its µop (its `next` is linked when the traces
-/// are built). A forward `Jmp` and the LLFI hooks are no-ops in a trace;
+/// are built); with `S`, the variant that also absorbs the REFINE site skip
+/// after it. A forward `Jmp` and the LLFI hooks are no-ops in a trace;
 /// terminators get a placeholder that is never dispatched (their
 /// `fused_len` is always 0).
-fn lower(instr: &MInstr) -> Uop {
+fn lower<const S: bool>(instr: &MInstr) -> Uop {
     match *instr {
-        MInstr::Nop => simple(u_nop, 0, 0, 0, 0),
-        MInstr::MovRR { rd, ra } => simple(u_mov_rr, rd, ra, 0, 0),
-        MInstr::MovRI { rd, imm } => simple(u_mov_ri, rd, 0, 0, imm as u64),
-        MInstr::FMovRR { fd, fa } => simple(u_fmov_rr, fd, fa, 0, 0),
-        MInstr::FMovRI { fd, imm } => simple(u_fmov_ri, fd, 0, 0, imm),
-        MInstr::Alu { op, rd, ra, rb } => simple(alu_rr_fn(op), rd, ra, rb, 0),
-        MInstr::AluI { op, rd, ra, imm } => simple(alu_ri_fn(op), rd, ra, 0, imm as u64),
-        MInstr::Cmp { ra, rb } => simple(u_cmp, ra, rb, 0, 0),
-        MInstr::CmpI { ra, imm } => simple(u_cmp_i, ra, 0, 0, imm as u64),
-        MInstr::SetCc { cc, rd } => simple(setcc_fn(cc), rd, 0, 0, 0),
-        MInstr::FAlu { op, fd, fa, fb } => simple(falu_fn(op), fd, fa, fb, 0),
-        MInstr::FCmp { fa, fb } => simple(u_fcmp, fa, fb, 0, 0),
-        MInstr::Cvt { kind, dst, src } => simple(cvt_fn(kind), dst, src, 0, 0),
-        MInstr::Ld { rd, ref mem } => mem_uop!(u_ld, mem, rd),
-        MInstr::St { rs, ref mem } => mem_uop!(u_st, mem, rs),
-        MInstr::FLd { fd, ref mem } => mem_uop!(u_fld, mem, fd),
-        MInstr::FSt { fs, ref mem } => mem_uop!(u_fst, mem, fs),
-        MInstr::Push { rs } => simple(u_push, rs, 0, 0, 0),
-        MInstr::Pop { rd } => simple(u_pop, rd, 0, 0, 0),
-        MInstr::RdFlags { rd } => simple(u_rdflags, rd, 0, 0, 0),
-        MInstr::WrFlags { rs } => simple(u_wrflags, rs, 0, 0, 0),
-        MInstr::FXorI { fd, imm } => simple(u_fxori, fd, 0, 0, imm),
-        MInstr::Lea { rd, ref mem } => mem_uop!(u_lea, mem, rd),
-        MInstr::Jcc { cc, target } => simple(jcc_fn(cc), 0, 0, 0, u64::from(target)),
-        MInstr::CallRt { func: RtFunc::FiSelInstr, .. } => simple(u_sel_instr, 0, 0, 0, 0),
-        MInstr::Jmp { .. }
+        MInstr::Nop
+        | MInstr::Jmp { .. }
         | MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. } => {
-            simple(u_nop, 0, 0, 0, 0)
+            simple(u_nop::<S>, 0, 0, 0, 0)
         }
+        MInstr::MovRR { rd, ra } => simple(u_mov_rr::<S>, rd, ra, 0, 0),
+        MInstr::MovRI { rd, imm } => simple(u_mov_ri::<S>, rd, 0, 0, imm as u64),
+        MInstr::FMovRR { fd, fa } => simple(u_fmov_rr::<S>, fd, fa, 0, 0),
+        MInstr::FMovRI { fd, imm } => simple(u_fmov_ri::<S>, fd, 0, 0, imm),
+        MInstr::Alu { op, rd, ra, rb } => simple(alu_rr_fn::<S>(op), rd, ra, rb, 0),
+        MInstr::AluI { op, rd, ra, imm } => simple(alu_ri_fn::<S>(op), rd, ra, 0, imm as u64),
+        MInstr::Cmp { ra, rb } => simple(u_cmp::<S>, ra, rb, 0, 0),
+        MInstr::CmpI { ra, imm } => simple(u_cmp_i::<S>, ra, 0, 0, imm as u64),
+        MInstr::SetCc { cc, rd } => simple(setcc_fn::<S>(cc), rd, 0, 0, 0),
+        MInstr::FAlu { op, fd, fa, fb } => simple(falu_fn::<S>(op), fd, fa, fb, 0),
+        MInstr::FCmp { fa, fb } => simple(u_fcmp::<S>, fa, fb, 0, 0),
+        MInstr::Cvt { kind, dst, src } => simple(cvt_fn::<S>(kind), dst, src, 0, 0),
+        MInstr::Ld { rd, ref mem } => mem_uop!(u_ld, S, mem, rd),
+        MInstr::St { rs, ref mem } => mem_uop!(u_st, S, mem, rs),
+        MInstr::FLd { fd, ref mem } => mem_uop!(u_fld, S, mem, fd),
+        MInstr::FSt { fs, ref mem } => mem_uop!(u_fst, S, mem, fs),
+        MInstr::Push { rs } => simple(u_push::<S>, rs, 0, 0, 0),
+        MInstr::Pop { rd } => simple(u_pop::<S>, rd, 0, 0, 0),
+        MInstr::RdFlags { rd } => simple(u_rdflags::<S>, rd, 0, 0, 0),
+        MInstr::WrFlags { rs } => simple(u_wrflags::<S>, rs, 0, 0, 0),
+        MInstr::FXorI { fd, imm } => simple(u_fxori::<S>, fd, 0, 0, imm),
+        MInstr::Lea { rd, ref mem } => mem_uop!(u_lea, S, mem, rd),
+        MInstr::Jcc { cc, target } => simple(jcc_fn::<S>(cc), 0, 0, 0, u64::from(target)),
+        MInstr::CallRt { func: RtFunc::FiSelInstr, .. } => simple(u_sel_instr::<S>, 0, 0, 0, 0),
         MInstr::Call { .. } | MInstr::Ret | MInstr::CallRt { .. } | MInstr::Halt => {
             simple(u_term, 0, 0, 0, 0)
         }
@@ -1210,7 +1344,8 @@ mod tests {
             MInstr::Halt,
         ]);
         let sb = SuperblockProgram::new(&b);
-        assert_eq!(sb.uops[2].next, 4);
+        // The `Jmp` runs only as a trace head; its predecessor links past it.
+        assert_eq!((sb.dispatch(1), sb.dispatch(2)), (Some((2, 4)), Some((1, 4))));
         assert_eq!((sb.fused_len[0], sb.trace_end[0]), (7, 8));
         assert_eq!(sb.fused_len[8], 0);
         let (out, _, stats) = fused_vs_exact(&b, u64::MAX);
@@ -1287,10 +1422,15 @@ mod tests {
     const SAVE_F: i64 = GLOBAL_BASE as i64;
     const SAVE_A: i64 = GLOBAL_BASE as i64 + 8;
 
-    /// A program around one REFINE-shaped site with its PreFI at pc 2:
-    /// `r0` and FLAGS must come out of the site unchanged, so it exits 0.
-    fn site_program(pre: [MInstr; 7], post: [MInstr; 3]) -> Binary {
-        let mut text = vec![MInstr::MovRI { rd: 0, imm: 42 }, MInstr::CmpI { ra: 0, imm: 100 }];
+    /// Sets `r0` and FLAGS (`42 < 100`) before a site.
+    const ENTRY: [MInstr; 2] = [MInstr::MovRI { rd: 0, imm: 42 }, MInstr::CmpI { ra: 0, imm: 100 }];
+
+    /// A program around one REFINE-shaped site whose PreFI (`pre`, built
+    /// for pc `prefix.len()`) follows `prefix`: entered after [`ENTRY`],
+    /// `r0` and FLAGS must come out of the site unchanged, so it exits 0;
+    /// the SetupFI slot exits 99.
+    fn site_program(prefix: &[MInstr], pre: [MInstr; 7], post: [MInstr; 3]) -> Binary {
+        let mut text = prefix.to_vec();
         text.extend(pre);
         text.extend(post);
         text.extend([
@@ -1298,21 +1438,30 @@ mod tests {
             MInstr::AluI { op: AluOp::Sub, rd: 0, ra: 0, imm: 41 },
             MInstr::Alu { op: AluOp::Sub, rd: 0, ra: 0, rb: 3 },
             MInstr::Halt,
-            MInstr::MovRI { rd: 0, imm: 99 }, // the (never taken) SetupFI
+            MInstr::MovRI { rd: 0, imm: 99 }, // SetupFI
             MInstr::Halt,
         ]);
         bin(text)
     }
 
-    fn pre_fi(save_a: i64, save_f: i64) -> [MInstr; 7] {
+    /// [`site_program`] with a well-formed site.
+    fn site_after(prefix: &[MInstr]) -> Binary {
+        let at = prefix.len();
+        site_program(prefix, pre_fi(at, SAVE_A, SAVE_F), post_fi(SAVE_F, SAVE_A))
+    }
+
+    /// A PreFI at pc `at`, its PostFI right after it and its SetupFI after
+    /// [`site_program`]'s tail.
+    fn pre_fi(at: usize, save_a: i64, save_f: i64) -> [MInstr; 7] {
+        let at = at as u32;
         [
             MInstr::St { rs: 0, mem: Mem::abs(save_a) },
             MInstr::RdFlags { rd: 0 },
             MInstr::St { rs: 0, mem: Mem::abs(save_f) },
             MInstr::CallRt { func: RtFunc::FiSelInstr, imm: 5 },
             MInstr::CmpI { ra: 0, imm: 0 },
-            MInstr::Jcc { cc: Cc::Ne, target: 16 },
-            MInstr::Jmp { target: 9 },
+            MInstr::Jcc { cc: Cc::Ne, target: at + 14 },
+            MInstr::Jmp { target: at + 7 },
         ]
     }
 
@@ -1324,12 +1473,21 @@ mod tests {
         ]
     }
 
+    /// The data segment after an exact run of `b` to its end.
+    fn exact_data(b: &Binary) -> Vec<u64> {
+        let cfg = RunConfig::default();
+        let mut m = Machine::new(b, &cfg);
+        m.run_exact_until_fired(cfg.max_cycles, &mut NoFi, None);
+        m.data
+    }
+
     #[test]
     fn refine_site_skip_is_one_uop() {
-        let b = site_program(pre_fi(SAVE_A, SAVE_F), post_fi(SAVE_F, SAVE_A));
+        let b = site_after(&ENTRY);
         let sb = SuperblockProgram::new(&b);
-        assert!(sb.is_site_skip(2));
-        assert_eq!(sb.uops[2].next, 12);
+        // The `cmpi` before the site absorbs it; the site's own skip µop
+        // serves a trace headed at its PreFI.
+        assert_eq!((sb.dispatch(1), sb.dispatch(2)), (Some((11, 12)), Some((10, 12))));
         assert_eq!(sb.fused_events[2], 1);
         let (out, count, stats) = fused_vs_exact(&b, u64::MAX);
         assert_eq!(out, Some(RunOutcome::Exit(0)));
@@ -1342,24 +1500,76 @@ mod tests {
 
     #[test]
     fn near_miss_site_shapes_run_one_uop_per_instruction() {
-        let mut other_reg = pre_fi(SAVE_A, SAVE_F);
+        let mut other_reg = pre_fi(2, SAVE_A, SAVE_F);
         other_reg[1] = MInstr::RdFlags { rd: 1 };
         let outside = GLOBAL_BASE as i64 + 8 * 100;
         let near_misses = [
-            site_program(other_reg, post_fi(SAVE_F, SAVE_A)),
-            site_program(pre_fi(outside, SAVE_F), post_fi(SAVE_F, outside)),
-            site_program(pre_fi(SAVE_A, SAVE_F), post_fi(SAVE_A, SAVE_F)),
-            site_program(pre_fi(SAVE_A, SAVE_A), post_fi(SAVE_A, SAVE_A)),
+            site_program(&ENTRY, other_reg, post_fi(SAVE_F, SAVE_A)),
+            site_program(&ENTRY, pre_fi(2, outside, SAVE_F), post_fi(SAVE_F, outside)),
+            site_program(&ENTRY, pre_fi(2, SAVE_A, SAVE_F), post_fi(SAVE_A, SAVE_F)),
+            site_program(&ENTRY, pre_fi(2, SAVE_A, SAVE_A), post_fi(SAVE_A, SAVE_A)),
         ];
         for (i, b) in near_misses.iter().enumerate() {
             let sb = SuperblockProgram::new(b);
-            assert!(!sb.is_site_skip(2), "near miss {i}");
-            assert_eq!(sb.uops[2].next, 3, "near miss {i}");
+            assert_eq!((sb.dispatch(1), sb.dispatch(2)), (Some((1, 2)), Some((1, 3))), "{i}");
             fused_vs_exact(b, u64::MAX);
             fused_vs_exact(b, 1);
         }
         let (out, ..) = fused_vs_exact(&near_misses[1], u64::MAX);
         assert_eq!(out, Some(RunOutcome::Trap(Trap::Segfault(outside as u64))));
+    }
+
+    #[test]
+    fn trap_before_a_linked_past_jmp_leaves_exact_state() {
+        let b = bin(vec![
+            MInstr::MovRI { rd: 1, imm: 1 },
+            MInstr::MovRI { rd: 2, imm: 0 },
+            MInstr::Alu { op: AluOp::Div, rd: 0, ra: 1, rb: 2 },
+            MInstr::Jmp { target: 5 },
+            MInstr::Nop,
+            MInstr::MovRI { rd: 3, imm: 9 },
+            MInstr::Halt,
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.dispatch(2), Some((2, 5)));
+        let (out, _, stats) = fused_vs_exact(&b, u64::MAX);
+        assert_eq!(out, Some(RunOutcome::Trap(Trap::DivFault)));
+        // The divide is charged, not retired; the `Jmp` is never fetched.
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs), (1, 2));
+    }
+
+    #[test]
+    fn taken_guard_that_absorbed_a_site_skips_its_stores() {
+        for (x, exit) in [(42, 99), (100, 0)] {
+            let b = site_after(&[
+                MInstr::MovRI { rd: 0, imm: 42 },
+                MInstr::CmpI { ra: 0, imm: x },
+                MInstr::Jcc { cc: Cc::E, target: 17 },
+            ]);
+            let sb = SuperblockProgram::new(&b);
+            assert_eq!(sb.dispatch(2), Some((11, 13)));
+            let (out, _, stats) = fused_vs_exact(&b, u64::MAX);
+            assert_eq!(out, Some(RunOutcome::Exit(exit)), "x = {x}");
+            assert_eq!(stats.sb_stepped_instrs, 0);
+            // The save-area words hold `r0` and FLAGS only if the site ran.
+            assert_eq!(exact_data(&b)[..2] == [0, 0], exit == 99, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn trapping_load_that_absorbed_a_site_skips_its_stores() {
+        let b = site_after(&[
+            MInstr::MovRI { rd: 0, imm: 42 },
+            MInstr::CmpI { ra: 0, imm: 100 },
+            MInstr::MovRI { rd: 1, imm: 8 },
+            MInstr::Ld { rd: 2, mem: Mem::base_disp(1, 0) },
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.dispatch(3), Some((11, 14)));
+        let (out, _, stats) = fused_vs_exact(&b, u64::MAX);
+        assert_eq!(out, Some(RunOutcome::Trap(Trap::Segfault(8))));
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs), (1, 3));
+        assert_eq!(exact_data(&b)[..2], [0, 0]);
     }
 
     /// Stops `run_exact_until_fired` right after the retire that reaches
@@ -1537,5 +1747,67 @@ mod tests {
         let pages = |c: &Checkpoint| (c.data_pages.len(), c.stack_pages.len());
         let counts: Vec<_> = store.checkpoints.iter().map(pages).collect();
         assert_eq!(counts, [(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)]);
+    }
+
+    /// A loop whose head (pc 0) absorbs a site; three iterations of one
+    /// fused trace each, 14 instructions and one FI event per iteration.
+    fn site_loop_program() -> Binary {
+        let mut text = vec![MInstr::CmpI { ra: 0, imm: 100 }];
+        text.extend(pre_fi(1, SAVE_A, SAVE_F));
+        text.extend(post_fi(SAVE_F, SAVE_A));
+        text.extend([
+            MInstr::AluI { op: AluOp::Add, rd: 2, ra: 2, imm: 1 },
+            MInstr::CmpI { ra: 2, imm: 3 },
+            MInstr::Jcc { cc: Cc::Lt, target: 0 },
+            MInstr::Halt,
+            MInstr::MovRI { rd: 0, imm: 99 }, // SetupFI
+            MInstr::Halt,
+        ]);
+        bin(text)
+    }
+
+    #[test]
+    fn absorbed_site_stores_are_page_tracked_in_capture_and_conv() {
+        let b = site_loop_program();
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!((sb.dispatch(0), sb.fused_len[0]), (Some((11, 11)), 14));
+        // CAPTURE: every snapshot lands right after a fused iteration, so
+        // only the absorbed stores can have marked the save-area page.
+        let store = profile_vs_exact(&b, &sb, 0, 14);
+        let points: Vec<_> =
+            store.checkpoints.iter().map(|c| (c.retired, c.pc, c.fi_count)).collect();
+        assert_eq!(points, [(14, 0, 1), (28, 0, 2), (42, 14, 3)]);
+        assert!(store.checkpoints.iter().all(|c| c.data_pages.len() == 1));
+
+        // CONV: a trial at the first snapshot with a corrupted saved `r0`
+        // mismatches there; the next iteration's absorbed store repairs it,
+        // so the trial converges at the second snapshot.
+        let cfg = RunConfig::default();
+        let max = cfg.max_cycles;
+        let golden = Machine::run(&b, &cfg, &mut NoFi, None);
+        let end = GoldenEnd {
+            exit_code: 0,
+            output: &golden.output,
+            cycles: golden.cycles,
+            retired: golden.instrs_retired,
+            probe_overhead: 0,
+        };
+        let (mut fused, mut exact) = (Machine::new(&b, &cfg), Machine::new(&b, &cfg));
+        let mut rt = CountTo { count: 0, at: u64::MAX };
+        for m in [&mut fused, &mut exact] {
+            rt.count = 0;
+            let mut probe = DueProbe { due: 14, ..DueProbe::new(0) };
+            assert_eq!(m.run_exact_until_fired(max, &mut rt, Some(&mut probe)), None);
+            m.data[1] = 12345;
+        }
+        let (mut count, mut stats) = (rt.count, TrialFastStats::default());
+        let out = fused.run_sb(&sb, &mut count, 0, u64::MAX, Some((&store, end)), max, &mut stats);
+        assert!(stats.converged, "no convergence at the second snapshot");
+        assert_eq!((stats.sb_dispatches, stats.conv_saved_instrs), (1, 14));
+        let exact_out = exact.run_exact_until_fired(max, &mut rt, None);
+        assert_eq!(
+            (out, fused.cycles, fused.instrs_retired, &fused.output),
+            (exact_out, exact.cycles, exact.instrs_retired, &exact.output)
+        );
     }
 }

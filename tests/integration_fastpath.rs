@@ -16,16 +16,20 @@
 //! REFINE_UPDATE_GOLDEN=1 cargo test --test integration_fastpath
 //! ```
 //!
-//! A second check couples the fused engine to the REFINE pass: every site
-//! the pass emits must run its non-firing path as one site-skip µop.
+//! Structural checks couple the fused engine to the instrumentation passes
+//! over every suite app: each REFINE site's non-firing path is absorbed by
+//! the µop before it or runs as one site-skip µop heading a trace, each
+//! LLFI hook triple is one µop, and no no-op µop is dispatched inside a
+//! trace. Without them a change in either emission would silently drop
+//! trials back to one µop per instruction.
 
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, FiOptions};
 use refine_ir::passes::OptLevel;
-use refine_machine::{MInstr, RtFunc, SuperblockProgram};
-use std::collections::HashMap;
+use refine_machine::{Binary, MInstr, RtFunc, SuperblockProgram};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 use std::path::PathBuf;
 
@@ -110,11 +114,27 @@ fn fastpath_counters_match_snapshot() {
     );
 }
 
+/// Every pc some fused µop hands on to: the µops dispatched inside traces,
+/// plus the trace ends.
+fn linked(sb: &SuperblockProgram) -> HashSet<usize> {
+    (0..sb.len()).filter_map(|pc| sb.dispatch(pc)).map(|(_, next)| next).collect()
+}
+
+fn llfi_binary(b: &refine_benchmarks::BenchProgram) -> Binary {
+    let opts = refine_llfi::LlfiOptions::default();
+    refine_llfi::compile_with_llfi(&b.module(), OptLevel::O2, &opts).0.binary
+}
+
 /// The site skip matches the exact PreFI/PostFI shape `refine_core::pass`
 /// emits; if that emission changes, REFINE trials silently fall back to one
-/// µop per instruction. Every site of every suite app must be recognised.
+/// µop per instruction. Every site of every suite app must run its
+/// non-firing path inside one dispatch: absorbed by the one-instruction µop
+/// before it on its trace, or as its own site-skip µop where it heads a
+/// trace. No µop may hand on to a site's PreFI, so its skip µop is never
+/// dispatched mid-trace.
 #[test]
 fn every_refine_site_is_a_site_skip() {
+    let mut absorbed = 0;
     for b in refine_benchmarks::all() {
         let c = refine_core::compile_with_fi(&b.module(), OptLevel::O2, &FiOptions::all());
         let sb = SuperblockProgram::new(&c.binary);
@@ -129,16 +149,95 @@ fn every_refine_site_is_a_site_skip() {
                 _ => None,
             })
             .collect();
+        let linked = linked(&sb);
+        // The first µop handing on to each pc: an absorbing µop hands on
+        // where the site it absorbed does, and lies before it.
+        let mut first_to: HashMap<usize, usize> = HashMap::new();
+        for pc in (0..sb.len()).rev() {
+            if let Some((_, next)) = sb.dispatch(pc) {
+                first_to.insert(next, pc);
+            }
+        }
         assert!(!c.sites.is_empty(), "{}: no sites", b.name);
         for site in &c.sites {
             let pc = pre_fi[&site.id];
-            assert!(
-                sb.is_site_skip(pc),
-                "{}: site {} ({}) with PreFI at pc {pc} is not a site skip",
-                b.name,
-                site.id,
-                site.asm
-            );
+            let what = format!("{}: site {} ({}) with PreFI at pc {pc}", b.name, site.id, site.asm);
+            let Some((len, next)) = sb.dispatch(pc) else {
+                panic!("{what} is stepped exactly");
+            };
+            assert!(len >= 10, "{what} is not a site skip ({len} instructions)");
+            assert!(!linked.contains(&pc), "{what} is dispatched inside a trace");
+            absorbed += usize::from(first_to[&next] < pc);
         }
     }
+    assert!(absorbed > 0, "no suite site is absorbed by the µop before it");
+}
+
+/// LLFI's `mov r0 <- x; injectFault; mov y <- r0` plumbing, integer and
+/// floating-point, is the identity while the runtime counts: every such
+/// triple of every suite app must run as one µop.
+#[test]
+fn every_llfi_hook_triple_is_one_uop() {
+    let mut forms = [0usize; 2];
+    for b in refine_benchmarks::all() {
+        let binary = llfi_binary(&b);
+        let sb = SuperblockProgram::new(&binary);
+        for (pc, w) in binary.text.windows(3).enumerate() {
+            use MInstr::{CallRt, FMovRR, MovRR};
+            use RtFunc::{LlfiInjectF, LlfiInjectI};
+            let form = match *w {
+                [MovRR { rd: 0, .. }, CallRt { func: LlfiInjectI, .. }, MovRR { ra: 0, .. }] => 0,
+                [FMovRR { fd: 0, .. }, CallRt { func: LlfiInjectF, .. }, FMovRR { fa: 0, .. }] => 1,
+                _ => continue,
+            };
+            forms[form] += 1;
+            let what = format!("{}: hook triple at pc {pc}", b.name);
+            let (len, next) = sb.dispatch(pc).unwrap_or_else(|| panic!("{what} is stepped"));
+            assert!(len >= 3 && next >= pc + 3, "{what} is not one µop");
+        }
+    }
+    assert!(forms.iter().all(|&n| n > 0), "suite lacks a hook triple form: {forms:?}");
+}
+
+/// A `Nop`, a forward `Jmp` or an LLFI hook does nothing while the runtime
+/// counts, so the µop before it links past it: for all three tools' binaries
+/// of every suite app, no µop a trace dispatches after another is a no-op.
+#[test]
+fn no_noop_uop_is_dispatched_inside_a_trace() {
+    let noop = |i: &MInstr| {
+        matches!(
+            i,
+            MInstr::Nop
+                | MInstr::Jmp { .. }
+                | MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. }
+        )
+    };
+    let mut linked_past = 0;
+    for b in refine_benchmarks::all() {
+        let m = b.module();
+        let refine = refine_core::compile_with_fi(&m, OptLevel::O2, &FiOptions::all()).binary;
+        let plain = refine_core::compile_with_fi(&m, OptLevel::O2, &FiOptions::default()).binary;
+        let llfi = llfi_binary(&b);
+        let programs = [
+            (SuperblockProgram::new(&refine), &refine, "REFINE"),
+            (SuperblockProgram::new(&llfi), &llfi, "LLFI"),
+            (SuperblockProgram::probed(&plain), &plain, "PINFI"),
+        ];
+        for (sb, binary, tool) in &programs {
+            for next in linked(sb) {
+                // A trace end is stepped, not dispatched.
+                if sb.dispatch(next).is_some() {
+                    let i = &binary.text[next];
+                    assert!(!noop(i), "{} {tool}: no-op {i:?} at pc {next} dispatched", b.name);
+                }
+            }
+            linked_past += binary
+                .text
+                .iter()
+                .enumerate()
+                .filter(|&(pc, i)| noop(i) && sb.dispatch(pc).is_some())
+                .count();
+        }
+    }
+    assert!(linked_past > 0, "the suite has no fused no-op to link past");
 }
