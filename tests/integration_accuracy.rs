@@ -1,5 +1,5 @@
 //! The paper's headline claims, in miniature (full-scale versions live in
-//! the criterion bench harness and `refine-experiments`):
+//! `refine-experiments`: `table5`, `fig4`, `fig5`):
 //!
 //! * REFINE and PINFI sample the identical population and produce
 //!   statistically indistinguishable outcome distributions;

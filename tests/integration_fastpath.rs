@@ -16,6 +16,16 @@
 //! REFINE_UPDATE_GOLDEN=1 cargo test --test integration_fastpath
 //! ```
 //!
+//! The snapshot catches any drift, but a regeneration can erase it. So the
+//! same sweep's counters must first clear work floors, checked before the
+//! comparison and before a regeneration writes the file: on every campaign
+//! of both sweeps at least 90% of executed instructions run fused, at least
+//! 10 per dispatch; with default settings every campaign restores a
+//! checkpoint that skips work, every tool converges at least once over its
+//! apps, and every (app, tool) executes at most 60% of the instructions it
+//! executes with checkpointing off. Nobody can regenerate the snapshot over
+//! a build that has lost fusion, checkpoints or convergence.
+//!
 //! Structural checks couple the fused engine to the instrumentation passes
 //! over every suite app: each REFINE site's non-firing path is absorbed by
 //! the µop before it or runs as one site-skip µop heading a trace, each
@@ -24,6 +34,7 @@
 //! trials back to one µop per instruction.
 
 use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::engine::CampaignStats;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, FiOptions};
@@ -40,8 +51,8 @@ fn snapshot_path() -> PathBuf {
 const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
 
 /// HPCCG-1.0 and CoMD x 3 tools x 12 trials, seed 7, two workers: one line
-/// of counters per campaign.
-fn render(label: &str, checkpoint: bool, out: &mut String) {
+/// of counters per campaign. Hands the campaigns' stats back for the floors.
+fn render(label: &str, checkpoint: bool, out: &mut String) -> Vec<CampaignStats> {
     let cfg = CampaignConfig { trials: 12, seed: 7, jobs: 2, checkpoint, ..CampaignConfig::default() };
     let apps = APPS.map(String::from);
     let (_, report) = run_suite_sharded(&cfg, Some(&apps), &SuiteObserver::default(), |_, _| {});
@@ -62,6 +73,41 @@ fn render(label: &str, checkpoint: bool, out: &mut String) {
             s.sb_fused_instrs,
             s.sb_stepped_instrs,
         );
+    }
+    report.stats
+}
+
+/// Instructions a campaign's trials executed, fused or stepped.
+fn executed(s: &CampaignStats) -> u64 {
+    s.sb_fused_instrs + s.sb_stepped_instrs
+}
+
+/// The work floors of the module doc, over the default and the
+/// checkpoint-off sweep.
+fn check_floors(default: &[CampaignStats], cold: &[CampaignStats]) {
+    for (label, sweep) in [("default", default), ("no-checkpoint", cold)] {
+        for s in sweep {
+            let what = format!("{label} {} {}", s.app, s.tool);
+            let share = s.sb_fused_instrs as f64 / executed(s).max(1) as f64;
+            assert!(share >= 0.9, "{what}: fused share {share:.3} is below 0.9");
+            let per = s.sb_fused_instrs as f64 / s.sb_dispatches.max(1) as f64;
+            assert!(per >= 10.0, "{what}: {per:.1} fused instructions per dispatch, below 10");
+        }
+    }
+    assert_eq!(default.len(), cold.len());
+    for (s, c) in default.iter().zip(cold) {
+        assert_eq!((&s.app, &s.tool), (&c.app, &c.tool), "sweeps list campaigns alike");
+        let what = format!("default {} {}", s.app, s.tool);
+        assert!(
+            s.ckpt_restores >= 1 && s.ckpt_skipped_instrs > 0,
+            "{what}: no trial skipped work by restoring a checkpoint"
+        );
+        let ratio = executed(s) as f64 / executed(c).max(1) as f64;
+        assert!(ratio <= 0.6, "{what}: executes {ratio:.2} of the checkpoint-off work, above 0.6");
+    }
+    for tool in Tool::all() {
+        let hits: u64 = default.iter().filter(|s| s.tool == tool.name()).map(|s| s.conv_hits).sum();
+        assert!(hits >= 1, "default {}: no trial converged on any app", tool.name());
     }
 }
 
@@ -95,8 +141,9 @@ fn render_profiles(label: &str, ckpt: &CheckpointOptions, out: &mut String) {
 #[test]
 fn fastpath_counters_match_snapshot() {
     let mut rendered = String::new();
-    render("default", true, &mut rendered);
-    render("no-checkpoint", false, &mut rendered);
+    let default = render("default", true, &mut rendered);
+    let cold = render("no-checkpoint", false, &mut rendered);
+    check_floors(&default, &cold);
     render_profiles("default", &CheckpointOptions::default(), &mut rendered);
     render_profiles("no-checkpoint", &CheckpointOptions::disabled(), &mut rendered);
     let path = snapshot_path();
