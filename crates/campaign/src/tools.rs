@@ -5,8 +5,8 @@ use refine_core::{CheckpointOptions, ExecEngine, FaultRecord, FiOptions, Injecti
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
-    BaselineHashes, Binary, CheckpointBuilder, CheckpointStore, FiRuntime, GoldenEnd, Machine,
-    NoFi, Probe, RunConfig, RunOutcome, RunResult, SuperblockProgram,
+    Binary, CheckpointBuilder, CheckpointStore, FiRuntime, GoldenEnd, Machine, NoFi, Probe,
+    RunConfig, RunOutcome, RunResult, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
@@ -164,8 +164,8 @@ impl PreparedTool {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, refine_opts);
                 let opcodes =
                     c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
-                // REFINE's trigger-path scratch slot must be digest-exempt
-                // or a fired trial can never match a golden digest.
+                // REFINE's trigger-path scratch slot must be exempt from the
+                // convergence comparison or a fired trial never matches.
                 if let Some(m) = mcfg.as_mut() {
                     m.exempt_data_words = c.digest_exempt_words();
                 }
@@ -190,13 +190,10 @@ impl PreparedTool {
             let _probe = (tool == Tool::Pinfi).then(|| Span::enter(Phase::FiPinfiProbe));
             let _build = mcfg.map(|_| Span::enter(Phase::CheckpointBuild));
             let overhead = if tool == Tool::Pinfi { PIN_OVERHEAD_CYCLES } else { 0 };
-            let mut builder = mcfg.map(|c| {
-                let baseline = BaselineHashes::new(&binary.data, stack_words, c.exempt_data_words);
-                CheckpointBuilder::new(&c, baseline)
-            });
+            let mut builder = mcfg.map(|c| CheckpointBuilder::new(&c));
             let (profile, population) =
                 Machine::run_profile(&binary, &cfg, &superblock, overhead, builder.as_mut());
-            (profile, population, builder.map(|b| b.finish(stack_words)))
+            (profile, population, builder.map(CheckpointBuilder::finish))
         };
         assert!(population > 0, "{}: empty FI population", tool.name());
         let golden = Golden::from_run(&profile);

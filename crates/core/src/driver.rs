@@ -23,11 +23,11 @@ pub struct Compiled {
 }
 
 impl Compiled {
-    /// Data-segment word range `(start, count)` that convergence digests
-    /// must ignore: the `SAVE_R1` scratch slot is written only by the
-    /// taken injection branch, so a fired trial's slot retains stale bits
-    /// forever while the golden run's stays zero — it would block every
-    /// digest match. The slot is dead from every pc the golden run can
+    /// Data-segment word range `(start, count)` that the convergence
+    /// comparison must ignore: the `SAVE_R1` scratch slot is written only
+    /// by the taken injection branch, so a fired trial's slot retains stale
+    /// bits forever while the golden run's stays zero — it would block
+    /// every state match. The slot is dead from every pc the golden run can
     /// reach (only the trigger-path epilogue reads it, and the trigger
     /// path always writes it first; a post-fire trial never takes the
     /// trigger path again), so ignoring it cannot hide a real divergence.

@@ -164,10 +164,10 @@ impl CheckpointOptions {
         CheckpointOptions { enabled: false, convergence: false, ..Self::default() }
     }
 
-    /// The machine-layer capture configuration. The digest-exempt scratch
-    /// range is a property of the instrumented binary, not of the campaign
-    /// options — callers overlay [`crate::Compiled::digest_exempt_words`]
-    /// on the returned config.
+    /// The machine-layer capture configuration. The convergence-exempt
+    /// scratch range is a property of the instrumented binary, not of the
+    /// campaign options — callers overlay
+    /// [`crate::Compiled::digest_exempt_words`] on the returned config.
     pub fn machine_config(&self) -> refine_machine::CheckpointConfig {
         refine_machine::CheckpointConfig {
             interval: self.interval,

@@ -17,12 +17,11 @@
 //! so restore cost is proportional to the state the program actually
 //! touched, and clean pages are shared implicitly through the baseline.
 //! The profiling run itself is fused
-//! ([`Machine::run_profile`](crate::Machine::run_profile)) and captures
-//! incrementally: a snapshot compares only the pages the run has ever
-//! written against the baseline, which yields exactly the full-segment
-//! [`diff_pages`] result.
+//! ([`Machine::run_profile`](crate::Machine::run_profile)) and diffs the
+//! stack only from its lowest written word up, which yields exactly the
+//! full-segment [`diff_pages`] result because every word below it is still
+//! zero.
 
-use crate::digest::{BaselineHashes, StateDigest};
 use crate::machine::OutEvent;
 
 /// Dirty-page granularity in 8-byte words (512-byte pages).
@@ -40,9 +39,19 @@ pub struct DirtyPage {
 
 /// Diff a memory segment against its baseline (`None` = all zeros),
 /// returning the pages that changed. This full-segment scan is the
-/// reference the profiling run's incremental capture reproduces.
+/// reference the profiling run's capture reproduces.
 pub fn diff_pages(cur: &[u64], baseline: Option<&[u64]>) -> Vec<DirtyPage> {
-    (0..cur.len().div_ceil(PAGE_WORDS)).filter_map(|i| dirty_page(cur, baseline, i)).collect()
+    diff_pages_from(cur, baseline, 0)
+}
+
+/// [`diff_pages`] over the pages from page `first` on, for a segment whose
+/// earlier pages are known to equal the baseline.
+pub(crate) fn diff_pages_from(
+    cur: &[u64],
+    baseline: Option<&[u64]>,
+    first: usize,
+) -> Vec<DirtyPage> {
+    (first..cur.len().div_ceil(PAGE_WORDS)).filter_map(|i| dirty_page(cur, baseline, i)).collect()
 }
 
 /// Page `i` of `cur` when it differs from the baseline (`None` = zeros).
@@ -54,60 +63,6 @@ fn dirty_page(cur: &[u64], baseline: Option<&[u64]>, i: usize) -> Option<DirtyPa
         None => chunk.iter().all(|&w| w == 0),
     };
     (!clean).then(|| DirtyPage { index: i as u32, words: chunk.into() })
-}
-
-/// The pages a profiling run has written since its initial state, one
-/// bitmap per segment. Every other page still holds its baseline content,
-/// so diffing only these equals [`diff_pages`] over the whole segment.
-#[derive(Debug)]
-pub(crate) struct WrittenPages {
-    data: Vec<u64>,
-    stack: Vec<u64>,
-}
-
-impl WrittenPages {
-    /// No page written yet, for segments of `data_words` and `stack_words`.
-    pub(crate) fn new(data_words: usize, stack_words: usize) -> Self {
-        let bitmap = |words: usize| vec![0; words.div_ceil(PAGE_WORDS).div_ceil(64)];
-        WrittenPages { data: bitmap(data_words), stack: bitmap(stack_words) }
-    }
-
-    /// Add the pages of two write-tracking dirty lists.
-    pub(crate) fn mark(&mut self, data: &[u32], stack: &[u32]) {
-        for (bits, pages) in [(&mut self.data, data), (&mut self.stack, stack)] {
-            for &p in pages {
-                bits[p as usize / 64] |= 1 << (p % 64);
-            }
-        }
-    }
-
-    /// The data and stack page lists of a snapshot of `data` (baseline:
-    /// the binary's data segment) and `stack` (baseline: zeros).
-    pub(crate) fn diff(
-        &self,
-        data: &[u64],
-        data_baseline: &[u64],
-        stack: &[u64],
-    ) -> (Vec<DirtyPage>, Vec<DirtyPage>) {
-        let diff = |bits: &[u64], cur: &[u64], baseline| {
-            set_bits(bits).filter_map(|i| dirty_page(cur, baseline, i)).collect()
-        };
-        (diff(&self.data, data, Some(data_baseline)), diff(&self.stack, stack, None))
-    }
-}
-
-/// The indices of the set bits of `bits`, ascending.
-fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    bits.iter().enumerate().flat_map(|(w, &word)| {
-        let mut rest = word;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                w * 64 + bit
-            })
-        })
-    })
 }
 
 /// Overwrite `dst` with the captured pages (inverse of [`diff_pages`],
@@ -146,10 +101,6 @@ pub struct Checkpoint {
     pub data_pages: Vec<DirtyPage>,
     /// Stack pages differing from the all-zero initial stack.
     pub stack_pages: Vec<DirtyPage>,
-    /// State digest at this boundary (the profiling run's incremental
-    /// [`crate::ConvHasher`] digest); trials compare against it at the same
-    /// `(fi_count, pc)` point to detect golden convergence.
-    pub digest: StateDigest,
 }
 
 impl Checkpoint {
@@ -167,11 +118,10 @@ pub struct CheckpointConfig {
     /// Snapshot count cap: reaching it drops every other snapshot and
     /// doubles the interval, bounding memory for long runs.
     pub max_checkpoints: usize,
-    /// Data-segment word range `(start, count)` excluded from convergence
-    /// digests — instrumentation scratch that a fired trial writes but the
-    /// golden run never does, and that no golden-reachable pc ever reads
-    /// before rewriting (see [`crate::BaselineHashes::exempt`]). `(0, 0)`
-    /// exempts nothing.
+    /// Data-segment word range `(start, count)` the golden-convergence
+    /// comparison ignores — instrumentation scratch that a fired trial
+    /// writes but the golden run never does, and that no golden-reachable
+    /// pc ever reads before rewriting. `(0, 0)` exempts nothing.
     pub exempt_data_words: (u32, u32),
 }
 
@@ -189,19 +139,18 @@ pub struct CheckpointBuilder {
     max: usize,
     interval: u64,
     checkpoints: Vec<Checkpoint>,
-    pub(crate) baseline: BaselineHashes,
+    exempt_data_words: (u32, u32),
 }
 
 impl CheckpointBuilder {
-    /// Empty builder with `cfg`'s interval and cap (both clamped to >= 1).
-    /// `baseline` is the precomputed hash table of the run's initial
-    /// memory image, which seeds the run's convergence digests.
-    pub fn new(cfg: &CheckpointConfig, baseline: BaselineHashes) -> Self {
+    /// Empty builder with `cfg`'s interval and cap (both clamped to >= 1)
+    /// and its exempt data words.
+    pub fn new(cfg: &CheckpointConfig) -> Self {
         CheckpointBuilder {
             max: cfg.max_checkpoints.max(1),
             interval: cfg.interval.max(1),
             checkpoints: Vec::new(),
-            baseline,
+            exempt_data_words: cfg.exempt_data_words,
         }
     }
 
@@ -213,10 +162,10 @@ impl CheckpointBuilder {
         (retired / self.interval + 1) * self.interval
     }
 
-    /// Record a snapshot (its digest already stamped). When the cap is
-    /// reached, every other snapshot is dropped and the interval doubles;
-    /// survivors (even multiples of the old interval) stay aligned to the
-    /// new one, and `ck` itself is kept only if it is too.
+    /// Record a snapshot. When the cap is reached, every other snapshot is
+    /// dropped and the interval doubles; survivors (even multiples of the
+    /// old interval) stay aligned to the new one, and `ck` itself is kept
+    /// only if it is too.
     pub fn push(&mut self, ck: Checkpoint) {
         if self.checkpoints.len() >= self.max {
             let mut nth = 0usize;
@@ -236,14 +185,12 @@ impl CheckpointBuilder {
         self.checkpoints.push(ck);
     }
 
-    /// Seal the store. `stack_words` records the stack geometry the
-    /// profiling run used; restoring requires the same.
-    pub fn finish(self, stack_words: usize) -> CheckpointStore {
+    /// Seal the store.
+    pub fn finish(self) -> CheckpointStore {
         CheckpointStore {
             interval: self.interval,
-            stack_words,
             checkpoints: self.checkpoints,
-            baseline: self.baseline,
+            exempt_data_words: self.exempt_data_words,
         }
     }
 }
@@ -255,13 +202,11 @@ impl CheckpointBuilder {
 pub struct CheckpointStore {
     /// Final snapshot interval (thinning may have raised the configured one).
     pub interval: u64,
-    /// Stack size in words used by the profiling run.
-    pub stack_words: usize,
     /// Snapshots in capture order (retired and `fi_count` both monotone).
     pub checkpoints: Vec<Checkpoint>,
-    /// Baseline memory hashes shared by the snapshot digests; trials seed
-    /// their incremental convergence hasher from these.
-    pub baseline: BaselineHashes,
+    /// [`CheckpointConfig::exempt_data_words`] of the capture: the data
+    /// words a trial's golden-convergence comparison ignores.
+    pub exempt_data_words: (u32, u32),
 }
 
 impl CheckpointStore {
@@ -305,12 +250,7 @@ mod tests {
             output: Vec::new(),
             data_pages: Vec::new(),
             stack_pages: Vec::new(),
-            digest: StateDigest::ZERO,
         }
-    }
-
-    fn builder(cfg: &CheckpointConfig) -> CheckpointBuilder {
-        CheckpointBuilder::new(cfg, BaselineHashes::new(&[], 0, (0, 0)))
     }
 
     #[test]
@@ -343,11 +283,12 @@ mod tests {
 
     #[test]
     fn nearest_below_is_strict() {
-        let mut b = builder(&CheckpointConfig { interval: 10, max_checkpoints: 64, ..Default::default() });
+        let cfg = CheckpointConfig { interval: 10, max_checkpoints: 64, ..Default::default() };
+        let mut b = CheckpointBuilder::new(&cfg);
         for i in 1..=5u64 {
             b.push(ck(i * 10, i * 3)); // fi_counts 3, 6, 9, 12, 15
         }
-        let store = b.finish(64);
+        let store = b.finish();
         assert!(store.nearest_below(1).is_none());
         assert!(store.nearest_below(3).is_none(), "fi_count 3 is not < 3");
         assert_eq!(store.nearest_below(4).unwrap().fi_count, 3);
@@ -358,13 +299,13 @@ mod tests {
     #[test]
     fn builder_thins_and_doubles_on_cap() {
         let cfg = CheckpointConfig { interval: 10, max_checkpoints: 4, ..Default::default() };
-        let mut b = builder(&cfg);
+        let mut b = CheckpointBuilder::new(&cfg);
         let mut retired = 0;
         for _ in 0..12 {
             retired = b.next_due(retired);
             b.push(ck(retired, retired / 10));
         }
-        let store = b.finish(64);
+        let store = b.finish();
         assert!(store.len() <= cfg.max_checkpoints);
         assert!(store.interval > cfg.interval);
         for c in &store.checkpoints {
@@ -379,30 +320,11 @@ mod tests {
 
     #[test]
     fn due_respects_interval() {
-        let b = builder(&CheckpointConfig { interval: 100, max_checkpoints: 8, ..Default::default() });
+        let cfg = CheckpointConfig { interval: 100, max_checkpoints: 8, ..Default::default() };
+        let b = CheckpointBuilder::new(&cfg);
         assert_eq!(b.next_due(0), 100);
         assert_eq!(b.next_due(99), 100);
         assert_eq!(b.next_due(100), 200);
         assert_eq!(b.next_due(650), 700);
-    }
-
-    #[test]
-    fn written_pages_diff_equals_full_scan() {
-        let baseline: Vec<u64> = (0..3 * PAGE_WORDS as u64 + 5).collect();
-        let mut data = baseline.clone();
-        let mut stack = vec![0u64; 70 * PAGE_WORDS];
-        let mut written = WrittenPages::new(data.len(), stack.len());
-        data[2] = 1; // page 0
-        data[3 * PAGE_WORDS + 4] = 0; // the short last page
-        data[PAGE_WORDS] = 7; // page 1, written back below
-        stack[65 * PAGE_WORDS] = 9; // past the first bitmap word
-        stack[3] = 4;
-        written.mark(&[0, 3, 1], &[65, 0]);
-        data[PAGE_WORDS] = baseline[PAGE_WORDS];
-        let (data_pages, stack_pages) = written.diff(&data, &baseline, &stack);
-        assert_eq!(data_pages, diff_pages(&data, Some(&baseline)));
-        assert_eq!(stack_pages, diff_pages(&stack, None));
-        assert_eq!(data_pages.iter().map(|p| p.index).collect::<Vec<_>>(), vec![0, 3]);
-        assert_eq!(stack_pages.iter().map(|p| p.index).collect::<Vec<_>>(), vec![0, 65]);
     }
 }

@@ -30,7 +30,6 @@
 
 pub mod binary;
 pub mod checkpoint;
-pub mod digest;
 pub mod encode;
 pub mod isa;
 pub mod machine;
@@ -40,7 +39,6 @@ pub mod superblock;
 
 pub use binary::{Binary, Symbol};
 pub use checkpoint::{Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore};
-pub use digest::{BaselineHashes, ConvHasher, StateDigest};
 pub use isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, FLAGS_BITS};
 pub use machine::{
     ArchState, GoldenEnd, Machine, OutEvent, RunConfig, RunOutcome, RunResult, Tracer,

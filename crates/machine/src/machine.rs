@@ -2,7 +2,6 @@
 
 use crate::binary::Binary;
 use crate::checkpoint::{apply_pages, diff_pages, Checkpoint, DirtyPage, PAGE_WORDS};
-use crate::digest::{ConvHasher, StateDigest};
 use crate::isa::{fi_outputs, flags, AluOp, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, SP};
 use crate::probe::{Probe, ProbeAction};
 use crate::rt::{pack, FiRuntime};
@@ -170,10 +169,10 @@ pub struct Machine<'a> {
     pub(crate) output: Vec<OutEvent>,
     pub(crate) cycles: u64,
     pub(crate) instrs_retired: u64,
-    /// Incremental state hasher; `Some` only while a checkpointed
-    /// [`Machine::run_profile`] runs or a convergence-tracked
-    /// [`Machine::run_sb`] has matched a snapshot.
-    pub(crate) conv: Option<Box<ConvHasher>>,
+    /// The lowest stack word index ever written (`stack.len()` while none
+    /// is): every word below it still holds its initial zero, so snapshot
+    /// capture and the golden comparison read the stack only from here up.
+    pub(crate) stack_lo: usize,
     /// The save-area words (`r0`, FLAGS) of the REFINE sites fused µops
     /// absorb, copied from the running `SuperblockProgram` by the fused
     /// loop.
@@ -196,7 +195,7 @@ impl<'a> Machine<'a> {
             output: Vec::new(),
             cycles: 0,
             instrs_retired: 0,
-            conv: None,
+            stack_lo: cfg.stack_words,
             site_words: (0, 0),
         };
         m.regs[SP as usize] = STACK_TOP;
@@ -244,26 +243,28 @@ impl<'a> Machine<'a> {
         m.output = ck.output.clone();
         apply_pages(&ck.data_pages, &mut m.data);
         apply_pages(&ck.stack_pages, &mut m.stack);
+        if let Some(p) = ck.stack_pages.first() {
+            m.stack_lo = p.index as usize * PAGE_WORDS;
+        }
         m
     }
 
     /// Capture the current architectural state as a [`Checkpoint`] stamped
     /// with `fi_count` (the FI-event counter value at this point), diffing
-    /// both whole memory segments and leaving the digest
-    /// [`StateDigest::ZERO`]. This full scan is the reference for the
-    /// incremental capture of [`Machine::run_profile`].
+    /// both whole memory segments. This full scan is the reference for the
+    /// capture of [`Machine::run_profile`], which diffs the stack only from
+    /// its lowest written word.
     pub fn snapshot(&self, fi_count: u64) -> Checkpoint {
         let data = diff_pages(&self.data, Some(&self.binary.data));
-        self.checkpoint(fi_count, (data, diff_pages(&self.stack, None)), StateDigest::ZERO)
+        self.checkpoint(fi_count, (data, diff_pages(&self.stack, None)))
     }
 
     /// A [`Checkpoint`] of the current registers, counters and output with
-    /// the given `(data, stack)` page lists and digest.
+    /// the given `(data, stack)` page lists.
     pub(crate) fn checkpoint(
         &self,
         fi_count: u64,
         (data_pages, stack_pages): (Vec<DirtyPage>, Vec<DirtyPage>),
-        digest: StateDigest,
     ) -> Checkpoint {
         Checkpoint {
             regs: self.regs,
@@ -276,7 +277,6 @@ impl<'a> Machine<'a> {
             output: self.output.clone(),
             data_pages,
             stack_pages,
-            digest,
         }
     }
 
@@ -407,16 +407,6 @@ impl<'a> Machine<'a> {
         Some(outcome)
     }
 
-    /// Refresh the active convergence hasher against current memory and
-    /// output and produce the boundary digest.
-    pub(crate) fn conv_refresh(&mut self, fi_count: u64) -> StateDigest {
-        let mut c = self.conv.take().expect("convergence hasher active");
-        c.refresh(&self.data, &self.stack, &self.output);
-        let d = c.digest(&self.regs, &self.fregs, self.flags, self.pc, fi_count);
-        self.conv = Some(c);
-        d
-    }
-
     /// XOR a full mask into an architectural register (multi-bit faults).
     pub fn xor_mask(&mut self, reg: Reg, mask: u64) {
         match reg {
@@ -452,11 +442,9 @@ impl<'a> Machine<'a> {
         Err(Trap::Segfault(addr))
     }
 
-    /// Memory write, optionally marking the written page in the active
-    /// convergence hasher. `TRACK` is const so the untracked paths compile
-    /// to exactly the pre-convergence store.
+    /// Memory write; a stack store also lowers [`Machine::stack_lo`].
     #[inline(always)]
-    pub(crate) fn mem_write_t<const TRACK: bool>(&mut self, addr: u64, val: u64) -> Result<(), Trap> {
+    pub(crate) fn mem_write(&mut self, addr: u64, val: u64) -> Result<(), Trap> {
         if !addr.is_multiple_of(8) {
             return Err(Trap::Misaligned(addr));
         }
@@ -464,22 +452,13 @@ impl<'a> Machine<'a> {
             let w = (addr - GLOBAL_BASE) / 8;
             if (w as usize) < self.data.len() {
                 self.data[w as usize] = val;
-                if TRACK {
-                    if let Some(c) = self.conv.as_mut() {
-                        c.mark_data((w as usize / PAGE_WORDS) as u32);
-                    }
-                }
                 return Ok(());
             }
         }
         if addr >= self.stack_base && addr < STACK_TOP {
             let w = ((addr - self.stack_base) / 8) as usize;
             self.stack[w] = val;
-            if TRACK {
-                if let Some(c) = self.conv.as_mut() {
-                    c.mark_stack((w / PAGE_WORDS) as u32);
-                }
-            }
+            self.stack_lo = self.stack_lo.min(w);
             return Ok(());
         }
         Err(Trap::Segfault(addr))
@@ -547,10 +526,10 @@ impl<'a> Machine<'a> {
     }
 
     #[inline(always)]
-    pub(crate) fn push_t<const TRACK: bool>(&mut self, val: u64) -> Result<(), Trap> {
+    pub(crate) fn push(&mut self, val: u64) -> Result<(), Trap> {
         let sp = self.regs[SP as usize].wrapping_sub(8);
         self.regs[SP as usize] = sp;
-        self.mem_write_t::<TRACK>(sp, val)
+        self.mem_write(sp, val)
     }
 
     #[inline(always)]
@@ -561,18 +540,8 @@ impl<'a> Machine<'a> {
         Ok(v)
     }
 
+    /// One-instruction dispatch: the exact interpreter's step.
     pub(crate) fn step<R: FiRuntime + ?Sized>(
-        &mut self,
-        instr: &MInstr,
-        rt: &mut R,
-    ) -> Result<Step, Trap> {
-        self.step_t::<R, false>(instr, rt)
-    }
-
-    /// One-instruction dispatch; `TRACK` threads page write tracking to the
-    /// store paths for the convergence loop (false compiles to the exact
-    /// pre-existing interpreter step).
-    pub(crate) fn step_t<R: FiRuntime + ?Sized, const TRACK: bool>(
         &mut self,
         instr: &MInstr,
         rt: &mut R,
@@ -631,7 +600,7 @@ impl<'a> Machine<'a> {
             }
             MInstr::St { rs, mem } => {
                 let a = self.eff_addr(&mem);
-                self.mem_write_t::<TRACK>(a, self.regs[rs as usize])?;
+                self.mem_write(a, self.regs[rs as usize])?;
             }
             MInstr::FLd { fd, mem } => {
                 let a = self.eff_addr(&mem);
@@ -639,9 +608,9 @@ impl<'a> Machine<'a> {
             }
             MInstr::FSt { fs, mem } => {
                 let a = self.eff_addr(&mem);
-                self.mem_write_t::<TRACK>(a, self.fregs[fs as usize])?;
+                self.mem_write(a, self.fregs[fs as usize])?;
             }
-            MInstr::Push { rs } => self.push_t::<TRACK>(self.regs[rs as usize])?,
+            MInstr::Push { rs } => self.push(self.regs[rs as usize])?,
             MInstr::Pop { rd } => {
                 let v = self.pop()?;
                 self.regs[rd as usize] = v;
@@ -653,7 +622,7 @@ impl<'a> Machine<'a> {
                 }
             }
             MInstr::Call { target } => {
-                self.push_t::<TRACK>(next as u64)?;
+                self.push(next as u64)?;
                 next = target;
             }
             MInstr::Ret => {

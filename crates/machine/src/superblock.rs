@@ -1,6 +1,6 @@
 //! Trace-fused direct-threaded execution engine: the trial fast path.
 //!
-//! The exact interpreter ([`Machine::step_t`](crate::machine::Machine)) pays
+//! The exact interpreter ([`Machine::step`](crate::machine::Machine)) pays
 //! a 31-arm `match` decode, branchy `Option<base>/Option<index>` effective
 //! addresses, and per-instruction cycle/retired/pc bookkeeping for every
 //! executed instruction. This module predecodes the text section once into a
@@ -59,10 +59,10 @@
 //!
 //! One fused loop, monomorphized over three modes: the quiescent prefix
 //! and plain post-fire suffix of [`Machine::run_sb`] run without snapshot
-//! checks or page-write tracking; a post-fire suffix with convergence on
-//! splices the golden outcome once its state digest matches a golden
-//! snapshot; and a checkpointed profiling run ([`Machine::run_profile`])
-//! stops at each due retired count to capture a snapshot incrementally. It
+//! checks; a post-fire suffix with convergence on splices the golden
+//! outcome once its state equals a golden snapshot's; and a checkpointed
+//! profiling run ([`Machine::run_profile`]) stops at each due retired count
+//! to capture a snapshot. It
 //! reproduces the exact interpreter's accounting bit-for-bit and falls back
 //! to single exact steps whenever a trace could cross a semantic boundary
 //! the exact loop observes per-instruction: the FI-event stop count, the
@@ -70,11 +70,13 @@
 //! snapshot's due retired count.
 
 use crate::binary::Binary;
-use crate::checkpoint::{Checkpoint, CheckpointBuilder, CheckpointStore, WrittenPages};
-use crate::digest::ConvHasher;
+use crate::checkpoint::{
+    diff_pages, diff_pages_from, Checkpoint, CheckpointBuilder, CheckpointStore, DirtyPage,
+    PAGE_WORDS,
+};
 use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
 use crate::machine::{
-    GoldenEnd, Machine, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
+    GoldenEnd, Machine, OutEvent, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
 };
 use crate::rt::NoFi;
 
@@ -516,9 +518,9 @@ impl<'a> Machine<'a> {
     ///
     /// With a `golden` end (a post-fire suffix with convergence on; `count`
     /// on entry is the one *after* the fault fired), the run also compares
-    /// the incremental state digest against each golden snapshot when the
-    /// trial reaches the snapshot's `(fi_count, pc)` position, and on a
-    /// match splices the golden suffix and returns its outcome. Snapshots
+    /// its state with each golden snapshot when the trial reaches the
+    /// snapshot's `(fi_count, pc)` position, and on a match splices the
+    /// golden suffix and returns its outcome. Snapshots
     /// are matched by `(fi_count, pc)`, not retired count: for the
     /// call-hook tools the taken injection branch retires instructions the
     /// quiescent golden run never executed, so post-fire the trial's
@@ -527,13 +529,13 @@ impl<'a> Machine<'a> {
     /// instructions are runtime-call plumbing, not FI events), so a trial
     /// whose state re-converges passes through every later golden snapshot
     /// at exactly the snapshot's FI count and pc — where the full-state
-    /// digest decides — while the splice adds golden's *suffix deltas*
+    /// comparison decides — while the splice adds golden's *suffix deltas*
     /// onto the trial's own counters, absorbing the skew without measuring
     /// it.
     ///
     /// The loop body is written once and monomorphized on whether `golden`
     /// is set, so quiescent prefixes and plain suffixes run with no
-    /// snapshot checks and no page-write tracking.
+    /// snapshot checks.
     #[allow(clippy::too_many_arguments)]
     pub fn run_sb(
         &mut self,
@@ -560,12 +562,10 @@ impl<'a> Machine<'a> {
     ///
     /// With a `builder` it also captures a snapshot each time the retired
     /// count reaches [`CheckpointBuilder::next_due`], exactly where the
-    /// per-instruction loop would after that retire. Capture is
-    /// incremental: a [`ConvHasher`] seeded at the initial state tracks
-    /// every store, so a snapshot's digest costs O(pages written since the
-    /// last one), and its page lists compare only the pages ever written
-    /// against the baseline. Snapshots equal [`Machine::snapshot`] stamped
-    /// with the digest of [`ConvHasher::scan`].
+    /// per-instruction loop would after that retire. A snapshot diffs the
+    /// data segment against the binary's and the stack from the page of
+    /// its lowest written word up (every word below is still zero), so it
+    /// equals the full-scan [`Machine::snapshot`].
     pub fn run_profile(
         binary: &'a Binary,
         cfg: &RunConfig,
@@ -580,9 +580,6 @@ impl<'a> Machine<'a> {
             let outcome = m.run_sb(sb, &mut count, overhead, u64::MAX, None, max, stats);
             return (m.into_result(outcome.expect("a run with no stop count ends")), count);
         };
-        let hasher = ConvHasher::scan(&b.baseline, &m.data, &binary.data, &m.stack, &m.output);
-        m.conv = Some(Box::new(hasher));
-        let mut written = WrittenPages::new(m.data.len(), m.stack.len());
         let outcome = loop {
             let due = b.next_due(m.instrs_retired);
             let run =
@@ -590,13 +587,10 @@ impl<'a> Machine<'a> {
             if let Some(outcome) = run {
                 break outcome;
             }
-            let (data, stack) = m.conv.as_deref().expect("capture hasher live").pending();
-            written.mark(data, stack);
-            let digest = m.conv_refresh(count);
-            let pages = written.diff(&m.data, &binary.data, &m.stack);
-            b.push(m.checkpoint(count, pages, digest));
+            let data = diff_pages(&m.data, Some(&binary.data));
+            let stack = diff_pages_from(&m.stack, None, m.stack_lo / PAGE_WORDS);
+            b.push(m.checkpoint(count, (data, stack)));
         };
-        m.conv = None;
         (m.into_result(outcome), count)
     }
 
@@ -640,7 +634,7 @@ impl<'a> Machine<'a> {
                 }
                 if let (Some(ck), Some((store, end))) = (ckpts.get(cursor), golden) {
                     if ck.fi_count == fi && ck.pc == self.pc {
-                        if let Some(saved) = self.splice_golden(store, ck, end, fi, max_cycles) {
+                        if let Some(saved) = self.splice_golden(store, ck, end, max_cycles) {
                             stats.converged = true;
                             stats.conv_saved_instrs += saved;
                             spliced = saved;
@@ -683,14 +677,7 @@ impl<'a> Machine<'a> {
             };
             self.cycles += overhead + e.cost;
             *count += u64::from(e.is_event);
-            // Page write tracking feeds the digest refresh; it is a no-op
-            // while no hasher is live.
-            let step = if MODE == PLAIN {
-                self.step_t::<NoFi, false>(&e.instr, &mut NoFi)
-            } else {
-                self.step_t::<NoFi, true>(&e.instr, &mut NoFi)
-            };
-            match step {
+            match self.step(&e.instr, &mut NoFi) {
                 Ok(Step::Continue) => {
                     self.instrs_retired += 1;
                     stats.sb_stepped_instrs += 1;
@@ -700,15 +687,14 @@ impl<'a> Machine<'a> {
             }
         };
         if MODE == CONV {
-            self.conv = None;
             stats.conv_checked_instrs += self.instrs_retired - spliced - entry_retired;
         }
         outcome
     }
 
-    /// At golden snapshot `ck`'s match point: if the trial's state digest
-    /// equals the snapshot's, the remainder is deterministic and equal to
-    /// the golden run's, so splice `end` onto the trial and return the
+    /// At golden snapshot `ck`'s match point: if the trial's state equals
+    /// the snapshot's, the remainder is deterministic and equal to the
+    /// golden run's, so splice `end` onto the trial and return the
     /// instructions saved. Golden's suffix deltas go onto the trial's own
     /// counters, less the probe overhead the profiling run paid but a
     /// detached post-fire trial does not (the +1 fetch is the final
@@ -720,17 +706,9 @@ impl<'a> Machine<'a> {
         store: &CheckpointStore,
         ck: &Checkpoint,
         end: GoldenEnd<'_>,
-        fi: u64,
         max_cycles: u64,
     ) -> Option<u64> {
-        if self.conv.is_none() {
-            // One full scan seeds the hasher; later checks pay only for
-            // pages written since.
-            let (data, init, stack) = (&self.data, &self.binary.data, &self.stack);
-            let hasher = ConvHasher::scan(&store.baseline, data, init, stack, &self.output);
-            self.conv = Some(Box::new(hasher));
-        }
-        if self.conv_refresh(fi) != ck.digest {
+        if !self.matches_checkpoint(ck, store.exempt_data_words) {
             return None;
         }
         let saved = end.retired - ck.retired;
@@ -745,14 +723,71 @@ impl<'a> Machine<'a> {
         self.output.extend_from_slice(end.output);
         Some(saved)
     }
+
+    /// Whether the machine's state equals golden snapshot `ck`'s in
+    /// everything the rest of the run can observe besides the pc and the
+    /// FI-event count the caller matched: both register files and FLAGS,
+    /// the output so far (`f64` payloads by bit pattern), the data segment
+    /// outside the `exempt` word range `(start, count)`, and the stack.
+    /// Returns at the first difference. The stack is read only from the
+    /// page of [`Machine::stack_lo`] up: below it the trial's stack is
+    /// zero, so golden must have no page there.
+    pub(crate) fn matches_checkpoint(&self, ck: &Checkpoint, exempt: (u32, u32)) -> bool {
+        let stack_from = self.stack_lo / PAGE_WORDS;
+        let exempt = exempt.0 as usize..(exempt.0 + exempt.1) as usize;
+        self.regs == ck.regs
+            && self.fregs == ck.fregs
+            && self.flags == ck.flags
+            && self.output.len() == ck.output.len()
+            && self.output.iter().zip(&ck.output).all(|(a, b)| same_event(a, b))
+            && segment_matches(&self.data, Some(&self.binary.data), &ck.data_pages, 0, exempt)
+            && ck.stack_pages.first().is_none_or(|p| p.index as usize >= stack_from)
+            && segment_matches(&self.stack, None, &ck.stack_pages, stack_from, 0..0)
+    }
+}
+
+/// Output-event equality with `f64` payloads compared by bit pattern, so
+/// `0.0` and `-0.0` differ and a NaN equals the same NaN.
+fn same_event(a: &OutEvent, b: &OutEvent) -> bool {
+    match (a, b) {
+        (OutEvent::F64(x), OutEvent::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Whether the pages of `cur` from page `first` on equal a golden segment:
+/// `pages` (ascending, none below `first`) over `baseline` (`None` =
+/// zeros), ignoring the word indices in `skip`.
+fn segment_matches(
+    cur: &[u64],
+    baseline: Option<&[u64]>,
+    pages: &[DirtyPage],
+    first: usize,
+    skip: std::ops::Range<usize>,
+) -> bool {
+    let mut pages = pages.iter().peekable();
+    let start = first * PAGE_WORDS;
+    cur[start..].chunks(PAGE_WORDS).enumerate().all(|(i, chunk)| {
+        let at = start + i * PAGE_WORDS;
+        let golden = match pages.next_if(|p| p.index as usize == first + i) {
+            Some(p) => Some(&p.words[..]),
+            None => baseline.map(|b| &b[at..at + chunk.len()]),
+        };
+        let eq = |r: std::ops::Range<usize>| match golden {
+            Some(g) => chunk[r.clone()] == g[r],
+            None => chunk[r].iter().all(|&w| w == 0),
+        };
+        // The part of `skip` inside this page (empty when it lies outside).
+        let lo = skip.start.clamp(at, at + chunk.len()) - at;
+        let hi = skip.end.clamp(at, at + chunk.len()) - at;
+        eq(0..lo) && eq(hi..chunk.len())
+    })
 }
 
 // --- µop handlers -----------------------------------------------------------
 //
-// Each handler mirrors one `step_t` arm's data side effects exactly (the FI
-// hooks as a counting-only runtime executes them). Stores
-// always use `mem_write_t::<true>` / `push_t::<true>`: page tracking is a
-// no-op while no hasher is live, and required when one is. Every handler
+// Each handler mirrors one `step` arm's data side effects exactly (the FI
+// hooks as a counting-only runtime executes them). Every handler
 // that is one instruction takes a const `S`: with `S` it absorbed the
 // REFINE site skip after it and ends with [`done`]'s stores.
 
@@ -765,8 +800,8 @@ impl<'a> Machine<'a> {
 fn done<const S: bool>(m: &mut Machine<'_>) -> Result<(), Exit> {
     if S {
         let (a, f) = m.site_words;
-        m.mem_write_t::<true>(a, m.regs[0])?;
-        m.mem_write_t::<true>(f, u64::from(m.flags))?;
+        m.mem_write(a, m.regs[0])?;
+        m.mem_write(f, u64::from(m.flags))?;
         // PostFI's `wrflags` keeps only the four architectural flag bits.
         m.flags &= 0xf;
     }
@@ -1011,7 +1046,7 @@ fn u_st<const BASE: bool, const INDEX: bool, const S: bool>(
     u: &Uop,
 ) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
-    m.mem_write_t::<true>(a, m.regs[u.d as usize])?;
+    m.mem_write(a, m.regs[u.d as usize])?;
     done::<S>(m)
 }
 
@@ -1029,7 +1064,7 @@ fn u_fst<const BASE: bool, const INDEX: bool, const S: bool>(
     u: &Uop,
 ) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
-    m.mem_write_t::<true>(a, m.fregs[u.d as usize])?;
+    m.mem_write(a, m.fregs[u.d as usize])?;
     done::<S>(m)
 }
 
@@ -1042,7 +1077,7 @@ fn u_lea<const BASE: bool, const INDEX: bool, const S: bool>(
 }
 
 fn u_push<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.push_t::<true>(m.regs[u.a as usize])?;
+    m.push(m.regs[u.a as usize])?;
     done::<S>(m)
 }
 
@@ -1143,7 +1178,7 @@ mod tests {
     use super::*;
     use crate::binary::{Binary, Symbol};
     use crate::checkpoint::CheckpointConfig;
-    use crate::digest::BaselineHashes;
+    use crate::machine::STACK_TOP;
     use crate::probe::{CountingProbe, Probe, ProbeAction};
     use crate::rt::FiRuntime;
 
@@ -1650,8 +1685,7 @@ mod tests {
 
     /// Profile `b` fused through `sb` with a snapshot every `interval`
     /// retired instructions, assert the run and every snapshot equal the
-    /// exact loop's full-scan ones (digest from a full `ConvHasher::scan`),
-    /// and return the fused store.
+    /// exact loop's full-scan ones, and return the fused store.
     fn profile_vs_exact(
         b: &Binary,
         sb: &SuperblockProgram,
@@ -1660,10 +1694,9 @@ mod tests {
     ) -> CheckpointStore {
         let cfg = RunConfig::default();
         let ckpt = CheckpointConfig { interval, ..CheckpointConfig::default() };
-        let baseline = BaselineHashes::new(&b.data, cfg.stack_words, (0, 0));
-        let mut builder = CheckpointBuilder::new(&ckpt, baseline.clone());
+        let mut builder = CheckpointBuilder::new(&ckpt);
         let (fused, count) = Machine::run_profile(b, &cfg, sb, overhead, Some(&mut builder));
-        let store = builder.finish(cfg.stack_words);
+        let store = builder.finish();
 
         let mut m = Machine::new(b, &cfg);
         let (mut rt, mut probe) = (CountTo { count: 0, at: u64::MAX }, DueProbe::new(overhead));
@@ -1675,10 +1708,7 @@ mod tests {
                 break outcome;
             }
             let fi = if sb.probed { probe.targets } else { rt.count };
-            let mut ck = m.snapshot(fi);
-            let hasher = ConvHasher::scan(&baseline, &m.data, &b.data, &m.stack, &m.output);
-            ck.digest = hasher.digest(&m.regs, &m.fregs, m.flags, m.pc, fi);
-            snapshots.push(ck);
+            snapshots.push(m.snapshot(fi));
         };
         let events = if sb.probed { probe.targets } else { rt.count };
         let exact = m.into_result(outcome);
@@ -1772,7 +1802,7 @@ mod tests {
         let sb = SuperblockProgram::new(&b);
         assert_eq!((sb.dispatch(0), sb.fused_len[0]), (Some((11, 11)), 14));
         // CAPTURE: every snapshot lands right after a fused iteration, so
-        // only the absorbed stores can have marked the save-area page.
+        // only the absorbed stores can have written the save-area page.
         let store = profile_vs_exact(&b, &sb, 0, 14);
         let points: Vec<_> =
             store.checkpoints.iter().map(|c| (c.retired, c.pc, c.fi_count)).collect();
@@ -1809,5 +1839,85 @@ mod tests {
             (out, fused.cycles, fused.instrs_retired, &fused.output),
             (exact_out, exact.cycles, exact.instrs_retired, &exact.output)
         );
+    }
+
+    /// Four stack pages: enough to store below golden's lowest one.
+    const SMALL: RunConfig = RunConfig { max_cycles: 1000, stack_words: 4 * PAGE_WORDS };
+
+    /// The byte address of data word `w`.
+    fn data_addr(w: usize) -> u64 {
+        GLOBAL_BASE + 8 * w as u64
+    }
+
+    /// The byte address of stack word `w` under [`SMALL`].
+    fn stack_addr(w: usize) -> u64 {
+        STACK_TOP - 8 * (SMALL.stack_words - w) as u64
+    }
+
+    /// A binary with two data pages, and a golden snapshot of it with data
+    /// word `PAGE_WORDS + 10` and the top stack word written and one `f64`
+    /// printed.
+    fn golden_snapshot() -> (Binary, Checkpoint) {
+        let b = Binary { data: vec![0; 2 * PAGE_WORDS], ..bin(vec![MInstr::Halt]) };
+        let mut g = Machine::new(&b, &SMALL);
+        g.mem_write(data_addr(PAGE_WORDS + 10), 5).unwrap();
+        g.mem_write(stack_addr(SMALL.stack_words - 1), 9).unwrap();
+        g.output.push(OutEvent::F64(0.0));
+        let ck = g.snapshot(0);
+        (b, ck)
+    }
+
+    #[test]
+    fn resumed_machine_matches_its_checkpoint() {
+        let (b, ck) = golden_snapshot();
+        let mut m = Machine::resume(&b, &SMALL, &ck);
+        assert_eq!(m.stack_lo, 3 * PAGE_WORDS, "golden's lowest stack page");
+        assert!(m.matches_checkpoint(&ck, (0, 0)));
+        m.regs[3] ^= 1;
+        assert!(!m.matches_checkpoint(&ck, (0, 0)), "registers");
+    }
+
+    #[test]
+    fn output_f64_is_compared_by_bits() {
+        let (b, mut ck) = golden_snapshot();
+        let mut m = Machine::resume(&b, &SMALL, &ck);
+        // The derived equality calls these equal; the comparison does not.
+        m.output[0] = OutEvent::F64(-0.0);
+        assert_eq!(m.output, ck.output);
+        assert!(!m.matches_checkpoint(&ck, (0, 0)));
+        // And the same NaN bit pattern matches, which derived equality denies.
+        ck.output[0] = OutEvent::F64(f64::NAN);
+        m.output[0] = OutEvent::F64(f64::NAN);
+        assert_ne!(m.output, ck.output);
+        assert!(m.matches_checkpoint(&ck, (0, 0)));
+    }
+
+    #[test]
+    fn exempt_word_is_ignored_but_not_its_neighbour() {
+        let (b, ck) = golden_snapshot();
+        let exempt = (PAGE_WORDS as u32 + 3, 1);
+        let mut m = Machine::resume(&b, &SMALL, &ck);
+        m.mem_write(data_addr(PAGE_WORDS + 3), 0xDEAD).unwrap();
+        assert!(m.matches_checkpoint(&ck, exempt));
+        assert!(!m.matches_checkpoint(&ck, (0, 0)));
+        m.mem_write(data_addr(PAGE_WORDS + 4), 1).unwrap();
+        assert!(!m.matches_checkpoint(&ck, exempt));
+    }
+
+    #[test]
+    fn stack_store_below_golden_pages_mismatches_until_zero_again() {
+        let (b, ck) = golden_snapshot();
+        let mut m = Machine::resume(&b, &SMALL, &ck);
+        m.mem_write(stack_addr(PAGE_WORDS + 2), 4).unwrap();
+        assert_eq!(m.stack_lo, PAGE_WORDS + 2);
+        assert!(!m.matches_checkpoint(&ck, (0, 0)));
+        m.mem_write(stack_addr(PAGE_WORDS + 2), 0).unwrap();
+        assert!(m.matches_checkpoint(&ck, (0, 0)));
+        // Golden's registers, output and data but no stack word written:
+        // golden's stack page lies below `stack_lo`.
+        let mut fresh = Machine::new(&b, &SMALL);
+        fresh.output = ck.output.clone();
+        fresh.mem_write(data_addr(PAGE_WORDS + 10), 5).unwrap();
+        assert!(!fresh.matches_checkpoint(&ck, (0, 0)));
     }
 }

@@ -3,8 +3,8 @@
 //! replacement for full trial interpretation — same outcome tables, same
 //! fault records, same trace streams — at every jobs count and for all
 //! three tools (the DESIGN.md checkpoint-semantics invariant, end to end).
-//! The fused, incrementally captured profiling run that builds the
-//! checkpoints is checked against the exact interpreter here too.
+//! The fused profiling run that builds the checkpoints is checked against
+//! the exact interpreter here too.
 
 use proptest::prelude::*;
 use refine_campaign::campaign::CampaignConfig;
@@ -12,10 +12,9 @@ use refine_campaign::classify::Golden;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, ProfilingRt};
-use refine_machine::checkpoint::apply_pages;
 use refine_machine::{
-    BaselineHashes, Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore, ConvHasher,
-    MInstr, Machine, Probe, ProbeAction, RunConfig, RunResult,
+    Checkpoint, CheckpointBuilder, CheckpointConfig, CheckpointStore, MInstr, Machine, Probe,
+    ProbeAction, RunConfig, RunResult,
 };
 use refine_pinfi::{PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{TraceSink, TrialTrace};
@@ -118,17 +117,14 @@ impl Probe for DueProbe<'_> {
 }
 
 /// The oracle profiling run of `p`'s binary on the exact interpreter: a
-/// full-scan snapshot at every due retired count, its digest from a full
-/// [`ConvHasher::scan`] of the memory the snapshot restores. Returns the
-/// run, its FI population and the store (`None` without `ckpt`).
+/// full-scan snapshot at every due retired count. Returns the run, its FI
+/// population and the store (`None` without `ckpt`).
 fn exact_profile(
     p: &PreparedTool,
     ckpt: Option<CheckpointConfig>,
 ) -> (RunResult, u64, Option<CheckpointStore>) {
     let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: p.stack_words };
-    let baseline =
-        ckpt.map(|c| BaselineHashes::new(&p.binary.data, p.stack_words, c.exempt_data_words));
-    let mut builder = ckpt.zip(baseline.clone()).map(|(c, b)| CheckpointBuilder::new(&c, b));
+    let mut builder = ckpt.map(|c| CheckpointBuilder::new(&c));
     let (mut rt, mut pinfi) = (ProfilingRt::default(), PinfiProfiler::default());
     let mut m = Machine::new(&p.binary, &cfg);
     let mut retired = 0;
@@ -141,17 +137,10 @@ fn exact_profile(
         }
         retired = due;
         let fi_count = if p.tool == Tool::Pinfi { pinfi.count } else { rt.count };
-        let mut ck = m.snapshot(fi_count);
-        let (mut data, mut stack) = (p.binary.data.clone(), vec![0; p.stack_words]);
-        apply_pages(&ck.data_pages, &mut data);
-        apply_pages(&ck.stack_pages, &mut stack);
-        let base = baseline.as_ref().unwrap();
-        let hasher = ConvHasher::scan(base, &data, &p.binary.data, &stack, &ck.output);
-        ck.digest = hasher.digest(&ck.regs, &ck.fregs, ck.flags, ck.pc, ck.fi_count);
-        builder.as_mut().unwrap().push(ck);
+        builder.as_mut().unwrap().push(m.snapshot(fi_count));
     };
     let population = if p.tool == Tool::Pinfi { pinfi.count } else { rt.count };
-    (m.into_result(outcome), population, builder.map(|b| b.finish(p.stack_words)))
+    (m.into_result(outcome), population, builder.map(CheckpointBuilder::finish))
 }
 
 /// Assert the fused profiling run `fused` (result, population, store)
@@ -182,14 +171,13 @@ fn assert_profiles_equal(
         assert_eq!(f.output, e.output, "{ctx}: output");
         assert_eq!(f.data_pages, e.data_pages, "{ctx}: data pages");
         assert_eq!(f.stack_pages, e.stack_pages, "{ctx}: stack pages");
-        assert_eq!(f.digest, e.digest, "{ctx}: digest");
     }
 }
 
-/// The prepare-time profiling run is fused and captures its checkpoints
-/// incrementally; over the 14-app suite x 3 tools it must equal the exact
-/// interpreter snapshotting by full scan — with the default capture
-/// settings, with a thinning one (interval 97, cap 8), and with
+/// The prepare-time profiling run is fused and diffs the stack only from
+/// its lowest written word; over the 14-app suite x 3 tools it must equal
+/// the exact interpreter snapshotting by full scan — with the default
+/// capture settings, with a thinning one (interval 97, cap 8), and with
 /// checkpointing off.
 #[test]
 fn fused_profiling_equals_exact_profiling() {
@@ -202,7 +190,7 @@ fn fused_profiling_equals_exact_profiling() {
             for (label, opts) in &configs {
                 let p = PreparedTool::prepare_opt(&m, tool, opts);
                 let fp = p.fastpath.as_deref().expect("checkpointing on builds a store");
-                let exempt_data_words = fp.store.baseline.exempt;
+                let exempt_data_words = fp.store.exempt_data_words;
                 let ckpt = CheckpointConfig { exempt_data_words, ..opts.machine_config() };
                 let (er, epop, es) = exact_profile(&p, Some(ckpt));
                 let ctx = format!("{} {} {label}", b.name, tool.name());

@@ -71,8 +71,8 @@ fn convergence_on_off_sweeps_are_bit_identical() {
 /// across a spread of mid-run targets on a real benchmark, at least one
 /// REFINE and one PINFI trial must converge, and every converged trial must
 /// classify as benign with exactly the golden output — a converged trial
-/// that were anything else (in particular SOC) would mean the digest
-/// matched a state that was not actually golden.
+/// that were anything else (in particular SOC) would mean the state
+/// comparison matched a state that was not actually golden.
 #[test]
 fn converged_trials_are_benign_and_convergence_fires() {
     let m = refine_benchmarks::by_name("HPCCG-1.0").unwrap().module();
@@ -225,7 +225,7 @@ proptest! {
 
     /// Random (kernel, checkpoint interval, target fraction, seed) points
     /// with the convergence loop armed: small intervals make snapshot
-    /// triggers dense (maximum chance of a digest comparison), large ones
+    /// triggers dense (maximum chance of a state comparison), large ones
     /// leave the loop cold; early/late/past-population targets cover
     /// fired-and-converged, fired-and-diverged and never-fired trials. The
     /// fast path must equal the exact path everywhere.
