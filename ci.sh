@@ -48,6 +48,30 @@ if [ "$J1" != "$J4" ]; then
 fi
 echo "   identical tables at both job counts"
 
+echo "== --json report (engine work counters vs golden, metrics keys)"
+# The engine's per-campaign rows are the only sums of trial work: at
+# --jobs 4 they must equal the `default` work-counter lines pinned (at
+# --jobs 2) in tests/golden/fastpath_counters.txt, and the metrics snapshot
+# must hold only what telemetry alone records.
+$EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --json 2>/dev/null \
+    | python3 -c '
+import json, sys
+report = json.load(sys.stdin)
+want = {}
+for line in open(sys.argv[1]):
+    f = line.split()
+    if f and f[0] == "default" and "ckpt_restores=" in line:
+        want[(f[1], f[2])] = {k: int(v) for k, v in (x.split("=") for x in f[3:])}
+got = {(c["app"], c["tool"]): {k: c[k] for k in want.get((c["app"], c["tool"]), {})}
+       for c in report["engine"]["campaigns"]}
+if len(want) != 6 or got != want:
+    sys.exit(f"engine work counters differ from the golden:\n got  {got}\n want {want}")
+keys = sorted(report["metrics"])
+if keys != sorted(["trial_latency_ns", "trial_instrs", "trial_cycles", "traps", "phases"]):
+    sys.exit(f"unexpected metrics keys: {keys}")
+' tests/golden/fastpath_counters.txt
+echo "   six campaigns match the golden counters; metrics holds five keys"
+
 echo "== checkpoint equivalence (default vs --no-checkpoint)"
 # Trial fast-forward must be invisible in every output: diff a short sweep
 # with checkpointing on (default) against the exact interpreter path.

@@ -25,10 +25,11 @@
 //!   (tool, seed, target, site, opcode, bit, outcome, trap cause);
 //! * `trace-summary FILE` aggregates such a file into an injection-site x
 //!   outcome table;
-//! * `--json` emits the suite results, the engine report (per-campaign
-//!   speedup, cache hit rate) and a metrics snapshot (latency and
-//!   instruction-count histograms, trap-cause breakdown, per-phase compile
-//!   times) as JSON on stdout instead of the text tables;
+//! * `--json` emits the suite results (outcome counts), the engine report
+//!   (cache hits and misses, per-campaign speedup and work counters) and
+//!   a metrics snapshot of what only telemetry records (latency,
+//!   instruction-count and cycle histograms, trap-cause breakdown,
+//!   per-phase compile times) as JSON on stdout instead of the text tables;
 //! * `--quiet` suppresses the live progress lines;
 //! * `--no-checkpoint` disables golden-run checkpoint fast-forward for
 //!   trials (slower; results are bit-identical either way);
@@ -220,8 +221,8 @@ fn main() {
         return;
     }
 
-    // Campaigns feed the metrics registry (latency/instrs histograms,
-    // trap-cause breakdown, phase timings) from here on.
+    // Campaigns feed the metrics registry (latency/instrs/cycles
+    // histograms, trap-cause breakdown, phase timings) from here on.
     refine_telemetry::enable();
 
     if cmd == "ablation" {

@@ -14,7 +14,9 @@
 //! outcome tables.
 
 use crate::classify::{classify, Outcome};
-use crate::engine::{run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineHooks};
+use crate::engine::{
+    run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
+};
 use crate::tools::{PreparedTool, Tool};
 use refine_core::ExecEngine;
 use rand::rngs::StdRng;
@@ -179,40 +181,17 @@ pub(crate) fn execute_trial(
     let t = prepared.run_trial_engine(engine, target, s2);
     let (r, log, fast) = (t.result, t.log, t.fast);
     let outcome = classify(&prepared.golden, &r);
-    {
-        let reg = refine_telemetry::registry();
-        if fast.restored {
-            reg.checkpoint_restores.incr();
-            reg.checkpoint_skipped_instrs.record(fast.skipped_instrs);
-        } else {
-            reg.checkpoint_cold.incr();
-        }
-        if fast.converged {
-            reg.convergence_hits.incr();
-            reg.convergence_saved_instrs.record(fast.conv_saved_instrs);
-        }
-        if fast.conv_checked_instrs > 0 {
-            reg.convergence_checked_instrs.record(fast.conv_checked_instrs);
-        }
-        if fast.sb_dispatches > 0 {
-            reg.superblock_dispatches.add(fast.sb_dispatches);
-        }
-        reg.superblock_fused_instrs.add(fast.sb_fused_instrs);
-        reg.superblock_total_instrs.add(fast.sb_fused_instrs + fast.sb_stepped_instrs);
-    }
-
     let trap = match r.outcome {
         RunOutcome::Trap(t) => Some(t.name()),
         RunOutcome::Timeout => Some("timeout"),
         RunOutcome::Exit(_) => None,
     };
-    let kind = outcome_kind(outcome);
     if let Some(t0) = t0 {
         let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        refine_telemetry::registry().record_trial(ns, r.instrs_retired, r.cycles, kind, trap);
+        refine_telemetry::registry().record_trial(ns, r.instrs_retired, r.cycles, trap);
     }
     if let Some(p) = progress {
-        p.record(kind);
+        p.record(outcome_kind(outcome));
     }
     if let Some(sink) = sink {
         let rec = TrialTrace {
@@ -242,56 +221,38 @@ pub(crate) fn execute_trial(
     (outcome, r.cycles, fast)
 }
 
-/// Run a full campaign of `cfg.trials` single-fault runs.
+/// Run a full campaign of `cfg.trials` single-fault runs. The trial
+/// streams are salted with the empty program name; name the program with
+/// [`run_campaign_observed`].
 pub fn run_campaign(module: &Module, tool: Tool, cfg: &CampaignConfig) -> CampaignResult {
-    let ckpt = crate::engine::EngineConfig::from_campaign(cfg).checkpoint_options();
+    let ckpt = EngineConfig::from_campaign(cfg).checkpoint_options();
     let prepared = PreparedTool::prepare_opt(module, tool, &ckpt);
-    run_campaign_prepared(&prepared, cfg)
+    run_campaign_observed(&prepared, cfg, "", &EngineHooks::default())
 }
 
-/// Observer hooks for a campaign: all optional, shared across workers.
-/// Trial metrics additionally flow into [`refine_telemetry::registry`]
-/// whenever telemetry is enabled, hooks or not.
-#[derive(Default)]
-pub struct CampaignHooks<'a> {
-    /// Benchmark name stamped into trace records (and mixed into the
-    /// per-trial streams via [`program_salt`]).
-    pub app: &'a str,
-    /// Per-trial provenance sink (`--trace-out`).
-    pub sink: Option<&'a TraceSink>,
-    /// Live progress reporter.
-    pub progress: Option<&'a Progress>,
-}
-
-/// Run a campaign against an already-prepared tool (lets callers share the
-/// compile+profile work across experiments).
-pub fn run_campaign_prepared(prepared: &PreparedTool, cfg: &CampaignConfig) -> CampaignResult {
-    run_campaign_observed(prepared, cfg, &CampaignHooks::default())
-}
-
-/// [`run_campaign_prepared`] with observer hooks: per-trial provenance
-/// records, live progress, and (when telemetry is enabled) latency /
-/// instruction-count / trap-cause metrics.
+/// Run a campaign of program `app` against an already-prepared tool (lets
+/// callers share the compile+profile work across experiments). `app` is
+/// stamped into trace records and salts the per-trial streams
+/// ([`program_salt`]); `hooks` attach a provenance sink and live progress.
 ///
 /// Scheduling is the sharded engine's: a one-campaign sweep over a
 /// work-stealing worker pool sharing the prepared artifact immutably.
 pub fn run_campaign_observed(
     prepared: &PreparedTool,
     cfg: &CampaignConfig,
-    hooks: &CampaignHooks<'_>,
+    app: &str,
+    hooks: &EngineHooks<'_>,
 ) -> CampaignResult {
     let spec = EngineCampaign {
-        app: hooks.app.to_string(),
+        app: app.to_string(),
         tool: prepared.tool,
         source: ArtifactSource::Prepared(Arc::new(prepared.clone())),
     };
-    let cache = ArtifactCache::new();
-    let ehooks = EngineHooks { sink: hooks.sink, progress: hooks.progress };
     let mut report = run_sweep(
         std::slice::from_ref(&spec),
-        &crate::engine::EngineConfig::from_campaign(cfg),
-        &cache,
-        &ehooks,
+        &EngineConfig::from_campaign(cfg),
+        &ArtifactCache::new(),
+        hooks,
     );
     report.results.pop().expect("one-campaign sweep yields one result")
 }

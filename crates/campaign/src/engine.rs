@@ -23,7 +23,7 @@
 
 use crate::campaign::{execute_trial, program_salt, CampaignResult, OutcomeCounts};
 use crate::classify::Outcome;
-use crate::tools::{PreparedTool, Tool};
+use crate::tools::{PreparedTool, Tool, TrialFastStats};
 use refine_core::ExecEngine;
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
@@ -139,17 +139,10 @@ impl ArtifactCache {
             let prepared = Arc::new(build());
             let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             self.prepare_ns.fetch_add(ns, Ordering::Relaxed);
-            let reg = refine_telemetry::registry();
-            reg.artifact_cache_misses.incr();
-            reg.artifact_prepare_ns.record(ns);
             (prepared, ns)
         });
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            refine_telemetry::registry().artifact_cache_hits.incr();
-        }
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         Arc::clone(artifact)
     }
 
@@ -359,46 +352,103 @@ impl EngineReport {
     }
 }
 
-/// Per-campaign shared accumulators (workers only ever add).
-struct CampaignAccum {
-    crash: AtomicU64,
-    soc: AtomicU64,
-    benign: AtomicU64,
-    cycles: AtomicU64,
-    busy_ns: AtomicU64,
-    done: AtomicU64,
-    first_ns: AtomicU64,
-    last_ns: AtomicU64,
-    restores: AtomicU64,
-    skipped_instrs: AtomicU64,
-    conv_hits: AtomicU64,
-    conv_checked_instrs: AtomicU64,
-    conv_saved_instrs: AtomicU64,
-    sb_dispatches: AtomicU64,
-    sb_fused_instrs: AtomicU64,
-    sb_stepped_instrs: AtomicU64,
+/// One campaign's sums over the trials one worker ran. Every worker keeps
+/// one per campaign; [`run_sweep`] adds them up after the join. [`Tally::add`]
+/// is the only place a trial's work is counted.
+#[derive(Clone, Copy)]
+struct Tally {
+    counts: OutcomeCounts,
+    cycles: u64,
+    busy_ns: u64,
+    /// Sweep-relative start of the earliest trial (`u64::MAX` before any).
+    first_ns: u64,
+    /// Sweep-relative end of the latest trial.
+    last_ns: u64,
+    ckpt_restores: u64,
+    ckpt_skipped_instrs: u64,
+    conv_hits: u64,
+    conv_checked_instrs: u64,
+    conv_saved_instrs: u64,
+    sb_dispatches: u64,
+    sb_fused_instrs: u64,
+    sb_stepped_instrs: u64,
 }
 
-impl CampaignAccum {
-    fn new() -> CampaignAccum {
-        CampaignAccum {
-            crash: AtomicU64::new(0),
-            soc: AtomicU64::new(0),
-            benign: AtomicU64::new(0),
-            cycles: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-            first_ns: AtomicU64::new(u64::MAX),
-            last_ns: AtomicU64::new(0),
-            restores: AtomicU64::new(0),
-            skipped_instrs: AtomicU64::new(0),
-            conv_hits: AtomicU64::new(0),
-            conv_checked_instrs: AtomicU64::new(0),
-            conv_saved_instrs: AtomicU64::new(0),
-            sb_dispatches: AtomicU64::new(0),
-            sb_fused_instrs: AtomicU64::new(0),
-            sb_stepped_instrs: AtomicU64::new(0),
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally {
+            counts: OutcomeCounts::default(),
+            cycles: 0,
+            busy_ns: 0,
+            first_ns: u64::MAX,
+            last_ns: 0,
+            ckpt_restores: 0,
+            ckpt_skipped_instrs: 0,
+            conv_hits: 0,
+            conv_checked_instrs: 0,
+            conv_saved_instrs: 0,
+            sb_dispatches: 0,
+            sb_fused_instrs: 0,
+            sb_stepped_instrs: 0,
         }
+    }
+}
+
+impl Tally {
+    /// Count one trial that ran from `start_ns` to `end_ns` of the sweep.
+    fn add(
+        &mut self,
+        outcome: Outcome,
+        cycles: u64,
+        start_ns: u64,
+        end_ns: u64,
+        fast: &TrialFastStats,
+    ) {
+        // Destructured so a new `TrialFastStats` field fails to compile here.
+        let TrialFastStats {
+            restored,
+            skipped_instrs,
+            converged,
+            conv_checked_instrs,
+            conv_saved_instrs,
+            sb_dispatches,
+            sb_fused_instrs,
+            sb_stepped_instrs,
+        } = *fast;
+        self.counts.add(outcome);
+        self.cycles += cycles;
+        self.busy_ns += end_ns - start_ns;
+        self.first_ns = self.first_ns.min(start_ns);
+        self.last_ns = self.last_ns.max(end_ns);
+        // `skipped_instrs` is 0 on a cold start and `conv_saved_instrs` is 0
+        // without a splice, so both add unconditionally.
+        self.ckpt_restores += u64::from(restored);
+        self.ckpt_skipped_instrs += skipped_instrs;
+        self.conv_hits += u64::from(converged);
+        self.conv_checked_instrs += conv_checked_instrs;
+        self.conv_saved_instrs += conv_saved_instrs;
+        self.sb_dispatches += sb_dispatches;
+        self.sb_fused_instrs += sb_fused_instrs;
+        self.sb_stepped_instrs += sb_stepped_instrs;
+    }
+
+    /// Add another worker's tally of the same campaign.
+    fn merge(&mut self, o: &Tally) {
+        self.counts.crash += o.counts.crash;
+        self.counts.soc += o.counts.soc;
+        self.counts.benign += o.counts.benign;
+        self.cycles += o.cycles;
+        self.busy_ns += o.busy_ns;
+        self.first_ns = self.first_ns.min(o.first_ns);
+        self.last_ns = self.last_ns.max(o.last_ns);
+        self.ckpt_restores += o.ckpt_restores;
+        self.ckpt_skipped_instrs += o.ckpt_skipped_instrs;
+        self.conv_hits += o.conv_hits;
+        self.conv_checked_instrs += o.conv_checked_instrs;
+        self.conv_saved_instrs += o.conv_saved_instrs;
+        self.sb_dispatches += o.sb_dispatches;
+        self.sb_fused_instrs += o.sb_fused_instrs;
+        self.sb_stepped_instrs += o.sb_stepped_instrs;
     }
 }
 
@@ -434,7 +484,9 @@ pub fn run_sweep(
     let keys: Vec<ArtifactKey> =
         campaigns.iter().map(|c| ArtifactKey::standard(&c.app, c.tool)).collect();
     let salts: Vec<u64> = campaigns.iter().map(|c| program_salt(&c.app)).collect();
-    let accums: Vec<CampaignAccum> = campaigns.iter().map(|_| CampaignAccum::new()).collect();
+    // Trials finished per campaign, shared only to tell `Progress` when a
+    // campaign completes; every sum lives in the workers' tallies.
+    let done: Vec<AtomicU64> = campaigns.iter().map(|_| AtomicU64::new(0)).collect();
 
     if let Some(p) = hooks.progress {
         p.set_campaigns(campaigns.len() as u64);
@@ -444,9 +496,12 @@ pub fn run_sweep(
     let start = Instant::now();
     let elapsed_ns = || start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
+    let mut tallies = vec![Tally::default(); campaigns.len()];
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            scope.spawn(|| {
+            workers.push(scope.spawn(|| {
+                let mut own = vec![Tally::default(); campaigns.len()];
                 // Last-used campaign memo: trials are claimed in index
                 // order, so batches overwhelmingly stay within a campaign.
                 let mut current: Option<(usize, Arc<PreparedTool>)> = None;
@@ -477,9 +532,7 @@ pub fn run_sweep(
                                 p
                             }
                         };
-                        let acc = &accums[ci];
-                        acc.first_ns.fetch_min(elapsed_ns(), Ordering::Relaxed);
-                        let t0 = Instant::now();
+                        let t0 = elapsed_ns();
                         let (outcome, cycles, fast) = execute_trial(
                             &prepared,
                             cfg.engine,
@@ -490,48 +543,29 @@ pub fn run_sweep(
                             hooks.sink,
                             hooks.progress,
                         );
-                        let busy = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        match outcome {
-                            Outcome::Crash => &acc.crash,
-                            Outcome::Soc => &acc.soc,
-                            Outcome::Benign => &acc.benign,
-                        }
-                        .fetch_add(1, Ordering::Relaxed);
-                        acc.cycles.fetch_add(cycles, Ordering::Relaxed);
-                        acc.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                        if fast.restored {
-                            acc.restores.fetch_add(1, Ordering::Relaxed);
-                            acc.skipped_instrs.fetch_add(fast.skipped_instrs, Ordering::Relaxed);
-                        }
-                        if fast.converged {
-                            acc.conv_hits.fetch_add(1, Ordering::Relaxed);
-                            acc.conv_saved_instrs
-                                .fetch_add(fast.conv_saved_instrs, Ordering::Relaxed);
-                        }
-                        acc.conv_checked_instrs
-                            .fetch_add(fast.conv_checked_instrs, Ordering::Relaxed);
-                        acc.sb_dispatches.fetch_add(fast.sb_dispatches, Ordering::Relaxed);
-                        acc.sb_fused_instrs.fetch_add(fast.sb_fused_instrs, Ordering::Relaxed);
-                        acc.sb_stepped_instrs
-                            .fetch_add(fast.sb_stepped_instrs, Ordering::Relaxed);
-                        acc.last_ns.fetch_max(elapsed_ns(), Ordering::Relaxed);
-                        if acc.done.fetch_add(1, Ordering::Relaxed) + 1 == cfg.trials {
+                        own[ci].add(outcome, cycles, t0, elapsed_ns(), &fast);
+                        if done[ci].fetch_add(1, Ordering::Relaxed) + 1 == cfg.trials {
                             if let Some(p) = hooks.progress {
                                 p.campaign_finished();
                             }
                         }
                     }
                 }
-            });
+                own
+            }));
+        }
+        for worker in workers {
+            let part = worker.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (t, p) in tallies.iter_mut().zip(&part) {
+                t.merge(p);
+            }
         }
     });
     let wall_ns = elapsed_ns();
 
     let mut results = Vec::with_capacity(campaigns.len());
     let mut stats = Vec::with_capacity(campaigns.len());
-    let mut busy_total = 0u64;
-    for (i, c) in campaigns.iter().enumerate() {
-        let acc = &accums[i];
+    for (i, (c, t)) in campaigns.iter().zip(&tallies).enumerate() {
         let prepared = match &c.source {
             ArtifactSource::Prepared(p) => Arc::clone(p),
             // Every campaign ran at least one trial, so the slot is filled;
@@ -548,37 +582,30 @@ pub fn run_sweep(
         };
         results.push(CampaignResult {
             tool: c.tool.name().to_string(),
-            counts: OutcomeCounts {
-                crash: acc.crash.load(Ordering::Relaxed),
-                soc: acc.soc.load(Ordering::Relaxed),
-                benign: acc.benign.load(Ordering::Relaxed),
-            },
-            total_cycles: acc.cycles.load(Ordering::Relaxed),
+            counts: t.counts,
+            total_cycles: t.cycles,
             population: prepared.population,
             profile_cycles: prepared.profile_cycles,
         });
-        let busy = acc.busy_ns.load(Ordering::Relaxed);
-        let first = acc.first_ns.load(Ordering::Relaxed);
-        let last = acc.last_ns.load(Ordering::Relaxed);
-        let wall = last.saturating_sub(first.min(last));
-        busy_total += busy;
+        let wall = t.last_ns.saturating_sub(t.first_ns);
         stats.push(CampaignStats {
             app: c.app.clone(),
             tool: c.tool.name().to_string(),
-            busy_ns: busy,
+            busy_ns: t.busy_ns,
             wall_ns: wall,
-            speedup: if wall == 0 { 0.0 } else { busy as f64 / wall as f64 },
+            speedup: if wall == 0 { 0.0 } else { t.busy_ns as f64 / wall as f64 },
             prepare_ms,
-            ckpt_restores: acc.restores.load(Ordering::Relaxed),
-            ckpt_skipped_instrs: acc.skipped_instrs.load(Ordering::Relaxed),
-            conv_hits: acc.conv_hits.load(Ordering::Relaxed),
-            conv_checked_instrs: acc.conv_checked_instrs.load(Ordering::Relaxed),
-            conv_saved_instrs: acc.conv_saved_instrs.load(Ordering::Relaxed),
-            sb_dispatches: acc.sb_dispatches.load(Ordering::Relaxed),
-            sb_fused_instrs: acc.sb_fused_instrs.load(Ordering::Relaxed),
-            sb_stepped_instrs: acc.sb_stepped_instrs.load(Ordering::Relaxed),
+            ckpt_restores: t.ckpt_restores,
+            ckpt_skipped_instrs: t.ckpt_skipped_instrs,
+            conv_hits: t.conv_hits,
+            conv_checked_instrs: t.conv_checked_instrs,
+            conv_saved_instrs: t.conv_saved_instrs,
+            sb_dispatches: t.sb_dispatches,
+            sb_fused_instrs: t.sb_fused_instrs,
+            sb_stepped_instrs: t.sb_stepped_instrs,
         });
     }
+    let busy_total = tallies.iter().map(|t| t.busy_ns).sum();
 
     EngineReport { results, stats, wall_ns, busy_ns: busy_total, jobs, cache: cache.stats() }
 }
@@ -630,11 +657,35 @@ mod tests {
             .collect()
     }
 
+    /// Every per-campaign work counter of a [`CampaignStats`].
+    fn work_counters(s: &CampaignStats) -> [u64; 8] {
+        [
+            s.ckpt_restores,
+            s.ckpt_skipped_instrs,
+            s.conv_hits,
+            s.conv_checked_instrs,
+            s.conv_saved_instrs,
+            s.sb_dispatches,
+            s.sb_fused_instrs,
+            s.sb_stepped_instrs,
+        ]
+    }
+
     #[test]
     fn sweep_is_jobs_invariant() {
         let specs = sweep_specs();
         let base = test_cfg(24, 42, 1, 4);
         let a = run_sweep(&specs, &base, &ArtifactCache::new(), &EngineHooks::default());
+        // The serial sweep did real work in every counter, so a merge that
+        // drops a worker's tally cannot pass by comparing zeros.
+        for x in &a.results {
+            assert_eq!(x.counts.total(), base.trials, "{}", x.tool);
+        }
+        let mut sums = [0u64; 8];
+        for s in &a.stats {
+            sums.iter_mut().zip(work_counters(s)).for_each(|(t, w)| *t += w);
+        }
+        assert!(sums.iter().all(|&c| c > 0), "a counter never moved: {sums:?}");
         for jobs in [2, 5, 8] {
             let cfg = EngineConfig { jobs, ..base };
             let b = run_sweep(&specs, &cfg, &ArtifactCache::new(), &EngineHooks::default());
@@ -642,6 +693,9 @@ mod tests {
                 assert_eq!(x.counts, y.counts, "jobs={jobs}");
                 assert_eq!(x.total_cycles, y.total_cycles, "jobs={jobs}");
                 assert_eq!(x.population, y.population, "jobs={jobs}");
+            }
+            for (x, y) in a.stats.iter().zip(&b.stats) {
+                assert_eq!(work_counters(x), work_counters(y), "{}/{} jobs={jobs}", x.app, x.tool);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Reproduction drivers for every table and figure of the paper's
 //! evaluation (the per-experiment index of DESIGN.md).
 
-use crate::campaign::{run_campaign_prepared, CampaignConfig, CampaignResult};
+use crate::campaign::{run_campaign_observed, CampaignConfig, CampaignResult};
 use crate::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
     EngineReport,
@@ -429,7 +429,7 @@ pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
         ] {
             let opts = FiOptions { fi: true, fi_instrs: class, ..FiOptions::all() };
             let prepared = PreparedTool::prepare_refine_with(&module, &opts, &ckpt);
-            let r = run_campaign_prepared(&prepared, cfg);
+            let r = run_campaign_observed(&prepared, cfg, name, &EngineHooks::default());
             let p = r.counts.percentages();
             let _ = writeln!(
                 s,

@@ -25,8 +25,8 @@ pub mod propagation;
 pub mod tools;
 
 pub use campaign::{
-    program_salt, run_campaign, run_campaign_observed, run_campaign_prepared, CampaignConfig,
-    CampaignHooks, CampaignResult, OutcomeCounts,
+    program_salt, run_campaign, run_campaign_observed, CampaignConfig, CampaignResult,
+    OutcomeCounts,
 };
 pub use engine::{
     run_sweep, ArtifactCache, ArtifactKey, ArtifactSource, CacheStats, CampaignStats,

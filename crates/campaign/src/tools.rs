@@ -9,7 +9,7 @@ use refine_machine::{
     RunConfig, RunOutcome, RunResult, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PIN_OVERHEAD_CYCLES};
-use refine_telemetry::{registry, Phase, Span};
+use refine_telemetry::{Phase, Span};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -110,12 +110,10 @@ fn asm_mnemonic(asm: &str) -> String {
 /// REFINE and LLFI count their hook calls.
 fn build_superblock(binary: &Binary, tool: Tool) -> Arc<SuperblockProgram> {
     let _s = Span::enter(Phase::SuperblockBuild);
-    let sb = Arc::new(match tool {
+    Arc::new(match tool {
         Tool::Pinfi => SuperblockProgram::probed(binary),
         Tool::Refine | Tool::Llfi => SuperblockProgram::new(binary),
-    });
-    registry().superblock_built.incr();
-    sb
+    })
 }
 
 impl PreparedTool {

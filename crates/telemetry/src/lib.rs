@@ -4,13 +4,15 @@
 //! Four pieces, mirroring what a production FI pipeline needs to stay
 //! observable:
 //!
-//! * [`metrics`] — a lock-cheap global registry of atomic counters and
-//!   fixed-bucket (power-of-two) histograms, snapshotable at any point into
-//!   a serde-serializable [`metrics::MetricsSnapshot`];
-//! * [`span`] — RAII phase timers ([`span::Span`]/[`span::PhaseTimer`])
-//!   wrapping compile stages (lex/parse, lowering, isel, regalloc,
-//!   finalize/emit) and the FI instrumentation passes, so front-ends can
-//!   print a per-phase time table;
+//! * [`metrics`] — a lock-cheap global registry of per-trial
+//!   fixed-bucket (power-of-two) histograms and the trap-cause breakdown,
+//!   snapshotable at any point into a serde-serializable
+//!   [`metrics::MetricsSnapshot`] (per-campaign work counts live in the
+//!   campaign engine's report, not here);
+//! * [`span`] — RAII phase timers ([`span::Span`]) wrapping compile stages
+//!   (lex/parse, lowering, isel, regalloc, finalize/emit) and the FI
+//!   instrumentation passes, so front-ends can print a per-phase time
+//!   table ([`span::render_phase_table`]);
 //! * [`trace`] — per-trial provenance records ([`trace::TrialTrace`])
 //!   streamed to a JSONL sink, plus an aggregator summarizing injection
 //!   site × outcome;
@@ -30,12 +32,9 @@ pub mod progress;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{
-    registry, ArtifactCacheSnapshot, CheckpointSnapshot, ConvergenceSnapshot, MetricsSnapshot,
-    OutcomeKind, SuperblockSnapshot,
-};
-pub use progress::Progress;
-pub use span::{Phase, PhaseTimer, Span};
+pub use metrics::{registry, MetricsSnapshot};
+pub use progress::{OutcomeKind, Progress};
+pub use span::{Phase, Span};
 pub use trace::{TraceBuffer, TraceSink, TrialTrace};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,7 +1,7 @@
 //! Lock-cheap metrics registry.
 //!
-//! Hot-path recording is a handful of relaxed atomic ops (counters,
-//! histogram buckets). The only lock is a `std::sync::Mutex` around the
+//! Hot-path recording is a handful of relaxed atomic ops (histogram
+//! buckets). The only lock is a `std::sync::Mutex` around the
 //! trap-cause breakdown, which is touched solely on crashing trials.
 
 use crate::span::{Phase, PhasesSnapshot};
@@ -14,36 +14,6 @@ use std::sync::{Mutex, PoisonError};
 /// `v` with `v.bits() == i`, i.e. upper bound `2^i - 1`; the last bucket
 /// is open-ended.
 pub const HIST_BUCKETS: usize = 64;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Const-constructible zero counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n` (no-op while telemetry is disabled).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Fixed-bucket histogram over `u64` values with power-of-two bucket
 /// boundaries. Recording is wait-free: one bucket increment plus sum /
@@ -138,71 +108,10 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-impl HistogramSnapshot {
-    /// Mean observation, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper-bound estimate of the q-quantile (`0.0..=1.0`) from bucket
-    /// boundaries.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Histogram::bucket_bound(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merge another snapshot into this one (e.g. combining per-shard
-    /// histograms). Bucket vectors must have the same length.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "cannot merge histograms with different bucket layouts"
-        );
-        if other.count == 0 {
-            return;
-        }
-        self.min = if self.count == 0 {
-            other.min
-        } else {
-            self.min.min(other.min)
-        };
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-}
-
-/// Outcome classes tracked by the registry (mirrors the campaign's
-/// Crash / SOC / Benign classification without depending on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutcomeKind {
-    /// Trap or timeout.
-    Crash = 0,
-    /// Silent output corruption.
-    Soc = 1,
-    /// Output matched golden.
-    Benign = 2,
-}
-
-/// The global metrics registry.
+/// The global metrics registry: per-trial distributions and the trap
+/// breakdown. Per-campaign work counts (outcomes, checkpoint restores,
+/// convergence, superblock dispatches, artifact-cache hits) are summed by
+/// the campaign engine, not here.
 pub struct Registry {
     /// Wall-clock nanoseconds per fault-injection trial.
     pub trial_latency_ns: Histogram,
@@ -210,42 +119,8 @@ pub struct Registry {
     pub trial_instrs: Histogram,
     /// Simulated cycles per trial.
     pub trial_cycles: Histogram,
-    /// Outcome counters indexed by [`OutcomeKind`].
-    outcomes: [Counter; 3],
     /// Trap-cause breakdown (crashing trials only, so a mutex is fine).
     traps: Mutex<BTreeMap<String, u64>>,
-    /// Trials that ran to completion (for rate computations).
-    pub trials_total: Counter,
-    /// Instrumented-artifact cache hits (campaign engine).
-    pub artifact_cache_hits: Counter,
-    /// Instrumented-artifact cache misses, i.e. full compile+instrument+
-    /// profile pipelines actually executed.
-    pub artifact_cache_misses: Counter,
-    /// Wall-clock nanoseconds per artifact preparation (cache misses only).
-    pub artifact_prepare_ns: Histogram,
-    /// Trials fast-forwarded from a golden-run checkpoint.
-    pub checkpoint_restores: Counter,
-    /// Trials executed cold (no usable checkpoint or checkpointing off).
-    pub checkpoint_cold: Counter,
-    /// Dynamic instructions skipped per checkpoint restore.
-    pub checkpoint_skipped_instrs: Histogram,
-    /// Trials whose post-injection state converged with the golden run and
-    /// whose outcome was spliced.
-    pub convergence_hits: Counter,
-    /// Post-injection instructions executed under convergence checking.
-    pub convergence_checked_instrs: Histogram,
-    /// Instructions skipped per convergence hit (golden-suffix splice).
-    pub convergence_saved_instrs: Histogram,
-    /// Superblock programs built (predecode + fusion, one per prepared
-    /// artifact).
-    pub superblock_built: Counter,
-    /// Fused superblock dispatches across all trials.
-    pub superblock_dispatches: Counter,
-    /// Instructions retired through fused dispatch.
-    pub superblock_fused_instrs: Counter,
-    /// Total instructions retired under superblock loops (fused + exact
-    /// single-step fallback).
-    pub superblock_total_instrs: Counter,
 }
 
 static REGISTRY: Registry = Registry::new();
@@ -261,51 +136,22 @@ impl Registry {
             trial_latency_ns: Histogram::new(),
             trial_instrs: Histogram::new(),
             trial_cycles: Histogram::new(),
-            outcomes: [Counter::new(), Counter::new(), Counter::new()],
             traps: Mutex::new(BTreeMap::new()),
-            trials_total: Counter::new(),
-            artifact_cache_hits: Counter::new(),
-            artifact_cache_misses: Counter::new(),
-            artifact_prepare_ns: Histogram::new(),
-            checkpoint_restores: Counter::new(),
-            checkpoint_cold: Counter::new(),
-            checkpoint_skipped_instrs: Histogram::new(),
-            convergence_hits: Counter::new(),
-            convergence_checked_instrs: Histogram::new(),
-            convergence_saved_instrs: Histogram::new(),
-            superblock_built: Counter::new(),
-            superblock_dispatches: Counter::new(),
-            superblock_fused_instrs: Counter::new(),
-            superblock_total_instrs: Counter::new(),
         }
     }
 
     /// Record one completed trial.
-    pub fn record_trial(
-        &self,
-        latency_ns: u64,
-        instrs: u64,
-        cycles: u64,
-        outcome: OutcomeKind,
-        trap: Option<&str>,
-    ) {
+    pub fn record_trial(&self, latency_ns: u64, instrs: u64, cycles: u64, trap: Option<&str>) {
         if !crate::enabled() {
             return;
         }
         self.trial_latency_ns.record(latency_ns);
         self.trial_instrs.record(instrs);
         self.trial_cycles.record(cycles);
-        self.outcomes[outcome as usize].incr();
-        self.trials_total.incr();
         if let Some(cause) = trap {
             let mut traps = self.traps.lock().unwrap_or_else(PoisonError::into_inner);
             *traps.entry(cause.to_string()).or_insert(0) += 1;
         }
-    }
-
-    /// Outcome count for one class.
-    pub fn outcome_count(&self, kind: OutcomeKind) -> u64 {
-        self.outcomes[kind as usize].get()
     }
 
     /// Copy out a point-in-time snapshot of everything, including the
@@ -315,117 +161,10 @@ impl Registry {
             trial_latency_ns: self.trial_latency_ns.snapshot(),
             trial_instrs: self.trial_instrs.snapshot(),
             trial_cycles: self.trial_cycles.snapshot(),
-            outcomes: OutcomeCountsSnapshot {
-                crash: self.outcomes[OutcomeKind::Crash as usize].get(),
-                soc: self.outcomes[OutcomeKind::Soc as usize].get(),
-                benign: self.outcomes[OutcomeKind::Benign as usize].get(),
-            },
             traps: self.traps.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             phases: Phase::snapshot_all(),
-            artifact_cache: ArtifactCacheSnapshot {
-                hits: self.artifact_cache_hits.get(),
-                misses: self.artifact_cache_misses.get(),
-                prepare_ns: self.artifact_prepare_ns.snapshot(),
-            },
-            checkpoint: CheckpointSnapshot {
-                restores: self.checkpoint_restores.get(),
-                cold: self.checkpoint_cold.get(),
-                skipped_instrs: self.checkpoint_skipped_instrs.snapshot(),
-            },
-            convergence: ConvergenceSnapshot {
-                hits: self.convergence_hits.get(),
-                checked_instrs: self.convergence_checked_instrs.snapshot(),
-                saved_instrs: self.convergence_saved_instrs.snapshot(),
-            },
-            superblock: SuperblockSnapshot {
-                built: self.superblock_built.get(),
-                dispatches: self.superblock_dispatches.get(),
-                fused_instrs: self.superblock_fused_instrs.get(),
-                total_instrs: self.superblock_total_instrs.get(),
-            },
         }
     }
-}
-
-/// Serializable superblock-engine statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SuperblockSnapshot {
-    /// Superblock programs built (one per prepared artifact).
-    pub built: u64,
-    /// Fused block dispatches across all trials.
-    pub dispatches: u64,
-    /// Instructions retired through fused dispatch.
-    pub fused_instrs: u64,
-    /// Total instructions retired under superblock loops.
-    pub total_instrs: u64,
-}
-
-impl SuperblockSnapshot {
-    /// Fraction of superblock-loop instructions retired fused (0 when the
-    /// engine never ran).
-    pub fn fused_instr_share(&self) -> f64 {
-        if self.total_instrs == 0 {
-            0.0
-        } else {
-            self.fused_instrs as f64 / self.total_instrs as f64
-        }
-    }
-}
-
-/// Serializable golden-convergence early-exit statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceSnapshot {
-    /// Trials whose outcome was spliced from the golden run.
-    pub hits: u64,
-    /// Post-injection instructions executed under convergence checking.
-    pub checked_instrs: HistogramSnapshot,
-    /// Instructions skipped per convergence hit.
-    pub saved_instrs: HistogramSnapshot,
-}
-
-/// Serializable checkpoint fast-forward statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointSnapshot {
-    /// Trials fast-forwarded from a golden-run checkpoint.
-    pub restores: u64,
-    /// Trials executed cold (no usable checkpoint or checkpointing off).
-    pub cold: u64,
-    /// Dynamic instructions skipped per restore.
-    pub skipped_instrs: HistogramSnapshot,
-}
-
-/// Serializable instrumented-artifact cache statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArtifactCacheSnapshot {
-    /// Lookups served from an already-prepared artifact.
-    pub hits: u64,
-    /// Lookups that had to run the full compile+instrument+profile pipeline.
-    pub misses: u64,
-    /// Preparation wall-time distribution (misses only).
-    pub prepare_ns: HistogramSnapshot,
-}
-
-impl ArtifactCacheSnapshot {
-    /// Fraction of lookups served from cache (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Serializable outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OutcomeCountsSnapshot {
-    /// Trap or timeout.
-    pub crash: u64,
-    /// Silent output corruption.
-    pub soc: u64,
-    /// Matched golden output.
-    pub benign: u64,
 }
 
 /// Serializable point-in-time copy of the whole registry.
@@ -437,20 +176,10 @@ pub struct MetricsSnapshot {
     pub trial_instrs: HistogramSnapshot,
     /// Simulated cycles per trial.
     pub trial_cycles: HistogramSnapshot,
-    /// Outcome counters.
-    pub outcomes: OutcomeCountsSnapshot,
     /// Trap-cause breakdown.
     pub traps: BTreeMap<String, u64>,
     /// Per-phase compile/FI-pass timings.
     pub phases: PhasesSnapshot,
-    /// Instrumented-artifact cache statistics.
-    pub artifact_cache: ArtifactCacheSnapshot,
-    /// Checkpoint fast-forward statistics.
-    pub checkpoint: CheckpointSnapshot,
-    /// Golden-convergence early-exit statistics.
-    pub convergence: ConvergenceSnapshot,
-    /// Superblock-engine statistics.
-    pub superblock: SuperblockSnapshot,
 }
 
 #[cfg(test)]
@@ -492,9 +221,6 @@ mod tests {
         assert_eq!(s.buckets[3], 1); // 7
         assert_eq!(s.buckets[9], 1); // 300
         assert_eq!(s.buckets.iter().sum::<u64>(), 6);
-        assert!((s.mean() - 100_309.0 / 6.0).abs() < 1e-9);
-        assert!(s.quantile(0.5) >= 1 && s.quantile(0.5) <= 7);
-        assert_eq!(s.quantile(1.0), 100_000);
     }
 
     #[test]
@@ -508,67 +234,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge() {
-        let _g = crate::test_lock();
-        crate::enable();
-        let (a, b) = (Histogram::new(), Histogram::new());
-        for v in [1u64, 5, 9] {
-            a.record(v);
-        }
-        for v in [0u64, 1000] {
-            b.record(v);
-        }
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count, 5);
-        assert_eq!(m.sum, 1015);
-        assert_eq!(m.min, 0);
-        assert_eq!(m.max, 1000);
-        assert_eq!(m.buckets.iter().sum::<u64>(), 5);
-
-        // Merging an empty histogram changes nothing (incl. min).
-        let before = m.clone();
-        m.merge(&Histogram::new().snapshot());
-        assert_eq!(m, before);
-
-        // Merging *into* an empty histogram copies the other side.
-        let mut empty = Histogram::new().snapshot();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn registry_trials_and_traps() {
         let _g = crate::test_lock();
         crate::enable();
         let r = Registry::new();
-        r.record_trial(1_000, 50, 120, OutcomeKind::Crash, Some("segfault"));
-        r.record_trial(2_000, 60, 130, OutcomeKind::Benign, None);
-        r.record_trial(1_500, 55, 125, OutcomeKind::Crash, Some("segfault"));
-        r.record_trial(1_200, 52, 122, OutcomeKind::Soc, None);
+        r.record_trial(1_000, 50, 120, Some("segfault"));
+        r.record_trial(2_000, 60, 130, None);
+        r.record_trial(1_500, 55, 125, Some("segfault"));
+        r.record_trial(1_200, 52, 122, None);
         let s = r.snapshot();
-        assert_eq!(s.outcomes.crash, 2);
-        assert_eq!(s.outcomes.soc, 1);
-        assert_eq!(s.outcomes.benign, 1);
+        assert_eq!(s.traps.len(), 1);
         assert_eq!(s.traps.get("segfault"), Some(&2));
         assert_eq!(s.trial_latency_ns.count, 4);
-        assert_eq!(r.trials_total.get(), 4);
-    }
-
-    #[test]
-    fn cache_counters_snapshot_and_hit_rate() {
-        let _g = crate::test_lock();
-        crate::enable();
-        let r = Registry::new();
-        r.artifact_cache_hits.add(9);
-        r.artifact_cache_misses.incr();
-        r.artifact_prepare_ns.record(1_000_000);
-        let s = r.snapshot();
-        assert_eq!(s.artifact_cache.hits, 9);
-        assert_eq!(s.artifact_cache.misses, 1);
-        assert!((s.artifact_cache.hit_rate() - 0.9).abs() < 1e-12);
-        assert_eq!(s.artifact_cache.prepare_ns.count, 1);
-        assert_eq!(ArtifactCacheSnapshot { hits: 0, misses: 0, prepare_ns: Histogram::new().snapshot() }.hit_rate(), 0.0);
+        assert_eq!(s.trial_instrs.sum, 50 + 60 + 55 + 52);
+        assert_eq!(s.trial_cycles.max, 130);
     }
 
     #[test]
@@ -576,8 +255,8 @@ mod tests {
         let _g = crate::test_lock();
         crate::enable();
         let r = Registry::new();
-        r.record_trial(5_000, 40, 100, OutcomeKind::Crash, Some("bad-pc"));
-        r.record_trial(6_000, 45, 110, OutcomeKind::Benign, None);
+        r.record_trial(5_000, 40, 100, Some("bad-pc"));
+        r.record_trial(6_000, 45, 110, None);
         let snap = r.snapshot();
         let text = serde::json::to_string(&snap);
         let back: MetricsSnapshot = serde::json::from_str(&text).expect("parses");

@@ -5,13 +5,24 @@
 //! itself is throttled to one line per interval and guarded by a
 //! `try_lock`, so worker threads never queue behind the terminal.
 
-use crate::metrics::OutcomeKind;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 const PRINT_INTERVAL_MS: u64 = 200;
+
+/// Outcome classes counted by [`Progress`] (mirrors the campaign's
+/// Crash / SOC / Benign classification without depending on it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutcomeKind {
+    /// Trap or timeout.
+    Crash = 0,
+    /// Silent output corruption.
+    Soc = 1,
+    /// Output matched golden.
+    Benign = 2,
+}
 
 /// Live progress reporter for a fixed number of trials.
 pub struct Progress {

@@ -194,32 +194,6 @@ impl Drop for Span {
     }
 }
 
-/// A standalone stopwatch for callers that want the elapsed time of a
-/// scope *and* the global phase accumulation — e.g. `minicc --times`
-/// printing a one-shot table while experiments aggregate across modules.
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-}
-
-impl PhaseTimer {
-    /// Start timing `phase` (always times, independent of [`crate::enabled`]).
-    pub fn start(phase: Phase) -> PhaseTimer {
-        PhaseTimer {
-            phase,
-            start: Instant::now(),
-        }
-    }
-
-    /// Stop, record into the global table, and return the elapsed time.
-    pub fn stop(self) -> std::time::Duration {
-        let elapsed = self.start.elapsed();
-        self.phase
-            .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        elapsed
-    }
-}
-
 /// Format `ns` adaptively (ns/µs/ms/s).
 pub fn fmt_ns(ns: u64) -> String {
     match ns {
@@ -268,14 +242,12 @@ mod tests {
         {
             let _s = Span::enter(Phase::Isel);
         }
-        let t = PhaseTimer::start(Phase::Regalloc);
-        let d = t.stop();
+        Phase::Regalloc.record_ns(1_000);
         let snap = Phase::snapshot_all();
         let isel = snap.phases.iter().find(|p| p.name == "isel").unwrap();
         assert_eq!(isel.calls, 2);
         let ra = snap.phases.iter().find(|p| p.name == "regalloc").unwrap();
-        assert_eq!(ra.calls, 1);
-        assert!(ra.total_ns >= d.as_nanos() as u64 / 2);
+        assert_eq!((ra.calls, ra.total_ns), (1, 1_000));
         assert!(snap.active().count() >= 2);
         let table = render_phase_table(&snap);
         assert!(table.contains("isel"));

@@ -2,9 +2,8 @@
 //! provenance record per trial, and the aggregated trace agrees with the
 //! campaign's own outcome counts.
 
-use refine_campaign::campaign::{
-    run_campaign_observed, CampaignConfig, CampaignHooks, OutcomeCounts,
-};
+use refine_campaign::campaign::{run_campaign_observed, CampaignConfig, OutcomeCounts};
+use refine_campaign::engine::EngineHooks;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_telemetry::trace::{read_jsonl, TraceSummary};
 use refine_telemetry::{Progress, TraceSink};
@@ -27,12 +26,8 @@ fn traced_campaign_emits_one_record_per_trial() {
         for tool in Tool::all() {
             let prepared = PreparedTool::prepare(&module, tool);
             let progress = Progress::new(TRIALS, true);
-            let hooks = CampaignHooks {
-                app: "matmul",
-                sink: Some(&sink),
-                progress: Some(&progress),
-            };
-            let r = run_campaign_observed(&prepared, &cfg, &hooks);
+            let hooks = EngineHooks { sink: Some(&sink), progress: Some(&progress) };
+            let r = run_campaign_observed(&prepared, &cfg, "matmul", &hooks);
             assert_eq!(r.counts.total(), TRIALS);
             assert_eq!(progress.done(), TRIALS, "progress counts every trial");
             by_tool_counts.push((tool.name().to_lowercase(), r.counts));
@@ -126,23 +121,21 @@ fn untraced_campaign_is_unchanged_by_observers() {
     let cfg = CampaignConfig { trials: 16, seed: 9, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
     let prepared = PreparedTool::prepare(&module, Tool::Refine);
 
-    let bare = CampaignHooks { app: "matmul", sink: None, progress: None };
-    let plain = run_campaign_observed(&prepared, &cfg, &bare);
+    let plain = run_campaign_observed(&prepared, &cfg, "matmul", &EngineHooks::default());
     let sink_dir = std::env::temp_dir().join("refine-telemetry-integration");
     std::fs::create_dir_all(&sink_dir).unwrap();
     let path = sink_dir.join(format!("trace-b-{}.jsonl", std::process::id()));
     let sink = TraceSink::to_file(&path).unwrap();
     let progress = Progress::new(16, true);
-    let hooks = CampaignHooks { app: "matmul", sink: Some(&sink), progress: Some(&progress) };
-    let observed = run_campaign_observed(&prepared, &cfg, &hooks);
+    let hooks = EngineHooks { sink: Some(&sink), progress: Some(&progress) };
+    let observed = run_campaign_observed(&prepared, &cfg, "matmul", &hooks);
 
     assert_eq!(plain.counts, observed.counts);
     assert_eq!(plain.total_cycles, observed.total_cycles);
 
     // A different app name is a different campaign: independent fault
     // streams even from the same prepared artifact and seed.
-    let other = CampaignHooks { app: "matmul-2", sink: None, progress: None };
-    let renamed = run_campaign_observed(&prepared, &cfg, &other);
+    let renamed = run_campaign_observed(&prepared, &cfg, "matmul-2", &EngineHooks::default());
     assert_ne!(
         (plain.counts, plain.total_cycles),
         (renamed.counts, renamed.total_cycles),
