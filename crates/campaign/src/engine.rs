@@ -146,15 +146,15 @@ impl ArtifactCache {
         Arc::clone(artifact)
     }
 
-    /// Wall-clock nanoseconds this cache spent preparing `key` (`None`
-    /// when the key was never prepared here, e.g. pre-prepared artifacts
-    /// or a hit against an older cache generation).
-    pub fn prepare_ns_of(&self, key: &ArtifactKey) -> Option<u64> {
+    /// The artifact prepared for `key` and the wall-clock nanoseconds
+    /// this cache spent preparing it, without counting a lookup (`None`
+    /// when the key was never prepared here, e.g. pre-prepared artifacts).
+    pub fn peek(&self, key: &ArtifactKey) -> Option<(Arc<PreparedTool>, u64)> {
         let slot = {
             let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(slots.get(key)?)
         };
-        slot.get().map(|(_, ns)| *ns)
+        slot.get().map(|(p, ns)| (Arc::clone(p), *ns))
     }
 
     /// Artifacts currently resident.
@@ -566,18 +566,11 @@ pub fn run_sweep(
     let mut results = Vec::with_capacity(campaigns.len());
     let mut stats = Vec::with_capacity(campaigns.len());
     for (i, (c, t)) in campaigns.iter().zip(&tallies).enumerate() {
-        let prepared = match &c.source {
-            ArtifactSource::Prepared(p) => Arc::clone(p),
-            // Every campaign ran at least one trial, so the slot is filled;
-            // this lookup is a cache hit by construction.
-            ArtifactSource::Module(m) => cache.get_or_prepare(&keys[i], || {
-                PreparedTool::prepare_opt(m, c.tool, &cfg.checkpoint_options())
-            }),
-        };
-        let prepare_ms = match &c.source {
-            ArtifactSource::Prepared(_) => 0.0,
+        let (prepared, prepare_ns) = match &c.source {
+            ArtifactSource::Prepared(p) => (Arc::clone(p), 0),
+            // Every campaign ran at least one trial, so its slot is filled.
             ArtifactSource::Module(_) => {
-                cache.prepare_ns_of(&keys[i]).unwrap_or(0) as f64 / 1e6
+                cache.peek(&keys[i]).expect("every campaign prepared its artifact")
             }
         };
         results.push(CampaignResult {
@@ -594,7 +587,7 @@ pub fn run_sweep(
             busy_ns: t.busy_ns,
             wall_ns: wall,
             speedup: if wall == 0 { 0.0 } else { t.busy_ns as f64 / wall as f64 },
-            prepare_ms,
+            prepare_ms: prepare_ns as f64 / 1e6,
             ckpt_restores: t.ckpt_restores,
             ckpt_skipped_instrs: t.ckpt_skipped_instrs,
             conv_hits: t.conv_hits,
@@ -676,6 +669,9 @@ mod tests {
         let specs = sweep_specs();
         let base = test_cfg(24, 42, 1, 4);
         let a = run_sweep(&specs, &base, &ArtifactCache::new(), &EngineHooks::default());
+        // One worker looks each distinct artifact up once, and reading the
+        // results back after the join counts no lookup.
+        assert_eq!((a.cache.hits, a.cache.misses), (0, specs.len() as u64));
         // The serial sweep did real work in every counter, so a merge that
         // drops a worker's tally cannot pass by comparing zeros.
         for x in &a.results {

@@ -476,6 +476,46 @@ mod tests {
         assert!(seen.len() >= 2, "expected some outcome diversity: {seen:?}");
     }
 
+    /// A fused trial that overflows the stack, then an ordinary trial of
+    /// the same artifact on the same thread (the second reuses the first's
+    /// stack): each equals the exact oracle run on a thread of its own.
+    #[test]
+    fn deep_stack_trial_then_ordinary_trial_match_exact() {
+        use refine_machine::{machine::STACK_TOP, Trap};
+        let m = refine_frontend::compile_source(
+            "var depth[1];\n\
+             fn down(n: int) -> int { if (n == 0) { return 0; } return down(n - 1) + 1; }\n\
+             fn main() { depth[0] = 2000; print_i(down(depth[0]) + down(depth[0])); return 0; }",
+        )
+        .unwrap();
+        let p = PreparedTool::prepare(&m, Tool::Pinfi);
+        let base = STACK_TOP - 8 * p.stack_words as u64;
+        let exact = |(target, seed): (u64, u64)| {
+            std::thread::scope(|s| s.spawn(|| p.run_trial_exact(target, seed)).join().unwrap())
+        };
+        // The first trials whose fault recurses until a call pushes just
+        // below the stack (every stack word written), and that exit cleanly.
+        let find = |hit: fn(u64, RunOutcome) -> bool| {
+            (1..=p.population)
+                .map(|t| (t, t * 31 + 7))
+                .find(|&(t, seed)| hit(base, p.run_trial_exact(t, seed).result.outcome))
+                .expect("the search finds the trial")
+        };
+        let deep = find(|base, o| {
+            matches!(o, RunOutcome::Trap(Trap::Segfault(a)) if a < base && a + 64 >= base)
+        });
+        let ordinary = find(|_, o| o == RunOutcome::Exit(0));
+        let want = [exact(deep), exact(ordinary)];
+        for ((target, seed), want) in [deep, ordinary].into_iter().zip(want) {
+            let got = p.run_trial_full(target, seed);
+            assert_eq!(got.result.outcome, want.result.outcome, "trial {target}");
+            assert_eq!(got.result.output, want.result.output, "trial {target}");
+            assert_eq!(got.result.cycles, want.result.cycles, "trial {target}");
+            assert_eq!(got.result.instrs_retired, want.result.instrs_retired, "trial {target}");
+            assert_eq!(got.log, want.log, "trial {target}");
+        }
+    }
+
     #[test]
     fn trial_is_deterministic_given_target_and_seed() {
         let m = module();

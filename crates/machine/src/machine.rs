@@ -1,5 +1,7 @@
 //! The M64 execution engine.
 
+use std::cell::Cell;
+
 use crate::binary::Binary;
 use crate::checkpoint::{apply_pages, diff_pages, Checkpoint, DirtyPage, PAGE_WORDS};
 use crate::isa::{fi_outputs, flags, AluOp, CvtKind, FAluOp, MInstr, Mem, Reg, RtFunc, SP};
@@ -173,16 +175,39 @@ pub struct Machine<'a> {
     /// is): every word below it still holds its initial zero, so snapshot
     /// capture and the golden comparison read the stack only from here up.
     pub(crate) stack_lo: usize,
-    /// The save-area words (`r0`, FLAGS) of the REFINE sites fused µops
-    /// absorb, copied from the running `SuperblockProgram` by the fused
-    /// loop.
-    pub(crate) site_words: (u64, u64),
+    /// The data-segment word indices of the save-area words (`r0`, FLAGS)
+    /// of the REFINE sites fused µops absorb, copied from the running
+    /// `SuperblockProgram` by the fused loop.
+    pub(crate) site_words: (usize, usize),
+}
+
+thread_local! {
+    /// This thread's spare all-zero stack: [`Machine::into_result`] hands
+    /// its stack back here re-zeroed and [`Machine::new`] takes it, so a
+    /// trial neither allocates nor clears a whole stack.
+    static SPARE_STACK: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 impl<'a> Machine<'a> {
     /// Initialize machine state for `binary`.
+    ///
+    /// # Panics
+    ///
+    /// If the data segment and the `cfg.stack_words` stack below
+    /// [`STACK_TOP`] overlap: memory accesses try the stack first, which
+    /// gives the same result only for disjoint segments.
     pub fn new(binary: &'a Binary, cfg: &RunConfig) -> Self {
-        let stack_base = STACK_TOP - (cfg.stack_words as u64) * 8;
+        let stack_bytes = (cfg.stack_words as u64).saturating_mul(8);
+        let data_end = GLOBAL_BASE + binary.data.len() as u64 * 8;
+        assert!(
+            data_end.saturating_add(stack_bytes) <= STACK_TOP,
+            "data segment and a {}-word stack overlap",
+            cfg.stack_words
+        );
+        let mut stack = SPARE_STACK.take();
+        if stack.len() != cfg.stack_words {
+            stack = vec![0; cfg.stack_words];
+        }
         let mut m = Machine {
             binary,
             regs: [0; 16],
@@ -190,8 +215,8 @@ impl<'a> Machine<'a> {
             flags: 0,
             pc: binary.entry,
             data: binary.data.clone(),
-            stack: vec![0; cfg.stack_words],
-            stack_base,
+            stack,
+            stack_base: STACK_TOP - stack_bytes,
             output: Vec::new(),
             cycles: 0,
             instrs_retired: 0,
@@ -298,8 +323,11 @@ impl<'a> Machine<'a> {
     }
 
     /// Package a finished (or fast-path-terminated) machine into a
-    /// [`RunResult`].
-    pub fn into_result(self, outcome: RunOutcome) -> RunResult {
+    /// [`RunResult`], handing its stack, zeroed again from its lowest
+    /// written word up, to this thread's next [`Machine::new`].
+    pub fn into_result(mut self, outcome: RunOutcome) -> RunResult {
+        self.stack[self.stack_lo..].fill(0);
+        SPARE_STACK.set(self.stack);
         RunResult {
             outcome,
             output: self.output,
@@ -425,21 +453,23 @@ impl<'a> Machine<'a> {
         }
     }
 
+    // Each segment is one bounds-checked `get` on the word offset from its
+    // base, which wraps to a huge index below the base. The stack goes
+    // first: most accesses are `fp`/`sp` based. `Machine::new` asserts the
+    // segments are disjoint, so the order never changes a result.
     #[inline(always)]
     pub(crate) fn mem_read(&self, addr: u64) -> Result<u64, Trap> {
         if !addr.is_multiple_of(8) {
             return Err(Trap::Misaligned(addr));
         }
-        if addr >= GLOBAL_BASE {
-            let w = (addr - GLOBAL_BASE) / 8;
-            if (w as usize) < self.data.len() {
-                return Ok(self.data[w as usize]);
-            }
+        let s = addr.wrapping_sub(self.stack_base) / 8;
+        if let Some(&v) = self.stack.get(s as usize) {
+            return Ok(v);
         }
-        if addr >= self.stack_base && addr < STACK_TOP {
-            return Ok(self.stack[((addr - self.stack_base) / 8) as usize]);
+        match self.data.get((addr.wrapping_sub(GLOBAL_BASE) / 8) as usize) {
+            Some(&v) => Ok(v),
+            None => Err(Trap::Segfault(addr)),
         }
-        Err(Trap::Segfault(addr))
     }
 
     /// Memory write; a stack store also lowers [`Machine::stack_lo`].
@@ -448,20 +478,19 @@ impl<'a> Machine<'a> {
         if !addr.is_multiple_of(8) {
             return Err(Trap::Misaligned(addr));
         }
-        if addr >= GLOBAL_BASE {
-            let w = (addr - GLOBAL_BASE) / 8;
-            if (w as usize) < self.data.len() {
-                self.data[w as usize] = val;
-                return Ok(());
-            }
-        }
-        if addr >= self.stack_base && addr < STACK_TOP {
-            let w = ((addr - self.stack_base) / 8) as usize;
-            self.stack[w] = val;
-            self.stack_lo = self.stack_lo.min(w);
+        let s = (addr.wrapping_sub(self.stack_base) / 8) as usize;
+        if let Some(w) = self.stack.get_mut(s) {
+            *w = val;
+            self.stack_lo = self.stack_lo.min(s);
             return Ok(());
         }
-        Err(Trap::Segfault(addr))
+        match self.data.get_mut((addr.wrapping_sub(GLOBAL_BASE) / 8) as usize) {
+            Some(w) => {
+                *w = val;
+                Ok(())
+            }
+            None => Err(Trap::Segfault(addr)),
+        }
     }
 
     fn eff_addr(&self, mem: &Mem) -> u64 {
@@ -1006,6 +1035,133 @@ mod tests {
         assert_eq!(m.flags, 0b10);
         m.flip(Reg::F(1), 63);
         assert_eq!(f64::from_bits(m.fregs[1]), -0.0);
+    }
+
+    /// Every FLAGS writer keeps the four architectural bits, so a fused
+    /// REFINE site skip needs no mask after its stores.
+    #[test]
+    fn every_flags_writer_keeps_four_bits() {
+        let b = bin(vec![MInstr::WrFlags { rs: 1 }, MInstr::Halt]);
+        let mut m = Machine::new(&b, &RunConfig::default());
+        let mut seen = Vec::new();
+        let ints = [i64::MIN, -1, 0, 1, i64::MAX];
+        for (&a, &c) in ints.iter().flat_map(|a| ints.iter().map(move |c| (a, c))) {
+            for op in [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::And, AluOp::Shl] {
+                let _ = m.alu(op, a, c);
+                seen.push(m.flags);
+            }
+            m.cmp_flags(a, c);
+            seen.push(m.flags);
+        }
+        let floats = [f64::NAN, f64::NEG_INFINITY, -1.0, 0.0, 1.0];
+        for (&x, &y) in floats.iter().flat_map(|x| floats.iter().map(move |y| (x, y))) {
+            m.fcmp_flags(x, y);
+            seen.push(m.flags);
+        }
+        m.regs[1] = u64::MAX;
+        assert!(matches!(m.step(&b.text[0], &mut NoFi), Ok(Step::Continue)));
+        assert_eq!(m.flags, 0xf, "wrflags of all ones");
+        for bit in 0..64 {
+            m.flip(Reg::Flags, bit);
+            seen.push(m.flags);
+            m.xor_mask(Reg::Flags, 1 << bit);
+            seen.push(m.flags);
+        }
+        m.xor_mask(Reg::Flags, u64::MAX);
+        seen.push(m.flags);
+        let ck = m.snapshot(0);
+        seen.push(Machine::resume(&b, &RunConfig::default(), &ck).flags);
+        assert!(seen.iter().all(|&f| f <= 0xf), "{seen:?}");
+    }
+
+    /// Loads and stores at every segment edge and one misaligned address
+    /// in each segment give these exact results: 8 data words from
+    /// 0x1_0000 and a 64-word stack from 0x7fff_fe00.
+    #[test]
+    fn memory_access_edges() {
+        let b = bin(vec![MInstr::Halt]);
+        let mut m = Machine::new(&b, &RunConfig { max_cycles: 1, stack_words: 64 });
+        let cases = [
+            (0xfff8, Err(Trap::Segfault(0xfff8))),
+            (0x1_0000, Ok(())),
+            (0x1_0038, Ok(())),
+            (0x1_0040, Err(Trap::Segfault(0x1_0040))),
+            (0x7fff_fdf8, Err(Trap::Segfault(0x7fff_fdf8))),
+            (0x7fff_fe00, Ok(())),
+            (0x7fff_fff8, Ok(())),
+            (0x8000_0000, Err(Trap::Segfault(0x8000_0000))),
+            (0xffff_ffff_ffff_fff8, Err(Trap::Segfault(0xffff_ffff_ffff_fff8))),
+            (0x1_0004, Err(Trap::Misaligned(0x1_0004))),
+            (0x7fff_fe04, Err(Trap::Misaligned(0x7fff_fe04))),
+        ];
+        for (addr, want) in cases {
+            assert_eq!(m.mem_write(addr, addr), want, "store at {addr:#x}");
+            assert_eq!(m.mem_read(addr), want.map(|()| addr), "load at {addr:#x}");
+        }
+        // The four stores landed in their own words and nowhere else.
+        assert_eq!((m.data[0], m.data[7]), (0x1_0000, 0x1_0038));
+        assert_eq!((m.stack[0], m.stack[63]), (0x7fff_fe00, 0x7fff_fff8));
+        let written = m.data.iter().chain(&m.stack).filter(|&&w| w != 0).count();
+        assert_eq!(written, 4);
+        assert_eq!(m.stack_lo, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn overlapping_segments_are_refused() {
+        // 8 data words end at 0x1_0040; a stack reaching one word lower
+        // overlaps them. The check comes before any stack is allocated.
+        let b = bin(vec![MInstr::Halt]);
+        let stack_words = ((STACK_TOP - 0x1_0040) / 8) as usize + 1;
+        Machine::new(&b, &RunConfig { max_cycles: 1, stack_words });
+    }
+
+    /// After a run that pushed through a corrupted `sp` down to stack word
+    /// 0, the same thread's next machines reuse its stack: a new one
+    /// all zero, a resumed one zero except its checkpoint's pages.
+    #[test]
+    fn recycled_stack_starts_zeroed() {
+        let cfg = RunConfig { max_cycles: 1000, stack_words: 4 * PAGE_WORDS };
+        let base = STACK_TOP - 8 * cfg.stack_words as u64;
+        // The call writes the top word; then `sp` is corrupted to two
+        // words above the base and pushed until it leaves the stack.
+        let b = bin(vec![
+            MInstr::Call { target: 2 },
+            MInstr::Halt,
+            MInstr::MovRI { rd: SP, imm: (base + 16) as i64 },
+            MInstr::MovRI { rd: 1, imm: 7 },
+            MInstr::Push { rs: 1 },
+            MInstr::Push { rs: 1 },
+            MInstr::Push { rs: 1 },
+            MInstr::Halt,
+        ]);
+        let deep = || {
+            let mut m = Machine::new(&b, &cfg);
+            let out = m.exec_loop(cfg.max_cycles, &mut NoFi, None, None, false).unwrap();
+            assert_eq!(out, RunOutcome::Trap(Trap::Segfault(base - 8)));
+            assert_eq!((m.stack_lo, m.stack[0], m.stack[cfg.stack_words - 1]), (0, 7, 1));
+            let stack = m.stack.as_ptr();
+            m.into_result(out);
+            stack
+        };
+        let stack = deep();
+        let fresh = Machine::new(&b, &cfg);
+        assert_eq!(fresh.stack.as_ptr(), stack, "the same stack, recycled");
+        assert!(fresh.stack.iter().all(|&w| w == 0));
+        assert_eq!(fresh.stack_lo, cfg.stack_words);
+        fresh.into_result(RunOutcome::Exit(0));
+
+        let mut g = Machine::new(&b, &cfg);
+        g.mem_write(base + 8 * (2 * PAGE_WORDS + 5) as u64, 9).unwrap();
+        let ck = g.snapshot(0);
+        g.into_result(RunOutcome::Exit(0));
+        let stack = deep();
+        let resumed = Machine::resume(&b, &cfg, &ck);
+        assert_eq!(resumed.stack.as_ptr(), stack, "the same stack, recycled");
+        let mut want = vec![0; cfg.stack_words];
+        apply_pages(&ck.stack_pages, &mut want);
+        assert_eq!(resumed.stack, want);
+        assert_eq!(resumed.stack_lo, 2 * PAGE_WORDS);
     }
 
     /// Probe injection: flip the destination of a mov right after it

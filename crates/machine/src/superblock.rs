@@ -185,9 +185,10 @@ pub struct SuperblockProgram {
     trace_end: Vec<u32>,
     /// Per-pc data for the exact-step fallback.
     slots: Vec<Slot>,
-    /// The save-area words (`r0`, FLAGS) every skipped REFINE site stores
-    /// to: the `save_base` pair of `refine_core::pass`.
-    site_words: (u64, u64),
+    /// The data-segment word indices of the save-area words (`r0`, FLAGS)
+    /// every skipped REFINE site stores to: the `save_base` pair of
+    /// `refine_core::pass`.
+    site_words: (usize, usize),
     /// FI events are FI targets at fetch (PINFI), not hook calls.
     probed: bool,
 }
@@ -400,11 +401,12 @@ fn hook_copy(text: &[MInstr], pc: usize) -> Option<Uop> {
 /// ```
 ///
 /// With `selInstr` returning 0 its net effect is the two stores — `r0`
-/// and FLAGS end unchanged. Returns `(post, (A, F))` only when the ten
-/// instructions are one trace (`setup` inside the text, `post` ahead, the
-/// run falling through inside the text) and `A` and `F` are distinct
-/// aligned absolute data-segment words (so the stores cannot trap).
-fn site_skip(binary: &Binary, pc: usize) -> Option<(usize, (u64, u64))> {
+/// and FLAGS end unchanged. Returns `post` and the data-segment word
+/// indices of `A` and `F` only when the ten instructions are one trace
+/// (`setup` inside the text, `post` ahead, the run falling through inside
+/// the text) and `A` and `F` are distinct aligned absolute data-segment
+/// words (so the stores cannot trap).
+fn site_skip(binary: &Binary, pc: usize) -> Option<(usize, (usize, usize))> {
     use MInstr::{CallRt, CmpI, Jcc, Jmp, Ld, RdFlags, St, WrFlags};
     let text = &binary.text;
     let pre = text.get(pc..pc + 7)?;
@@ -433,16 +435,16 @@ fn site_skip(binary: &Binary, pc: usize) -> Option<(usize, (u64, u64))> {
     (a != f && load_r0 == save_r0 && load_flags == save_flags).then_some((post, (a, f)))
 }
 
-/// The address `mem` names when it is an absolute, aligned word of the
-/// data segment.
-fn save_word(binary: &Binary, mem: &Mem) -> Option<u64> {
+/// The data-segment word index `mem` names when it is an absolute,
+/// aligned word of the data segment.
+fn save_word(binary: &Binary, mem: &Mem) -> Option<usize> {
     let addr = u64::try_from(mem.disp).ok()?;
-    let word = addr.checked_sub(GLOBAL_BASE)? / 8;
+    let word = usize::try_from(addr.checked_sub(GLOBAL_BASE)? / 8).ok()?;
     let ok = mem.base.is_none()
         && mem.index.is_none()
         && addr.is_multiple_of(8)
-        && word < binary.data.len() as u64;
-    ok.then_some(addr)
+        && word < binary.data.len();
+    ok.then_some(word)
 }
 
 impl<'a> Machine<'a> {
@@ -792,18 +794,18 @@ fn segment_matches(
 // REFINE site skip after it and ends with [`done`]'s stores.
 
 /// Finish a one-instruction µop. With `S` it then runs the non-firing path
-/// of the REFINE site after it ([`site_skip`]): save `r0` and FLAGS to the
-/// program's save-area words, both provably in the data segment, so
-/// neither store can trap. A handler that trapped or took its guard
-/// returned before this, leaving the words untouched.
+/// of the REFINE site after it ([`site_skip`]): store `r0` and FLAGS
+/// straight into the program's save-area words, data-segment indices
+/// [`save_word`] validated, so neither store can trap. PostFI's `wrflags`
+/// leaves FLAGS as it is: every FLAGS writer keeps the four architectural
+/// bits. A handler that trapped or took its guard returned before this,
+/// leaving the words untouched.
 #[inline(always)]
 fn done<const S: bool>(m: &mut Machine<'_>) -> Result<(), Exit> {
     if S {
         let (a, f) = m.site_words;
-        m.mem_write(a, m.regs[0])?;
-        m.mem_write(f, u64::from(m.flags))?;
-        // PostFI's `wrflags` keeps only the four architectural flag bits.
-        m.flags &= 0xf;
+        m.data[a] = m.regs[0];
+        m.data[f] = u64::from(m.flags);
     }
     Ok(())
 }
