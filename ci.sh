@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local CI. Every gate here is exact; none times anything:
-#   * release build, `cargo test` (which also checks the exact work counters
-#     and work floors of tests/integration_fastpath.rs), clippy and rustdoc
-#     with warnings denied, and a perfbench type-check;
+#   * release build, `cargo test` (which also checks the exact work counters,
+#     the work floors and the checkpoint residency gate of
+#     tests/integration_fastpath.rs), clippy and rustdoc with warnings
+#     denied, and a perfbench type-check;
 #   * outcome-table diffs of one short sweep across --jobs counts, with
 #     checkpointing, convergence and the fused engine on and off;
 #   * traced perfbench exact-facts digests against

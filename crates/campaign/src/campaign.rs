@@ -226,8 +226,8 @@ pub(crate) fn execute_trial(
 /// [`run_campaign_observed`].
 pub fn run_campaign(module: &Module, tool: Tool, cfg: &CampaignConfig) -> CampaignResult {
     let ckpt = EngineConfig::from_campaign(cfg).checkpoint_options();
-    let prepared = PreparedTool::prepare_opt(module, tool, &ckpt);
-    run_campaign_observed(&prepared, cfg, "", &EngineHooks::default())
+    let prepared = Arc::new(PreparedTool::prepare_opt(module, tool, &ckpt));
+    run_campaign_observed(prepared, cfg, "", &EngineHooks::default())
 }
 
 /// Run a campaign of program `app` against an already-prepared tool (lets
@@ -238,7 +238,7 @@ pub fn run_campaign(module: &Module, tool: Tool, cfg: &CampaignConfig) -> Campai
 /// Scheduling is the sharded engine's: a one-campaign sweep over a
 /// work-stealing worker pool sharing the prepared artifact immutably.
 pub fn run_campaign_observed(
-    prepared: &PreparedTool,
+    prepared: Arc<PreparedTool>,
     cfg: &CampaignConfig,
     app: &str,
     hooks: &EngineHooks<'_>,
@@ -246,7 +246,7 @@ pub fn run_campaign_observed(
     let spec = EngineCampaign {
         app: app.to_string(),
         tool: prepared.tool,
-        source: ArtifactSource::Prepared(Arc::new(prepared.clone())),
+        source: ArtifactSource::Prepared(prepared),
     };
     let mut report = run_sweep(
         std::slice::from_ref(&spec),

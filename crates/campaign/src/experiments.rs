@@ -428,8 +428,8 @@ pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
             ("all", InstrClass::All),
         ] {
             let opts = FiOptions { fi: true, fi_instrs: class, ..FiOptions::all() };
-            let prepared = PreparedTool::prepare_refine_with(&module, &opts, &ckpt);
-            let r = run_campaign_observed(&prepared, cfg, name, &EngineHooks::default());
+            let prepared = Arc::new(PreparedTool::prepare_refine_with(&module, &opts, &ckpt));
+            let r = run_campaign_observed(prepared, cfg, name, &EngineHooks::default());
             let p = r.counts.percentages();
             let _ = writeln!(
                 s,

@@ -44,7 +44,7 @@ impl Tool {
 
 /// A program prepared for a campaign with one tool: the right binary plus
 /// profiling results (population, golden output, timeout budget).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PreparedTool {
     /// Which tool.
     pub tool: Tool,

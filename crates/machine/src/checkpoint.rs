@@ -20,9 +20,15 @@
 //! ([`Machine::run_profile`](crate::Machine::run_profile)) and diffs the
 //! stack only from its lowest written word up, which yields exactly the
 //! full-segment [`diff_pages`] result because every word below it is still
-//! zero.
+//! zero. Dirty pages are shared too: a page equal to the previous
+//! capture's page of the same index reuses its words (one [`Arc`]), so a
+//! page a long run writes once is held once however many snapshots it
+//! appears in. [`CheckpointStore::memory_words`] counts those resident
+//! words; [`Checkpoint::memory_words`] is one snapshot's view.
 
 use crate::machine::OutEvent;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Dirty-page granularity in 8-byte words (512-byte pages).
 pub const PAGE_WORDS: usize = 64;
@@ -33,33 +39,53 @@ pub const PAGE_WORDS: usize = 64;
 pub struct DirtyPage {
     /// Page number within the segment (word offset / [`PAGE_WORDS`]).
     pub index: u32,
-    /// The page's content at snapshot time.
-    pub words: Box<[u64]>,
+    /// The page's content at snapshot time, shared with the neighbouring
+    /// snapshots whose page of this index holds the same words.
+    pub words: Arc<[u64]>,
 }
 
 /// Diff a memory segment against its baseline (`None` = all zeros),
 /// returning the pages that changed. This full-segment scan is the
 /// reference the profiling run's capture reproduces.
 pub fn diff_pages(cur: &[u64], baseline: Option<&[u64]>) -> Vec<DirtyPage> {
-    diff_pages_from(cur, baseline, 0)
+    diff_pages_from(cur, baseline, 0, &[])
 }
 
 /// [`diff_pages`] over the pages from page `first` on, for a segment whose
-/// earlier pages are known to equal the baseline.
+/// earlier pages are known to equal the baseline. A page equal to the
+/// page of the same index in `prev` (an earlier capture of this segment,
+/// ascending) shares its words; any other page is diffed against the
+/// baseline, so the result equals [`diff_pages`]'s whatever `prev` holds.
 pub(crate) fn diff_pages_from(
     cur: &[u64],
     baseline: Option<&[u64]>,
     first: usize,
+    prev: &[DirtyPage],
 ) -> Vec<DirtyPage> {
-    (first..cur.len().div_ceil(PAGE_WORDS)).filter_map(|i| dirty_page(cur, baseline, i)).collect()
+    let mut prev = prev.iter().peekable();
+    (first..cur.len().div_ceil(PAGE_WORDS))
+        .filter_map(|i| {
+            let chunk = page(cur, i);
+            while prev.next_if(|p| (p.index as usize) < i).is_some() {}
+            match prev.next_if(|p| p.index as usize == i) {
+                Some(p) if *p.words == *chunk => Some(p.clone()),
+                _ => dirty_page(chunk, baseline, i),
+            }
+        })
+        .collect()
 }
 
-/// Page `i` of `cur` when it differs from the baseline (`None` = zeros).
-fn dirty_page(cur: &[u64], baseline: Option<&[u64]>, i: usize) -> Option<DirtyPage> {
+/// Page `i` of the segment `cur` (the last page may be shorter).
+fn page(cur: &[u64], i: usize) -> &[u64] {
     let start = i * PAGE_WORDS;
-    let chunk = &cur[start..(start + PAGE_WORDS).min(cur.len())];
+    &cur[start..(start + PAGE_WORDS).min(cur.len())]
+}
+
+/// Page `i`, holding `chunk`, when it differs from the baseline (`None` =
+/// zeros).
+fn dirty_page(chunk: &[u64], baseline: Option<&[u64]>, i: usize) -> Option<DirtyPage> {
     let clean = match baseline {
-        Some(b) => chunk == &b[start..start + chunk.len()],
+        Some(b) => chunk == page(b, i),
         None => chunk.iter().all(|&w| w == 0),
     };
     (!clean).then(|| DirtyPage { index: i as u32, words: chunk.into() })
@@ -104,7 +130,8 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Words of captured page memory (diagnostics).
+    /// Words of page memory this snapshot restores, shared pages included
+    /// (diagnostics).
     pub fn memory_words(&self) -> usize {
         self.data_pages.iter().chain(&self.stack_pages).map(|p| p.words.len()).sum()
     }
@@ -228,9 +255,16 @@ impl CheckpointStore {
         self.checkpoints.is_empty()
     }
 
-    /// Words of captured page memory across all snapshots (diagnostics).
+    /// Words of page memory the store keeps resident: each page shared by
+    /// several snapshots counts once (diagnostics).
     pub fn memory_words(&self) -> usize {
-        self.checkpoints.iter().map(Checkpoint::memory_words).sum()
+        let mut seen = HashSet::new();
+        self.checkpoints
+            .iter()
+            .flat_map(|c| c.data_pages.iter().chain(&c.stack_pages))
+            .filter(|p| seen.insert(Arc::as_ptr(&p.words).cast::<u64>()))
+            .map(|p| p.words.len())
+            .sum()
     }
 }
 
@@ -279,6 +313,37 @@ mod tests {
         let mut restored = vec![0u64; 3 * PAGE_WORDS];
         apply_pages(&pages, &mut restored);
         assert_eq!(restored, cur);
+    }
+
+    #[test]
+    fn store_memory_words_count_a_shared_page_once() {
+        let page = |index: u32, w: u64| DirtyPage { index, words: vec![w; PAGE_WORDS].into() };
+        let (once, other) = (page(0, 1), page(1, 2));
+        let mut a = ck(10, 1);
+        a.data_pages = vec![once.clone(), other];
+        let mut b = ck(20, 2);
+        // The same words again, in a page of its own.
+        b.data_pages = vec![once.clone(), page(1, 2)];
+        b.stack_pages = vec![DirtyPage { index: 7, words: once.words.clone() }];
+        assert_eq!((a.memory_words(), b.memory_words()), (2 * PAGE_WORDS, 3 * PAGE_WORDS));
+        let store =
+            CheckpointStore { interval: 10, checkpoints: vec![a, b], exempt_data_words: (0, 0) };
+        assert_eq!(store.memory_words(), 3 * PAGE_WORDS);
+    }
+
+    #[test]
+    fn diff_shares_equal_pages_with_the_previous_capture() {
+        let baseline = vec![0u64; 3 * PAGE_WORDS];
+        let mut cur = baseline.clone();
+        cur[1] = 4;
+        cur[PAGE_WORDS + 1] = 5;
+        let prev = diff_pages(&cur, Some(&baseline));
+        cur[PAGE_WORDS + 1] = 6;
+        cur[2 * PAGE_WORDS] = 7;
+        let next = diff_pages_from(&cur, Some(&baseline), 0, &prev);
+        assert_eq!(next, diff_pages(&cur, Some(&baseline)));
+        assert!(Arc::ptr_eq(&next[0].words, &prev[0].words), "unchanged page");
+        assert!(!Arc::ptr_eq(&next[1].words, &prev[1].words), "rewritten page");
     }
 
     #[test]

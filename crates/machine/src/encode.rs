@@ -350,6 +350,29 @@ mod tests {
         }
     }
 
+    /// Every instruction's cycle cost, runtime calls included, fits the
+    /// `u8` a superblock slot keeps. Decodes every opcode with every
+    /// sub-op byte (the ALU or FP-ALU op, runtime function, condition or
+    /// conversion it selects), with register or no-register operands.
+    #[test]
+    fn every_instruction_cost_fits_u8() {
+        let (mut opcodes, mut max) = (std::collections::HashSet::new(), 0);
+        for op in 0..=u16::from(u8::MAX) {
+            for sub in 0..=u8::MAX {
+                for [r1, r2] in [[0, 0], [NO_REG, NO_REG]] {
+                    let Ok(i) = decode(pack(op, [sub, r1, r2, 0, 0, 0]), 0) else {
+                        continue;
+                    };
+                    assert!(u8::try_from(i.cycles()).is_ok(), "{i:?} costs {}", i.cycles());
+                    opcodes.insert(op);
+                    max = max.max(i.cycles());
+                }
+            }
+        }
+        assert_eq!(opcodes.len(), 29, "every opcode, 0 to 28, decoded");
+        assert_eq!(max, 92, "an LLFI hook's `CallRt` is the dearest instruction");
+    }
+
     #[test]
     fn bad_opcode_rejected() {
         assert!(decode(9999, 0).is_err());

@@ -71,8 +71,7 @@
 
 use crate::binary::Binary;
 use crate::checkpoint::{
-    diff_pages, diff_pages_from, Checkpoint, CheckpointBuilder, CheckpointStore, DirtyPage,
-    PAGE_WORDS,
+    diff_pages_from, Checkpoint, CheckpointBuilder, CheckpointStore, DirtyPage, PAGE_WORDS,
 };
 use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
 use crate::machine::{
@@ -121,14 +120,17 @@ struct Uop {
 // every prepared artifact's resident size.
 const _: () = assert!(std::mem::size_of::<Uop>() == 24);
 
-/// The exact-step fallback's view of one pc: the instruction with its cycle
-/// cost and FI-event flag precomputed.
+/// The exact-step fallback's view of one pc: its instruction's cycle cost
+/// and FI-event flag. The fallback steps the binary's own instruction.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    instr: MInstr,
-    cost: u64,
+    cost: u8,
     is_event: bool,
 }
+
+// Two bytes per pc, resident in every prepared artifact: the binary holds
+// the instruction, and the largest cost (an LLFI hook's `CallRt`) is 92.
+const _: () = assert!(std::mem::size_of::<Slot>() == 2);
 
 /// [`Machine::sb_loop`] modes: a quiescent prefix or plain suffix, a
 /// convergence-tracked suffix, and a checkpointed profiling run.
@@ -185,6 +187,8 @@ pub struct SuperblockProgram {
     trace_end: Vec<u32>,
     /// Per-pc data for the exact-step fallback.
     slots: Vec<Slot>,
+    /// [`SuperblockProgram::block_count`], counted at build time.
+    blocks: usize,
     /// The data-segment word indices of the save-area words (`r0`, FLAGS)
     /// every skipped REFINE site stores to: the `save_base` pair of
     /// `refine_core::pass`.
@@ -215,7 +219,8 @@ impl SuperblockProgram {
             .iter()
             .map(|i| {
                 let is_event = if probed { !fi_outputs(i).is_empty() } else { is_fi_hook(i) };
-                Slot { instr: *i, cost: i.cycles(), is_event }
+                let cost = u8::try_from(i.cycles()).expect("instruction cycle cost fits u8");
+                Slot { cost, is_event }
             })
             .collect();
         let mut uops: Vec<Uop> = text.iter().map(lower::<false>).collect();
@@ -236,7 +241,7 @@ impl SuperblockProgram {
                 continue;
             };
             fused_len[pc] = 1 + fused_len[succ];
-            fused_cost[pc] = slots[pc].cost + fused_cost[succ];
+            fused_cost[pc] = u64::from(slots[pc].cost) + fused_cost[succ];
             fused_events[pc] = u32::from(slots[pc].is_event) + fused_events[succ];
             trace_end[pc] = if fused_len[succ] > 0 { trace_end[succ] } else { succ as u32 };
             if is_noop(&text[pc]) {
@@ -265,6 +270,7 @@ impl SuperblockProgram {
             uops[pc].next = next as u32;
         }
         let site_words = site_words.unwrap_or_default();
+        let blocks = block_count(text, &fused_len);
         SuperblockProgram {
             uops,
             fused_len,
@@ -272,6 +278,7 @@ impl SuperblockProgram {
             fused_events,
             trace_end,
             slots,
+            blocks,
             site_words,
             probed,
         }
@@ -291,16 +298,7 @@ impl SuperblockProgram {
     /// into, i.e. the distinct traces a run enters from exactly stepped
     /// code (a trace started anywhere else is the tail of one of these).
     pub fn block_count(&self) -> usize {
-        let n = self.len();
-        let mut entered = vec![false; n];
-        for (pc, s) in self.slots.iter().enumerate() {
-            if self.fused_len[pc] > 0 {
-                if let Some(next) = successor(&s.instr, pc, n) {
-                    entered[next] = true;
-                }
-            }
-        }
-        (0..n).filter(|&pc| self.fused_len[pc] > 0 && !entered[pc]).count()
+        self.blocks
     }
 
     /// What one dispatch of the µop at `pc` does when it completes without
@@ -333,6 +331,21 @@ impl SuperblockProgram {
             .take_while(|ck| ck.fi_count <= last)
             .all(|ck| ck.pc as usize <= pc || ck.pc as usize >= end)
     }
+}
+
+/// [`SuperblockProgram::block_count`] of the program fusing `text` into
+/// traces of `fused_len`.
+fn block_count(text: &[MInstr], fused_len: &[u32]) -> usize {
+    let n = text.len();
+    let mut entered = vec![false; n];
+    for (pc, i) in text.iter().enumerate() {
+        if fused_len[pc] > 0 {
+            if let Some(next) = successor(i, pc, n) {
+                entered[next] = true;
+            }
+        }
+    }
+    (0..n).filter(|&pc| fused_len[pc] > 0 && !entered[pc]).count()
 }
 
 /// `selInstr` and the LLFI `injectFault` calls: the FI hooks whose calls
@@ -447,6 +460,19 @@ fn save_word(binary: &Binary, mem: &Mem) -> Option<usize> {
     ok.then_some(word)
 }
 
+/// Panic unless `sb` was built for a text of `binary`'s length: its
+/// exact-step fallback steps `binary`'s instructions by pc, so a program
+/// built for another binary would run that binary's costs and traces over
+/// this one's instructions.
+fn assert_built_for(sb: &SuperblockProgram, binary: &Binary) {
+    assert!(
+        sb.len() == binary.text.len(),
+        "superblock program of {} instructions run on a {}-instruction binary",
+        sb.len(),
+        binary.text.len()
+    );
+}
+
 impl<'a> Machine<'a> {
     /// Execute the trace headed at `head` (`fused_len[head] > 0`
     /// guaranteed by the caller), tallying its FI events into `count` and
@@ -489,7 +515,7 @@ impl<'a> Machine<'a> {
             let own = &sb.slots[k];
             (
                 sb.fused_len[k] - 1,
-                sb.fused_cost[k] - own.cost,
+                sb.fused_cost[k] - u64::from(own.cost),
                 sb.fused_events[k] - u32::from(own.is_event),
             )
         });
@@ -549,6 +575,7 @@ impl<'a> Machine<'a> {
         max: u64,
         stats: &mut TrialFastStats,
     ) -> Option<RunOutcome> {
+        assert_built_for(sb, self.binary);
         if golden.is_some() {
             self.sb_loop::<CONV>(sb, count, overhead, stop, golden, 0, max, stats)
         } else {
@@ -567,7 +594,9 @@ impl<'a> Machine<'a> {
     /// per-instruction loop would after that retire. A snapshot diffs the
     /// data segment against the binary's and the stack from the page of
     /// its lowest written word up (every word below is still zero), so it
-    /// equals the full-scan [`Machine::snapshot`].
+    /// equals the full-scan [`Machine::snapshot`]. A page equal to the
+    /// previous capture's page of the same index shares its words, whether
+    /// or not the builder kept that capture.
     pub fn run_profile(
         binary: &'a Binary,
         cfg: &RunConfig,
@@ -575,6 +604,7 @@ impl<'a> Machine<'a> {
         overhead: u64,
         builder: Option<&mut CheckpointBuilder>,
     ) -> (RunResult, u64) {
+        assert_built_for(sb, binary);
         let mut m = Machine::new(binary, cfg);
         let (mut count, stats) = (0, &mut TrialFastStats::default());
         let max = cfg.max_cycles;
@@ -582,6 +612,7 @@ impl<'a> Machine<'a> {
             let outcome = m.run_sb(sb, &mut count, overhead, u64::MAX, None, max, stats);
             return (m.into_result(outcome.expect("a run with no stop count ends")), count);
         };
+        let mut prev = (Vec::new(), Vec::new());
         let outcome = loop {
             let due = b.next_due(m.instrs_retired);
             let run =
@@ -589,8 +620,9 @@ impl<'a> Machine<'a> {
             if let Some(outcome) = run {
                 break outcome;
             }
-            let data = diff_pages(&m.data, Some(&binary.data));
-            let stack = diff_pages_from(&m.stack, None, m.stack_lo / PAGE_WORDS);
+            let data = diff_pages_from(&m.data, Some(&binary.data), 0, &prev.0);
+            let stack = diff_pages_from(&m.stack, None, m.stack_lo / PAGE_WORDS, &prev.1);
+            prev = (data.clone(), stack.clone());
             b.push(m.checkpoint(count, (data, stack)));
         };
         (m.into_result(outcome), count)
@@ -613,13 +645,12 @@ impl<'a> Machine<'a> {
         max_cycles: u64,
         stats: &mut TrialFastStats,
     ) -> Option<RunOutcome> {
-        debug_assert_eq!(sb.len(), self.binary.text.len());
         self.site_words = sb.site_words;
         let ckpts: &[Checkpoint] = match golden {
             Some((store, _)) if MODE == CONV => &store.checkpoints,
             _ => &[],
         };
-        let (entry_retired, mut spliced) = (self.instrs_retired, 0);
+        let (binary, entry_retired, mut spliced) = (self.binary, self.instrs_retired, 0);
         // First candidate: the earliest golden snapshot whose FI-event
         // window the trial has not passed yet (fi_count is monotone).
         let mut cursor = ckpts.partition_point(|c| c.fi_count < *count);
@@ -674,12 +705,12 @@ impl<'a> Machine<'a> {
                     Err(t) => break Some(RunOutcome::Trap(t)),
                 }
             }
-            let Some(e) = sb.slots.get(pc) else {
+            let (Some(e), Some(instr)) = (sb.slots.get(pc), binary.text.get(pc)) else {
                 break Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
             };
-            self.cycles += overhead + e.cost;
+            self.cycles += overhead + u64::from(e.cost);
             *count += u64::from(e.is_event);
-            match self.step(&e.instr, &mut NoFi) {
+            match self.step(instr, &mut NoFi) {
                 Ok(Step::Continue) => {
                     self.instrs_retired += 1;
                     stats.sb_stepped_instrs += 1;
@@ -1183,6 +1214,7 @@ mod tests {
     use crate::machine::STACK_TOP;
     use crate::probe::{CountingProbe, Probe, ProbeAction};
     use crate::rt::FiRuntime;
+    use std::sync::Arc;
 
     fn bin(text: Vec<MInstr>) -> Binary {
         let end = text.len() as u32;
@@ -1694,15 +1726,26 @@ mod tests {
         overhead: u64,
         interval: u64,
     ) -> CheckpointStore {
-        let cfg = RunConfig::default();
         let ckpt = CheckpointConfig { interval, ..CheckpointConfig::default() };
-        let mut builder = CheckpointBuilder::new(&ckpt);
+        profile_vs_exact_with(b, sb, overhead, &ckpt)
+    }
+
+    /// [`profile_vs_exact`] under `ckpt`: with thinning, the snapshots the
+    /// store keeps must equal the exact loop's at the same retired counts.
+    fn profile_vs_exact_with(
+        b: &Binary,
+        sb: &SuperblockProgram,
+        overhead: u64,
+        ckpt: &CheckpointConfig,
+    ) -> CheckpointStore {
+        let (cfg, interval) = (RunConfig::default(), ckpt.interval);
+        let mut builder = CheckpointBuilder::new(ckpt);
         let (fused, count) = Machine::run_profile(b, &cfg, sb, overhead, Some(&mut builder));
         let store = builder.finish();
 
         let mut m = Machine::new(b, &cfg);
         let (mut rt, mut probe) = (CountTo { count: 0, at: u64::MAX }, DueProbe::new(overhead));
-        let mut snapshots = Vec::new();
+        let mut snapshots: Vec<Checkpoint> = Vec::new();
         let outcome = loop {
             probe.due = (m.instrs_retired / interval + 1) * interval;
             let run = m.run_exact_until_fired(cfg.max_cycles, &mut rt, Some(&mut probe));
@@ -1718,6 +1761,7 @@ mod tests {
             (fused.outcome, fused.output, fused.cycles, fused.instrs_retired, count),
             (exact.outcome, exact.output, exact.cycles, exact.instrs_retired, events)
         );
+        snapshots.retain(|c| c.retired.is_multiple_of(store.interval));
         assert_eq!(store.checkpoints, snapshots);
         store
     }
@@ -1779,6 +1823,114 @@ mod tests {
         let pages = |c: &Checkpoint| (c.data_pages.len(), c.stack_pages.len());
         let counts: Vec<_> = store.checkpoints.iter().map(pages).collect();
         assert_eq!(counts, [(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)]);
+    }
+
+    /// The data word of page `p` that [`paging_program`] stores to.
+    const PAGE: [usize; 3] = [0, PAGE_WORDS, 2 * PAGE_WORDS];
+
+    /// One push and one data store before a 16-iteration loop of seven
+    /// instructions that stores `i & 1 + 5` to data page 1 (6, 5, 6, ...:
+    /// back to content an earlier snapshot held) and `i & 1` to page 2
+    /// (back to the baseline every other iteration).
+    fn paging_program() -> Binary {
+        let abs = |w: usize| Mem::abs(data_addr(w) as i64);
+        let text = vec![
+            MInstr::MovRI { rd: 1, imm: 7 },
+            MInstr::St { rs: 1, mem: abs(PAGE[0]) },
+            MInstr::Push { rs: 1 },
+            MInstr::MovRI { rd: 2, imm: 0 },
+            MInstr::AluI { op: AluOp::Add, rd: 2, ra: 2, imm: 1 }, // loop head
+            MInstr::AluI { op: AluOp::And, rd: 3, ra: 2, imm: 1 },
+            MInstr::St { rs: 3, mem: abs(PAGE[2]) },
+            MInstr::AluI { op: AluOp::Add, rd: 3, ra: 3, imm: 5 },
+            MInstr::St { rs: 3, mem: abs(PAGE[1]) },
+            MInstr::CmpI { ra: 2, imm: 16 },
+            MInstr::Jcc { cc: Cc::Lt, target: 4 },
+            MInstr::Halt,
+        ];
+        Binary { data: vec![0; 3 * PAGE_WORDS], ..bin(text) }
+    }
+
+    /// Data page `index` of `ck`, if captured.
+    fn data_page(ck: &Checkpoint, index: usize) -> Option<&DirtyPage> {
+        ck.data_pages.iter().find(|p| p.index as usize == index)
+    }
+
+    #[test]
+    fn capture_shares_unchanged_pages_with_the_previous_snapshot() {
+        let b = paging_program();
+        let sb = SuperblockProgram::new(&b);
+        // One snapshot per iteration, each equal to the full scan.
+        let store = profile_vs_exact(&b, &sb, 0, 7);
+        assert_eq!(store.len(), 16);
+        let shared = |x: Option<&DirtyPage>, y: Option<&DirtyPage>| {
+            Arc::ptr_eq(&x.unwrap().words, &y.unwrap().words)
+        };
+        let mut reverted = 0;
+        for (i, pair) in store.checkpoints.windows(2).enumerate() {
+            let [a, b] = pair else { unreachable!() };
+            let what = format!("snapshots {i} and {}", i + 1);
+            assert!(shared(data_page(a, 0), data_page(b, 0)), "{what}: page written once");
+            assert!(shared(a.stack_pages.first(), b.stack_pages.first()), "{what}: stack page");
+            if let (Some(x), Some(y)) = (data_page(a, 1), data_page(b, 1)) {
+                assert!(!Arc::ptr_eq(&x.words, &y.words), "{what}: page rewritten");
+            }
+            // A page back at content an earlier snapshot held is a copy of
+            // its own, not that snapshot's.
+            let earlier = i.checked_sub(1).and_then(|x| data_page(&store.checkpoints[x], 1));
+            if let (Some(e), Some(y)) = (earlier, data_page(b, 1)) {
+                if e.words == y.words {
+                    assert!(!Arc::ptr_eq(&e.words, &y.words), "{what}: reverted page");
+                    reverted += 1;
+                }
+            }
+        }
+        assert!(reverted > 0, "no page reverted to earlier content");
+        assert!(store.checkpoints.iter().any(|c| data_page(c, 2).is_none()));
+        assert!(store.checkpoints.iter().any(|c| data_page(c, 2).is_some()));
+        let per_snapshot: usize = store.checkpoints.iter().map(Checkpoint::memory_words).sum();
+        // Page 0 and the stack page are held once; pages 1 and 2 once per
+        // snapshot that has them.
+        let rewritten: usize =
+            store.checkpoints.iter().map(|c| c.data_pages.len() - 1).sum::<usize>() * PAGE_WORDS;
+        assert_eq!(store.memory_words(), 2 * PAGE_WORDS + rewritten);
+        assert!(store.memory_words() < per_snapshot);
+    }
+
+    #[test]
+    fn thinned_capture_resumes_to_the_exact_snapshots() {
+        let b = paging_program();
+        let sb = SuperblockProgram::new(&b);
+        let ckpt = CheckpointConfig { interval: 7, max_checkpoints: 4, ..Default::default() };
+        // Thinning drops snapshots whose pages later ones share: each kept
+        // one still equals the exact loop's full scan at its retired count.
+        let store = profile_vs_exact_with(&b, &sb, 0, &ckpt);
+        assert_eq!((store.len(), store.interval), (4, 28));
+        for ck in &store.checkpoints {
+            let m = Machine::resume(&b, &RunConfig::default(), ck);
+            assert_eq!(m.snapshot(ck.fi_count), *ck, "retired {}", ck.retired);
+            assert!(m.matches_checkpoint(ck, (0, 0)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "superblock program of 3 instructions run on a 2-instruction binary")]
+    fn superblock_program_of_another_binary_is_refused() {
+        let other = bin(vec![MInstr::Nop, MInstr::Nop, MInstr::Halt]);
+        let sb = SuperblockProgram::new(&other);
+        let b = bin(vec![MInstr::Nop, MInstr::Halt]);
+        let cfg = RunConfig::default();
+        let mut m = Machine::new(&b, &cfg);
+        m.run_sb(&sb, &mut 0, 0, u64::MAX, None, cfg.max_cycles, &mut TrialFastStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "superblock program of 3 instructions run on a 2-instruction binary")]
+    fn profiling_with_another_binarys_program_is_refused() {
+        let other = bin(vec![MInstr::Nop, MInstr::Nop, MInstr::Halt]);
+        let sb = SuperblockProgram::new(&other);
+        let b = bin(vec![MInstr::Nop, MInstr::Halt]);
+        Machine::run_profile(&b, &RunConfig::default(), &sb, 0, None);
     }
 
     /// A loop whose head (pc 0) absorbs a site; three iterations of one

@@ -26,6 +26,12 @@
 //! executes with checkpointing off. Nobody can regenerate the snapshot over
 //! a build that has lost fusion, checkpoints or convergence.
 //!
+//! A residency gate bounds what the prepared artifacts keep: over every
+//! suite app and tool, the checkpoint page words the stores hold (each page
+//! shared by several snapshots counted once) must be at most 35% of the
+//! per-snapshot sum, since capture shares every page unchanged since the
+//! previous snapshot (29.9% when the gate was set).
+//!
 //! Structural checks couple the fused engine to the instrumentation passes
 //! over every suite app: each REFINE site's non-firing path is absorbed by
 //! the µop before it or runs as one site-skip µop heading a trace, each
@@ -39,7 +45,7 @@ use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, FiOptions};
 use refine_ir::passes::OptLevel;
-use refine_machine::{Binary, MInstr, RtFunc, SuperblockProgram};
+use refine_machine::{Binary, Checkpoint, MInstr, RtFunc, SuperblockProgram};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 use std::path::PathBuf;
@@ -158,6 +164,31 @@ fn fastpath_counters_match_snapshot() {
         committed, rendered,
         "fast-path work counters drifted from the committed snapshot; if \
          intentional, regenerate with REFINE_UPDATE_GOLDEN=1"
+    );
+}
+
+/// The suite's checkpoint stores at default settings keep at most 35% of
+/// their snapshots' page words resident: a capture that stopped sharing
+/// unchanged pages would hold every snapshot's pages in full.
+#[test]
+fn checkpoint_stores_share_unchanged_pages() {
+    let ckpt = CheckpointOptions::default();
+    let (mut resident, mut per_snapshot, mut snapshots) = (0, 0, 0);
+    for b in refine_benchmarks::all() {
+        let m = b.module();
+        for tool in Tool::all() {
+            let p = PreparedTool::prepare_opt(&m, tool, &ckpt);
+            let store = &p.fastpath.as_deref().expect("checkpointing is on by default").store;
+            resident += store.memory_words();
+            per_snapshot += store.checkpoints.iter().map(Checkpoint::memory_words).sum::<usize>();
+            snapshots += store.len();
+        }
+    }
+    let share = resident as f64 / per_snapshot as f64;
+    assert!(
+        share <= 0.35,
+        "{snapshots} snapshots keep {resident} of their {per_snapshot} page words ({share:.3}), \
+         above 0.35"
     );
 }
 

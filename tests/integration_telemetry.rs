@@ -7,6 +7,7 @@ use refine_campaign::engine::EngineHooks;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_telemetry::trace::{read_jsonl, TraceSummary};
 use refine_telemetry::{Progress, TraceSink};
+use std::sync::Arc;
 
 const TRIALS: u64 = 32;
 
@@ -24,10 +25,10 @@ fn traced_campaign_emits_one_record_per_trial() {
     {
         let sink = TraceSink::to_file(&path).unwrap();
         for tool in Tool::all() {
-            let prepared = PreparedTool::prepare(&module, tool);
+            let prepared = Arc::new(PreparedTool::prepare(&module, tool));
             let progress = Progress::new(TRIALS, true);
             let hooks = EngineHooks { sink: Some(&sink), progress: Some(&progress) };
-            let r = run_campaign_observed(&prepared, &cfg, "matmul", &hooks);
+            let r = run_campaign_observed(prepared, &cfg, "matmul", &hooks);
             assert_eq!(r.counts.total(), TRIALS);
             assert_eq!(progress.done(), TRIALS, "progress counts every trial");
             by_tool_counts.push((tool.name().to_lowercase(), r.counts));
@@ -119,23 +120,23 @@ fn untraced_campaign_is_unchanged_by_observers() {
     // streams (`program_salt`) — so it is held fixed here.
     let module = refine_benchmarks::by_name("matmul").unwrap().module();
     let cfg = CampaignConfig { trials: 16, seed: 9, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
-    let prepared = PreparedTool::prepare(&module, Tool::Refine);
+    let prepared = Arc::new(PreparedTool::prepare(&module, Tool::Refine));
 
-    let plain = run_campaign_observed(&prepared, &cfg, "matmul", &EngineHooks::default());
+    let plain = run_campaign_observed(prepared.clone(), &cfg, "matmul", &EngineHooks::default());
     let sink_dir = std::env::temp_dir().join("refine-telemetry-integration");
     std::fs::create_dir_all(&sink_dir).unwrap();
     let path = sink_dir.join(format!("trace-b-{}.jsonl", std::process::id()));
     let sink = TraceSink::to_file(&path).unwrap();
     let progress = Progress::new(16, true);
     let hooks = EngineHooks { sink: Some(&sink), progress: Some(&progress) };
-    let observed = run_campaign_observed(&prepared, &cfg, "matmul", &hooks);
+    let observed = run_campaign_observed(prepared.clone(), &cfg, "matmul", &hooks);
 
     assert_eq!(plain.counts, observed.counts);
     assert_eq!(plain.total_cycles, observed.total_cycles);
 
     // A different app name is a different campaign: independent fault
     // streams even from the same prepared artifact and seed.
-    let renamed = run_campaign_observed(&prepared, &cfg, "matmul-2", &EngineHooks::default());
+    let renamed = run_campaign_observed(prepared, &cfg, "matmul-2", &EngineHooks::default());
     assert_ne!(
         (plain.counts, plain.total_cycles),
         (renamed.counts, renamed.total_cycles),
