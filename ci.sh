@@ -6,6 +6,8 @@
 #     denied, and a perfbench type-check;
 #   * outcome-table diffs of one short sweep across --jobs counts, with
 #     checkpointing, convergence and the fused engine on and off;
+#   * the --trace-out file of that sweep: JSON lines, read back by
+#     trace-summary, and a failed write exits non-zero;
 #   * traced perfbench exact-facts digests against
 #     tests/golden/perfbench_digests.txt.
 # Wall-clock claims live in perfbench (`python3 perfbench/run.py`, medians
@@ -41,7 +43,9 @@ echo "== cross-jobs determinism (--jobs 1 vs --jobs 4)"
 # stdout tables of a short sweep run serially and sharded.
 EXP=target/release/refine-experiments
 J1="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 1 --quiet 2>/dev/null)"
-J4="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet 2>/dev/null)"
+TRACE=target/ci-trace.jsonl
+J4="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet \
+    --trace-out "$TRACE" 2>/dev/null)"
 if [ "$J1" != "$J4" ]; then
     echo "determinism check FAILED: --jobs 1 and --jobs 4 outputs differ" >&2
     diff <(printf '%s\n' "$J1") <(printf '%s\n' "$J4") >&2 || true
@@ -49,11 +53,37 @@ if [ "$J1" != "$J4" ]; then
 fi
 echo "   identical tables at both job counts"
 
-echo "== --json report (engine work counters vs golden, metrics keys)"
+echo "== --trace-out (JSON lines, trace-summary, failed write)"
+# Tracing must not change the tables (checked above). Every trace line is
+# standard JSON, trace-summary reads all 2 apps x 3 tools x 12 trials
+# back, and a trace that cannot be written fails the run.
+python3 -c '
+import json, sys
+for n, line in enumerate(open(sys.argv[1]), 1):
+    try:
+        json.loads(line)
+    except ValueError as e:
+        sys.exit(f"trace line {n} is not JSON: {e}")
+' "$TRACE"
+SUMMARY="$($EXP trace-summary "$TRACE")"
+if ! printf '%s\n' "$SUMMARY" | grep -q '^72 records total'; then
+    echo "trace check FAILED: trace-summary did not report 72 records" >&2
+    printf '%s\n' "$SUMMARY" >&2
+    exit 1
+fi
+if $EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet \
+    --trace-out /dev/full >/dev/null 2>&1; then
+    echo "trace check FAILED: --trace-out /dev/full exited 0" >&2
+    exit 1
+fi
+echo "   72 JSON lines read back; an unwritable trace exits non-zero"
+
+echo "== --json report (engine work counters vs golden, suite counts, metrics keys)"
 # The engine's per-campaign rows are the only sums of trial work: at
 # --jobs 4 they must equal the `default` work-counter lines pinned (at
-# --jobs 2) in tests/golden/fastpath_counters.txt, and the metrics snapshot
-# must hold only what telemetry alone records.
+# --jobs 2) in tests/golden/fastpath_counters.txt, every suite campaign must
+# count all 12 trials, and the metrics snapshot must hold only what
+# telemetry alone records.
 $EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --json 2>/dev/null \
     | python3 -c '
 import json, sys
@@ -67,11 +97,15 @@ got = {(c["app"], c["tool"]): {k: c[k] for k in want.get((c["app"], c["tool"]), 
        for c in report["engine"]["campaigns"]}
 if len(want) != 6 or got != want:
     sys.exit(f"engine work counters differ from the golden:\n got  {got}\n want {want}")
+suite = report["suite"]
+if [a["name"] for a in suite["apps"]] != ["HPCCG-1.0", "CoMD"] or any(
+        sum(a[t]["counts"].values()) != suite["trials"] for a in suite["apps"] for t in ("llfi", "refine", "pinfi")):
+    sys.exit(f"suite results do not hold 12 trials per campaign: {suite}")
 keys = sorted(report["metrics"])
 if keys != sorted(["trial_latency_ns", "trial_instrs", "trial_cycles", "traps", "phases"]):
     sys.exit(f"unexpected metrics keys: {keys}")
 ' tests/golden/fastpath_counters.txt
-echo "   six campaigns match the golden counters; metrics holds five keys"
+echo "   six campaigns match the golden counters and count every trial; metrics holds five keys"
 
 echo "== checkpoint equivalence (default vs --no-checkpoint)"
 # Trial fast-forward must be invisible in every output: diff a short sweep

@@ -22,14 +22,18 @@
 //! Observability:
 //!
 //! * `--trace-out FILE` streams one JSON line of fault provenance per trial
-//!   (tool, seed, target, site, opcode, bit, outcome, trap cause);
+//!   (tool, seed, target, site, opcode, bit, outcome, trap cause); if the
+//!   file cannot be written, the run prints one error and exits 1;
 //! * `trace-summary FILE` aggregates such a file into an injection-site x
-//!   outcome table;
+//!   outcome table, and rejects a malformed line naming its number and
+//!   the cause;
 //! * `--json` emits the suite results (outcome counts), the engine report
 //!   (cache hits and misses, per-campaign speedup and work counters) and
 //!   a metrics snapshot of what only telemetry records (latency,
 //!   instruction-count and cycle histograms, trap-cause breakdown,
-//!   per-phase compile times) as JSON on stdout instead of the text tables;
+//!   per-phase compile times) as two-space-indented JSON on stdout instead
+//!   of the text tables. Both JSON forms are rendered by
+//!   [`refine_telemetry::json`];
 //! * `--quiet` suppresses the live progress lines;
 //! * `--no-checkpoint` disables golden-run checkpoint fast-forward for
 //!   trials (slower; results are bit-identical either way);
@@ -46,14 +50,14 @@
 //!   way; like `--no-checkpoint`, this stays outside the artifact-cache
 //!   key.
 
-use refine_campaign::campaign::CampaignConfig;
-use refine_campaign::engine::EngineReport;
-use refine_campaign::experiments::{self, run_suite_sharded, SuiteObserver};
+use refine_campaign::campaign::{CampaignConfig, CampaignResult};
+use refine_campaign::engine::{CampaignStats, EngineReport};
+use refine_campaign::experiments::{self, run_suite_sharded, SuiteObserver, SuiteResults};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::ExecEngine;
+use refine_telemetry::json::Json;
 use refine_telemetry::trace::{read_jsonl, TraceSummary};
-use refine_telemetry::TraceSink;
-use serde::Serialize;
+use refine_telemetry::{MetricsSnapshot, TraceSink};
 
 fn usage() -> ! {
     eprintln!(
@@ -67,36 +71,97 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The `--json` report: suite outcome tables, the engine's scheduling
+/// report and the telemetry metrics snapshot.
+fn report_json(suite: &SuiteResults, engine: &EngineReport, metrics: &MetricsSnapshot) -> Json {
+    Json::object([
+        ("suite", suite_json(suite)),
+        ("engine", engine_json(engine)),
+        ("metrics", metrics.to_json()),
+    ])
+}
+
+fn suite_json(suite: &SuiteResults) -> Json {
+    let apps = suite.apps.iter().map(|a| {
+        Json::object([
+            ("name", Json::Str(a.name.clone())),
+            ("llfi", campaign_json(&a.llfi)),
+            ("refine", campaign_json(&a.refine)),
+            ("pinfi", campaign_json(&a.pinfi)),
+        ])
+    });
+    Json::object([("apps", Json::Array(apps.collect())), ("trials", Json::U64(suite.trials))])
+}
+
+fn campaign_json(r: &CampaignResult) -> Json {
+    let counts = Json::object([
+        ("crash", Json::U64(r.counts.crash)),
+        ("soc", Json::U64(r.counts.soc)),
+        ("benign", Json::U64(r.counts.benign)),
+    ]);
+    Json::object([
+        ("tool", Json::Str(r.tool.clone())),
+        ("counts", counts),
+        ("total_cycles", Json::U64(r.total_cycles)),
+        ("population", Json::U64(r.population)),
+        ("profile_cycles", Json::U64(r.profile_cycles)),
+    ])
+}
+
 /// The `--json` rendering of the engine's scheduling report.
 ///
 /// `busy_total` is the raw per-trial clock sum (can exceed `jobs * wall_ns`
 /// under OS oversubscription); `busy_ns` and `speedup_capped` are capped at
 /// what `jobs` workers could physically execute in `wall_ns`.
-fn engine_to_value(report: &EngineReport) -> serde::Value {
+fn engine_json(report: &EngineReport) -> Json {
     let sb_dispatches: u64 = report.stats.iter().map(|s| s.sb_dispatches).sum();
     let sb_fused: u64 = report.stats.iter().map(|s| s.sb_fused_instrs).sum();
     let sb_stepped: u64 = report.stats.iter().map(|s| s.sb_stepped_instrs).sum();
     let sb_total = sb_fused + sb_stepped;
-    let superblock = serde::Value::Map(vec![
-        ("dispatches".to_string(), sb_dispatches.to_value()),
-        ("fused_instrs".to_string(), sb_fused.to_value()),
-        ("stepped_instrs".to_string(), sb_stepped.to_value()),
+    let superblock = Json::object([
+        ("dispatches", Json::U64(sb_dispatches)),
+        ("fused_instrs", Json::U64(sb_fused)),
+        ("stepped_instrs", Json::U64(sb_stepped)),
         (
-            "fused_instr_share".to_string(),
-            (if sb_total == 0 { 0.0 } else { sb_fused as f64 / sb_total as f64 }).to_value(),
+            "fused_instr_share",
+            Json::F64(if sb_total == 0 { 0.0 } else { sb_fused as f64 / sb_total as f64 }),
         ),
     ]);
-    serde::Value::Map(vec![
-        ("jobs".to_string(), (report.jobs as u64).to_value()),
-        ("wall_ns".to_string(), report.wall_ns.to_value()),
-        ("busy_ns".to_string(), report.busy_capped().to_value()),
-        ("busy_total".to_string(), report.busy_ns.to_value()),
-        ("speedup".to_string(), report.speedup().to_value()),
-        ("speedup_capped".to_string(), report.speedup_capped().to_value()),
-        ("cache_hit_rate".to_string(), report.cache.hit_rate().to_value()),
-        ("cache".to_string(), report.cache.to_value()),
-        ("superblock".to_string(), superblock),
-        ("campaigns".to_string(), report.stats.to_value()),
+    let cache = Json::object([
+        ("hits", Json::U64(report.cache.hits)),
+        ("misses", Json::U64(report.cache.misses)),
+        ("prepare_ns", Json::U64(report.cache.prepare_ns)),
+    ]);
+    Json::object([
+        ("jobs", Json::U64(report.jobs as u64)),
+        ("wall_ns", Json::U64(report.wall_ns)),
+        ("busy_ns", Json::U64(report.busy_capped())),
+        ("busy_total", Json::U64(report.busy_ns)),
+        ("speedup", Json::F64(report.speedup())),
+        ("speedup_capped", Json::F64(report.speedup_capped())),
+        ("cache_hit_rate", Json::F64(report.cache.hit_rate())),
+        ("cache", cache),
+        ("superblock", superblock),
+        ("campaigns", Json::Array(report.stats.iter().map(stats_json).collect())),
+    ])
+}
+
+fn stats_json(s: &CampaignStats) -> Json {
+    Json::object([
+        ("app", Json::Str(s.app.clone())),
+        ("tool", Json::Str(s.tool.clone())),
+        ("busy_ns", Json::U64(s.busy_ns)),
+        ("wall_ns", Json::U64(s.wall_ns)),
+        ("speedup", Json::F64(s.speedup)),
+        ("prepare_ms", Json::F64(s.prepare_ms)),
+        ("ckpt_restores", Json::U64(s.ckpt_restores)),
+        ("ckpt_skipped_instrs", Json::U64(s.ckpt_skipped_instrs)),
+        ("conv_hits", Json::U64(s.conv_hits)),
+        ("conv_checked_instrs", Json::U64(s.conv_checked_instrs)),
+        ("conv_saved_instrs", Json::U64(s.conv_saved_instrs)),
+        ("sb_dispatches", Json::U64(s.sb_dispatches)),
+        ("sb_fused_instrs", Json::U64(s.sb_fused_instrs)),
+        ("sb_stepped_instrs", Json::U64(s.sb_stepped_instrs)),
     ])
 }
 
@@ -266,19 +331,16 @@ fn main() {
     }
     let obs = SuiteObserver { live_progress: !quiet, sink: sink.as_ref() };
     let (suite, engine) = run_suite_sharded(&cfg, apps.as_deref(), &obs, |_, _| {});
-    if let Some(sink) = &sink {
+    if let (Some(sink), Some(path)) = (&sink, &trace_out) {
         if let Err(e) = sink.flush() {
-            eprintln!("refine-experiments: trace flush failed: {e}");
+            eprintln!("refine-experiments: cannot write trace {path}: {e}");
+            std::process::exit(1);
         }
     }
 
     if json {
-        let report = serde::Value::Map(vec![
-            ("suite".to_string(), suite.to_value()),
-            ("engine".to_string(), engine_to_value(&engine)),
-            ("metrics".to_string(), refine_telemetry::registry().snapshot().to_value()),
-        ]);
-        println!("{}", serde::json::to_string_pretty(&report));
+        let metrics = refine_telemetry::registry().snapshot();
+        println!("{}", report_json(&suite, &engine, &metrics).pretty());
         return;
     }
     if !quiet {
@@ -305,4 +367,127 @@ fn main() {
         }
         _ => usage(),
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use refine_campaign::engine::CacheStats;
+    use refine_telemetry::metrics::HistogramSnapshot;
+    use refine_telemetry::span::PhasesSnapshot;
+
+    /// The `--json` text of a small fixed report, byte for byte: key order,
+    /// indentation, string escapes, an integral float (`2.0`), a NaN
+    /// speedup (`null`), empty arrays and an empty object.
+    #[test]
+    fn json_report_text_is_pinned() {
+        let suite = SuiteResults { apps: vec![], trials: 3 };
+        let stats = CampaignStats {
+            app: "a\"b\\c\n\u{1}é".to_string(),
+            tool: "refine".to_string(),
+            busy_ns: 0,
+            wall_ns: 0,
+            speedup: f64::NAN,
+            prepare_ms: 2.0,
+            ckpt_restores: 1,
+            ckpt_skipped_instrs: 2,
+            conv_hits: 3,
+            conv_checked_instrs: 4,
+            conv_saved_instrs: 5,
+            sb_dispatches: 6,
+            sb_fused_instrs: 7,
+            sb_stepped_instrs: 1,
+        };
+        let cache = CacheStats { hits: 1, misses: 3, prepare_ns: 5 };
+        let engine = EngineReport {
+            results: vec![],
+            stats: vec![stats],
+            wall_ns: 4,
+            busy_ns: 10,
+            jobs: 2,
+            cache,
+        };
+        let hist =
+            |count| HistogramSnapshot { count, sum: 2 * count, min: 1, max: 3, buckets: vec![] };
+        let metrics = MetricsSnapshot {
+            trial_latency_ns: hist(0),
+            trial_instrs: hist(2),
+            trial_cycles: hist(1),
+            traps: Default::default(),
+            phases: PhasesSnapshot { phases: vec![] },
+        };
+        assert_eq!(report_json(&suite, &engine, &metrics).pretty(), EXPECTED);
+    }
+
+    const EXPECTED: &str = r#"{
+  "suite": {
+    "apps": [],
+    "trials": 3
+  },
+  "engine": {
+    "jobs": 2,
+    "wall_ns": 4,
+    "busy_ns": 8,
+    "busy_total": 10,
+    "speedup": 2.5,
+    "speedup_capped": 2.0,
+    "cache_hit_rate": 0.25,
+    "cache": {
+      "hits": 1,
+      "misses": 3,
+      "prepare_ns": 5
+    },
+    "superblock": {
+      "dispatches": 6,
+      "fused_instrs": 7,
+      "stepped_instrs": 1,
+      "fused_instr_share": 0.875
+    },
+    "campaigns": [
+      {
+        "app": "a\"b\\c\n\u0001é",
+        "tool": "refine",
+        "busy_ns": 0,
+        "wall_ns": 0,
+        "speedup": null,
+        "prepare_ms": 2.0,
+        "ckpt_restores": 1,
+        "ckpt_skipped_instrs": 2,
+        "conv_hits": 3,
+        "conv_checked_instrs": 4,
+        "conv_saved_instrs": 5,
+        "sb_dispatches": 6,
+        "sb_fused_instrs": 7,
+        "sb_stepped_instrs": 1
+      }
+    ]
+  },
+  "metrics": {
+    "trial_latency_ns": {
+      "count": 0,
+      "sum": 0,
+      "min": 1,
+      "max": 3,
+      "buckets": []
+    },
+    "trial_instrs": {
+      "count": 2,
+      "sum": 4,
+      "min": 1,
+      "max": 3,
+      "buckets": []
+    },
+    "trial_cycles": {
+      "count": 1,
+      "sum": 2,
+      "min": 1,
+      "max": 3,
+      "buckets": []
+    },
+    "traps": {},
+    "phases": {
+      "phases": []
+    }
+  }
+}"#;
 }

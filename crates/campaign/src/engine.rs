@@ -28,7 +28,6 @@ use refine_core::ExecEngine;
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_telemetry::{Phase, Progress, Span, TraceSink};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -74,7 +73,7 @@ impl ArtifactKey {
 }
 
 /// Instrumented-artifact cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from an already-prepared artifact.
     pub hits: u64,
@@ -264,7 +263,7 @@ pub struct EngineHooks<'a> {
 }
 
 /// Wall-clock accounting for one campaign inside a sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignStats {
     /// Benchmark name.
     pub app: String,

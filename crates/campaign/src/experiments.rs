@@ -10,12 +10,11 @@ use crate::tools::{PreparedTool, Tool};
 use refine_stats::ci::Z_95;
 use refine_stats::{chi2_contingency, proportion_ci, sample_size};
 use refine_telemetry::{Progress, TraceSink};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 use std::sync::Arc;
 
 /// Results of the three tools on one benchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppResults {
     /// Benchmark name.
     pub name: String,
@@ -35,7 +34,7 @@ impl AppResults {
 }
 
 /// Results of the full 14-benchmark x 3-tool sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuiteResults {
     /// Per-app results in suite order.
     pub apps: Vec<AppResults>,

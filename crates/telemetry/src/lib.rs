@@ -6,9 +6,9 @@
 //!
 //! * [`metrics`] — a lock-cheap global registry of per-trial
 //!   fixed-bucket (power-of-two) histograms and the trap-cause breakdown,
-//!   snapshotable at any point into a serde-serializable
-//!   [`metrics::MetricsSnapshot`] (per-campaign work counts live in the
-//!   campaign engine's report, not here);
+//!   snapshotable at any point into a [`metrics::MetricsSnapshot`] that
+//!   renders as JSON (per-campaign work counts live in the campaign
+//!   engine's report, not here);
 //! * [`span`] — RAII phase timers ([`span::Span`]) wrapping compile stages
 //!   (lex/parse, lowering, isel, regalloc, finalize/emit) and the FI
 //!   instrumentation passes, so front-ends can print a per-phase time
@@ -17,7 +17,10 @@
 //!   streamed to a JSONL sink, plus an aggregator summarizing injection
 //!   site × outcome;
 //! * [`progress`] — campaign progress reporting (trials/s, ETA, live
-//!   outcome percentages) on stderr.
+//!   outcome percentages) on stderr;
+//! * [`json`] — the JSON text of every report: compact trace lines, the
+//!   pretty `--json` report, and the flat-object parser that reads trace
+//!   lines back.
 //!
 //! # Zero cost when disabled
 //!
@@ -27,6 +30,7 @@
 //! [`enable`]. Timers ([`span::Span`]) skip even the clock read while
 //! disabled.
 
+pub mod json;
 pub mod metrics;
 pub mod progress;
 pub mod span;

@@ -4,8 +4,8 @@
 //! buckets). The only lock is a `std::sync::Mutex` around the
 //! trap-cause breakdown, which is touched solely on crashing trials.
 
+use crate::json::Json;
 use crate::span::{Phase, PhasesSnapshot};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -93,8 +93,8 @@ impl Default for Histogram {
     }
 }
 
-/// Serializable point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Point-in-time copy of a [`Histogram`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,
@@ -106,6 +106,19 @@ pub struct HistogramSnapshot {
     pub max: u64,
     /// Per-bucket counts, indexed like [`Histogram::bucket_bound`].
     pub buckets: Vec<u64>,
+}
+
+impl HistogramSnapshot {
+    /// The snapshot as a JSON object.
+    pub(crate) fn to_json(&self) -> Json {
+        Json::object([
+            ("count", Json::U64(self.count)),
+            ("sum", Json::U64(self.sum)),
+            ("min", Json::U64(self.min)),
+            ("max", Json::U64(self.max)),
+            ("buckets", Json::Array(self.buckets.iter().map(|&b| Json::U64(b)).collect())),
+        ])
+    }
 }
 
 /// The global metrics registry: per-trial distributions and the trap
@@ -167,8 +180,8 @@ impl Registry {
     }
 }
 
-/// Serializable point-in-time copy of the whole registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Point-in-time copy of the whole registry.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Wall-clock nanoseconds per trial.
     pub trial_latency_ns: HistogramSnapshot,
@@ -180,6 +193,20 @@ pub struct MetricsSnapshot {
     pub traps: BTreeMap<String, u64>,
     /// Per-phase compile/FI-pass timings.
     pub phases: PhasesSnapshot,
+}
+
+impl MetricsSnapshot {
+    /// The snapshot as a JSON object (the `metrics` part of `--json`).
+    pub fn to_json(&self) -> Json {
+        let traps = self.traps.iter().map(|(cause, &n)| (cause.clone(), Json::U64(n))).collect();
+        Json::object([
+            ("trial_latency_ns", self.trial_latency_ns.to_json()),
+            ("trial_instrs", self.trial_instrs.to_json()),
+            ("trial_cycles", self.trial_cycles.to_json()),
+            ("traps", Json::Object(traps)),
+            ("phases", self.phases.to_json()),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -251,19 +278,20 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_serde_round_trip() {
-        let _g = crate::test_lock();
-        crate::enable();
-        let r = Registry::new();
-        r.record_trial(5_000, 40, 100, Some("bad-pc"));
-        r.record_trial(6_000, 45, 110, None);
-        let snap = r.snapshot();
-        let text = serde::json::to_string(&snap);
-        let back: MetricsSnapshot = serde::json::from_str(&text).expect("parses");
-        assert_eq!(back, snap);
-        // Pretty form parses identically too.
-        let pretty = serde::json::to_string_pretty(&snap);
-        let back2: MetricsSnapshot = serde::json::from_str(&pretty).expect("parses");
-        assert_eq!(back2, snap);
+    fn metrics_snapshot_json_text() {
+        let hist = HistogramSnapshot { count: 2, sum: 4, min: 1, max: 3, buckets: vec![0, 2] };
+        let text = hist.to_json().compact();
+        assert_eq!(text, r#"{"count":2,"sum":4,"min":1,"max":3,"buckets":[0,2]}"#);
+        let snap = MetricsSnapshot {
+            trial_latency_ns: hist.clone(),
+            trial_instrs: hist.clone(),
+            trial_cycles: hist,
+            traps: BTreeMap::from([("segfault".to_string(), 2), ("bad-pc".to_string(), 1)]),
+            phases: PhasesSnapshot { phases: vec![] },
+        };
+        let want = format!(
+            r#"{{"trial_latency_ns":{text},"trial_instrs":{text},"trial_cycles":{text},"traps":{{"bad-pc":1,"segfault":2}},"phases":{{"phases":[]}}}}"#
+        );
+        assert_eq!(snap.to_json().compact(), want);
     }
 }

@@ -5,7 +5,7 @@
 //! table that binaries can render as a time table ([`render_phase_table`])
 //! or export inside a [`crate::MetricsSnapshot`].
 
-use serde::{Deserialize, Serialize};
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -136,7 +136,7 @@ impl Phase {
 }
 
 /// One phase's accumulated timings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSnapshot {
     /// Phase name.
     pub name: String,
@@ -147,7 +147,7 @@ pub struct PhaseSnapshot {
 }
 
 /// Snapshot of the whole phase table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasesSnapshot {
     /// Per-phase rows in display order.
     pub phases: Vec<PhaseSnapshot>,
@@ -162,6 +162,18 @@ impl PhasesSnapshot {
     /// Total time across all phases.
     pub fn total_ns(&self) -> u64 {
         self.phases.iter().map(|p| p.total_ns).sum()
+    }
+
+    /// The table as a JSON object: `{"phases": [{name, calls, total_ns}, ...]}`.
+    pub(crate) fn to_json(&self) -> Json {
+        let rows = self.phases.iter().map(|p| {
+            Json::object([
+                ("name", Json::Str(p.name.clone())),
+                ("calls", Json::U64(p.calls)),
+                ("total_ns", Json::U64(p.total_ns)),
+            ])
+        });
+        Json::object([("phases", Json::Array(rows.collect()))])
     }
 }
 
@@ -269,18 +281,15 @@ mod tests {
     }
 
     #[test]
-    fn phases_snapshot_serde_round_trip() {
-        let _g = crate::test_lock();
-        let snap = PhasesSnapshot {
-            phases: vec![PhaseSnapshot {
-                name: "isel".into(),
-                calls: 3,
-                total_ns: 1234,
-            }],
-        };
-        let text = serde::json::to_string(&snap);
-        let back: PhasesSnapshot = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, snap);
+    fn phases_snapshot_json_text() {
+        let row =
+            |name: &str, calls, total_ns| PhaseSnapshot { name: name.into(), calls, total_ns };
+        let snap = PhasesSnapshot { phases: vec![row("isel", 3, 1234), row("emit", 0, 0)] };
+        assert_eq!(
+            snap.to_json().compact(),
+            r#"{"phases":[{"name":"isel","calls":3,"total_ns":1234},{"name":"emit","calls":0,"total_ns":0}]}"#
+        );
+        assert_eq!(PhasesSnapshot { phases: vec![] }.to_json().compact(), r#"{"phases":[]}"#);
     }
 
     #[test]

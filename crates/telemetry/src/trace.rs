@@ -5,14 +5,14 @@
 //! line to a [`TraceSink`]. The [`TraceSummary`] aggregator folds a trace
 //! file back into an injection-site × outcome table.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{Fields, Json};
 use std::collections::BTreeMap;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Provenance record for one fault-injection trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialTrace {
     /// Benchmark application name.
     pub app: String,
@@ -44,23 +44,78 @@ pub struct TrialTrace {
     pub instrs: u64,
 }
 
+impl TrialTrace {
+    /// The record as a JSON object, fields in declaration order.
+    pub(crate) fn to_json(&self) -> Json {
+        Json::object([
+            ("app", Json::Str(self.app.clone())),
+            ("tool", Json::Str(self.tool.clone())),
+            ("trial", Json::U64(self.trial)),
+            ("seed", Json::U64(self.seed)),
+            ("target_dyn", Json::U64(self.target_dyn)),
+            ("site", self.site.map_or(Json::Null, Json::U64)),
+            ("opcode", self.opcode.clone().map_or(Json::Null, Json::Str)),
+            ("operand", self.operand.map_or(Json::Null, Json::U64)),
+            ("bit", self.bit.map_or(Json::Null, Json::U64)),
+            ("outcome", Json::Str(self.outcome.clone())),
+            ("trap", self.trap.clone().map_or(Json::Null, Json::Str)),
+            ("cycles", Json::U64(self.cycles)),
+            ("instrs", Json::U64(self.instrs)),
+        ])
+    }
+
+    /// Parse one trace line written by [`TraceSink`]. Every field must be
+    /// present exactly once with its type, the outcome must be one of the
+    /// three classes, and unknown fields are rejected.
+    pub(crate) fn from_json_line(line: &str) -> Result<TrialTrace, String> {
+        let mut f = Fields::parse(line)?;
+        let t = TrialTrace {
+            app: f.string("app")?,
+            tool: f.string("tool")?,
+            trial: f.u64("trial")?,
+            seed: f.u64("seed")?,
+            target_dyn: f.u64("target_dyn")?,
+            site: f.opt_u64("site")?,
+            opcode: f.opt_string("opcode")?,
+            operand: f.opt_u64("operand")?,
+            bit: f.opt_u64("bit")?,
+            outcome: f.string("outcome")?,
+            trap: f.opt_string("trap")?,
+            cycles: f.u64("cycles")?,
+            instrs: f.u64("instrs")?,
+        };
+        f.finish()?;
+        match t.outcome.as_str() {
+            "crash" | "soc" | "benign" => Ok(t),
+            other => Err(format!("field `outcome` is `{other}`, not crash, soc or benign")),
+        }
+    }
+}
+
 /// Thread-safe JSONL writer for [`TrialTrace`] records.
+///
+/// The first I/O error is kept: later writes do nothing, and
+/// [`TraceSink::flush`] reports it, so a failing sink neither floods
+/// stderr per trial nor passes for a complete trace.
 pub struct TraceSink {
-    out: Mutex<BufWriter<Box<dyn Write + Send>>>,
+    out: Mutex<SinkState>,
+}
+
+struct SinkState {
+    writer: BufWriter<Box<dyn Write + Send>>,
+    error: Option<io::Error>,
 }
 
 impl TraceSink {
     /// Stream to a file at `path` (truncates).
-    pub fn to_file(path: &Path) -> std::io::Result<TraceSink> {
+    pub fn to_file(path: &Path) -> io::Result<TraceSink> {
         let f = std::fs::File::create(path)?;
         Ok(TraceSink::new(Box::new(f)))
     }
 
     /// Stream to an arbitrary writer.
     pub fn new(w: Box<dyn Write + Send>) -> TraceSink {
-        TraceSink {
-            out: Mutex::new(BufWriter::new(w)),
-        }
+        TraceSink { out: Mutex::new(SinkState { writer: BufWriter::new(w), error: None }) }
     }
 
     /// Buffer records in memory. The returned handle exposes the raw JSONL
@@ -71,23 +126,39 @@ impl TraceSink {
         (TraceSink::new(Box::new(buf.clone())), buf)
     }
 
-    /// Append one record as a JSON line. Serialization happens outside
-    /// the lock; the lock covers only the buffered write.
-    pub fn write(&self, t: &TrialTrace) -> std::io::Result<()> {
-        let mut line = serde::json::to_string(t);
+    /// Append one record as a JSON line. Rendering happens outside the
+    /// lock; the lock covers only the buffered write. A failure is kept
+    /// for [`TraceSink::flush`] to report.
+    pub fn write(&self, t: &TrialTrace) {
+        let mut line = t.to_json().compact();
         line.push('\n');
-        self.out.lock().unwrap_or_else(PoisonError::into_inner).write_all(line.as_bytes())
+        drop(self.run(|w| w.write_all(line.as_bytes())));
     }
 
-    /// Flush buffered records to the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().unwrap_or_else(PoisonError::into_inner).flush()
+    /// Flush buffered records to the underlying writer. Returns the first
+    /// error any write or flush met, on this call and every later one.
+    pub fn flush(&self) -> io::Result<()> {
+        let out = self.run(Write::flush);
+        out.error.as_ref().map_or(Ok(()), |e| Err(io::Error::new(e.kind(), e.to_string())))
+    }
+
+    /// Run `op` on the writer unless an earlier write or flush failed,
+    /// keeping its error; returns the locked state.
+    fn run(
+        &self,
+        op: impl FnOnce(&mut BufWriter<Box<dyn Write + Send>>) -> io::Result<()>,
+    ) -> MutexGuard<'_, SinkState> {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if out.error.is_none() {
+            out.error = op(&mut out.writer).err();
+        }
+        out
     }
 }
 
 impl Drop for TraceSink {
     fn drop(&mut self) {
-        let _ = self.out.lock().unwrap_or_else(PoisonError::into_inner).flush();
+        let _ = self.flush();
     }
 }
 
@@ -109,24 +180,23 @@ impl TraceBuffer {
 }
 
 impl Write for TraceBuffer {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner).extend_from_slice(buf);
         Ok(buf.len())
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
 }
 
-/// Parse JSONL trace text into records.
+/// Parse JSONL trace text into records. Blank lines are skipped; the first
+/// malformed line fails the whole parse, naming its line number.
 pub fn read_jsonl_str(text: &str) -> Result<Vec<TrialTrace>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| {
-            serde::json::from_str(l).map_err(|e| format!("line {}: {e}", i + 1))
-        })
+        .map(|(i, l)| TrialTrace::from_json_line(l).map_err(|e| format!("line {}: {e}", i + 1)))
         .collect()
 }
 
@@ -246,14 +316,77 @@ mod tests {
 
     #[test]
     fn trial_trace_serde_round_trip() {
-        for r in [
-            rec("refine", Some("alu.add"), "crash", 1),
-            rec("pinfi", None, "benign", 2),
+        let mut odd = rec("refine", Some("q\"b\\s\nc\u{1}é"), "crash", 7);
+        odd.seed = u64::MAX;
+        let line = odd.to_json().compact();
+        assert_eq!(
+            line,
+            r#"{"app":"matmul","tool":"refine","trial":7,"seed":18446744073709551615,"target_dyn":107,"#
+                .to_owned()
+                + r#""site":7,"opcode":"q\"b\\s\nc\u0001é","operand":0,"bit":13,"outcome":"crash","#
+                + r#""trap":"segfault","cycles":1234,"instrs":567}"#
+        );
+        assert_eq!(TrialTrace::from_json_line(&line), Ok(odd));
+        let none = rec("pinfi", None, "benign", 2);
+        assert_eq!(TrialTrace::from_json_line(&none.to_json().compact()), Ok(none));
+    }
+
+    #[test]
+    fn malformed_lines_are_rejected_with_their_cause() {
+        let line = rec("refine", Some("ld"), "crash", 1).to_json().compact();
+        let open = &line[..line.len() - 1];
+        for (text, want) in [
+            (r#"{"app":"x"}"#.to_string(), "line 1: missing field `tool`"),
+            (format!(r#"{open},"extra":1}}"#), "line 1: unknown field `extra`"),
+            (format!(r#"{open},"app":"y"}}"#), "line 1: duplicate field `app`"),
+            (
+                line.replace(r#""trial":1"#, r#""trial":"1""#),
+                "line 1: field `trial` is not an unsigned integer",
+            ),
+            (line.replace(r#""app":"matmul""#, r#""app":null"#), "line 1: field `app` is null"),
+            (
+                line.replace("crash", "bogus"),
+                "line 1: field `outcome` is `bogus`, not crash, soc or benign",
+            ),
+            (format!("{line} x"), "line 1: trailing input from `x`"),
+            (format!("\n{open}"), "line 2: truncated input: expected `}`"),
         ] {
-            let line = serde::json::to_string(&r);
-            let back: TrialTrace = serde::json::from_str(&line).unwrap();
-            assert_eq!(back, r);
+            assert_eq!(read_jsonl_str(&text).unwrap_err(), want, "{text}");
         }
+    }
+
+    #[test]
+    fn failed_sink_keeps_its_first_error() {
+        /// Takes `.0` more bytes, then fails; `.1` counts write calls.
+        struct FailAfter(usize, Arc<Mutex<usize>>);
+        impl Write for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                *self.1.lock().unwrap() += 1;
+                let n = buf.len().min(self.0);
+                self.0 -= n;
+                (n > 0)
+                    .then_some(n)
+                    .ok_or_else(|| io::Error::new(io::ErrorKind::StorageFull, "device full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let calls = Arc::new(Mutex::new(0));
+        let sink = TraceSink::new(Box::new(FailAfter(10_000, Arc::clone(&calls))));
+        let r = rec("refine", Some("alu.add"), "crash", 0);
+        // 200 records overflow the writer's buffer several times.
+        (0..200).for_each(|_| sink.write(&r));
+        let after_failure = *calls.lock().unwrap();
+        (0..200).for_each(|_| sink.write(&r));
+        for _ in 0..2 {
+            let err = sink.flush().unwrap_err();
+            assert_eq!(
+                (err.kind(), err.to_string()),
+                (io::ErrorKind::StorageFull, "device full".into())
+            );
+        }
+        assert_eq!(*calls.lock().unwrap(), after_failure, "nothing is written after a failure");
     }
 
     #[test]
@@ -269,7 +402,7 @@ mod tests {
         {
             let sink = TraceSink::to_file(&path).unwrap();
             for r in &records {
-                sink.write(r).unwrap();
+                sink.write(r);
             }
             sink.flush().unwrap();
         }
@@ -284,7 +417,7 @@ mod tests {
         let records =
             vec![rec("refine", Some("alu.add"), "crash", 0), rec("pinfi", None, "benign", 1)];
         for r in &records {
-            sink.write(r).unwrap();
+            sink.write(r);
         }
         sink.flush().unwrap();
         assert_eq!(buf.records().unwrap(), records);

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::classify::Golden;
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
+use refine_campaign::experiments::{run_suite_sharded, SuiteObserver, SuiteResults};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, ProfilingRt};
 use refine_machine::{
@@ -18,7 +18,6 @@ use refine_machine::{
 };
 use refine_pinfi::{PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{TraceSink, TrialTrace};
-use serde::Serialize;
 
 const TRIALS: u64 = 4;
 
@@ -31,9 +30,9 @@ fn all_apps() -> Vec<String> {
         .collect()
 }
 
-/// Run the whole-suite sweep and return the serialized outcome table plus
-/// the trace records sorted by (app, tool, trial id).
-fn sweep(jobs: usize, checkpoint: bool) -> (String, Vec<TrialTrace>) {
+/// Run the whole-suite sweep and return the outcome tables plus the trace
+/// records sorted by (app, tool, trial id).
+fn sweep(jobs: usize, checkpoint: bool) -> (SuiteResults, Vec<TrialTrace>) {
     let cfg = CampaignConfig { trials: TRIALS, seed: 0xC4A7, jobs, checkpoint, ..CampaignConfig::default() };
     let (sink, buf) = TraceSink::in_memory();
     let apps = all_apps();
@@ -43,10 +42,9 @@ fn sweep(jobs: usize, checkpoint: bool) -> (String, Vec<TrialTrace>) {
     };
     sink.flush().unwrap();
     drop(sink);
-    let table = serde::json::to_string(&suite.to_value());
     let mut records = buf.records().unwrap();
     records.sort_by(|a, b| (&a.app, &a.tool, a.trial).cmp(&(&b.app, &b.tool, b.trial)));
-    (table, records)
+    (suite, records)
 }
 
 /// The tentpole acceptance check: with checkpointing on (default) and off

@@ -8,11 +8,10 @@
 use proptest::prelude::*;
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::classify::{classify, Outcome};
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
+use refine_campaign::experiments::{run_suite_sharded, SuiteObserver, SuiteResults};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::CheckpointOptions;
 use refine_telemetry::{TraceSink, TrialTrace};
-use serde::Serialize;
 
 const TRIALS: u64 = 4;
 
@@ -26,9 +25,8 @@ fn all_apps() -> Vec<String> {
 }
 
 /// Run the whole-suite sweep (checkpointing always on) and return the
-/// serialized outcome table plus the trace records sorted by
-/// (app, tool, trial id).
-fn sweep(jobs: usize, convergence: bool) -> (String, Vec<TrialTrace>) {
+/// outcome tables plus the trace records sorted by (app, tool, trial id).
+fn sweep(jobs: usize, convergence: bool) -> (SuiteResults, Vec<TrialTrace>) {
     let cfg = CampaignConfig {
         trials: TRIALS,
         seed: 0xC09E,
@@ -44,10 +42,9 @@ fn sweep(jobs: usize, convergence: bool) -> (String, Vec<TrialTrace>) {
     };
     sink.flush().unwrap();
     drop(sink);
-    let table = serde::json::to_string(&suite.to_value());
     let mut records = buf.records().unwrap();
     records.sort_by(|a, b| (&a.app, &a.tool, a.trial).cmp(&(&b.app, &b.tool, b.trial)));
-    (table, records)
+    (suite, records)
 }
 
 /// The tentpole acceptance check: with convergence detection on (default)

@@ -4,18 +4,17 @@
 
 use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::engine::CacheStats;
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
+use refine_campaign::experiments::{run_suite_sharded, SuiteObserver, SuiteResults};
 use refine_telemetry::{TraceSink, TrialTrace};
-use serde::Serialize;
 use std::collections::HashMap;
 
 const TRIALS: u64 = 18;
 const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
 
-/// Run the two-app sweep at `jobs` workers and return the serialized
-/// outcome table, the trace records sorted by (app, tool, trial id), and
-/// the run's cache statistics.
-fn sweep(jobs: usize) -> (String, Vec<TrialTrace>, CacheStats) {
+/// Run the two-app sweep at `jobs` workers and return the outcome tables,
+/// the trace records sorted by (app, tool, trial id), and the run's cache
+/// statistics.
+fn sweep(jobs: usize) -> (SuiteResults, Vec<TrialTrace>, CacheStats) {
     let cfg = CampaignConfig { trials: TRIALS, seed: 0xD37, jobs, checkpoint: true, ..CampaignConfig::default() };
     let (sink, buf) = TraceSink::in_memory();
     let apps: Vec<String> = APPS.iter().map(|s| s.to_string()).collect();
@@ -25,12 +24,11 @@ fn sweep(jobs: usize) -> (String, Vec<TrialTrace>, CacheStats) {
     };
     sink.flush().unwrap();
     drop(sink);
-    let table = serde::json::to_string(&suite.to_value());
     let mut records = buf.records().unwrap();
     records.sort_by(|a, b| {
         (&a.app, &a.tool, a.trial).cmp(&(&b.app, &b.tool, b.trial))
     });
-    (table, records, report.cache)
+    (suite, records, report.cache)
 }
 
 /// The satellite check: `--jobs 1`, `--jobs 4` and `--jobs 8` yield
