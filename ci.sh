@@ -4,6 +4,7 @@
 #     the work floors and the checkpoint residency gate of
 #     tests/integration_fastpath.rs), clippy and rustdoc with warnings
 #     denied, and a perfbench type-check;
+#   * every example, run once in release with its default arguments;
 #   * outcome-table diffs of one short sweep across --jobs counts, with
 #     checkpointing, convergence and the fused engine on and off;
 #   * the --trace-out file of that sweep: JSON lines, read back by
@@ -37,6 +38,15 @@ echo "== perfbench type-check"
 # build it; check it here so renaming a public item it uses fails before
 # merge. Only builds it (into perfbench/target), never modifies it.
 cargo check --offline --quiet --manifest-path perfbench/Cargo.toml
+
+echo "== examples (each run once with its default arguments)"
+# `cargo test` only compiles the examples; run each so one that panics or
+# exits non-zero fails here.
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    cargo run --release --offline --quiet -p refine-campaign --example "$name" >/dev/null
+    echo "   $name exited 0"
+done
 
 echo "== cross-jobs determinism (--jobs 1 vs --jobs 4)"
 # The outcome tables must be bit-identical at any worker count; diff the

@@ -11,10 +11,11 @@
 //!
 //! With no subcommand, `all` runs the full sweep (14 apps x 3 tools x
 //! `--trials` runs; the paper's configuration is `--trials 1068`, the
-//! default) and prints every artifact.
+//! default) and prints every artifact. The flags fill one
+//! [`EngineConfig`], starting from its default (seed `0xB1ADE`).
 //!
-//! Scheduling: all selected `(app, tool)` campaigns form one trial space
-//! sharded across `--jobs N` workers (default: available parallelism; any
+//! Scheduling: [`experiments::run_suite`] runs all selected `(app, tool)`
+//! campaigns as one trial space sharded across `--jobs N` workers (default: available parallelism; any
 //! jobs count produces bit-identical results). Instrumented artifacts are
 //! compiled once per (app, tool) and shared across workers; the engine
 //! summary reports wall-clock speedup and cache hit rate.
@@ -23,7 +24,8 @@
 //!
 //! * `--trace-out FILE` streams one JSON line of fault provenance per trial
 //!   (tool, seed, target, site, opcode, bit, outcome, trap cause); if the
-//!   file cannot be written, the run prints one error and exits 1;
+//!   file cannot be written, the sweep stops claiming trials, and the run
+//!   prints one error and exits 1 without tables;
 //! * `trace-summary FILE` aggregates such a file into an injection-site x
 //!   outcome table, and rejects a malformed line naming its number and
 //!   the cause;
@@ -50,9 +52,9 @@
 //!   way; like `--no-checkpoint`, this stays outside the artifact-cache
 //!   key.
 
-use refine_campaign::campaign::{CampaignConfig, CampaignResult};
-use refine_campaign::engine::{CampaignStats, EngineReport};
-use refine_campaign::experiments::{self, run_suite_sharded, SuiteObserver, SuiteResults};
+use refine_campaign::campaign::CampaignResult;
+use refine_campaign::engine::{CampaignStats, EngineConfig, EngineReport};
+use refine_campaign::experiments::{self, run_suite, SuiteObserver, SuiteResults};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::ExecEngine;
 use refine_telemetry::json::Json;
@@ -168,7 +170,7 @@ fn stats_json(s: &CampaignStats) -> Json {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd: Option<String> = None;
-    let mut cfg = CampaignConfig::default();
+    let mut cfg = EngineConfig::default();
     let mut apps: Option<Vec<String>> = None;
     let mut trace_out: Option<String> = None;
     let mut summary_file: Option<String> = None;
@@ -212,8 +214,7 @@ fn main() {
                 i += 1;
                 cfg.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
-            // --threads kept as a compatibility alias for --jobs.
-            "--jobs" | "--threads" => {
+            "--jobs" => {
                 i += 1;
                 cfg.jobs = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
@@ -330,7 +331,7 @@ fn main() {
         );
     }
     let obs = SuiteObserver { live_progress: !quiet, sink: sink.as_ref() };
-    let (suite, engine) = run_suite_sharded(&cfg, apps.as_deref(), &obs, |_, _| {});
+    let (suite, engine) = run_suite(&cfg, apps.as_deref(), &obs);
     if let (Some(sink), Some(path)) = (&sink, &trace_out) {
         if let Err(e) = sink.flush() {
             eprintln!("refine-experiments: cannot write trace {path}: {e}");

@@ -1,11 +1,11 @@
 //! The campaign runner: one (program, tool) pair, `trials` independent
 //! single-fault runs classified against the golden output.
 //!
-//! Since the sharded-engine refactor this module owns the *per-trial*
-//! machinery — deterministic stream derivation and single-trial execution —
-//! while scheduling lives in [`crate::engine`]: every campaign, serial or
-//! sharded, runs through the same work-stealing worker pool, so
-//! `run_campaign` is just a one-campaign sweep.
+//! This module owns the *per-trial* machinery — deterministic stream
+//! derivation and single-trial execution — while scheduling lives in
+//! [`crate::engine`]: every campaign, serial or sharded, runs through the
+//! same work-stealing worker pool, so [`run_campaign`] is just a
+//! one-campaign sweep configured by the engine's own [`EngineConfig`].
 //!
 //! Determinism invariant: a trial is a pure function of
 //! `(campaign seed, program, tool, trial index)` plus the immutable
@@ -14,17 +14,13 @@
 //! outcome tables.
 
 use crate::classify::{classify, Outcome};
-use crate::engine::{
-    run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
-};
+use crate::engine::{run_sweep, ArtifactCache, EngineCampaign, EngineConfig, EngineHooks};
 use crate::tools::{PreparedTool, Tool};
 use refine_core::ExecEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use refine_ir::Module;
 use refine_machine::RunOutcome;
 use refine_telemetry::{OutcomeKind, Progress, TraceSink, TrialTrace};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Outcome frequencies of a campaign (one row of the paper's Table 6).
@@ -66,47 +62,6 @@ impl OutcomeCounts {
             100.0 * self.soc as f64 / t,
             100.0 * self.benign as f64 / t,
         ]
-    }
-}
-
-/// Campaign parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignConfig {
-    /// Number of fault-injection trials (the paper uses 1,068).
-    pub trials: u64,
-    /// Master seed; different seeds give independent samples.
-    pub seed: u64,
-    /// Worker jobs (0 = all available cores). Any value produces identical
-    /// outcome tables; it only changes wall-clock time.
-    pub jobs: usize,
-    /// Golden-run checkpoint fast-forward for trials (`--no-checkpoint`
-    /// turns it off). On or off, campaigns are bit-identical; off only
-    /// costs wall-clock time.
-    pub checkpoint: bool,
-    /// Post-injection golden-convergence early exit (`--no-convergence`
-    /// turns it off). Like `checkpoint`, never changes campaign results.
-    pub convergence: bool,
-    /// Initial golden-run snapshot interval in retired instructions
-    /// (`--checkpoint-interval`; must be nonzero).
-    pub checkpoint_interval: u64,
-    /// Trial execution engine (`--engine {superblock,step}`): the fused
-    /// engine, or the exact oracle, which ignores `checkpoint` and
-    /// `convergence`. Both are bit-identical; like `checkpoint`, this only
-    /// changes wall-clock time and stays outside the artifact-cache key.
-    pub engine: ExecEngine,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            trials: 1068,
-            seed: 0xB1ADE,
-            jobs: 0,
-            checkpoint: true,
-            convergence: true,
-            checkpoint_interval: refine_machine::CheckpointConfig::default().interval,
-            engine: ExecEngine::default(),
-        }
     }
 }
 
@@ -218,45 +173,28 @@ pub(crate) fn execute_trial(
     (outcome, r.cycles, fast)
 }
 
-/// Run a full campaign of `cfg.trials` single-fault runs. The trial
-/// streams are salted with the empty program name; name the program with
-/// [`run_campaign_observed`].
-pub fn run_campaign(module: &Module, tool: Tool, cfg: &CampaignConfig) -> CampaignResult {
-    let ckpt = EngineConfig::from_campaign(cfg).checkpoint_options();
-    let prepared = Arc::new(PreparedTool::prepare_opt(module, tool, &ckpt));
-    run_campaign_observed(prepared, cfg, "", &EngineHooks::default())
-}
-
-/// Run a campaign of program `app` against an already-prepared tool (lets
-/// callers share the compile+profile work across experiments). `app` is
-/// stamped into trace records and salts the per-trial streams
-/// ([`program_salt`]); `hooks` attach a provenance sink and live progress.
-///
-/// Scheduling is the sharded engine's: a one-campaign sweep over a
-/// work-stealing worker pool sharing the prepared artifact immutably.
-pub fn run_campaign_observed(
-    prepared: Arc<PreparedTool>,
-    cfg: &CampaignConfig,
-    app: &str,
+/// Run one campaign of `cfg.trials` single-fault runs: a one-campaign
+/// [`run_sweep`] with a fresh artifact cache. `campaign.app` names the
+/// program; it is stamped into trace records and salts the per-trial
+/// streams ([`program_salt`]), so the result equals that campaign's inside
+/// any sweep of the same seed. `hooks` attach a provenance sink and live
+/// progress.
+pub fn run_campaign(
+    campaign: &EngineCampaign,
+    cfg: &EngineConfig,
     hooks: &EngineHooks<'_>,
 ) -> CampaignResult {
-    let spec = EngineCampaign {
-        app: app.to_string(),
-        tool: prepared.tool,
-        source: ArtifactSource::Prepared(prepared),
-    };
-    let mut report = run_sweep(
-        std::slice::from_ref(&spec),
-        &EngineConfig::from_campaign(cfg),
-        &ArtifactCache::new(),
-        hooks,
-    );
+    let mut report =
+        run_sweep(std::slice::from_ref(campaign), cfg, &ArtifactCache::new(), hooks);
     report.results.pop().expect("one-campaign sweep yields one result")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ArtifactSource;
+    use refine_ir::Module;
+    use std::sync::Arc;
 
     fn tiny_module() -> Module {
         refine_frontend::compile_source(
@@ -272,12 +210,24 @@ mod tests {
         .unwrap()
     }
 
+    /// The campaign of `tool` on [`tiny_module`], named after its builder.
+    fn tiny_campaign(tool: Tool) -> EngineCampaign {
+        EngineCampaign {
+            app: "tiny_module".into(),
+            tool,
+            source: ArtifactSource::Module(Arc::new(tiny_module())),
+        }
+    }
+
+    fn run(tool: Tool, cfg: &EngineConfig) -> CampaignResult {
+        run_campaign(&tiny_campaign(tool), cfg, &EngineHooks::default())
+    }
+
     #[test]
     fn campaign_totals_match_trials() {
-        let m = tiny_module();
-        let cfg = CampaignConfig { trials: 40, seed: 7, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 40, seed: 7, jobs: 2, ..EngineConfig::default() };
         for tool in Tool::all() {
-            let r = run_campaign(&m, tool, &cfg);
+            let r = run(tool, &cfg);
             assert_eq!(r.counts.total(), 40, "{}", tool.name());
             assert!(r.total_cycles > 0);
         }
@@ -285,30 +235,21 @@ mod tests {
 
     #[test]
     fn campaigns_are_reproducible() {
-        let m = tiny_module();
-        let cfg = CampaignConfig { trials: 30, seed: 99, jobs: 3, checkpoint: true, ..CampaignConfig::default() };
-        let a = run_campaign(&m, Tool::Refine, &cfg);
-        let b = run_campaign(&m, Tool::Refine, &cfg);
+        let cfg = EngineConfig { trials: 30, seed: 99, jobs: 3, ..EngineConfig::default() };
+        let a = run(Tool::Refine, &cfg);
+        let b = run(Tool::Refine, &cfg);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.total_cycles, b.total_cycles);
         // Jobs count must not change the result (trial-indexed streams).
-        let c = run_campaign(&m, Tool::Refine, &CampaignConfig { jobs: 1, ..cfg });
+        let c = run(Tool::Refine, &EngineConfig { jobs: 1, ..cfg });
         assert_eq!(a.counts, c.counts);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let m = tiny_module();
-        let a = run_campaign(
-            &m,
-            Tool::Pinfi,
-            &CampaignConfig { trials: 60, seed: 1, jobs: 2, checkpoint: true, ..CampaignConfig::default() },
-        );
-        let b = run_campaign(
-            &m,
-            Tool::Pinfi,
-            &CampaignConfig { trials: 60, seed: 2, jobs: 2, checkpoint: true, ..CampaignConfig::default() },
-        );
+        let cfg = EngineConfig { trials: 60, jobs: 2, ..EngineConfig::default() };
+        let a = run(Tool::Pinfi, &EngineConfig { seed: 1, ..cfg });
+        let b = run(Tool::Pinfi, &EngineConfig { seed: 2, ..cfg });
         assert_ne!((a.counts.crash, a.counts.soc), (b.counts.crash, b.counts.soc));
     }
 

@@ -196,47 +196,54 @@ pub struct EngineCampaign {
     pub source: ArtifactSource,
 }
 
-/// Engine scheduling parameters.
+/// The one campaign configuration: what every sweep, suite and single
+/// campaign runs with. [`EngineConfig::default`] is the paper's design
+/// (1,068 trials per campaign) with every fast path on.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Trials per campaign.
+    /// Trials per campaign (the paper uses 1,068).
     pub trials: u64,
-    /// Sweep seed.
+    /// Sweep seed; different seeds give independent samples.
     pub seed: u64,
-    /// Worker jobs (0 = available parallelism).
+    /// Worker jobs (0 = available parallelism). Any value produces
+    /// identical outcome tables; it only changes wall-clock time.
     pub jobs: usize,
     /// Trial indices claimed per cursor fetch.
     pub batch: u64,
     /// Capture golden-run checkpoints on artifact prepare and fast-forward
-    /// trials through them. Bit-identical either way.
+    /// trials through them (`--no-checkpoint` clears it). Bit-identical
+    /// either way.
     pub checkpoint: bool,
     /// Detect post-injection golden convergence at checkpoint boundaries
-    /// and splice the golden outcome. Bit-identical either way; rides on
-    /// `checkpoint` (ignored when checkpointing is off).
+    /// and splice the golden outcome (`--no-convergence` clears it).
+    /// Bit-identical either way; rides on `checkpoint` (ignored when
+    /// checkpointing is off).
     pub convergence: bool,
     /// Initial checkpoint interval in retired instructions (must be
     /// nonzero; `--checkpoint-interval`).
     pub checkpoint_interval: u64,
-    /// Trial execution engine (the fused engine or the exact oracle).
-    /// Bit-identical either way; outside the artifact-cache key.
+    /// Trial execution engine (`--engine`): the fused engine, or the exact
+    /// oracle, which ignores `checkpoint` and `convergence`. Bit-identical
+    /// either way; outside the artifact-cache key.
     pub engine: ExecEngine,
 }
 
-impl EngineConfig {
-    /// Engine parameters for a [`crate::campaign::CampaignConfig`].
-    pub fn from_campaign(cfg: &crate::campaign::CampaignConfig) -> EngineConfig {
+impl Default for EngineConfig {
+    fn default() -> Self {
         EngineConfig {
-            trials: cfg.trials,
-            seed: cfg.seed,
-            jobs: cfg.jobs,
+            trials: 1068,
+            seed: 0xB1ADE,
+            jobs: 0,
             batch: DEFAULT_BATCH,
-            checkpoint: cfg.checkpoint,
-            convergence: cfg.convergence,
-            checkpoint_interval: cfg.checkpoint_interval,
-            engine: cfg.engine,
+            checkpoint: true,
+            convergence: true,
+            checkpoint_interval: refine_machine::CheckpointConfig::default().interval,
+            engine: ExecEngine::default(),
         }
     }
+}
 
+impl EngineConfig {
     /// The checkpointing knobs this engine config prepares artifacts with.
     pub fn checkpoint_options(&self) -> refine_core::CheckpointOptions {
         assert!(self.checkpoint_interval > 0, "checkpoint interval must be nonzero");
@@ -468,6 +475,11 @@ pub fn effective_jobs(requested: usize, total: u64) -> usize {
 /// a time from the shared cursor and resolve the owning campaign's
 /// artifact through `cache` (memoizing the last-used campaign locally, so
 /// the cache lock is touched only on campaign boundaries).
+///
+/// Once `hooks.sink` has failed, workers claim no further batch: the
+/// report then holds the trials run so far, and a campaign that never
+/// started reports zero population and profile cycles. The caller learns
+/// of the failure from [`TraceSink::flush`].
 pub fn run_sweep(
     campaigns: &[EngineCampaign],
     cfg: &EngineConfig,
@@ -505,6 +517,10 @@ pub fn run_sweep(
                 // order, so batches overwhelmingly stay within a campaign.
                 let mut current: Option<(usize, Arc<PreparedTool>)> = None;
                 loop {
+                    // A failed sink records nothing more: stop claiming.
+                    if hooks.sink.is_some_and(TraceSink::failed) {
+                        break;
+                    }
                     let lo = cursor.fetch_add(batch, Ordering::Relaxed);
                     if lo >= total {
                         break;
@@ -565,19 +581,20 @@ pub fn run_sweep(
     let mut results = Vec::with_capacity(campaigns.len());
     let mut stats = Vec::with_capacity(campaigns.len());
     for (i, (c, t)) in campaigns.iter().zip(&tallies).enumerate() {
-        let (prepared, prepare_ns) = match &c.source {
-            ArtifactSource::Prepared(p) => (Arc::clone(p), 0),
-            // Every campaign ran at least one trial, so its slot is filled.
-            ArtifactSource::Module(_) => {
-                cache.peek(&keys[i]).expect("every campaign prepared its artifact")
-            }
+        // A sweep stopped by a failed sink may never have prepared a
+        // campaign's artifact; that campaign reports zero facts.
+        let prepared = match &c.source {
+            ArtifactSource::Prepared(p) => Some((Arc::clone(p), 0)),
+            ArtifactSource::Module(_) => cache.peek(&keys[i]),
         };
+        let (population, profile_cycles, prepare_ns) =
+            prepared.map_or((0, 0, 0), |(p, ns)| (p.population, p.profile_cycles, ns));
         results.push(CampaignResult {
             tool: c.tool.name().to_string(),
             counts: t.counts,
             total_cycles: t.cycles,
-            population: prepared.population,
-            profile_cycles: prepared.profile_cycles,
+            population,
+            profile_cycles,
         });
         let wall = t.last_ns.saturating_sub(t.first_ns);
         stats.push(CampaignStats {
@@ -625,16 +642,7 @@ mod tests {
     }
 
     fn test_cfg(trials: u64, seed: u64, jobs: usize, batch: u64) -> EngineConfig {
-        EngineConfig {
-            trials,
-            seed,
-            jobs,
-            batch,
-            checkpoint: true,
-            convergence: true,
-            checkpoint_interval: refine_machine::CheckpointConfig::default().interval,
-            engine: ExecEngine::default(),
-        }
+        EngineConfig { trials, seed, jobs, batch, ..EngineConfig::default() }
     }
 
     fn sweep_specs() -> Vec<EngineCampaign> {
@@ -728,6 +736,32 @@ mod tests {
             assert_eq!(s.app, "kernel3");
         }
         assert!(r.speedup() > 0.0);
+    }
+
+    /// Workers claim no batch once the sink has failed, so a sweep whose
+    /// trace cannot be written stops inside its first campaign, and the
+    /// campaigns that never started report zeros instead of panicking.
+    #[test]
+    fn failed_sink_stops_the_sweep() {
+        struct Full;
+        impl std::io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let specs = sweep_specs();
+        let cfg = test_cfg(200, 5, 2, 4);
+        let sink = TraceSink::new(Box::new(Full));
+        let hooks = EngineHooks { sink: Some(&sink), progress: None };
+        let r = run_sweep(&specs, &cfg, &ArtifactCache::new(), &hooks);
+        assert!(sink.flush().is_err());
+        let ran: u64 = r.results.iter().map(|x| x.counts.total()).sum();
+        assert!(0 < ran && ran < cfg.trials, "{ran} of {} trials ran", 3 * cfg.trials);
+        let last = &r.results[2];
+        assert_eq!((last.counts.total(), last.population, last.profile_cycles), (0, 0, 0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reproduction drivers for every table and figure of the paper's
 //! evaluation (the per-experiment index of DESIGN.md).
 
-use crate::campaign::{run_campaign_observed, CampaignConfig, CampaignResult};
+use crate::campaign::{run_campaign, CampaignResult};
 use crate::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
     EngineReport,
@@ -52,34 +52,19 @@ pub struct SuiteObserver<'a> {
     pub sink: Option<&'a TraceSink>,
 }
 
-/// Run campaigns for `apps` (or the whole suite) with all three tools.
-/// `progress` is called before each (app, tool) campaign.
-pub fn run_suite(
-    cfg: &CampaignConfig,
-    apps: Option<&[String]>,
-    progress: impl FnMut(&str, Tool),
-) -> SuiteResults {
-    run_suite_sharded(cfg, apps, &SuiteObserver::default(), progress).0
-}
-
-/// The sharded sweep driver behind every suite run: flattens all
-/// `(program, tool)` campaigns into one engine sweep (so trials from
+/// Run campaigns for `apps` (or the whole suite) with all three tools: all
+/// `(program, tool)` campaigns form one engine sweep, so trials from
 /// different campaigns interleave across the worker pool and each
 /// instrumented artifact is prepared exactly once via the
-/// [`ArtifactCache`]), and additionally returns the [`EngineReport`] with
-/// wall-clock, speedup and cache accounting. `obs` adds live progress
-/// reporting and per-trial provenance streaming. Accepts any benchmark
-/// [`refine_benchmarks::by_name`] knows, including the extras outside the
-/// paper's 14-app suite.
-///
-/// `progress` is called once per campaign, in input order, as the sweep is
-/// assembled (campaign *completion* order is scheduling-dependent; results
-/// are always returned in input order).
-pub fn run_suite_sharded(
-    cfg: &CampaignConfig,
+/// [`ArtifactCache`]. Returns the outcome tables in input order with the
+/// [`EngineReport`] (wall-clock, speedup and cache accounting). `obs` adds
+/// live progress reporting and per-trial provenance streaming. Accepts any
+/// benchmark [`refine_benchmarks::by_name`] knows, including the extras
+/// outside the paper's 14-app suite.
+pub fn run_suite(
+    cfg: &EngineConfig,
     apps: Option<&[String]>,
     obs: &SuiteObserver<'_>,
-    mut progress: impl FnMut(&str, Tool),
 ) -> (SuiteResults, EngineReport) {
     let selected: Vec<_> = match apps {
         Some(names) => names
@@ -106,7 +91,6 @@ pub fn run_suite_sharded(
     for b in &selected {
         let module = Arc::new(b.module());
         for tool in Tool::all() {
-            progress(b.name, tool);
             specs.push(EngineCampaign {
                 app: b.name.to_string(),
                 tool,
@@ -119,7 +103,7 @@ pub fn run_suite_sharded(
     live.set_label(format!("sweep x{} apps", selected.len()));
     let hooks = EngineHooks { sink: obs.sink, progress: Some(&live) };
     let cache = ArtifactCache::new();
-    let report = run_sweep(&specs, &EngineConfig::from_campaign(cfg), &cache, &hooks);
+    let report = run_sweep(&specs, cfg, &cache, &hooks);
     live.finish();
 
     let mut out = Vec::with_capacity(selected.len());
@@ -402,9 +386,9 @@ pub fn fig5(suite: &SuiteResults) -> String {
 /// This is the study the flag interface exists for — e.g. stack-class
 /// faults (push/pop/sp/fp writers) crash far more often than arithmetic
 /// faults, which skew towards SOC.
-pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
+pub fn class_ablation(apps: &[String], cfg: &EngineConfig) -> String {
     use refine_core::{FiOptions, InstrClass};
-    let ckpt = EngineConfig::from_campaign(cfg).checkpoint_options();
+    let ckpt = cfg.checkpoint_options();
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -427,8 +411,14 @@ pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
             ("all", InstrClass::All),
         ] {
             let opts = FiOptions { fi: true, fi_instrs: class, ..FiOptions::all() };
-            let prepared = Arc::new(PreparedTool::prepare_refine_with(&module, &opts, &ckpt));
-            let r = run_campaign_observed(prepared, cfg, name, &EngineHooks::default());
+            let campaign = EngineCampaign {
+                app: name.clone(),
+                tool: Tool::Refine,
+                source: ArtifactSource::Prepared(Arc::new(PreparedTool::prepare_refine_with(
+                    &module, &opts, &ckpt,
+                ))),
+            };
+            let r = run_campaign(&campaign, cfg, &EngineHooks::default());
             let p = r.counts.percentages();
             let _ = writeln!(
                 s,
@@ -526,9 +516,9 @@ mod tests {
     /// End-to-end mini-sweep on one real app with few trials.
     #[test]
     fn mini_suite_runs() {
-        let cfg = CampaignConfig { trials: 12, seed: 3, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 12, seed: 3, jobs: 2, ..EngineConfig::default() };
         let apps = vec!["CoMD".to_string()];
-        let suite = run_suite(&cfg, Some(&apps), |_, _| {});
+        let (suite, _) = run_suite(&cfg, Some(&apps), &SuiteObserver::default());
         assert_eq!(suite.apps.len(), 1);
         for r in suite.apps[0].by_tool() {
             assert_eq!(r.counts.total(), 12);
@@ -537,20 +527,19 @@ mod tests {
         assert_eq!(suite.apps[0].refine.population, suite.apps[0].pinfi.population);
     }
 
-    /// The sharded driver reports scheduling + cache accounting and its
-    /// results match the public suite API bit for bit.
+    /// The suite driver reports scheduling + cache accounting, and a rerun
+    /// of the same configuration matches it bit for bit.
     #[test]
     fn sharded_suite_reports_engine_accounting() {
-        let cfg = CampaignConfig { trials: 10, seed: 3, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 10, seed: 3, jobs: 4, ..EngineConfig::default() };
         let apps = vec!["CoMD".to_string()];
-        let (suite, report) =
-            run_suite_sharded(&cfg, Some(&apps), &SuiteObserver::default(), |_, _| {});
+        let (suite, report) = run_suite(&cfg, Some(&apps), &SuiteObserver::default());
         assert_eq!(report.stats.len(), 3, "one stat row per (app, tool)");
         assert_eq!(report.cache.misses, 3, "each artifact prepared exactly once");
         assert!(report.cache.hits + report.cache.misses >= 3);
         assert!(report.wall_ns > 0 && report.busy_ns > 0);
         assert!(engine_summary(&report).contains("Artifact cache"));
-        let again = run_suite(&cfg, Some(&apps), |_, _| {});
+        let (again, _) = run_suite(&cfg, Some(&apps), &SuiteObserver::default());
         for (a, b) in suite.apps[0].by_tool().iter().zip(again.apps[0].by_tool()) {
             assert_eq!(a.counts, b.counts);
             assert_eq!(a.total_cycles, b.total_cycles);

@@ -8,11 +8,12 @@
 //!   differs from the golden output at 6 significant digits), or *benign*;
 //! * [`tools`] — a uniform interface over the three injectors (LLFI,
 //!   REFINE, PINFI): compile/attach, profile, run one trial;
-//! * [`campaign`] — per-trial machinery (1,068 trials per program x tool
-//!   by default, deterministic per-trial stream derivation);
+//! * [`campaign`] — per-trial machinery (deterministic per-trial stream
+//!   derivation) and [`run_campaign`], one named campaign;
 //! * [`engine`] — the work-stealing sharded sweep engine with the
 //!   instrumented-artifact cache (`--jobs N`, bit-identical at any jobs
-//!   count);
+//!   count) and [`EngineConfig`], the one campaign configuration (1,068
+//!   trials per program x tool by default);
 //! * [`experiments`] — drivers that regenerate every table and figure of
 //!   the paper's evaluation (Figure 4, Table 4, Table 5, Table 6, Figure 5,
 //!   and the §5.3 sample-size computation).
@@ -24,10 +25,7 @@ pub mod experiments;
 pub mod propagation;
 pub mod tools;
 
-pub use campaign::{
-    program_salt, run_campaign, run_campaign_observed, CampaignConfig, CampaignResult,
-    OutcomeCounts,
-};
+pub use campaign::{program_salt, run_campaign, CampaignResult, OutcomeCounts};
 pub use engine::{
     run_sweep, ArtifactCache, ArtifactKey, ArtifactSource, CacheStats, CampaignStats,
     EngineCampaign, EngineConfig, EngineHooks, EngineReport,

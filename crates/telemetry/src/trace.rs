@@ -9,6 +9,7 @@ use crate::json::{Fields, Json};
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Provenance record for one fault-injection trial.
@@ -96,9 +97,11 @@ impl TrialTrace {
 ///
 /// The first I/O error is kept: later writes do nothing, and
 /// [`TraceSink::flush`] reports it, so a failing sink neither floods
-/// stderr per trial nor passes for a complete trace.
+/// stderr per trial nor passes for a complete trace. [`TraceSink::failed`]
+/// tells a campaign to stop without taking the lock.
 pub struct TraceSink {
     out: Mutex<SinkState>,
+    failed: AtomicBool,
 }
 
 struct SinkState {
@@ -115,7 +118,10 @@ impl TraceSink {
 
     /// Stream to an arbitrary writer.
     pub fn new(w: Box<dyn Write + Send>) -> TraceSink {
-        TraceSink { out: Mutex::new(SinkState { writer: BufWriter::new(w), error: None }) }
+        TraceSink {
+            out: Mutex::new(SinkState { writer: BufWriter::new(w), error: None }),
+            failed: AtomicBool::new(false),
+        }
     }
 
     /// Buffer records in memory. The returned handle exposes the raw JSONL
@@ -142,6 +148,13 @@ impl TraceSink {
         out.error.as_ref().map_or(Ok(()), |e| Err(io::Error::new(e.kind(), e.to_string())))
     }
 
+    /// True once a write or flush has failed: nothing more reaches the
+    /// writer, so a campaign may stop. One relaxed atomic load; the flag
+    /// publishes no data (the error itself is read under the lock).
+    pub fn failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
     /// Run `op` on the writer unless an earlier write or flush failed,
     /// keeping its error; returns the locked state.
     fn run(
@@ -151,6 +164,9 @@ impl TraceSink {
         let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
         if out.error.is_none() {
             out.error = op(&mut out.writer).err();
+            if out.error.is_some() {
+                self.failed.store(true, Ordering::Relaxed);
+            }
         }
         out
     }
@@ -375,8 +391,11 @@ mod tests {
         let calls = Arc::new(Mutex::new(0));
         let sink = TraceSink::new(Box::new(FailAfter(10_000, Arc::clone(&calls))));
         let r = rec("refine", Some("alu.add"), "crash", 0);
+        sink.write(&r);
+        assert!(!sink.failed(), "a buffered write has not met the writer yet");
         // 200 records overflow the writer's buffer several times.
         (0..200).for_each(|_| sink.write(&r));
+        assert!(sink.failed());
         let after_failure = *calls.lock().unwrap();
         (0..200).for_each(|_| sink.write(&r));
         for _ in 0..2 {

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example extensions`
 
-use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::{classify, experiments, Golden};
 use refine_core::{compile_with_fi, BurstRt, FiOptions, MultiBitProbe, ProfilingRt};
 use refine_ir::passes::OptLevel;
@@ -80,9 +80,9 @@ fn main() {
 
     // --- 4. Instruction-class ablation.
     println!();
-    let cfg = CampaignConfig { trials: 100, seed: 7, jobs: 0, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 100, seed: 7, ..EngineConfig::default() };
     print!(
         "{}",
-        experiments::class_ablation(&["XSBench".to_string()], &cfg)
+        experiments::class_ablation(&[program.name.to_string()], &cfg)
     );
 }

@@ -4,9 +4,11 @@
 //!
 //! Run with: `cargo run --release --example fi_campaign [-- trials]`
 
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::run_campaign;
+use refine_campaign::engine::{ArtifactSource, EngineCampaign, EngineConfig, EngineHooks};
 use refine_campaign::tools::Tool;
 use refine_stats::chi2_contingency;
+use std::sync::Arc;
 
 fn main() {
     let trials: u64 = std::env::args()
@@ -15,13 +17,18 @@ fn main() {
         .unwrap_or(200);
     let program = refine_benchmarks::by_name("HPCCG-1.0").unwrap();
     println!("campaign: {} ({}), {} trials per tool", program.name, program.input, trials);
-    let module = program.module();
-    let cfg = CampaignConfig { trials, seed: 2017, jobs: 0, checkpoint: true, ..CampaignConfig::default() };
+    let module = Arc::new(program.module());
+    let cfg = EngineConfig { trials, seed: 2017, ..EngineConfig::default() };
 
     let mut results = Vec::new();
     for tool in Tool::all() {
         let t0 = std::time::Instant::now();
-        let r = run_campaign(&module, tool, &cfg);
+        let campaign = EngineCampaign {
+            app: program.name.to_string(),
+            tool,
+            source: ArtifactSource::Module(Arc::clone(&module)),
+        };
+        let r = run_campaign(&campaign, &cfg, &EngineHooks::default());
         let p = r.counts.percentages();
         println!(
             "{:8} population={:>8} crash={:5.1}% soc={:5.1}% benign={:5.1}%  (campaign: {:>12} sim-cycles, {:.2}s wall)",

@@ -6,9 +6,11 @@
 //! * LLFI's distribution diverges much more strongly;
 //! * LLFI campaigns are the slowest; REFINE stays in PINFI's neighbourhood.
 
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::{run_campaign, CampaignResult};
+use refine_campaign::engine::{ArtifactSource, EngineCampaign, EngineConfig, EngineHooks};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_stats::chi2_contingency;
+use std::sync::Arc;
 
 fn subject() -> refine_ir::Module {
     // A mixed int/float kernel with calls — representative without being
@@ -35,6 +37,19 @@ fn subject() -> refine_ir::Module {
     .unwrap()
 }
 
+/// The LLFI, REFINE and PINFI campaigns on [`subject`], named after it.
+fn campaigns(cfg: &EngineConfig) -> [CampaignResult; 3] {
+    let module = Arc::new(subject());
+    Tool::all().map(|tool| {
+        let campaign = EngineCampaign {
+            app: "subject".into(),
+            tool,
+            source: ArtifactSource::Module(Arc::clone(&module)),
+        };
+        run_campaign(&campaign, cfg, &EngineHooks::default())
+    })
+}
+
 #[test]
 fn populations_and_golden_identical_for_refine_and_pinfi() {
     let m = subject();
@@ -51,11 +66,8 @@ fn populations_and_golden_identical_for_refine_and_pinfi() {
 /// look like two samples of one distribution, while LLFI diverges far more.
 #[test]
 fn refine_tracks_pinfi_better_than_llfi() {
-    let m = subject();
-    let cfg = CampaignConfig { trials: 300, seed: 20170612, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
-    let llfi = run_campaign(&m, Tool::Llfi, &cfg);
-    let refine = run_campaign(&m, Tool::Refine, &cfg);
-    let pinfi = run_campaign(&m, Tool::Pinfi, &cfg);
+    let cfg = EngineConfig { trials: 300, seed: 20170612, jobs: 4, ..EngineConfig::default() };
+    let [llfi, refine, pinfi] = campaigns(&cfg);
 
     let chi_refine = chi2_contingency(&[refine.counts.row(), pinfi.counts.row()]);
     let chi_llfi = chi2_contingency(&[llfi.counts.row(), pinfi.counts.row()]);
@@ -78,11 +90,8 @@ fn refine_tracks_pinfi_better_than_llfi() {
 /// Figure 5 in miniature: campaign-time ordering.
 #[test]
 fn campaign_speed_shape() {
-    let m = subject();
-    let cfg = CampaignConfig { trials: 60, seed: 4, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
-    let llfi = run_campaign(&m, Tool::Llfi, &cfg);
-    let refine = run_campaign(&m, Tool::Refine, &cfg);
-    let pinfi = run_campaign(&m, Tool::Pinfi, &cfg);
+    let cfg = EngineConfig { trials: 60, seed: 4, jobs: 4, ..EngineConfig::default() };
+    let [llfi, refine, pinfi] = campaigns(&cfg);
 
     let l = llfi.total_cycles as f64 / pinfi.total_cycles as f64;
     let r = refine.total_cycles as f64 / pinfi.total_cycles as f64;

@@ -1,10 +1,12 @@
 //! Campaign-harness integration: the paper's workflow (profile -> inject ->
 //! classify), the 10x timeout rule, determinism, and fault-log replay.
 
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::{run_campaign, CampaignResult};
+use refine_campaign::engine::{ArtifactSource, EngineCampaign, EngineConfig, EngineHooks};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_campaign::{classify, Outcome};
 use refine_machine::RunOutcome;
+use std::sync::Arc;
 
 fn small_module() -> refine_ir::Module {
     refine_frontend::compile_source(
@@ -26,6 +28,16 @@ fn small_module() -> refine_ir::Module {
     .unwrap()
 }
 
+/// The campaign of `tool` on [`small_module`], named after it.
+fn run(tool: Tool, cfg: &EngineConfig) -> CampaignResult {
+    let campaign = EngineCampaign {
+        app: "small_module".into(),
+        tool,
+        source: ArtifactSource::Module(Arc::new(small_module())),
+    };
+    run_campaign(&campaign, cfg, &EngineHooks::default())
+}
+
 #[test]
 fn workflow_profile_then_inject_then_classify() {
     let m = small_module();
@@ -42,11 +54,10 @@ fn workflow_profile_then_inject_then_classify() {
 
 #[test]
 fn campaigns_deterministic_and_complete() {
-    let m = small_module();
-    let cfg = CampaignConfig { trials: 50, seed: 11, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 50, seed: 11, jobs: 4, ..EngineConfig::default() };
     for tool in Tool::all() {
-        let a = run_campaign(&m, tool, &cfg);
-        let b = run_campaign(&m, tool, &cfg);
+        let a = run(tool, &cfg);
+        let b = run(tool, &cfg);
         assert_eq!(a.counts, b.counts, "{}", tool.name());
         assert_eq!(a.counts.total(), 50);
     }
@@ -56,10 +67,9 @@ fn campaigns_deterministic_and_complete() {
 /// outcome categories on a real program.
 #[test]
 fn outcome_diversity() {
-    let m = small_module();
-    let cfg = CampaignConfig { trials: 80, seed: 5, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 80, seed: 5, jobs: 4, ..EngineConfig::default() };
     for tool in Tool::all() {
-        let r = run_campaign(&m, tool, &cfg);
+        let r = run(tool, &cfg);
         let nonzero = [r.counts.crash, r.counts.soc, r.counts.benign]
             .iter()
             .filter(|&&c| c > 0)

@@ -7,9 +7,9 @@
 //! the exact interpreter here too.
 
 use proptest::prelude::*;
-use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::classify::Golden;
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver, SuiteResults};
+use refine_campaign::engine::EngineConfig;
+use refine_campaign::experiments::{run_suite, SuiteObserver, SuiteResults};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, ProfilingRt};
 use refine_machine::{
@@ -33,12 +33,12 @@ fn all_apps() -> Vec<String> {
 /// Run the whole-suite sweep and return the outcome tables plus the trace
 /// records sorted by (app, tool, trial id).
 fn sweep(jobs: usize, checkpoint: bool) -> (SuiteResults, Vec<TrialTrace>) {
-    let cfg = CampaignConfig { trials: TRIALS, seed: 0xC4A7, jobs, checkpoint, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: TRIALS, seed: 0xC4A7, jobs, checkpoint, ..EngineConfig::default() };
     let (sink, buf) = TraceSink::in_memory();
     let apps = all_apps();
     let (suite, _report) = {
         let obs = SuiteObserver { live_progress: false, sink: Some(&sink) };
-        run_suite_sharded(&cfg, Some(&apps), &obs, |_, _| {})
+        run_suite(&cfg, Some(&apps), &obs)
     };
     sink.flush().unwrap();
     drop(sink);

@@ -6,9 +6,9 @@
 //! invariant, end to end).
 
 use proptest::prelude::*;
-use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::classify::{classify, Outcome};
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver, SuiteResults};
+use refine_campaign::engine::EngineConfig;
+use refine_campaign::experiments::{run_suite, SuiteObserver, SuiteResults};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::CheckpointOptions;
 use refine_telemetry::{TraceSink, TrialTrace};
@@ -27,18 +27,18 @@ fn all_apps() -> Vec<String> {
 /// Run the whole-suite sweep (checkpointing always on) and return the
 /// outcome tables plus the trace records sorted by (app, tool, trial id).
 fn sweep(jobs: usize, convergence: bool) -> (SuiteResults, Vec<TrialTrace>) {
-    let cfg = CampaignConfig {
+    let cfg = EngineConfig {
         trials: TRIALS,
         seed: 0xC09E,
         jobs,
         convergence,
-        ..CampaignConfig::default()
+        ..EngineConfig::default()
     };
     let (sink, buf) = TraceSink::in_memory();
     let apps = all_apps();
     let (suite, _report) = {
         let obs = SuiteObserver { live_progress: false, sink: Some(&sink) };
-        run_suite_sharded(&cfg, Some(&apps), &obs, |_, _| {})
+        run_suite(&cfg, Some(&apps), &obs)
     };
     sink.flush().unwrap();
     drop(sink);

@@ -2,11 +2,15 @@
 //! outcome tables and trace-record sets at every `--jobs` count (the
 //! DESIGN.md deterministic-sharding invariant, end to end).
 
-use refine_campaign::campaign::CampaignConfig;
-use refine_campaign::engine::CacheStats;
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver, SuiteResults};
-use refine_telemetry::{TraceSink, TrialTrace};
+use refine_campaign::campaign::run_campaign;
+use refine_campaign::engine::{
+    ArtifactSource, CacheStats, EngineCampaign, EngineConfig, EngineHooks,
+};
+use refine_campaign::experiments::{run_suite, SuiteObserver, SuiteResults};
+use refine_campaign::tools::Tool;
+use refine_telemetry::{TraceBuffer, TraceSink, TrialTrace};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const TRIALS: u64 = 18;
 const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
@@ -15,20 +19,27 @@ const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
 /// the trace records sorted by (app, tool, trial id), and the run's cache
 /// statistics.
 fn sweep(jobs: usize) -> (SuiteResults, Vec<TrialTrace>, CacheStats) {
-    let cfg = CampaignConfig { trials: TRIALS, seed: 0xD37, jobs, checkpoint: true, ..CampaignConfig::default() };
     let (sink, buf) = TraceSink::in_memory();
     let apps: Vec<String> = APPS.iter().map(|s| s.to_string()).collect();
     let (suite, report) = {
         let obs = SuiteObserver { live_progress: false, sink: Some(&sink) };
-        run_suite_sharded(&cfg, Some(&apps), &obs, |_, _| {})
+        run_suite(&cfg(jobs), Some(&apps), &obs)
     };
+    (suite, sorted_records(sink, &buf), report.cache)
+}
+
+fn cfg(jobs: usize) -> EngineConfig {
+    EngineConfig { trials: TRIALS, seed: 0xD37, jobs, ..EngineConfig::default() }
+}
+
+/// Flush and drop `sink`, then read `buf` back sorted by (app, tool, trial
+/// id).
+fn sorted_records(sink: TraceSink, buf: &TraceBuffer) -> Vec<TrialTrace> {
     sink.flush().unwrap();
     drop(sink);
     let mut records = buf.records().unwrap();
-    records.sort_by(|a, b| {
-        (&a.app, &a.tool, a.trial).cmp(&(&b.app, &b.tool, b.trial))
-    });
-    (suite, records, report.cache)
+    records.sort_by(|a, b| (&a.app, &a.tool, a.trial).cmp(&(&b.app, &b.tool, b.trial)));
+    records
 }
 
 /// The satellite check: `--jobs 1`, `--jobs 4` and `--jobs 8` yield
@@ -92,5 +103,41 @@ fn trial_streams_are_independent_and_stable() {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), seeds.len(), "trial {trial}: colliding streams");
+    }
+}
+
+/// A campaign run alone names its program, so CoMD's campaign under its
+/// own name is bit for bit the CoMD campaign of the suite sweep with the
+/// same seed: result (counts, cycles, population) and every trace record.
+/// The same module under another name draws a different trace stream.
+#[test]
+fn named_campaign_matches_its_suite_campaign() {
+    let (suite, suite_records, _) = sweep(2);
+    let comd = suite.apps.iter().find(|a| a.name == "CoMD").unwrap();
+    let module = Arc::new(refine_benchmarks::by_name("CoMD").unwrap().module());
+    let alone = |app: &str, tool: Tool| {
+        let campaign = EngineCampaign {
+            app: app.into(),
+            tool,
+            source: ArtifactSource::Module(Arc::clone(&module)),
+        };
+        let (sink, buf) = TraceSink::in_memory();
+        let hooks = EngineHooks { sink: Some(&sink), progress: None };
+        let result = run_campaign(&campaign, &cfg(2), &hooks);
+        (result, sorted_records(sink, &buf))
+    };
+    for (tool, in_suite) in Tool::all().into_iter().zip(comd.by_tool()) {
+        let (result, records) = alone("CoMD", tool);
+        assert_eq!(&result, in_suite, "{}", tool.name());
+        let tool_name = tool.name().to_lowercase();
+        let want: Vec<&TrialTrace> =
+            suite_records.iter().filter(|r| r.app == "CoMD" && r.tool == tool_name).collect();
+        assert_eq!(records.iter().collect::<Vec<_>>(), want, "{}", tool.name());
+
+        let (_, renamed) = alone("CoMD-renamed", tool);
+        assert_eq!(renamed.len(), records.len());
+        for (a, b) in records.iter().zip(&renamed) {
+            assert_ne!(a.seed, b.seed, "{} trial {}: same stream under another name", tool.name(), a.trial);
+        }
     }
 }

@@ -15,7 +15,6 @@
 //!   kernel and tool against the same oracle.
 
 use proptest::prelude::*;
-use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
 };
@@ -52,14 +51,7 @@ fn specs() -> &'static Vec<EngineCampaign> {
 }
 
 fn cfg(engine: ExecEngine, jobs: usize, checkpoint: bool) -> EngineConfig {
-    EngineConfig::from_campaign(&CampaignConfig {
-        trials: TRIALS,
-        seed: SEED,
-        jobs,
-        checkpoint,
-        engine,
-        ..CampaignConfig::default()
-    })
+    EngineConfig { trials: TRIALS, seed: SEED, jobs, checkpoint, engine, ..EngineConfig::default() }
 }
 
 /// Key usable to sort trace records into a canonical order (sharded sweeps

@@ -39,9 +39,8 @@
 //! trace. Without them a change in either emission would silently drop
 //! trials back to one µop per instruction.
 
-use refine_campaign::campaign::CampaignConfig;
-use refine_campaign::engine::CampaignStats;
-use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
+use refine_campaign::engine::{CampaignStats, EngineConfig};
+use refine_campaign::experiments::{run_suite, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::{CheckpointOptions, FiOptions};
 use refine_ir::passes::OptLevel;
@@ -59,9 +58,9 @@ const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
 /// HPCCG-1.0 and CoMD x 3 tools x 12 trials, seed 7, two workers: one line
 /// of counters per campaign. Hands the campaigns' stats back for the floors.
 fn render(label: &str, checkpoint: bool, out: &mut String) -> Vec<CampaignStats> {
-    let cfg = CampaignConfig { trials: 12, seed: 7, jobs: 2, checkpoint, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 12, seed: 7, jobs: 2, checkpoint, ..EngineConfig::default() };
     let apps = APPS.map(String::from);
-    let (_, report) = run_suite_sharded(&cfg, Some(&apps), &SuiteObserver::default(), |_, _| {});
+    let (_, report) = run_suite(&cfg, Some(&apps), &SuiteObserver::default());
     for s in &report.stats {
         let _ = writeln!(
             out,

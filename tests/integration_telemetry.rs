@@ -2,8 +2,8 @@
 //! provenance record per trial, and the aggregated trace agrees with the
 //! campaign's own outcome counts.
 
-use refine_campaign::campaign::{run_campaign_observed, CampaignConfig, OutcomeCounts};
-use refine_campaign::engine::EngineHooks;
+use refine_campaign::campaign::{run_campaign, OutcomeCounts};
+use refine_campaign::engine::{ArtifactSource, EngineCampaign, EngineConfig, EngineHooks};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_telemetry::trace::{read_jsonl, TraceSummary};
 use refine_telemetry::{Progress, TraceSink};
@@ -15,7 +15,7 @@ const TRIALS: u64 = 32;
 fn traced_campaign_emits_one_record_per_trial() {
     refine_telemetry::enable();
     let module = refine_benchmarks::by_name("matmul").expect("matmul extra exists").module();
-    let cfg = CampaignConfig { trials: TRIALS, seed: 0xC0FFEE, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: TRIALS, seed: 0xC0FFEE, jobs: 2, ..EngineConfig::default() };
 
     let dir = std::env::temp_dir().join("refine-telemetry-integration");
     std::fs::create_dir_all(&dir).unwrap();
@@ -25,10 +25,14 @@ fn traced_campaign_emits_one_record_per_trial() {
     {
         let sink = TraceSink::to_file(&path).unwrap();
         for tool in Tool::all() {
-            let prepared = Arc::new(PreparedTool::prepare(&module, tool));
+            let campaign = EngineCampaign {
+                app: "matmul".into(),
+                tool,
+                source: ArtifactSource::Prepared(Arc::new(PreparedTool::prepare(&module, tool))),
+            };
             let progress = Progress::new(TRIALS, true);
             let hooks = EngineHooks { sink: Some(&sink), progress: Some(&progress) };
-            let r = run_campaign_observed(prepared, &cfg, "matmul", &hooks);
+            let r = run_campaign(&campaign, &cfg, &hooks);
             assert_eq!(r.counts.total(), TRIALS);
             assert_eq!(progress.done(), TRIALS, "progress counts every trial");
             by_tool_counts.push((tool.name().to_lowercase(), r.counts));
@@ -119,24 +123,29 @@ fn untraced_campaign_is_unchanged_by_observers() {
     // app name is part of that identity — it salts the per-trial fault
     // streams (`program_salt`) — so it is held fixed here.
     let module = refine_benchmarks::by_name("matmul").unwrap().module();
-    let cfg = CampaignConfig { trials: 16, seed: 9, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 16, seed: 9, jobs: 2, ..EngineConfig::default() };
     let prepared = Arc::new(PreparedTool::prepare(&module, Tool::Refine));
+    let named = |app: &str| EngineCampaign {
+        app: app.into(),
+        tool: Tool::Refine,
+        source: ArtifactSource::Prepared(Arc::clone(&prepared)),
+    };
 
-    let plain = run_campaign_observed(prepared.clone(), &cfg, "matmul", &EngineHooks::default());
+    let plain = run_campaign(&named("matmul"), &cfg, &EngineHooks::default());
     let sink_dir = std::env::temp_dir().join("refine-telemetry-integration");
     std::fs::create_dir_all(&sink_dir).unwrap();
     let path = sink_dir.join(format!("trace-b-{}.jsonl", std::process::id()));
     let sink = TraceSink::to_file(&path).unwrap();
     let progress = Progress::new(16, true);
     let hooks = EngineHooks { sink: Some(&sink), progress: Some(&progress) };
-    let observed = run_campaign_observed(prepared.clone(), &cfg, "matmul", &hooks);
+    let observed = run_campaign(&named("matmul"), &cfg, &hooks);
 
     assert_eq!(plain.counts, observed.counts);
     assert_eq!(plain.total_cycles, observed.total_cycles);
 
     // A different app name is a different campaign: independent fault
     // streams even from the same prepared artifact and seed.
-    let renamed = run_campaign_observed(prepared, &cfg, "matmul-2", &EngineHooks::default());
+    let renamed = run_campaign(&named("matmul-2"), &cfg, &EngineHooks::default());
     assert_ne!(
         (plain.counts, plain.total_cycles),
         (renamed.counts, renamed.total_cycles),
