@@ -88,12 +88,13 @@ if $EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet \
 fi
 echo "   72 JSON lines read back; an unwritable trace exits non-zero"
 
-echo "== --json report (engine work counters vs golden, suite counts, metrics keys)"
+echo "== --json report (engine work counters vs golden, suite counts, metrics keys, phase calls)"
 # The engine's per-campaign rows are the only sums of trial work: at
 # --jobs 4 they must equal the `default` work-counter lines pinned (at
 # --jobs 2) in tests/golden/fastpath_counters.txt, every suite campaign must
 # count all 12 trials, and the metrics snapshot must hold only what
-# telemetry alone records.
+# telemetry alone records. Its phase table must count one optimization and
+# one artifact prepare per (app, tool): exact call counts, never timings.
 $EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --json 2>/dev/null \
     | python3 -c '
 import json, sys
@@ -114,8 +115,12 @@ if [a["name"] for a in suite["apps"]] != ["HPCCG-1.0", "CoMD"] or any(
 keys = sorted(report["metrics"])
 if keys != sorted(["trial_latency_ns", "trial_instrs", "trial_cycles", "traps", "phases"]):
     sys.exit(f"unexpected metrics keys: {keys}")
+calls = {p["name"]: p["calls"] for p in report["metrics"]["phases"]["phases"]}
+if (calls.get("optimize"), calls.get("prepare-artifact")) != (6, 6):
+    sys.exit(f"phases must count 6 optimize and 6 prepare-artifact calls (2 apps x 3 tools): {calls}")
 ' tests/golden/fastpath_counters.txt
-echo "   six campaigns match the golden counters and count every trial; metrics holds five keys"
+echo "   six campaigns match the golden counters and count every trial; metrics holds five keys;"
+echo "   phases count 6 optimize and 6 prepare-artifact calls"
 
 echo "== checkpoint equivalence (default vs --no-checkpoint)"
 # Trial fast-forward must be invisible in every output: diff a short sweep

@@ -130,10 +130,7 @@ fn main() {
             }
             "ir-opt" => {
                 let mut m = module.clone();
-                {
-                    let _s = refine_telemetry::Span::enter(refine_telemetry::Phase::Optimize);
-                    refine_ir::passes::optimize(&mut m, level);
-                }
+                refine_mir::optimize(&mut m, level);
                 print!("{}", refine_ir::printer::print_module(&m));
                 print_times("frontend + optimizer");
                 return;
@@ -161,7 +158,7 @@ fn main() {
             }
             "sites" => {
                 for s in &compiled.sites {
-                    println!("site {:>5}  {:20} {}", s.id, s.func, s.asm);
+                    println!("site {:>5}  {:20} {}", s.id, s.func, s.asm());
                 }
                 eprintln!("minicc: {} static sites", compiled.sites.len());
             }

@@ -10,7 +10,6 @@ use refine_machine::{
 };
 use refine_pinfi::{PinfiInjector, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{Phase, Span};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use refine_machine::TrialFastStats;
@@ -61,11 +60,11 @@ pub struct PreparedTool {
     pub timeout_cycles: u64,
     /// Stack size for runs.
     pub stack_words: usize,
-    /// Static-site id -> opcode label, for per-trial fault provenance
-    /// (REFINE: backend-pass site table; LLFI: IR site table; PINFI has no
-    /// site table — its opcodes resolve from the binary text at the
-    /// faulting pc, see [`PreparedTool::site_opcode`]).
-    pub site_opcodes: HashMap<u64, String>,
+    /// Opcode label of each static site, indexed by site id, for per-trial
+    /// fault provenance (REFINE: backend-pass site table; LLFI: IR site
+    /// table; PINFI has no site table — its opcodes resolve from the
+    /// binary text at the faulting pc, see [`PreparedTool::site_opcode`]).
+    pub site_opcodes: Vec<&'static str>,
     /// Golden-run checkpoints for trial fast-forward (`None` with
     /// `--no-checkpoint`). Shared read-only across workers.
     pub fastpath: Option<Arc<FastPath>>,
@@ -98,11 +97,6 @@ pub struct TrialRun {
     pub log: Option<FaultRecord>,
     /// Checkpoint fast-forward accounting.
     pub fast: TrialFastStats,
-}
-
-/// First token of a disassembly line (`"add r1, r2, r3"` -> `"add"`).
-fn asm_mnemonic(asm: &str) -> String {
-    asm.split_whitespace().next().unwrap_or("?").to_string()
 }
 
 /// Predecode + fuse one prepared binary under its telemetry span, counting
@@ -160,8 +154,7 @@ impl PreparedTool {
         let (binary, site_opcodes) = match tool {
             Tool::Refine => {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, refine_opts);
-                let opcodes =
-                    c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
+                let opcodes = c.sites.iter().map(|s| s.instr.mnemonic()).collect();
                 // REFINE's trigger-path scratch slot must be exempt from the
                 // convergence comparison or a fired trial never matches.
                 if let Some(m) = mcfg.as_mut() {
@@ -175,12 +168,12 @@ impl PreparedTool {
                     OptLevel::O2,
                     &refine_llfi::LlfiOptions::default(),
                 );
-                let opcodes = sites.iter().map(|s| (s.id, s.opcode.clone())).collect();
+                let opcodes = sites.iter().map(|s| s.opcode).collect();
                 (c.binary, opcodes)
             }
             Tool::Pinfi => {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, &FiOptions::default());
-                (c.binary, HashMap::new())
+                (c.binary, Vec::new())
             }
         };
         let superblock = build_superblock(&binary, tool);
@@ -350,8 +343,10 @@ impl PreparedTool {
                 .binary
                 .text
                 .get(record.site as usize)
-                .map(|i| i.mnemonic()),
-            Tool::Refine | Tool::Llfi => self.site_opcodes.get(&record.site).cloned(),
+                .map(|i| i.mnemonic().to_string()),
+            Tool::Refine | Tool::Llfi => {
+                self.site_opcodes.get(record.site as usize).map(|s| s.to_string())
+            }
         }
     }
 }

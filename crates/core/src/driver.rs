@@ -47,10 +47,7 @@ impl Compiled {
 pub fn compile_with_fi(m: &Module, level: OptLevel, opts: &FiOptions) -> Compiled {
     use refine_telemetry::{Phase, Span};
     let mut m = m.clone();
-    {
-        let _s = Span::enter(Phase::Optimize);
-        refine_ir::passes::optimize(&mut m, level);
-    }
+    refine_mir::optimize(&mut m, level);
     let mut mm = refine_mir::lower_module(&m);
     // Reserve the global save area at the end of the data segment.
     let save_base = refine_ir::interp::GLOBAL_BASE + mm.globals.len() as u64 * 8;

@@ -6,7 +6,9 @@
 //! management) and interferes with nothing.
 //!
 //! For every target instruction the pass splits the containing block and
-//! inserts:
+//! inserts (one linear sweep per block: the instructions after a site go
+//! straight into the continuation block, which takes the block's later
+//! sites in turn):
 //!
 //! ```text
 //!   ..target..  --> PreFI:     save r0 + FLAGS to the global save area,
@@ -27,7 +29,7 @@ use crate::options::{FiOptions, InstrClass};
 use refine_machine::isa::abi;
 use refine_machine::rt::pack;
 use refine_machine::{fi_outputs, AluOp, Cc, CvtKind, MInstr, Mem, Reg, RtFunc};
-use refine_mir::MFunction;
+use refine_mir::{MBlock, MFunction};
 
 /// Static description of one instrumented site (for logs and reports).
 #[derive(Debug, Clone)]
@@ -36,10 +38,17 @@ pub struct SiteInfo {
     pub id: u64,
     /// Containing function.
     pub func: String,
-    /// Disassembly of the target instruction.
-    pub asm: String,
+    /// The target instruction.
+    pub instr: MInstr,
     /// Output operands `(register, bits)` of the target.
     pub outputs: Vec<(Reg, u32)>,
+}
+
+impl SiteInfo {
+    /// Disassembly of the target instruction.
+    pub fn asm(&self) -> String {
+        self.instr.asm()
+    }
 }
 
 /// Offsets (in words) of the global save area slots.
@@ -82,136 +91,141 @@ fn instrument_function(
     next_site: &mut u64,
     sites: &mut Vec<SiteInfo>,
 ) {
-    // Worklist of blocks still to scan (continuations are appended).
-    let mut work: Vec<u32> = (0..f.blocks.len() as u32).collect();
-    while let Some(bi) = work.pop() {
-        let insts = std::mem::take(&mut f.blocks[bi as usize].insts);
+    // Blocks are instrumented last to first (site ids and the layout of
+    // the appended blocks follow that order).
+    for bi in (0..f.blocks.len()).rev() {
+        let insts = std::mem::take(&mut f.blocks[bi].insts);
+        // The block receiving instructions: `bi`, then each site's
+        // continuation block.
+        let mut cur = bi;
         let mut kept: Vec<MInstr> = Vec::with_capacity(insts.len());
-        let mut split: Option<(usize, MInstr)> = None;
-        for (idx, i) in insts.iter().enumerate() {
-            kept.push(*i);
-            if class.matches(i) {
-                split = Some((idx, *i));
-                break;
+        for target in insts {
+            kept.push(target);
+            if !class.matches(&target) {
+                continue;
             }
+            let outputs = fi_outputs(&target);
+            let site = *next_site;
+            *next_site += 1;
+
+            // Allocate the new blocks: PreFI, SetupFI, one FI block per
+            // output, the two PostFI blocks and the continuation.
+            let pre = f.blocks.len() as u32;
+            let fi_blocks = pre + 2..pre + 2 + outputs.len() as u32;
+            let cont = fi_blocks.end + 2;
+            f.blocks.resize_with(cont as usize + 1, MBlock::default);
+
+            // Close the split-off head with a jump into PreFI.
+            kept.push(MInstr::Jmp { target: pre });
+            f.blocks[cur].insts = std::mem::take(&mut kept);
+            cur = cont as usize;
+            instrument_site(f, site, &outputs, save_base, pre, fi_blocks);
+            sites.push(SiteInfo { id: site, func: f.name.clone(), instr: target, outputs });
         }
-        let Some((idx, target)) = split else {
-            f.blocks[bi as usize].insts = kept;
-            continue;
-        };
-        let rest: Vec<MInstr> = insts[idx + 1..].to_vec();
-
-        let outputs = fi_outputs(&target);
-        let site = *next_site;
-        *next_site += 1;
-        sites.push(SiteInfo {
-            id: site,
-            func: f.name.clone(),
-            asm: target.asm(),
-            outputs: outputs.clone(),
-        });
-
-        // Allocate the new blocks.
-        let pre = f.add_block();
-        let setup = f.add_block();
-        let fi_blocks: Vec<u32> = outputs.iter().map(|_| f.add_block()).collect();
-        let post_trig = f.add_block();
-        let post = f.add_block();
-        let cont = f.add_block();
-
-        // Close the split-off head with a jump into PreFI.
-        kept.push(MInstr::Jmp { target: pre });
-        f.blocks[bi as usize].insts = kept;
-
-        // --- PreFI: save r0 + FLAGS, ask the library whether to inject.
-        let r0 = abi::GPR_RET; // register 0, the library's result register
-        let r1 = 1u8;
-        f.blocks[pre as usize].insts = vec![
-            MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_R0) },
-            MInstr::RdFlags { rd: r0 },
-            MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_FLAGS) },
-            MInstr::CallRt { func: RtFunc::FiSelInstr, imm: site },
-            MInstr::CmpI { ra: r0, imm: 0 },
-            MInstr::Jcc { cc: Cc::Ne, target: setup },
-            MInstr::Jmp { target: post },
-        ];
-
-        // --- SetupFI: save r1, ask for <op, bit>, dispatch to FI_k.
-        let sizes: Vec<u32> = outputs.iter().map(|&(_, b)| b).collect();
-        let mut setup_code = vec![
-            MInstr::St { rs: r1, mem: save_mem(save_base, SAVE_R1) },
-            MInstr::CallRt { func: RtFunc::FiSetupFi, imm: pack::setup_imm(&sizes) },
-            MInstr::MovRR { rd: r1, ra: r0 },
-            MInstr::AluI { op: AluOp::And, rd: r1, ra: r1, imm: 0xff },
-            MInstr::AluI { op: AluOp::LShr, rd: r0, ra: r0, imm: 8 },
-        ];
-        for (k, &fb) in fi_blocks.iter().enumerate() {
-            setup_code.push(MInstr::CmpI { ra: r1, imm: k as i64 });
-            setup_code.push(MInstr::Jcc { cc: Cc::E, target: fb });
-        }
-        setup_code.push(MInstr::Jmp { target: post_trig });
-        f.blocks[setup as usize].insts = setup_code;
-
-        // --- FI_k: flip bit r0 of output k. Entry state: r0 = bit index,
-        //     r1 = free, live r0/r1/FLAGS preserved in the save area.
-        for (k, &(reg, _bits)) in outputs.iter().enumerate() {
-            let mut code = vec![
-                MInstr::MovRI { rd: r1, imm: 1 },
-                MInstr::Alu { op: AluOp::Shl, rd: r1, ra: r1, rb: r0 },
-            ];
-            match reg {
-                Reg::G(d) if d == r0 => {
-                    code.push(MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_R0) });
-                    code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
-                    code.push(MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_R0) });
-                }
-                Reg::G(d) if d == r1 => {
-                    code.push(MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_R1) });
-                    code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
-                    code.push(MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_R1) });
-                }
-                Reg::G(d) => {
-                    code.push(MInstr::Alu { op: AluOp::Xor, rd: d, ra: d, rb: r1 });
-                }
-                Reg::F(fd) => {
-                    code.push(MInstr::Cvt { kind: CvtKind::FToBits, dst: r0, src: fd });
-                    code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
-                    code.push(MInstr::Cvt { kind: CvtKind::BitsToF, dst: fd, src: r0 });
-                }
-                Reg::Flags => {
-                    code.push(MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_FLAGS) });
-                    code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
-                    code.push(MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_FLAGS) });
-                }
-            }
-            code.push(MInstr::Jmp { target: post_trig });
-            f.blocks[fi_blocks[k] as usize].insts = code;
-        }
-
-        // --- PostFI (triggered path): restore r1 first.
-        f.blocks[post_trig as usize].insts = vec![
-            MInstr::Ld { rd: r1, mem: save_mem(save_base, SAVE_R1) },
-            MInstr::Jmp { target: post },
-        ];
-
-        // --- PostFI: restore FLAGS and r0, resume application code.
-        f.blocks[post as usize].insts = vec![
-            MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_FLAGS) },
-            MInstr::WrFlags { rs: r0 },
-            MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_R0) },
-            MInstr::Jmp { target: cont },
-        ];
-
-        // --- Continuation: the remainder of the original block; scan it too.
-        f.blocks[cont as usize].insts = rest;
-        work.push(cont);
+        // The remainder after the last site (the whole block when it has
+        // none).
+        f.blocks[cur].insts = kept;
     }
+}
+
+/// Fill the consecutive blocks of one site: PreFI (`pre`), SetupFI, one
+/// FI block per output (`fi_blocks`), the two PostFI blocks, and the jump
+/// to its continuation after them.
+fn instrument_site(
+    f: &mut MFunction,
+    site: u64,
+    outputs: &[(Reg, u32)],
+    save_base: u64,
+    pre: u32,
+    fi_blocks: std::ops::Range<u32>,
+) {
+    let setup = pre + 1;
+    let (post_trig, post, cont) = (fi_blocks.end, fi_blocks.end + 1, fi_blocks.end + 2);
+    // --- PreFI: save r0 + FLAGS, ask the library whether to inject.
+    let r0 = abi::GPR_RET; // register 0, the library's result register
+    let r1 = 1u8;
+    f.blocks[pre as usize].insts = vec![
+        MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_R0) },
+        MInstr::RdFlags { rd: r0 },
+        MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_FLAGS) },
+        MInstr::CallRt { func: RtFunc::FiSelInstr, imm: site },
+        MInstr::CmpI { ra: r0, imm: 0 },
+        MInstr::Jcc { cc: Cc::Ne, target: setup },
+        MInstr::Jmp { target: post },
+    ];
+
+    // --- SetupFI: save r1, ask for <op, bit>, dispatch to FI_k.
+    let sizes: Vec<u32> = outputs.iter().map(|&(_, b)| b).collect();
+    let mut setup_code = Vec::with_capacity(6 + 2 * outputs.len());
+    setup_code.extend([
+        MInstr::St { rs: r1, mem: save_mem(save_base, SAVE_R1) },
+        MInstr::CallRt { func: RtFunc::FiSetupFi, imm: pack::setup_imm(&sizes) },
+        MInstr::MovRR { rd: r1, ra: r0 },
+        MInstr::AluI { op: AluOp::And, rd: r1, ra: r1, imm: 0xff },
+        MInstr::AluI { op: AluOp::LShr, rd: r0, ra: r0, imm: 8 },
+    ]);
+    for (k, fb) in fi_blocks.clone().enumerate() {
+        setup_code.push(MInstr::CmpI { ra: r1, imm: k as i64 });
+        setup_code.push(MInstr::Jcc { cc: Cc::E, target: fb });
+    }
+    setup_code.push(MInstr::Jmp { target: post_trig });
+    f.blocks[setup as usize].insts = setup_code;
+
+    // --- FI_k: flip bit r0 of output k. Entry state: r0 = bit index,
+    //     r1 = free, live r0/r1/FLAGS preserved in the save area.
+    for (&(reg, _bits), fb) in outputs.iter().zip(fi_blocks) {
+        let mut code = Vec::with_capacity(6);
+        code.extend([
+            MInstr::MovRI { rd: r1, imm: 1 },
+            MInstr::Alu { op: AluOp::Shl, rd: r1, ra: r1, rb: r0 },
+        ]);
+        match reg {
+            Reg::G(d) if d == r0 => {
+                code.push(MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_R0) });
+                code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
+                code.push(MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_R0) });
+            }
+            Reg::G(d) if d == r1 => {
+                code.push(MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_R1) });
+                code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
+                code.push(MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_R1) });
+            }
+            Reg::G(d) => {
+                code.push(MInstr::Alu { op: AluOp::Xor, rd: d, ra: d, rb: r1 });
+            }
+            Reg::F(fd) => {
+                code.push(MInstr::Cvt { kind: CvtKind::FToBits, dst: r0, src: fd });
+                code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
+                code.push(MInstr::Cvt { kind: CvtKind::BitsToF, dst: fd, src: r0 });
+            }
+            Reg::Flags => {
+                code.push(MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_FLAGS) });
+                code.push(MInstr::Alu { op: AluOp::Xor, rd: r0, ra: r0, rb: r1 });
+                code.push(MInstr::St { rs: r0, mem: save_mem(save_base, SAVE_FLAGS) });
+            }
+        }
+        code.push(MInstr::Jmp { target: post_trig });
+        f.blocks[fb as usize].insts = code;
+    }
+
+    // --- PostFI (triggered path): restore r1 first.
+    f.blocks[post_trig as usize].insts = vec![
+        MInstr::Ld { rd: r1, mem: save_mem(save_base, SAVE_R1) },
+        MInstr::Jmp { target: post },
+    ];
+
+    // --- PostFI: restore FLAGS and r0, resume application code.
+    f.blocks[post as usize].insts = vec![
+        MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_FLAGS) },
+        MInstr::WrFlags { rs: r0 },
+        MInstr::Ld { rd: r0, mem: save_mem(save_base, SAVE_R0) },
+        MInstr::Jmp { target: cont },
+    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refine_mir::mfunc::MBlock;
 
     fn one_block(insts: Vec<MInstr>) -> MFunction {
         MFunction { name: "f".into(), blocks: vec![MBlock { insts }] }
@@ -261,7 +275,7 @@ mod tests {
         let mut next = 0;
         let sites = run(std::slice::from_mut(&mut f), &opts, 0x10000, &mut next);
         assert_eq!(sites.len(), 1);
-        assert!(sites[0].asm.starts_with("push"));
+        assert!(sites[0].asm().starts_with("push"));
     }
 
     #[test]

@@ -1,29 +1,21 @@
 //! Local (per-block) common-subexpression elimination over pure instructions.
 
-use super::Subst;
-use crate::instr::{Instr, Operand};
+use super::{ExprKey, ExprTable, Subst};
+use crate::instr::Operand;
 use crate::module::Function;
-use std::collections::HashMap;
 
 /// Run local CSE on every block of `f`. Returns `true` on change.
 pub fn run(f: &mut Function) -> bool {
     let mut subst = Subst::default();
     let mut changed = false;
+    let mut available = ExprTable::default();
 
     for b in &mut f.blocks {
-        // Key: canonical encoding of (opcode, operands). Using the Debug
-        // rendering keeps the key total over every instruction shape without
-        // a parallel mirror enum; instruction structs are small, so the
-        // allocation cost is irrelevant at compile time.
-        let mut available: HashMap<String, crate::module::ValueId> = HashMap::new();
+        available.clear();
         for id in &mut b.instrs {
             id.instr.for_each_operand_mut(&mut |op| *op = subst.resolve(*op));
-            // Phis are pure but position-dependent; skip them.
-            if !id.instr.is_pure() || id.instr.is_phi() {
-                continue;
-            }
+            let Some(key) = ExprKey::of(&id.instr) else { continue };
             let Some(res) = id.result else { continue };
-            let key = instr_key(&id.instr);
             match available.get(&key) {
                 Some(&prev) => {
                     subst.insert(res, Operand::Value(prev));
@@ -50,10 +42,6 @@ pub fn run(f: &mut Function) -> bool {
     }
     subst.apply(f);
     true
-}
-
-fn instr_key(i: &Instr) -> String {
-    format!("{i:?}")
 }
 
 #[cfg(test)]

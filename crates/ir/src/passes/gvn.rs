@@ -5,11 +5,10 @@
 //! (the same `i*25+j*5` index arithmetic appears in sibling stencil arms)
 //! and keeps the "optimized code" the FI tools operate on honest.
 
-use super::Subst;
+use super::{ExprKey, ExprTable, Scope, Subst};
 use crate::dom::DomTree;
 use crate::instr::{Instr, Operand};
-use crate::module::{BlockId, Function, ValueId};
-use std::collections::HashMap;
+use crate::module::{BlockId, Function};
 
 /// Run GVN on `f`. Returns `true` on change.
 pub fn run(f: &mut Function) -> bool {
@@ -17,18 +16,27 @@ pub fn run(f: &mut Function) -> bool {
     let mut subst = Subst::default();
     let mut kill: Vec<(usize, usize)> = Vec::new();
 
-    // DFS down the dominator tree, each child inheriting the parent's
-    // available-expression table.
-    let mut stack: Vec<(BlockId, HashMap<String, ValueId>)> =
-        vec![(BlockId(0), HashMap::new())];
-    while let Some((b, mut avail)) = stack.pop() {
-        for (ii, id) in f.blocks[b.index()].instrs.iter_mut().enumerate() {
-            id.instr.for_each_operand_mut(&mut |op| *op = subst.resolve(*op));
-            if !id.instr.is_pure() || id.instr.is_phi() {
+    // DFS down the dominator tree over one scoped table: a block sees the
+    // expressions of its dominators, and leaving its subtree removes the
+    // keys it added (each key is added at most once while in scope).
+    let mut avail = ExprTable::default();
+    let mut added: Vec<ExprKey> = Vec::new();
+    let mut stack = vec![Scope::Enter(BlockId(0))];
+    while let Some(step) = stack.pop() {
+        let b = match step {
+            Scope::Enter(b) => b,
+            Scope::Leave(mark) => {
+                for key in added.drain(mark..) {
+                    avail.remove(&key);
+                }
                 continue;
             }
+        };
+        stack.push(Scope::Leave(added.len()));
+        for (ii, id) in f.blocks[b.index()].instrs.iter_mut().enumerate() {
+            id.instr.for_each_operand_mut(&mut |op| *op = subst.resolve(*op));
+            let Some(key) = ExprKey::of(&id.instr) else { continue };
             let Some(res) = id.result else { continue };
-            let key = format!("{:?}", id.instr);
             match avail.get(&key) {
                 Some(&prev) => {
                     subst.insert(res, Operand::Value(prev));
@@ -36,12 +44,11 @@ pub fn run(f: &mut Function) -> bool {
                 }
                 None => {
                     avail.insert(key, res);
+                    added.push(key);
                 }
             }
         }
-        for &c in &dt.children[b.index()] {
-            stack.push((c, avail.clone()));
-        }
+        stack.extend(dt.children[b.index()].iter().map(|&c| Scope::Enter(c)));
     }
 
     if kill.is_empty() {

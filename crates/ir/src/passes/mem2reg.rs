@@ -4,51 +4,55 @@
 //! when their instrumentation pins values to memory; with it, the benchmark
 //! kernels compile to register-resident loops like the paper's Listing 2b.
 
-use super::Subst;
+use super::{Scope, Subst};
 use crate::dom::DomTree;
-use crate::instr::{Instr, Operand};
+use crate::instr::{Instr, Operand, Terminator};
 use crate::module::{BlockId, Function, InstrData, Ty, ValueId};
-use std::collections::{HashMap, HashSet};
 
 /// Run mem2reg on one function. Returns `true` if anything was promoted.
 pub fn run(f: &mut Function) -> bool {
+    // Promotable allocas in value-id order, and each value's type if it is
+    // one (indexed by value id).
     let candidates = promotable_allocas(f);
-    if candidates.is_empty() {
+    let ordered: Vec<(ValueId, Ty)> = (0..candidates.len() as u32)
+        .filter_map(|v| candidates[v as usize].map(|ty| (ValueId(v), ty)))
+        .collect();
+    if ordered.is_empty() {
         return false;
     }
+    let is_candidate = |v: &ValueId| candidates.get(v.index()).is_some_and(Option::is_some);
 
     let dt = DomTree::compute(f);
-    let preds = f.predecessors();
+    let nb = f.blocks.len();
 
     // ---- Phi insertion at iterated dominance frontiers of store blocks.
-    // For each candidate alloca: the set of blocks containing stores to it.
-    let mut def_blocks: HashMap<ValueId, Vec<BlockId>> = HashMap::new();
+    // For each candidate alloca: the blocks containing stores to it, one
+    // entry per store.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); candidates.len()];
     for (bi, b) in f.blocks.iter().enumerate() {
         for id in &b.instrs {
             if let Instr::Store { addr: Operand::Value(a), .. } = &id.instr {
-                if candidates.contains_key(a) {
-                    def_blocks.entry(*a).or_default().push(BlockId(bi as u32));
+                if is_candidate(a) {
+                    def_blocks[a.index()].push(BlockId(bi as u32));
                 }
             }
         }
     }
 
-    // phi result value -> alloca it materializes
-    let mut phi_of: HashMap<ValueId, ValueId> = HashMap::new();
-    // (block, alloca) -> phi value, to fill incomings during renaming
-    let mut block_phi: HashMap<(BlockId, ValueId), ValueId> = HashMap::new();
-
-    // Deterministic iteration order: value-id order (a HashMap walk here
-    // would make compilation output depend on hasher state).
-    let mut ordered: Vec<(ValueId, Ty)> = candidates.iter().map(|(v, t)| (*v, *t)).collect();
-    ordered.sort_by_key(|(v, _)| *v);
+    // (phi result value, alloca it materializes), in creation order.
+    let mut new_phis: Vec<(ValueId, ValueId)> = Vec::new();
+    let mut placed = vec![false; nb];
+    let mut on_work = vec![false; nb];
     for &(alloca, ty) in &ordered {
-        let mut work: Vec<BlockId> = def_blocks.get(&alloca).cloned().unwrap_or_default();
-        let mut placed: HashSet<BlockId> = HashSet::new();
-        let mut on_work: HashSet<BlockId> = work.iter().copied().collect();
+        let mut work = std::mem::take(&mut def_blocks[alloca.index()]);
+        placed.fill(false);
+        on_work.fill(false);
+        for b in &work {
+            on_work[b.index()] = true;
+        }
         while let Some(b) = work.pop() {
             for &df in &dt.frontier[b.index()] {
-                if placed.insert(df) {
+                if !std::mem::replace(&mut placed[df.index()], true) {
                     let phi_val = f.new_value(ty);
                     f.blocks[df.index()].instrs.insert(
                         0,
@@ -57,99 +61,95 @@ pub fn run(f: &mut Function) -> bool {
                             result: Some(phi_val),
                         },
                     );
-                    phi_of.insert(phi_val, alloca);
-                    block_phi.insert((df, alloca), phi_val);
-                    if on_work.insert(df) {
+                    new_phis.push((phi_val, alloca));
+                    if !std::mem::replace(&mut on_work[df.index()], true) {
                         work.push(df);
                     }
                 }
             }
         }
     }
+    // phi result value -> alloca it materializes (indexed by value id)
+    let mut phi_of: Vec<Option<ValueId>> = vec![None; f.value_tys.len()];
+    for &(phi, alloca) in &new_phis {
+        phi_of[phi.index()] = Some(alloca);
+    }
 
-    // ---- Renaming along the dominator tree.
+    // ---- Renaming along the dominator tree, with one environment (the
+    // current value of each alloca, indexed by value id) and an undo log
+    // of (alloca, previous value) that restores it on leaving a subtree.
     let mut subst = Subst::default();
-    let mut kill: HashSet<(usize, usize)> = HashSet::new(); // (block, instr index)
-    // DFS with explicit stack carrying the current value of each alloca.
-    type Env = HashMap<ValueId, Operand>;
+    let mut kill: Vec<Vec<bool>> = f.blocks.iter().map(|b| vec![false; b.instrs.len()]).collect();
     let default_value = |ty: Ty| match ty {
         Ty::F64 => Operand::ConstF(0.0),
         _ => Operand::ConstI(0),
     };
-    let mut stack: Vec<(BlockId, Env)> = vec![(BlockId(0), Env::new())];
-    let mut visited = vec![false; f.blocks.len()];
-    while let Some((b, mut env)) = stack.pop() {
-        if visited[b.index()] {
+    let mut env: Vec<Option<Operand>> = vec![None; candidates.len()];
+    let mut undo: Vec<(ValueId, Option<Operand>)> = Vec::new();
+    let mut stack = vec![Scope::Enter(BlockId(0))];
+    let mut visited = vec![false; nb];
+    while let Some(step) = stack.pop() {
+        let b = match step {
+            Scope::Enter(b) => b,
+            Scope::Leave(mark) => {
+                while undo.len() > mark {
+                    let (a, prev) = undo.pop().expect("undo log longer than mark");
+                    env[a.index()] = prev;
+                }
+                continue;
+            }
+        };
+        if std::mem::replace(&mut visited[b.index()], true) {
             continue;
         }
-        visited[b.index()] = true;
+        stack.push(Scope::Leave(undo.len()));
         for (ii, id) in f.blocks[b.index()].instrs.iter().enumerate() {
             match (&id.instr, id.result) {
-                (Instr::Phi { .. }, Some(res)) if phi_of.contains_key(&res) => {
-                    env.insert(phi_of[&res], Operand::Value(res));
+                (Instr::Phi { .. }, Some(res)) => {
+                    if let Some(alloca) = phi_of[res.index()] {
+                        undo.push((alloca, env[alloca.index()].replace(Operand::Value(res))));
+                    }
                 }
-                (Instr::Alloca { .. }, Some(res)) if candidates.contains_key(&res) => {
-                    kill.insert((b.index(), ii));
+                (Instr::Alloca { .. }, Some(res)) if is_candidate(&res) => {
+                    kill[b.index()][ii] = true;
                 }
-                (Instr::Load { addr: Operand::Value(a), ty }, Some(res))
-                    if candidates.contains_key(a) =>
-                {
-                    let cur = env
-                        .get(a)
-                        .copied()
+                (Instr::Load { addr: Operand::Value(a), ty }, Some(res)) if is_candidate(a) => {
+                    let cur = env[a.index()]
                         .map(|op| subst.resolve(op))
                         .unwrap_or_else(|| default_value(*ty));
                     subst.insert(res, cur);
-                    kill.insert((b.index(), ii));
+                    kill[b.index()][ii] = true;
                 }
-                (Instr::Store { addr: Operand::Value(a), val, .. }, _)
-                    if candidates.contains_key(a) =>
-                {
-                    env.insert(*a, subst.resolve(*val));
-                    kill.insert((b.index(), ii));
+                (Instr::Store { addr: Operand::Value(a), val, .. }, _) if is_candidate(a) => {
+                    undo.push((*a, env[a.index()].replace(subst.resolve(*val))));
+                    kill[b.index()][ii] = true;
                 }
                 _ => {}
             }
         }
-        // Fill phi incomings in CFG successors.
+        // Fill phi incomings in CFG successors (the inserted phis lead
+        // every block).
         for s in f.blocks[b.index()].successors() {
             for id in &mut f.blocks[s.index()].instrs {
-                let Some(res) = id.result else { continue };
-                let Some(&alloca) = phi_of.get(&res) else { continue };
-                if let Instr::Phi { incomings, ty } = &mut id.instr {
-                    let cur = env
-                        .get(&alloca)
-                        .copied()
-                        .map(|op| subst.resolve(op))
-                        .unwrap_or_else(|| default_value(*ty));
-                    incomings.push((b, cur));
-                }
+                let Instr::Phi { incomings, ty } = &mut id.instr else { break };
+                let Some(alloca) = id.result.and_then(|res| phi_of[res.index()]) else {
+                    continue;
+                };
+                let cur = env[alloca.index()]
+                    .map(|op| subst.resolve(op))
+                    .unwrap_or_else(|| default_value(*ty));
+                incomings.push((b, cur));
             }
         }
         // Recurse into dominator-tree children (every reachable block is
         // dominated by the entry, so this visits everything).
-        for &c in &dt.children[b.index()] {
-            stack.push((c, env.clone()));
-        }
-        // Also push CFG successors not dominated by us, to make sure phi
-        // incomings from *this* edge were recorded above even if the block is
-        // visited via the dom tree; visiting is guarded by `visited`.
-        let _ = &preds;
+        stack.extend(dt.children[b.index()].iter().map(|&c| Scope::Enter(c)));
     }
 
     // ---- Drop promoted loads/stores/allocas and apply the substitution.
-    for (bi, block) in f.blocks.iter_mut().enumerate() {
-        let mut ii = 0usize;
-        let mut orig = 0usize;
-        block.instrs.retain(|_| {
-            let keep = !kill.contains(&(bi, orig));
-            orig += 1;
-            if keep {
-                ii += 1;
-            }
-            keep
-        });
-        let _ = ii;
+    for (block, kill) in f.blocks.iter_mut().zip(&kill) {
+        let mut dead = kill.iter();
+        block.instrs.retain(|_| !dead.next().expect("one flag per instruction"));
     }
     subst.apply(f);
 
@@ -168,25 +168,35 @@ pub fn run(f: &mut Function) -> bool {
 }
 
 /// Allocas that are single 8-byte words and only ever used directly as the
-/// address of loads/stores (no address arithmetic, no escaping).
-fn promotable_allocas(f: &Function) -> HashMap<ValueId, Ty> {
-    let mut info: HashMap<ValueId, (bool, Option<Ty>)> = HashMap::new(); // value -> (ok, ty)
+/// address of loads/stores (no address arithmetic, no escaping): the type
+/// each is accessed with, indexed by value id (`None` for every other
+/// value).
+fn promotable_allocas(f: &Function) -> Vec<Option<Ty>> {
+    // value -> (ok, ty) for every single-word alloca
+    let mut info: Vec<Option<(bool, Option<Ty>)>> = vec![None; f.value_tys.len()];
+    let mut any = false;
     for b in &f.blocks {
         for id in &b.instrs {
             if let (Instr::Alloca { words: 1 }, Some(res)) = (&id.instr, id.result) {
-                info.insert(res, (true, None));
+                info[res.index()] = Some((true, None));
+                any = true;
             }
         }
     }
-    if info.is_empty() {
-        return HashMap::new();
+    if !any {
+        return Vec::new();
     }
+    let escape = |info: &mut Vec<Option<(bool, Option<Ty>)>>, op: &Operand| {
+        if let Some(Some(e)) = op.as_value().map(|v| &mut info[v.index()]) {
+            e.0 = false;
+        }
+    };
     // Examine all uses.
     for b in &f.blocks {
         for id in &b.instrs {
             match &id.instr {
                 Instr::Load { addr: Operand::Value(a), ty } => {
-                    if let Some(e) = info.get_mut(a) {
+                    if let Some(e) = &mut info[a.index()] {
                         match e.1 {
                             None => e.1 = Some(*ty),
                             Some(t) if t == *ty => {}
@@ -196,12 +206,8 @@ fn promotable_allocas(f: &Function) -> HashMap<ValueId, Ty> {
                 }
                 Instr::Store { addr: Operand::Value(a), val, ty } => {
                     // The stored *value* being the alloca address = escape.
-                    if let Some(v) = val.as_value() {
-                        if let Some(e) = info.get_mut(&v) {
-                            e.0 = false;
-                        }
-                    }
-                    if let Some(e) = info.get_mut(a) {
+                    escape(&mut info, val);
+                    if let Some(e) = &mut info[a.index()] {
                         match e.1 {
                             None => e.1 = Some(*ty),
                             Some(t) if t == *ty => {}
@@ -209,36 +215,21 @@ fn promotable_allocas(f: &Function) -> HashMap<ValueId, Ty> {
                         }
                     }
                 }
-                other => {
-                    // Any other appearance disqualifies the alloca.
-                    other.for_each_operand(&mut |op| {
-                        if let Some(v) = op.as_value() {
-                            if let Some(e) = info.get_mut(&v) {
-                                e.0 = false;
-                            }
-                        }
-                    });
-                }
+                // Any other appearance disqualifies the alloca.
+                other => other.for_each_operand(&mut |op| escape(&mut info, op)),
             }
         }
-        if let Some(t) = &b.term {
-            let mut t = t.clone();
-            t.for_each_operand_mut(&mut |op| {
-                if let Some(v) = op.as_value() {
-                    if let Some(e) = info.get_mut(&v) {
-                        e.0 = false;
-                    }
-                }
-            });
+        match &b.term {
+            Some(Terminator::CondBr { cond: op, .. }) | Some(Terminator::Ret(Some(op))) => {
+                escape(&mut info, op)
+            }
+            _ => {}
         }
     }
     info.into_iter()
-        .filter_map(|(v, (ok, ty))| {
-            if ok {
-                Some((v, ty.unwrap_or(Ty::I64)))
-            } else {
-                None
-            }
+        .map(|e| match e {
+            Some((true, ty)) => Some(ty.unwrap_or(Ty::I64)),
+            _ => None,
         })
         .collect()
 }

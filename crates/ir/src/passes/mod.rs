@@ -18,9 +18,10 @@ pub mod mem2reg;
 pub mod simplifycfg;
 pub mod splitedges;
 
-use crate::module::{Function, Module, ValueId};
-use crate::instr::Operand;
+use crate::instr::{CastOp, FBinOp, FPred, IBinOp, IPred, Instr, Operand};
+use crate::module::{BlockId, Function, Module, Ty, ValueId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Optimization level, mirroring `-O0`/`-O2` in the paper's build recipes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,30 +64,37 @@ pub fn optimize(m: &mut Module, level: OptLevel) {
     }
 }
 
-/// A value-substitution map with path compression, shared by several passes.
+/// A value-substitution map, shared by several passes: one slot per SSA
+/// value id, so every lookup is an index.
 #[derive(Default)]
 pub struct Subst {
-    map: HashMap<ValueId, Operand>,
+    map: Vec<Option<Operand>>,
+    len: usize,
 }
 
 impl Subst {
     /// Record that `v` must be replaced by `op` everywhere.
     pub fn insert(&mut self, v: ValueId, op: Operand) {
-        self.map.insert(v, op);
+        if v.index() >= self.map.len() {
+            self.map.resize(v.index() + 1, None);
+        }
+        if self.map[v.index()].replace(op).is_none() {
+            self.len += 1;
+        }
     }
 
     /// True when no substitutions are recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Resolve an operand through the substitution chain.
     pub fn resolve(&self, mut op: Operand) -> Operand {
         let mut guard = 0;
         while let Operand::Value(v) = op {
-            match self.map.get(&v) {
+            match self.map.get(v.index()).copied().flatten() {
                 Some(next) => {
-                    op = *next;
+                    op = next;
                     guard += 1;
                     debug_assert!(guard < 10_000, "substitution cycle");
                 }
@@ -98,7 +106,7 @@ impl Subst {
 
     /// Apply the substitution to every operand in the function.
     pub fn apply(&self, f: &mut Function) {
-        if self.map.is_empty() {
+        if self.is_empty() {
             return;
         }
         for b in &mut f.blocks {
@@ -111,6 +119,113 @@ impl Subst {
         }
     }
 }
+
+/// A step of a dominator-tree walk over one scoped table (GVN, mem2reg):
+/// process a block, or leave a subtree, undoing the table updates logged
+/// since the recorded log length.
+enum Scope {
+    Enter(BlockId),
+    Leave(usize),
+}
+
+/// An operand as a CSE/GVN key component: `f64` immediates compare and
+/// hash by their bits, so the key has a total `Eq`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum OperandKey {
+    Value(u32),
+    ConstI(i64),
+    ConstF(u64),
+    Global(u32),
+}
+
+impl From<Operand> for OperandKey {
+    fn from(op: Operand) -> Self {
+        match op {
+            Operand::Value(v) => OperandKey::Value(v.0),
+            Operand::ConstI(c) => OperandKey::ConstI(c),
+            Operand::ConstF(c) => OperandKey::ConstF(c.to_bits()),
+            Operand::Global(g) => OperandKey::Global(g.0),
+        }
+    }
+}
+
+/// The structure of a pure, position-independent instruction: two
+/// instructions with equal keys compute the same value, which is what CSE
+/// and GVN look up.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ExprKey {
+    IBin(IBinOp, OperandKey, OperandKey),
+    FBin(FBinOp, OperandKey, OperandKey),
+    ICmp(IPred, OperandKey, OperandKey),
+    FCmp(FPred, OperandKey, OperandKey),
+    Select(OperandKey, OperandKey, OperandKey, Ty),
+    Cast(CastOp, OperandKey),
+    PtrAdd(OperandKey, OperandKey, i64, i64),
+}
+
+impl ExprKey {
+    /// The key of `i`, or `None` when `i` has side effects or is a phi
+    /// (pure but position-dependent).
+    fn of(i: &Instr) -> Option<ExprKey> {
+        let k = |op: &Operand| OperandKey::from(*op);
+        Some(match i {
+            Instr::IBin { op, a, b } => ExprKey::IBin(*op, k(a), k(b)),
+            Instr::FBin { op, a, b } => ExprKey::FBin(*op, k(a), k(b)),
+            Instr::ICmp { pred, a, b } => ExprKey::ICmp(*pred, k(a), k(b)),
+            Instr::FCmp { pred, a, b } => ExprKey::FCmp(*pred, k(a), k(b)),
+            Instr::Select { cond, a, b, ty } => ExprKey::Select(k(cond), k(a), k(b), *ty),
+            Instr::Cast { op, v } => ExprKey::Cast(*op, k(v)),
+            Instr::PtrAdd { base, idx, scale, disp } => {
+                ExprKey::PtrAdd(k(base), k(idx), *scale, *disp)
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// FNV-1a over the `u64` words a small key writes: the CSE/GVN tables
+/// hash compiler-made keys only, so they need no flooding resistance.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29);
+    }
+
+    fn write_u8(&mut self, w: u8) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_i64(&mut self, w: i64) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_isize(&mut self, w: isize) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+}
+
+/// Available expressions: structural key to the value that computes it.
+type ExprTable = HashMap<ExprKey, ValueId, BuildHasherDefault<KeyHasher>>;
 
 /// Count uses of every SSA value in `f`.
 pub fn use_counts(f: &Function) -> Vec<u32> {

@@ -22,6 +22,7 @@
 
 use refine_core::Compiled;
 use refine_ir::passes::OptLevel;
+use refine_ir::instr::{FBinOp, IBinOp};
 use refine_ir::{Instr, Module, Operand, ValueId};
 
 /// Which IR instructions LLFI instruments.
@@ -65,23 +66,40 @@ pub struct LlfiSite {
     /// Flip width in bits (1 for `i1`, 64 otherwise).
     pub bits: u32,
     /// IR opcode of the instrumented instruction (trace provenance).
-    pub opcode: String,
+    pub opcode: &'static str,
 }
 
 /// Short IR opcode label for an instrumented instruction.
-fn ir_opcode(i: &Instr) -> String {
+fn ir_opcode(i: &Instr) -> &'static str {
     match i {
-        Instr::IBin { op, .. } => format!("{op:?}").to_lowercase(),
-        Instr::FBin { op, .. } => format!("f{op:?}").to_lowercase(),
-        Instr::ICmp { .. } => "icmp".to_string(),
-        Instr::FCmp { .. } => "fcmp".to_string(),
-        Instr::Select { .. } => "select".to_string(),
-        Instr::Cast { .. } => "cast".to_string(),
-        Instr::Load { .. } => "load".to_string(),
-        Instr::PtrAdd { .. } => "ptradd".to_string(),
-        Instr::Call { .. } => "call".to_string(),
-        Instr::IntrinsicCall { .. } => "intrinsic".to_string(),
-        _ => "other".to_string(),
+        Instr::IBin { op, .. } => match op {
+            IBinOp::Add => "add",
+            IBinOp::Sub => "sub",
+            IBinOp::Mul => "mul",
+            IBinOp::Div => "div",
+            IBinOp::Rem => "rem",
+            IBinOp::And => "and",
+            IBinOp::Or => "or",
+            IBinOp::Xor => "xor",
+            IBinOp::Shl => "shl",
+            IBinOp::LShr => "lshr",
+            IBinOp::AShr => "ashr",
+        },
+        Instr::FBin { op, .. } => match op {
+            FBinOp::Add => "fadd",
+            FBinOp::Sub => "fsub",
+            FBinOp::Mul => "fmul",
+            FBinOp::Div => "fdiv",
+        },
+        Instr::ICmp { .. } => "icmp",
+        Instr::FCmp { .. } => "fcmp",
+        Instr::Select { .. } => "select",
+        Instr::Cast { .. } => "cast",
+        Instr::Load { .. } => "load",
+        Instr::PtrAdd { .. } => "ptradd",
+        Instr::Call { .. } => "call",
+        Instr::IntrinsicCall { .. } => "intrinsic",
+        _ => "other",
     }
 }
 
@@ -114,11 +132,12 @@ pub fn instrument(m: &mut Module, opts: &LlfiOptions) -> Vec<LlfiSite> {
     let mut next_id = 0u64;
     for f in &mut m.funcs {
         let fname = f.name.clone();
+        // value -> its injector's result, applied to every use once the
+        // whole function is instrumented.
+        let mut replaced: Vec<Option<ValueId>> = vec![None; f.value_tys.len()];
         for bi in 0..f.blocks.len() {
             let old = std::mem::take(&mut f.blocks[bi].instrs);
             let mut neu = Vec::with_capacity(old.len() * 2);
-            // value -> replacement, applied to later uses everywhere.
-            let mut replaced: Vec<(ValueId, ValueId)> = Vec::new();
             for id in old {
                 let inject = match (id.result, instrumentable(&id.instr, opts.class)) {
                     (Some(res), true) => Some((res, f.ty_of(res), ir_opcode(&id.instr))),
@@ -134,38 +153,40 @@ pub fn instrument(m: &mut Module, opts: &LlfiOptions) -> Vec<LlfiSite> {
                         instr: Instr::LlfiInject { site, val: Operand::Value(res), ty },
                         result: Some(new_val),
                     });
-                    replaced.push((res, new_val));
+                    replaced[res.index()] = Some(new_val);
                 }
             }
             f.blocks[bi].instrs = neu;
-            // Rewrite all uses (later in this block, other blocks, phis,
-            // terminators) — but not the inject's own operand.
-            for (old_v, new_v) in replaced {
-                rewrite_uses(f, old_v, new_v);
-            }
         }
+        // Rewrite all uses (in every block, phis, terminators) — but not
+        // the injects' own operands.
+        rewrite_uses(f, &replaced);
     }
     sites
 }
 
-fn rewrite_uses(f: &mut refine_ir::Function, old: ValueId, new: ValueId) {
+/// Point every use of an instrumented value at its injector's result
+/// (`replaced[old]`, indexed by value id), in one sweep over `f` — except
+/// the injector's own operand.
+fn rewrite_uses(f: &mut refine_ir::Function, replaced: &[Option<ValueId>]) {
+    let new_of = |op: &Operand| op.as_value().and_then(|v| replaced.get(v.index()).copied()?);
     for b in &mut f.blocks {
         for id in &mut b.instrs {
             // Skip the injector that consumes the original value.
             if let Instr::LlfiInject { val, .. } = &id.instr {
-                if val.as_value() == Some(old) && id.result == Some(new) {
+                if new_of(val).is_some_and(|new| Some(new) == id.result) {
                     continue;
                 }
             }
             id.instr.for_each_operand_mut(&mut |op| {
-                if op.as_value() == Some(old) {
+                if let Some(new) = new_of(op) {
                     *op = Operand::Value(new);
                 }
             });
         }
         if let Some(t) = &mut b.term {
             t.for_each_operand_mut(&mut |op| {
-                if op.as_value() == Some(old) {
+                if let Some(new) = new_of(op) {
                     *op = Operand::Value(new);
                 }
             });
@@ -177,7 +198,7 @@ fn rewrite_uses(f: &mut refine_ir::Function, old: ValueId, new: ValueId) {
 /// hand the (structurally different) module to the unmodified backend.
 pub fn compile_with_llfi(m: &Module, level: OptLevel, opts: &LlfiOptions) -> (Compiled, Vec<LlfiSite>) {
     let mut m = m.clone();
-    refine_ir::passes::optimize(&mut m, level);
+    refine_mir::optimize(&mut m, level);
     let sites = instrument(&mut m, opts);
     debug_assert!(refine_ir::verify::verify_module(&m).is_ok());
     // The backend runs with FI disabled: LLFI's instrumentation is already

@@ -488,9 +488,65 @@ impl MInstr {
 
     /// The bare opcode mnemonic (the first token of [`MInstr::asm`]),
     /// used to label injection sites in per-trial trace records.
-    pub fn mnemonic(&self) -> String {
-        let asm = self.asm();
-        asm.split_whitespace().next().unwrap_or("?").to_string()
+    pub fn mnemonic(&self) -> &'static str {
+        let cc = |cc: &Cc, names: [&'static str; 6]| match cc {
+            Cc::E => names[0],
+            Cc::Ne => names[1],
+            Cc::Lt => names[2],
+            Cc::Le => names[3],
+            Cc::Gt => names[4],
+            Cc::Ge => names[5],
+        };
+        match self {
+            MInstr::MovRR { .. } | MInstr::MovRI { .. } | MInstr::Ld { .. } | MInstr::St { .. } => {
+                "mov"
+            }
+            MInstr::FMovRR { .. } | MInstr::FMovRI { .. } => "fmov",
+            MInstr::Alu { op, .. } | MInstr::AluI { op, .. } => match op {
+                AluOp::Add => "add",
+                AluOp::Sub => "sub",
+                AluOp::Mul => "mul",
+                AluOp::Div => "div",
+                AluOp::Rem => "rem",
+                AluOp::And => "and",
+                AluOp::Or => "or",
+                AluOp::Xor => "xor",
+                AluOp::Shl => "shl",
+                AluOp::LShr => "lshr",
+                AluOp::AShr => "ashr",
+            },
+            MInstr::Cmp { .. } | MInstr::CmpI { .. } => "cmp",
+            MInstr::SetCc { cc: c, .. } => {
+                cc(c, ["sete", "setne", "setlt", "setle", "setgt", "setge"])
+            }
+            MInstr::FAlu { op, .. } => match op {
+                FAluOp::Add => "fadd",
+                FAluOp::Sub => "fsub",
+                FAluOp::Mul => "fmul",
+                FAluOp::Div => "fdiv",
+                FAluOp::Min => "fmin",
+                FAluOp::Max => "fmax",
+            },
+            MInstr::FCmp { .. } => "fcmp",
+            MInstr::Cvt { kind, .. } => match kind {
+                CvtKind::SiToF => "cvtsi2sd",
+                CvtKind::FToSi => "cvttsd2si",
+                CvtKind::BitsToF | CvtKind::FToBits => "movq",
+            },
+            MInstr::FLd { .. } | MInstr::FSt { .. } => "movsd",
+            MInstr::Push { .. } => "push",
+            MInstr::Pop { .. } => "pop",
+            MInstr::Jmp { .. } => "jmp",
+            MInstr::Jcc { cc: c, .. } => cc(c, ["je", "jne", "jlt", "jle", "jgt", "jge"]),
+            MInstr::Call { .. } | MInstr::CallRt { .. } => "call",
+            MInstr::Ret => "ret",
+            MInstr::RdFlags { .. } => "rdflags",
+            MInstr::WrFlags { .. } => "wrflags",
+            MInstr::FXorI { .. } => "xorpd",
+            MInstr::Halt => "halt",
+            MInstr::Nop => "nop",
+            MInstr::Lea { .. } => "lea",
+        }
     }
 
     /// Short mnemonic + operands for disassembly listings.
@@ -557,7 +613,8 @@ impl MInstr {
 /// property behind the paper's Table 5 (REFINE is never significantly
 /// different from PINFI).
 pub fn fi_outputs(i: &MInstr) -> Vec<(Reg, u32)> {
-    let mut out = Vec::with_capacity(2);
+    // Allocates only for FI targets.
+    let mut out = Vec::new();
     match i {
         MInstr::MovRR { rd, .. } | MInstr::MovRI { rd, .. } => out.push((Reg::G(*rd), 64)),
         MInstr::FMovRR { fd, .. } | MInstr::FMovRI { fd, .. } => out.push((Reg::F(*fd), 64)),
@@ -610,6 +667,64 @@ pub fn fi_outputs(i: &MInstr) -> Vec<(Reg, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The mnemonic is the first token of the disassembly for every
+    /// instruction shape, operation and condition code.
+    #[test]
+    fn mnemonic_is_first_asm_token() {
+        let ccs = [Cc::E, Cc::Ne, Cc::Lt, Cc::Le, Cc::Gt, Cc::Ge];
+        let alus = [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::Mul,
+            AluOp::Div,
+            AluOp::Rem,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::Shl,
+            AluOp::LShr,
+            AluOp::AShr,
+        ];
+        let faluops =
+            [FAluOp::Add, FAluOp::Sub, FAluOp::Mul, FAluOp::Div, FAluOp::Min, FAluOp::Max];
+        let cvts = [CvtKind::SiToF, CvtKind::FToSi, CvtKind::BitsToF, CvtKind::FToBits];
+        let mem = Mem::base_disp(FP, -8);
+        let mut all = vec![
+            MInstr::MovRR { rd: 1, ra: 2 },
+            MInstr::MovRI { rd: 1, imm: -3 },
+            MInstr::FMovRR { fd: 1, fa: 2 },
+            MInstr::FMovRI { fd: 1, imm: 1.5f64.to_bits() },
+            MInstr::Cmp { ra: 1, rb: 2 },
+            MInstr::CmpI { ra: 1, imm: 4 },
+            MInstr::FCmp { fa: 1, fb: 2 },
+            MInstr::Ld { rd: 1, mem },
+            MInstr::St { rs: 1, mem },
+            MInstr::FLd { fd: 1, mem },
+            MInstr::FSt { fs: 1, mem },
+            MInstr::Push { rs: 1 },
+            MInstr::Pop { rd: 1 },
+            MInstr::Jmp { target: 7 },
+            MInstr::Call { target: 7 },
+            MInstr::Ret,
+            MInstr::CallRt { func: RtFunc::Sqrt, imm: 0 },
+            MInstr::RdFlags { rd: 1 },
+            MInstr::WrFlags { rs: 1 },
+            MInstr::FXorI { fd: 1, imm: 1 << 63 },
+            MInstr::Halt,
+            MInstr::Nop,
+            MInstr::Lea { rd: 1, mem },
+        ];
+        all.extend(alus.iter().map(|&op| MInstr::Alu { op, rd: 1, ra: 2, rb: 3 }));
+        all.extend(alus.iter().map(|&op| MInstr::AluI { op, rd: 1, ra: 2, imm: 5 }));
+        all.extend(faluops.iter().map(|&op| MInstr::FAlu { op, fd: 1, fa: 2, fb: 3 }));
+        all.extend(cvts.iter().map(|&kind| MInstr::Cvt { kind, dst: 1, src: 2 }));
+        all.extend(ccs.iter().map(|&cc| MInstr::SetCc { cc, rd: 1 }));
+        all.extend(ccs.iter().map(|&cc| MInstr::Jcc { cc, target: 7 }));
+        for i in all {
+            assert_eq!(i.asm().split_whitespace().next(), Some(i.mnemonic()), "{i:?}");
+        }
+    }
 
     #[test]
     fn cc_eval_ordered() {

@@ -31,8 +31,9 @@ struct Finalizer<'a> {
     /// Rematerialization table: spilled vregs whose sole definition is an
     /// immediate move are re-issued as immediates at each use instead of
     /// reloading from the stack (constants are cheaper to recreate than to
-    /// load — the standard linear-scan refinement).
-    remat: std::collections::HashMap<Vr, RematVal>,
+    /// load — the standard linear-scan refinement). Indexed by
+    /// [`Finalizer::dense`].
+    remat: Vec<Option<RematVal>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -51,31 +52,32 @@ impl<'a> Finalizer<'a> {
         }
         // Rematerialization candidates: spilled vregs with exactly one
         // definition, which is an immediate move.
-        let mut defs: std::collections::HashMap<Vr, (u32, Option<RematVal>)> =
-            std::collections::HashMap::new();
+        let dense = |vr: Vr| Finalizer::dense(v, vr);
+        // (definitions, value of the last one when an immediate move) per vreg
+        let mut defs: Vec<(u32, Option<RematVal>)> =
+            vec![(0, None); (v.n_int + v.n_flt) as usize];
         for b in &v.blocks {
             for inst in &b.insts {
-                let val = match inst {
-                    VInst::MovI { d, imm } => Some((*d, Some(RematVal::Int(*imm)))),
-                    VInst::FMovI { d, imm } => Some((*d, Some(RematVal::Flt(*imm)))),
+                let imm = match inst {
+                    VInst::MovI { imm, .. } => Some(RematVal::Int(*imm)),
+                    VInst::FMovI { imm, .. } => Some(RematVal::Flt(*imm)),
                     _ => None,
                 };
-                let ds = inst.defs();
-                for d in ds {
-                    let e = defs.entry(d).or_insert((0, None));
+                if let Some(d) = inst.def() {
+                    let e = &mut defs[dense(d)];
                     e.0 += 1;
-                    e.1 = val.as_ref().and_then(|(vd, rv)| if *vd == d { *rv } else { None });
+                    e.1 = imm;
                 }
             }
         }
-        let mut remat = std::collections::HashMap::new();
-        for (vr, (ndefs, rv)) in defs {
-            if ndefs == 1 {
-                if let (Loc::Slot(_), Some(rv)) = (alloc.loc(vr), rv) {
-                    remat.insert(vr, rv);
-                }
-            }
-        }
+        let vregs = (0..v.n_int).map(Vr::Int).chain((0..v.n_flt).map(Vr::Flt));
+        let remat = vregs
+            .zip(defs)
+            .map(|(vr, (ndefs, rv))| match (ndefs, rv) {
+                (1, Some(rv)) if matches!(alloc.loc(vr), Loc::Slot(_)) => Some(rv),
+                _ => None,
+            })
+            .collect();
         Finalizer {
             v,
             alloc,
@@ -84,6 +86,14 @@ impl<'a> Finalizer<'a> {
             total_alloca: cum,
             alloca_cum,
             remat,
+        }
+    }
+
+    /// Dense index of a vreg of `v`: integer vregs first, then float vregs.
+    fn dense(v: &VFunc, vr: Vr) -> usize {
+        match vr {
+            Vr::Int(n) => n as usize,
+            Vr::Flt(n) => (v.n_int + n) as usize,
         }
     }
 
@@ -118,18 +128,18 @@ impl<'a> Finalizer<'a> {
             Loc::Slot(s) => {
                 if vr.is_int() {
                     let sc = INT_SCRATCH[which];
-                    match self.remat.get(&vr) {
+                    match self.remat[Finalizer::dense(self.v, vr)] {
                         Some(RematVal::Int(imm)) => {
-                            code.push(MInstr::MovRI { rd: sc, imm: *imm })
+                            code.push(MInstr::MovRI { rd: sc, imm })
                         }
                         _ => code.push(MInstr::Ld { rd: sc, mem: self.slot_mem(s) }),
                     }
                     sc
                 } else {
                     let sc = FLT_SCRATCH[which];
-                    match self.remat.get(&vr) {
+                    match self.remat[Finalizer::dense(self.v, vr)] {
                         Some(RematVal::Flt(imm)) => {
-                            code.push(MInstr::FMovRI { fd: sc, imm: *imm })
+                            code.push(MInstr::FMovRI { fd: sc, imm })
                         }
                         _ => code.push(MInstr::FLd { fd: sc, mem: self.slot_mem(s) }),
                     }

@@ -18,7 +18,6 @@ use refine_ir::{
     CastOp, FBinOp, FPred, IBinOp, IPred, Instr, Intrinsic, Operand, Terminator, Ty, ValueId,
 };
 use refine_machine::{AluOp, Cc, CvtKind, FAluOp, RtFunc};
-use std::collections::{HashMap, HashSet};
 
 /// Lower one IR function (critical edges already split) to VCode.
 pub fn lower_function(m: &refine_ir::Module, f: &refine_ir::Function) -> VFunc {
@@ -29,14 +28,13 @@ struct Lowerer<'a> {
     m: &'a refine_ir::Module,
     f: &'a refine_ir::Function,
     v: VFunc,
-    /// IR value -> vreg.
-    vmap: HashMap<ValueId, Vr>,
-    /// cmp values fused into their block's terminator.
-    fused: HashSet<ValueId>,
-    /// PtrAdd values folded entirely into addressing modes.
-    folded: HashSet<ValueId>,
-    /// Alloca value -> FrameAddr id.
-    allocas: HashMap<ValueId, u32>,
+    /// IR value -> vreg (indexed by value id).
+    vmap: Vec<Option<Vr>>,
+    /// cmp values fused into their block's terminator (indexed by value id).
+    fused: Vec<bool>,
+    /// PtrAdd values folded entirely into addressing modes, with their
+    /// definitions (indexed by value id).
+    folded: Vec<Option<&'a Instr>>,
     cur: usize,
 }
 
@@ -50,23 +48,22 @@ impl<'a> Lowerer<'a> {
             alloca_words: vec![],
             params: vec![],
         };
-        let mut vmap = HashMap::new();
+        let mut vmap = vec![None; f.value_tys.len()];
         for (i, ty) in f.params.iter().enumerate() {
             let vr = match ty {
                 Ty::F64 => v.new_flt(),
                 _ => v.new_int(),
             };
             v.params.push(vr);
-            vmap.insert(ValueId(i as u32), vr);
+            vmap[i] = Some(vr);
         }
         Lowerer {
             m,
             f,
             v,
             vmap,
-            fused: HashSet::new(),
-            folded: HashSet::new(),
-            allocas: HashMap::new(),
+            fused: vec![false; f.value_tys.len()],
+            folded: vec![None; f.value_tys.len()],
             cur: 0,
         }
     }
@@ -92,20 +89,27 @@ impl<'a> Lowerer<'a> {
                         .iter()
                         .any(|id| id.result == Some(v) && matches!(id.instr, Instr::ICmp { .. } | Instr::FCmp { .. }));
                     if defined_here && counts[v.index()] == 1 {
-                        self.fused.insert(v);
+                        self.fused[v.index()] = true;
                     }
                 }
             }
         }
         // Fold PtrAdds whose every use is a load/store address.
-        let mut addr_only: HashMap<ValueId, bool> = HashMap::new();
-        for b in &self.f.blocks {
+        // PtrAdd value -> (definition, every use is an address so far).
+        let mut addr_only: Vec<Option<(&'a Instr, bool)>> = vec![None; self.f.value_tys.len()];
+        let f: &'a refine_ir::Function = self.f;
+        for b in &f.blocks {
             for id in &b.instrs {
                 if let (Instr::PtrAdd { .. }, Some(res)) = (&id.instr, id.result) {
-                    addr_only.insert(res, true);
+                    addr_only[res.index()] = Some((&id.instr, true));
                 }
             }
         }
+        let mut disqualify = |v: ValueId| {
+            if let Some((_, ok)) = &mut addr_only[v.index()] {
+                *ok = false;
+            }
+        };
         for b in &self.f.blocks {
             for id in &b.instrs {
                 match &id.instr {
@@ -115,9 +119,7 @@ impl<'a> Lowerer<'a> {
                     Instr::Store { addr, val, .. } => {
                         // A PtrAdd used as a stored *value* escapes.
                         if let Some(v) = val.as_value() {
-                            if let Some(e) = addr_only.get_mut(&v) {
-                                *e = false;
-                            }
+                            disqualify(v);
                         }
                         let _ = addr;
                     }
@@ -132,31 +134,27 @@ impl<'a> Lowerer<'a> {
                         other.for_each_operand(&mut |op| {
                             if let Some(v) = op.as_value() {
                                 if Some(v) != base_of_ptradd {
-                                    if let Some(e) = addr_only.get_mut(&v) {
-                                        *e = false;
-                                    }
+                                    disqualify(v);
                                 }
                             }
                         });
                     }
                 }
             }
-            if let Some(t) = &b.term {
-                let mut t2 = t.clone();
-                t2.for_each_operand_mut(&mut |op| {
+            match &b.term {
+                Some(Terminator::CondBr { cond: op, .. }) | Some(Terminator::Ret(Some(op))) => {
                     if let Some(v) = op.as_value() {
-                        if let Some(e) = addr_only.get_mut(&v) {
-                            *e = false;
-                        }
+                        disqualify(v);
                     }
-                });
+                }
+                _ => {}
             }
         }
         // Fix-point: a foldable PtrAdd whose base is a non-foldable PtrAdd is
         // still foldable (base used as a plain register); nothing to iterate.
         self.folded = addr_only
             .into_iter()
-            .filter_map(|(v, ok)| ok.then_some(v))
+            .map(|e| e.and_then(|(def, ok)| ok.then_some(def)))
             .collect();
     }
 
@@ -166,14 +164,14 @@ impl<'a> Lowerer<'a> {
 
     /// Vreg for an IR value, creating it on first sight.
     fn vreg(&mut self, val: ValueId) -> Vr {
-        if let Some(v) = self.vmap.get(&val) {
-            return *v;
+        if let Some(v) = self.vmap[val.index()] {
+            return v;
         }
         let vr = match self.f.ty_of(val) {
             Ty::F64 => self.v.new_flt(),
             _ => self.v.new_int(),
         };
-        self.vmap.insert(val, vr);
+        self.vmap[val.index()] = Some(vr);
         vr
     }
 
@@ -233,44 +231,42 @@ impl<'a> Lowerer<'a> {
             Operand::Global(g) => VMem::abs(Interp::global_addr(self.m, *g) as i64),
             Operand::ConstI(c) => VMem::abs(*c),
             Operand::Value(v) => {
-                // Is this a foldable PtrAdd? find its definition.
-                if self.folded.contains(v) {
-                    if let Some(Instr::PtrAdd { base, idx, scale, disp }) = self.find_def(*v) {
-                        let mut mem = self.fold_mem(&base);
-                        mem.disp += disp;
-                        match idx {
-                            Operand::ConstI(c) => {
-                                mem.disp += c * scale;
+                // A foldable PtrAdd folds into the addressing mode.
+                if let Some(&Instr::PtrAdd { base, idx, scale, disp }) = self.folded[v.index()] {
+                    let mut mem = self.fold_mem(&base);
+                    mem.disp += disp;
+                    match idx {
+                        Operand::ConstI(c) => {
+                            mem.disp += c * scale;
+                            return mem;
+                        }
+                        _ => {
+                            let iv = self.op_int(&idx);
+                            if mem.index.is_none() && matches!(scale, 1 | 2 | 4 | 8) {
+                                mem.index = Some((iv, scale as u8));
                                 return mem;
                             }
-                            _ => {
-                                let iv = self.op_int(&idx);
-                                if mem.index.is_none() && matches!(scale, 1 | 2 | 4 | 8) {
-                                    mem.index = Some((iv, scale as u8));
-                                    return mem;
-                                }
-                                // Index slot busy or awkward scale:
-                                // materialize the partial address, continue.
-                                let scaled = if scale == 1 {
-                                    iv
-                                } else {
-                                    let t = self.v.new_int();
-                                    self.emit(VInst::AluI {
-                                        op: AluOp::Mul,
-                                        d: t,
-                                        a: iv,
-                                        imm: scale,
-                                    });
-                                    t
-                                };
-                                let part = self.v.new_int();
-                                self.emit(VInst::Lea { d: part, mem });
-                                return VMem {
-                                    base: Some(part),
-                                    index: Some((scaled, 1)),
-                                    disp: 0,
-                                };
-                            }
+                            // Index slot busy or awkward scale:
+                            // materialize the partial address, continue.
+                            let scaled = if scale == 1 {
+                                iv
+                            } else {
+                                let t = self.v.new_int();
+                                self.emit(VInst::AluI {
+                                    op: AluOp::Mul,
+                                    d: t,
+                                    a: iv,
+                                    imm: scale,
+                                });
+                                t
+                            };
+                            let part = self.v.new_int();
+                            self.emit(VInst::Lea { d: part, mem });
+                            return VMem {
+                                base: Some(part),
+                                index: Some((scaled, 1)),
+                                disp: 0,
+                            };
                         }
                     }
                 }
@@ -280,25 +276,12 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Find the defining instruction of a value (folded PtrAdds only; cheap
-    /// because the benchmark functions are small).
-    fn find_def(&self, v: ValueId) -> Option<Instr> {
-        for b in &self.f.blocks {
-            for id in &b.instrs {
-                if id.result == Some(v) {
-                    return Some(id.instr.clone());
-                }
-            }
-        }
-        None
-    }
-
     fn lower_block(&mut self, bi: usize) {
-        let block = &self.f.blocks[bi];
-        let instrs = block.instrs.clone();
-        for id in &instrs {
+        let f: &'a refine_ir::Function = self.f;
+        let block = &f.blocks[bi];
+        for id in &block.instrs {
             if let Some(res) = id.result {
-                if self.fused.contains(&res) || self.folded.contains(&res) {
+                if self.fused[res.index()] || self.folded[res.index()].is_some() {
                     continue; // emitted at the branch / folded into operands
                 }
             }
@@ -306,7 +289,7 @@ impl<'a> Lowerer<'a> {
         }
         // Phi copies for every successor, as one parallel-copy group
         // (all temps read before any phi register is written).
-        let term = block.term.clone().expect("terminated IR");
+        let term = block.term.as_ref().expect("terminated IR");
         let succs: Vec<refine_ir::BlockId> = self.f.blocks[bi].successors();
         let mut staged: Vec<(Vr, Vr)> = Vec::new(); // (phi vreg, temp)
         for s in succs {
@@ -348,7 +331,7 @@ impl<'a> Lowerer<'a> {
         match term {
             Terminator::Br(t) => self.emit(VInst::Jmp { bb: t.0 }),
             Terminator::CondBr { cond, t, f: fb } => {
-                let cc = self.emit_branch_condition(&cond, bi);
+                let cc = self.emit_branch_condition(cond, bi);
                 self.emit(VInst::Jcc { cc, bb: t.0 });
                 self.emit(VInst::Jmp { bb: fb.0 });
             }
@@ -366,7 +349,7 @@ impl<'a> Lowerer<'a> {
     /// and return the branch condition code.
     fn emit_branch_condition(&mut self, cond: &Operand, bi: usize) -> Cc {
         if let Some(v) = cond.as_value() {
-            if self.fused.contains(&v) {
+            if self.fused[v.index()] {
                 // Find the cmp in this block and emit it here.
                 let def = self.f.blocks[bi]
                     .instrs
@@ -416,7 +399,6 @@ impl<'a> Lowerer<'a> {
                 let id = self.v.alloca_words.len() as u32;
                 self.v.alloca_words.push(*words);
                 let d = self.vreg(result.unwrap());
-                self.allocas.insert(result.unwrap(), id);
                 self.emit(VInst::FrameAddr { d, id });
             }
             Instr::Load { addr, ty } => {

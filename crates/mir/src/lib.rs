@@ -38,6 +38,7 @@ pub mod vcode;
 pub use emit::emit;
 pub use mfunc::{MBlock, MFunction, MModule};
 
+use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_telemetry::{Phase, Span};
 
@@ -72,13 +73,19 @@ pub fn lower_module(m: &Module) -> MModule {
     }
 }
 
-/// Convenience: optimize + lower + emit a binary in one call.
-pub fn compile(m: &Module, level: refine_ir::passes::OptLevel) -> refine_machine::Binary {
-    let mut m = m.clone();
-    {
+/// Run the IR optimizer under one `optimize` span. `O0` changes nothing
+/// and records no span, so the phase table counts real optimizations only.
+pub fn optimize(m: &mut Module, level: OptLevel) {
+    if level != OptLevel::O0 {
         let _s = Span::enter(Phase::Optimize);
-        refine_ir::passes::optimize(&mut m, level);
+        refine_ir::passes::optimize(m, level);
     }
+}
+
+/// Convenience: optimize + lower + emit a binary in one call.
+pub fn compile(m: &Module, level: OptLevel) -> refine_machine::Binary {
+    let mut m = m.clone();
+    optimize(&mut m, level);
     let mm = lower_module(&m);
     emit::emit(&mm)
 }

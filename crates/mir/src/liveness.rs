@@ -3,7 +3,6 @@
 use crate::vcode::{VFunc, Vr};
 #[cfg(test)]
 use crate::vcode::VInst;
-use std::collections::{HashMap, HashSet};
 
 /// A live interval over the linearized instruction numbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +21,51 @@ pub struct Interval {
     pub crosses_call: bool,
 }
 
+/// A fixed-size set of dense vreg indices (see [`dense`]).
+#[derive(Clone, PartialEq)]
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(n: usize) -> BitSet {
+        BitSet(vec![0; n.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
+/// Dense index of a vreg: integer vregs first, then float vregs.
+fn dense(f: &VFunc, v: Vr) -> usize {
+    match v {
+        Vr::Int(n) => n as usize,
+        Vr::Flt(n) => (f.n_int + n) as usize,
+    }
+}
+
 /// Liveness analysis result: intervals (sorted by start) and the positions
-/// of call-like instructions.
+/// of call-like instructions (ascending).
 pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
     let nb = f.blocks.len();
+    let nv = (f.n_int + f.n_flt) as usize;
     // Linear positions.
     let mut block_start = vec![0u32; nb];
     let mut block_end = vec![0u32; nb];
@@ -36,53 +76,62 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
         block_end[bi] = pos;
     }
 
-    // Per-block use/def/live sets over vregs.
-    let mut gen: Vec<HashSet<Vr>> = vec![HashSet::new(); nb];
-    let mut kill: Vec<HashSet<Vr>> = vec![HashSet::new(); nb];
+    // Per-block use/def/live sets over dense vreg indices.
+    let mut gen = vec![BitSet::new(nv); nb];
+    let mut kill = vec![BitSet::new(nv); nb];
     for (bi, b) in f.blocks.iter().enumerate() {
+        let (gen, kill) = (&mut gen[bi], &mut kill[bi]);
         for inst in &b.insts {
-            for u in inst.uses() {
-                if !kill[bi].contains(&u) {
-                    gen[bi].insert(u);
+            inst.for_each_use(|u| {
+                if !kill.contains(dense(f, u)) {
+                    gen.insert(dense(f, u));
                 }
-            }
-            for d in inst.defs() {
-                kill[bi].insert(d);
+            });
+            if let Some(d) = inst.def() {
+                kill.insert(dense(f, d));
             }
         }
     }
 
-    // Backward fixpoint.
-    let mut live_in: Vec<HashSet<Vr>> = vec![HashSet::new(); nb];
-    let mut live_out: Vec<HashSet<Vr>> = vec![HashSet::new(); nb];
+    // Backward fixpoint: live_out = union of the successors' live_in,
+    // live_in = gen | (live_out & !kill).
+    let succs: Vec<Vec<u32>> = (0..nb).map(|bi| f.successors(bi)).collect();
+    let mut live_in = vec![BitSet::new(nv); nb];
+    let mut live_out = vec![BitSet::new(nv); nb];
+    let mut out = BitSet::new(nv);
     let mut changed = true;
     while changed {
         changed = false;
         for bi in (0..nb).rev() {
-            let mut out: HashSet<Vr> = HashSet::new();
-            for s in f.successors(bi) {
-                out.extend(live_in[s as usize].iter().copied());
+            out.0.fill(0);
+            for &s in &succs[bi] {
+                for (o, i) in out.0.iter_mut().zip(&live_in[s as usize].0) {
+                    *o |= i;
+                }
             }
-            let mut inn: HashSet<Vr> = out.difference(&kill[bi]).copied().collect();
-            inn.extend(gen[bi].iter().copied());
-            if out != live_out[bi] || inn != live_in[bi] {
-                live_out[bi] = out;
-                live_in[bi] = inn;
+            if out != live_out[bi] {
+                live_out[bi].0.copy_from_slice(&out.0);
                 changed = true;
+            }
+            let (g, k) = (&gen[bi].0, &kill[bi].0);
+            for (w, i) in live_in[bi].0.iter_mut().enumerate() {
+                let new = g[w] | (out.0[w] & !k[w]);
+                changed |= *i != new;
+                *i = new;
             }
         }
     }
 
-    // Build intervals.
-    let mut ranges: HashMap<Vr, (u32, u32)> = HashMap::new();
-    let extend = |v: Vr, s: u32, e: u32, ranges: &mut HashMap<Vr, (u32, u32)>| {
-        let r = ranges.entry(v).or_insert((s, e));
+    // Build intervals: `ranges[dense(v)]` spans every position `v` is live.
+    let mut ranges: Vec<Option<(u32, u32)>> = vec![None; nv];
+    let extend = |i: usize, s: u32, e: u32, ranges: &mut Vec<Option<(u32, u32)>>| {
+        let r = ranges[i].get_or_insert((s, e));
         r.0 = r.0.min(s);
         r.1 = r.1.max(e);
     };
     // Parameters are defined at position 0 (the ABI moves in the prologue).
     for &p in &f.params {
-        extend(p, 0, 1, &mut ranges);
+        extend(dense(f, p), 0, 1, &mut ranges);
     }
     let mut call_sites = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
@@ -90,30 +139,35 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
             if inst.is_call() {
                 call_sites.push(p);
             }
-            for u in inst.uses() {
-                extend(u, p, p + 1, &mut ranges);
-            }
-            for d in inst.defs() {
-                extend(d, p, p + 1, &mut ranges);
+            inst.for_each_use(|u| extend(dense(f, u), p, p + 1, &mut ranges));
+            if let Some(d) = inst.def() {
+                extend(dense(f, d), p, p + 1, &mut ranges);
             }
         }
-        for &v in &live_in[bi] {
+        for v in live_in[bi].iter() {
             extend(v, block_start[bi], block_start[bi] + 1, &mut ranges);
         }
-        for &v in &live_out[bi] {
+        for v in live_out[bi].iter() {
             extend(v, block_start[bi], block_end[bi], &mut ranges);
             // Live-out at a block implies live-in somewhere later too; the
             // extend at the successor covers that side.
         }
     }
 
+    let vreg = |i: usize| match i.checked_sub(f.n_int as usize) {
+        None => Vr::Int(i as u32),
+        Some(n) => Vr::Flt(n as u32),
+    };
     let mut intervals: Vec<Interval> = ranges
-        .into_iter()
-        .map(|(vreg, (start, end))| {
-            let crosses_call = call_sites
-                .iter()
-                .any(|&c| start < c && end > c + 1);
-            Interval { vreg, start, end, crosses_call }
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| {
+            let (start, end) = (*r)?;
+            // A call at position c is crossed when start < c and
+            // c + 1 < end: only the first call after `start` can be.
+            let next = call_sites.partition_point(|&c| c <= start);
+            let crosses_call = call_sites.get(next).is_some_and(|&c| c + 1 < end);
+            Some(Interval { vreg: vreg(i), start, end, crosses_call })
         })
         .collect();
     intervals.sort_by_key(|i| (i.start, i.end, i.vreg));

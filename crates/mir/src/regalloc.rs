@@ -7,7 +7,6 @@
 
 use crate::liveness::Interval;
 use crate::vcode::{VFunc, Vr};
-use std::collections::HashMap;
 
 /// Reserved integer scratch registers (never allocated).
 pub const INT_SCRATCH: [u8; 2] = [7, 8];
@@ -36,8 +35,9 @@ pub enum Loc {
 /// Allocation result for one function.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    /// vreg -> location.
-    pub locs: HashMap<Vr, Loc>,
+    /// vreg -> location, one table per class indexed by vreg number
+    /// (`[integer, float]`).
+    locs: [Vec<Option<Loc>>; 2],
     /// Number of spill slots used.
     pub n_slots: u32,
     /// Callee-saved GPRs written by this function (must be saved).
@@ -49,15 +49,19 @@ pub struct Allocation {
 impl Allocation {
     /// Location of a vreg (must have been allocated).
     pub fn loc(&self, v: Vr) -> Loc {
-        *self.locs.get(&v).unwrap_or_else(|| panic!("unallocated vreg {v:?}"))
+        self.locs[!v.is_int() as usize]
+            .get(v.num() as usize)
+            .copied()
+            .flatten()
+            .unwrap_or_else(|| panic!("unallocated vreg {v:?}"))
     }
-}
 
-fn is_callee(v: Vr, reg: u8) -> bool {
-    if v.is_int() {
-        INT_CALLEE.contains(&reg)
-    } else {
-        FLT_CALLEE.contains(&reg)
+    fn set(&mut self, v: Vr, loc: Loc) {
+        let locs = &mut self.locs[!v.is_int() as usize];
+        if locs.len() <= v.num() as usize {
+            locs.resize(v.num() as usize + 1, None);
+        }
+        locs[v.num() as usize] = Some(loc);
     }
 }
 
@@ -98,7 +102,7 @@ pub fn allocate(f: &VFunc, intervals: &[Interval], _call_sites: &[u32]) -> Alloc
 
             match reg {
                 Some(r) => {
-                    alloc.locs.insert(iv.vreg, Loc::Reg(r));
+                    alloc.set(iv.vreg, Loc::Reg(r));
                     let pos = active.partition_point(|&(e, _, _)| e <= iv.end);
                     active.insert(pos, (iv.end, iv.vreg, r));
                 }
@@ -117,15 +121,15 @@ pub fn allocate(f: &VFunc, intervals: &[Interval], _call_sites: &[u32]) -> Alloc
                             let _ = vend;
                             let slot = alloc.n_slots;
                             alloc.n_slots += 1;
-                            alloc.locs.insert(vreg, Loc::Slot(slot));
-                            alloc.locs.insert(iv.vreg, Loc::Reg(r));
+                            alloc.set(vreg, Loc::Slot(slot));
+                            alloc.set(iv.vreg, Loc::Reg(r));
                             let pos = active.partition_point(|&(e, _, _)| e <= iv.end);
                             active.insert(pos, (iv.end, iv.vreg, r));
                         }
                         _ => {
                             let slot = alloc.n_slots;
                             alloc.n_slots += 1;
-                            alloc.locs.insert(iv.vreg, Loc::Slot(slot));
+                            alloc.set(iv.vreg, Loc::Slot(slot));
                         }
                     }
                 }
@@ -134,15 +138,13 @@ pub fn allocate(f: &VFunc, intervals: &[Interval], _call_sites: &[u32]) -> Alloc
     }
 
     // Record which callee-saved registers were actually handed out.
-    for (&v, &loc) in &alloc.locs {
-        if let Loc::Reg(r) = loc {
-            if is_callee(v, r) {
-                if v.is_int() {
-                    if !alloc.used_callee_int.contains(&r) {
-                        alloc.used_callee_int.push(r);
-                    }
-                } else if !alloc.used_callee_flt.contains(&r) {
-                    alloc.used_callee_flt.push(r);
+    let classes: [(&[u8], &mut Vec<u8>); 2] =
+        [(&INT_CALLEE, &mut alloc.used_callee_int), (&FLT_CALLEE, &mut alloc.used_callee_flt)];
+    for ((callee, used), locs) in classes.into_iter().zip(&alloc.locs) {
+        for loc in locs.iter().flatten() {
+            if let &Loc::Reg(r) = loc {
+                if callee.contains(&r) && !used.contains(&r) {
+                    used.push(r);
                 }
             }
         }

@@ -44,12 +44,12 @@ impl VMem {
     }
 
     /// Visit register operands.
-    pub fn uses(&self, out: &mut Vec<Vr>) {
+    pub fn for_each_use(&self, f: &mut impl FnMut(Vr)) {
         if let Some(b) = self.base {
-            out.push(b);
+            f(b);
         }
         if let Some((i, _)) = self.index {
-            out.push(i);
+            f(i);
         }
     }
 }
@@ -118,41 +118,39 @@ pub enum VInst {
 }
 
 impl VInst {
-    /// Registers read by this instruction.
-    pub fn uses(&self) -> Vec<Vr> {
-        let mut u = Vec::new();
+    /// Visit the registers read by this instruction, in operand order.
+    pub fn for_each_use(&self, mut f: impl FnMut(Vr)) {
         match self {
-            VInst::Mov { a, .. } | VInst::FMov { a, .. } => u.push(*a),
+            VInst::Mov { a, .. } | VInst::FMov { a, .. } => f(*a),
             VInst::MovI { .. } | VInst::FMovI { .. } => {}
             VInst::Alu { a, b, .. } | VInst::FAlu { a, b, .. } => {
-                u.push(*a);
-                u.push(*b);
+                f(*a);
+                f(*b);
             }
-            VInst::AluI { a, .. } => u.push(*a),
+            VInst::AluI { a, .. } => f(*a),
             VInst::Cmp { a, b } | VInst::FCmp { a, b } => {
-                u.push(*a);
-                u.push(*b);
+                f(*a);
+                f(*b);
             }
-            VInst::CmpI { a, .. } => u.push(*a),
+            VInst::CmpI { a, .. } => f(*a),
             VInst::SetCc { .. } => {}
-            VInst::Cvt { s, .. } => u.push(*s),
+            VInst::Cvt { s, .. } => f(*s),
             VInst::Ld { mem, .. } | VInst::FLd { mem, .. } | VInst::Lea { mem, .. } => {
-                mem.uses(&mut u)
+                mem.for_each_use(&mut f)
             }
             VInst::St { s, mem } | VInst::FSt { s, mem } => {
-                u.push(*s);
-                mem.uses(&mut u);
+                f(*s);
+                mem.for_each_use(&mut f);
             }
             VInst::FrameAddr { .. } => {}
-            VInst::Call { args, .. } | VInst::RtCall { args, .. } => u.extend(args.iter().copied()),
+            VInst::Call { args, .. } | VInst::RtCall { args, .. } => args.iter().for_each(|&a| f(a)),
             VInst::Jmp { .. } | VInst::Jcc { .. } => {}
-            VInst::Ret { val } => u.extend(val.iter().copied()),
+            VInst::Ret { val } => val.iter().for_each(|&v| f(v)),
         }
-        u
     }
 
-    /// Registers written by this instruction.
-    pub fn defs(&self) -> Vec<Vr> {
+    /// The register written by this instruction, if any.
+    pub fn def(&self) -> Option<Vr> {
         match self {
             VInst::Mov { d, .. }
             | VInst::MovI { d, .. }
@@ -166,9 +164,9 @@ impl VInst {
             | VInst::Ld { d, .. }
             | VInst::FLd { d, .. }
             | VInst::Lea { d, .. }
-            | VInst::FrameAddr { d, .. } => vec![*d],
-            VInst::Call { ret, .. } | VInst::RtCall { ret, .. } => ret.iter().copied().collect(),
-            _ => vec![],
+            | VInst::FrameAddr { d, .. } => Some(*d),
+            VInst::Call { ret, .. } | VInst::RtCall { ret, .. } => *ret,
+            _ => None,
         }
     }
 
@@ -249,24 +247,31 @@ mod tests {
         let v0 = Vr::Int(0);
         let v1 = Vr::Int(1);
         let v2 = Vr::Int(2);
+        let uses = |i: &VInst| {
+            let mut u = Vec::new();
+            i.for_each_use(|v| u.push(v));
+            u
+        };
         let i = VInst::Alu { op: AluOp::Add, d: v2, a: v0, b: v1 };
-        assert_eq!(i.uses(), vec![v0, v1]);
-        assert_eq!(i.defs(), vec![v2]);
+        assert_eq!(uses(&i), vec![v0, v1]);
+        assert_eq!(i.def(), Some(v2));
 
         let st = VInst::St {
             s: v0,
             mem: VMem { base: Some(v1), index: Some((v2, 8)), disp: 4 },
         };
-        assert_eq!(st.uses(), vec![v0, v1, v2]);
-        assert!(st.defs().is_empty());
+        assert_eq!(uses(&st), vec![v0, v1, v2]);
+        assert_eq!(st.def(), None);
     }
 
     #[test]
     fn call_semantics() {
         let c = VInst::Call { func: 0, args: vec![Vr::Int(1), Vr::Flt(0)], ret: Some(Vr::Int(2)) };
         assert!(c.is_call());
-        assert_eq!(c.uses().len(), 2);
-        assert_eq!(c.defs(), vec![Vr::Int(2)]);
+        let mut n_uses = 0;
+        c.for_each_use(|_| n_uses += 1);
+        assert_eq!(n_uses, 2);
+        assert_eq!(c.def(), Some(Vr::Int(2)));
     }
 
     #[test]

@@ -111,6 +111,6 @@ fn main() {
     println!("\nhottest instrumented sites:");
     for (site, n) in hot.iter().take(5) {
         let info = &all.sites[*site as usize];
-        println!("  site {:>4} in {:18} `{}` executed {} times", site, info.func, info.asm, n);
+        println!("  site {:>4} in {:18} `{}` executed {} times", site, info.func, info.asm(), n);
     }
 }

@@ -153,7 +153,7 @@ fn compile_digests_match_golden() {
         let refine_sites: Vec<String> = refine
             .sites
             .iter()
-            .map(|s| format!("{} {} {} {:?}", s.id, s.func, s.asm, s.outputs))
+            .map(|s| format!("{} {} {} {:?}", s.id, s.func, s.asm(), s.outputs))
             .collect();
         let (llfi, llfi_sites) =
             refine_llfi::compile_with_llfi(&m, OptLevel::O2, &refine_llfi::LlfiOptions::default());
