@@ -189,10 +189,11 @@ impl CheckpointBuilder {
         (retired / self.interval + 1) * self.interval
     }
 
-    /// Record a snapshot. When the cap is reached, every other snapshot is
-    /// dropped and the interval doubles; survivors (even multiples of the
-    /// old interval) stay aligned to the new one, and `ck` itself is kept
-    /// only if it is too.
+    /// Record a snapshot, taken at the first dispatch boundary at or after
+    /// a due count (so at most one trace past it). When the cap is reached,
+    /// every other snapshot is dropped and the interval doubles: survivors
+    /// hold the even due slots of the old interval, and `ck` itself is kept
+    /// only if its due slot (`retired / interval`) is even too.
     pub fn push(&mut self, ck: Checkpoint) {
         if self.checkpoints.len() >= self.max {
             let mut nth = 0usize;
@@ -200,8 +201,9 @@ impl CheckpointBuilder {
                 nth += 1;
                 nth.is_multiple_of(2)
             });
+            let slot = ck.retired / self.interval;
             self.interval *= 2;
-            if !ck.retired.is_multiple_of(self.interval) {
+            if !slot.is_multiple_of(2) {
                 return;
             }
         }
@@ -381,6 +383,24 @@ mod tests {
         let mut sorted = counts.clone();
         sorted.sort_unstable();
         assert_eq!(counts, sorted);
+    }
+
+    /// Captures land a few instructions past their due counts (at the
+    /// first dispatch boundary): thinning keeps the even due slots, so each
+    /// kept snapshot's due count is a multiple of the final interval, and a
+    /// capture that triggers thinning is kept when its own slot is even.
+    #[test]
+    fn builder_keeps_even_due_slots_of_late_captures() {
+        let cfg = CheckpointConfig { interval: 10, max_checkpoints: 3, ..Default::default() };
+        let mut b = CheckpointBuilder::new(&cfg);
+        let mut retired = 0;
+        for _ in 0..10 {
+            retired = b.next_due(retired) + 3;
+            b.push(ck(retired, retired / 10));
+        }
+        let store = b.finish();
+        let kept: Vec<u64> = store.checkpoints.iter().map(|c| c.retired).collect();
+        assert_eq!((store.interval, kept), (160, vec![163, 323]));
     }
 
     #[test]

@@ -590,8 +590,10 @@ impl<'a> Machine<'a> {
     /// tools). Returns the run and its FI-event count, the population.
     ///
     /// With a `builder` it also captures a snapshot each time the retired
-    /// count reaches [`CheckpointBuilder::next_due`], exactly where the
-    /// per-instruction loop would after that retire. A snapshot diffs the
+    /// count reaches [`CheckpointBuilder::next_due`], at the first dispatch
+    /// boundary at or after it (a trace may run past the due count), so
+    /// the snapshot's state is the per-instruction loop's after the retire
+    /// it records. A snapshot diffs the
     /// data segment against the binary's and the stack from the page of
     /// its lowest written word up (every word below is still zero), so it
     /// equals the full-scan [`Machine::snapshot`]. A page equal to the
@@ -630,9 +632,9 @@ impl<'a> Machine<'a> {
 
     /// The body of [`Machine::run_sb`] and [`Machine::run_profile`]. `MODE`
     /// is [`CONV`] when `golden` is set, [`CAPTURE`] for a checkpointed
-    /// profiling run, which returns `None` once `due` instructions have
-    /// retired, and [`PLAIN`] otherwise; `due` is ignored outside
-    /// [`CAPTURE`].
+    /// profiling run, which returns `None` at the first dispatch boundary
+    /// where at least `due` instructions have retired, and [`PLAIN`]
+    /// otherwise; `due` is ignored outside [`CAPTURE`].
     #[allow(clippy::too_many_arguments)]
     fn sb_loop<const MODE: u8>(
         &mut self,
@@ -676,9 +678,9 @@ impl<'a> Machine<'a> {
                     }
                 }
             }
-            // The per-instruction loop snapshots right after the due
-            // retire, before it checks the cycle budget.
-            if MODE == CAPTURE && self.instrs_retired == due {
+            // A capture snapshots at the first dispatch boundary at or
+            // after the due retire, before it checks the cycle budget.
+            if MODE == CAPTURE && self.instrs_retired >= due {
                 break None;
             }
             if self.cycles >= max_cycles {
@@ -692,13 +694,12 @@ impl<'a> Machine<'a> {
             // exit only shortens the trace, so full-trace totals bound it.
             // Strict `<` on cycles: cycle costs are positive, so a
             // trace-final total below budget means no interior timeout
-            // check could have fired. A trace may end exactly on the due
-            // retired count: the snapshot is taken after it.
+            // check could have fired. A capture's due count is no
+            // boundary: a trace may run past it.
             if n > 0
                 && fi + u64::from(sb.fused_events[pc]) < stop
                 && self.cycles + sb.fused_cost[pc] + u64::from(n) * overhead < max_cycles
                 && (MODE != CONV || sb.passes_no_snapshot(&ckpts[cursor..], fi, pc))
-                && (MODE != CAPTURE || self.instrs_retired + u64::from(n) <= due)
             {
                 match self.exec_trace(sb, pc, count, overhead, stats) {
                     Ok(()) => continue,
@@ -1704,7 +1705,11 @@ mod tests {
             let (mut count, mut stats) = (0, TrialFastStats::default());
             let out =
                 fused.sb_loop::<CAPTURE>(&sb, &mut count, 0, u64::MAX, None, due, max, &mut stats);
-            let mut probe = DueProbe { due, ..DueProbe::new(0) };
+            // The capture stops at or after the due count, at most one
+            // trace past it; the exact loop stops after the same retire.
+            let at = if out.is_none() { fused.instrs_retired } else { due };
+            assert!(at >= due && at - due < 7, "due {due} captured at {at}");
+            let mut probe = DueProbe { due: at, ..DueProbe::new(0) };
             let exact_out = exact.run_exact_until_fired(max, &mut NoFi, Some(&mut probe));
             assert_eq!(out, exact_out, "due {due}");
             assert_eq!(state(&fused), state(&exact), "due {due}");
@@ -1730,15 +1735,16 @@ mod tests {
         profile_vs_exact_with(b, sb, overhead, &ckpt)
     }
 
-    /// [`profile_vs_exact`] under `ckpt`: with thinning, the snapshots the
-    /// store keeps must equal the exact loop's at the same retired counts.
+    /// [`profile_vs_exact`] under `ckpt`: every snapshot the store keeps
+    /// must equal the exact loop's full scan after the retire it records,
+    /// and the kept snapshots hold distinct due slots of the final interval.
     fn profile_vs_exact_with(
         b: &Binary,
         sb: &SuperblockProgram,
         overhead: u64,
         ckpt: &CheckpointConfig,
     ) -> CheckpointStore {
-        let (cfg, interval) = (RunConfig::default(), ckpt.interval);
+        let cfg = RunConfig::default();
         let mut builder = CheckpointBuilder::new(ckpt);
         let (fused, count) = Machine::run_profile(b, &cfg, sb, overhead, Some(&mut builder));
         let store = builder.finish();
@@ -1746,8 +1752,9 @@ mod tests {
         let mut m = Machine::new(b, &cfg);
         let (mut rt, mut probe) = (CountTo { count: 0, at: u64::MAX }, DueProbe::new(overhead));
         let mut snapshots: Vec<Checkpoint> = Vec::new();
+        let mut points = store.checkpoints.iter().map(|c| c.retired);
         let outcome = loop {
-            probe.due = (m.instrs_retired / interval + 1) * interval;
+            probe.due = points.next().unwrap_or(u64::MAX);
             let run = m.run_exact_until_fired(cfg.max_cycles, &mut rt, Some(&mut probe));
             if let Some(outcome) = run {
                 break outcome;
@@ -1761,8 +1768,13 @@ mod tests {
             (fused.outcome, fused.output, fused.cycles, fused.instrs_retired, count),
             (exact.outcome, exact.output, exact.cycles, exact.instrs_retired, events)
         );
-        snapshots.retain(|c| c.retired.is_multiple_of(store.interval));
         assert_eq!(store.checkpoints, snapshots);
+        let slots: Vec<u64> = store.checkpoints.iter().map(|c| c.retired / store.interval).collect();
+        assert!(
+            slots.first().is_none_or(|&s| s >= 1) && slots.windows(2).all(|w| w[0] < w[1]),
+            "due slots {slots:?} of interval {}",
+            store.interval
+        );
         store
     }
 
@@ -1781,9 +1793,11 @@ mod tests {
             MInstr::Alu { op: AluOp::Div, rd: 0, ra: 1, rb: 2 },
             MInstr::Halt,
         ]);
+        // The trap ends the program's only trace, before any dispatch
+        // boundary at or after a due count.
         let sb = SuperblockProgram::new(&traps);
         assert!(profile_vs_exact(&traps, &sb, 0, 3).is_empty());
-        assert_eq!(profile_vs_exact(&traps, &sb, 0, 2).len(), 1);
+        assert!(profile_vs_exact(&traps, &sb, 0, 2).is_empty());
     }
 
     #[test]
@@ -1810,11 +1824,18 @@ mod tests {
     #[test]
     fn page_written_back_to_its_baseline_is_not_captured() {
         let word = Mem::abs(GLOBAL_BASE as i64);
+        // Each taken `Jcc` (FLAGS stay 0, so `ne` holds) side-exits its
+        // trace: a dispatch boundary, and so a snapshot, after every pair.
+        let next = |target| MInstr::Jcc { cc: Cc::Ne, target };
         let b = bin(vec![
             MInstr::MovRI { rd: 1, imm: 7 },
+            next(2),
             MInstr::St { rs: 1, mem: word },
+            next(4),
             MInstr::Push { rs: 1 },
+            next(6),
             MInstr::MovRI { rd: 1, imm: 0 },
+            next(8),
             MInstr::St { rs: 1, mem: word }, // the data word is 0 again
             MInstr::Halt,
         ]);

@@ -89,7 +89,7 @@ fn late_targets_restore_from_checkpoints() {
 /// The exact loop's view of a profiling run: forwards PINFI's counting
 /// and per-fetch overhead to its profiler, and reports "fired" on the
 /// instruction whose retire reaches `due`, so `run_exact_until_fired`
-/// stops exactly where a snapshot is due.
+/// stops exactly where a snapshot is taken.
 struct DueProbe<'p> {
     pinfi: Option<&'p mut PinfiProfiler>,
     due: u64,
@@ -114,29 +114,42 @@ impl Probe for DueProbe<'_> {
     }
 }
 
-/// The oracle profiling run of `p`'s binary on the exact interpreter: a
-/// full-scan snapshot at every due retired count. Returns the run, its FI
+/// The oracle profiling run of `p`'s binary on the exact interpreter,
+/// replaying the checkpoint builder over the capture points the fused
+/// profiling run chose (`chosen`, the retired counts of the snapshots its
+/// store kept): a full-scan snapshot at each. The fused capture snapshots
+/// at the first dispatch boundary at or after each due count, so a kept
+/// snapshot in `[due, due + interval)` is that due's; a due with none was
+/// captured and later thinned away, and its due count stands in for the
+/// point (same next due, same due slot). Returns the run, its FI
 /// population and the store (`None` without `ckpt`).
 fn exact_profile(
     p: &PreparedTool,
     ckpt: Option<CheckpointConfig>,
+    chosen: &[u64],
 ) -> (RunResult, u64, Option<CheckpointStore>) {
     let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: p.stack_words };
     let mut builder = ckpt.map(|c| CheckpointBuilder::new(&c));
     let (mut rt, mut pinfi) = (ProfilingRt::default(), PinfiProfiler::default());
     let mut m = Machine::new(&p.binary, &cfg);
-    let mut retired = 0;
+    let (mut retired, mut chosen) = (0, chosen.iter().copied().peekable());
     let outcome = loop {
         let due = builder.as_ref().map_or(u64::MAX, |b| b.next_due(retired));
+        let interval = builder.as_ref().map_or(0, |b| b.next_due(due) - due);
+        let at = match chosen.peek() {
+            Some(&r) if r >= due && r - due < interval => chosen.next().expect("peeked"),
+            _ => due,
+        };
         let mut probe =
-            DueProbe { pinfi: (p.tool == Tool::Pinfi).then_some(&mut pinfi), due, at_due: false };
+            DueProbe { pinfi: (p.tool == Tool::Pinfi).then_some(&mut pinfi), due: at, at_due: false };
         if let Some(outcome) = m.run_exact_until_fired(cfg.max_cycles, &mut rt, Some(&mut probe)) {
             break outcome;
         }
-        retired = due;
+        retired = at;
         let fi_count = if p.tool == Tool::Pinfi { pinfi.count } else { rt.count };
         builder.as_mut().unwrap().push(m.snapshot(fi_count));
     };
+    assert!(chosen.next().is_none(), "a kept snapshot matched no due count");
     let population = if p.tool == Tool::Pinfi { pinfi.count } else { rt.count };
     (m.into_result(outcome), population, builder.map(CheckpointBuilder::finish))
 }
@@ -174,9 +187,9 @@ fn assert_profiles_equal(
 
 /// The prepare-time profiling run is fused and diffs the stack only from
 /// its lowest written word; over the 14-app suite x 3 tools it must equal
-/// the exact interpreter snapshotting by full scan — with the default
-/// capture settings, with a thinning one (interval 97, cap 8), and with
-/// checkpointing off.
+/// the exact interpreter snapshotting by full scan at the capture points
+/// the fused run chose — with the default capture settings, with a
+/// thinning one (interval 97, cap 8), and with checkpointing off.
 #[test]
 fn fused_profiling_equals_exact_profiling() {
     let thinning =
@@ -190,7 +203,8 @@ fn fused_profiling_equals_exact_profiling() {
                 let fp = p.fastpath.as_deref().expect("checkpointing on builds a store");
                 let exempt_data_words = fp.store.exempt_data_words;
                 let ckpt = CheckpointConfig { exempt_data_words, ..opts.machine_config() };
-                let (er, epop, es) = exact_profile(&p, Some(ckpt));
+                let chosen: Vec<u64> = fp.store.checkpoints.iter().map(|c| c.retired).collect();
+                let (er, epop, es) = exact_profile(&p, Some(ckpt), &chosen);
                 let ctx = format!("{} {} {label}", b.name, tool.name());
                 let fused = (&fp.golden_run, p.population, Some(&fp.store));
                 assert_profiles_equal(&ctx, fused, (&er, epop, es.as_ref()));
@@ -198,7 +212,7 @@ fn fused_profiling_equals_exact_profiling() {
             }
             // Checkpointing off: the same fused call without a builder.
             let p = PreparedTool::prepare_opt(&m, tool, &CheckpointOptions::disabled());
-            let (er, epop, _) = exact_profile(&p, None);
+            let (er, epop, _) = exact_profile(&p, None, &[]);
             let ctx = format!("{} {} no-checkpoint", b.name, tool.name());
             let facts = (p.population, p.profile_cycles);
             assert_eq!(facts, (epop, er.cycles), "{ctx}: population, cycles");
