@@ -48,7 +48,7 @@ pub fn run(f: &mut Function) -> bool {
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
-    use crate::instr::IBinOp;
+    use crate::instr::{FBinOp, IBinOp};
     use crate::module::{Module, Ty};
     use crate::verify::verify_module;
 
@@ -65,6 +65,28 @@ mod tests {
         assert!(run(&mut m.funcs[0]));
         verify_module(&m).unwrap();
         assert_eq!(m.funcs[0].blocks[0].instrs.len(), 2);
+    }
+
+    /// Float immediates key by their bits: `x * 0.0` and `x * -0.0` differ
+    /// (their results differ in sign), while two `x * NaN` with one bit
+    /// pattern merge.
+    #[test]
+    fn float_immediates_compare_by_bits() {
+        let mut m = Module::new();
+        let mut b = FuncBuilder::new("f", vec![Ty::F64], Some(Ty::F64));
+        let p = b.params()[0];
+        let pos = b.fbin(FBinOp::Mul, p, Operand::ConstF(0.0));
+        let neg = b.fbin(FBinOp::Mul, p, Operand::ConstF(-0.0));
+        let nan1 = b.fbin(FBinOp::Mul, p, Operand::ConstF(f64::NAN));
+        let nan2 = b.fbin(FBinOp::Mul, p, Operand::ConstF(f64::NAN));
+        let s = b.fbin(FBinOp::Add, pos, neg);
+        let t = b.fbin(FBinOp::Add, nan1, nan2);
+        let r = b.fbin(FBinOp::Add, s, t);
+        b.ret(Some(r));
+        m.add_function(b.finish());
+        assert!(run(&mut m.funcs[0]));
+        verify_module(&m).unwrap();
+        assert_eq!(m.funcs[0].blocks[0].instrs.len(), 6, "only the second NaN product merges");
     }
 
     #[test]

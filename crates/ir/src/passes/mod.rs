@@ -183,7 +183,8 @@ impl ExprKey {
     }
 }
 
-/// FNV-1a over the `u64` words a small key writes: the CSE/GVN tables
+/// An FNV-style multiply-and-rotate over the words a key writes (derived
+/// `Hash` writes an enum's discriminant as an `isize`): the CSE/GVN tables
 /// hash compiler-made keys only, so they need no flooding resistance.
 #[derive(Default)]
 struct KeyHasher(u64);
@@ -203,10 +204,6 @@ impl Hasher for KeyHasher {
         self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29);
     }
 
-    fn write_u8(&mut self, w: u8) {
-        self.write_u64(w as u64);
-    }
-
     fn write_u32(&mut self, w: u32) {
         self.write_u64(w as u64);
     }
@@ -216,10 +213,6 @@ impl Hasher for KeyHasher {
     }
 
     fn write_isize(&mut self, w: isize) {
-        self.write_u64(w as u64);
-    }
-
-    fn write_usize(&mut self, w: usize) {
         self.write_u64(w as u64);
     }
 }

@@ -1769,7 +1769,8 @@ mod tests {
             (exact.outcome, exact.output, exact.cycles, exact.instrs_retired, events)
         );
         assert_eq!(store.checkpoints, snapshots);
-        let slots: Vec<u64> = store.checkpoints.iter().map(|c| c.retired / store.interval).collect();
+        let slots: Vec<u64> =
+            store.checkpoints.iter().map(|c| c.retired / store.interval).collect();
         assert!(
             slots.first().is_none_or(|&s| s >= 1) && slots.windows(2).all(|w| w[0] < w[1]),
             "due slots {slots:?} of interval {}",

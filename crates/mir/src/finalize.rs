@@ -32,7 +32,7 @@ struct Finalizer<'a> {
     /// immediate move are re-issued as immediates at each use instead of
     /// reloading from the stack (constants are cheaper to recreate than to
     /// load — the standard linear-scan refinement). Indexed by
-    /// [`Finalizer::dense`].
+    /// [`VFunc::dense`].
     remat: Vec<Option<RematVal>>,
 }
 
@@ -52,7 +52,6 @@ impl<'a> Finalizer<'a> {
         }
         // Rematerialization candidates: spilled vregs with exactly one
         // definition, which is an immediate move.
-        let dense = |vr: Vr| Finalizer::dense(v, vr);
         // (definitions, value of the last one when an immediate move) per vreg
         let mut defs: Vec<(u32, Option<RematVal>)> =
             vec![(0, None); (v.n_int + v.n_flt) as usize];
@@ -64,14 +63,14 @@ impl<'a> Finalizer<'a> {
                     _ => None,
                 };
                 if let Some(d) = inst.def() {
-                    let e = &mut defs[dense(d)];
+                    let e = &mut defs[v.dense(d)];
                     e.0 += 1;
                     e.1 = imm;
                 }
             }
         }
-        let vregs = (0..v.n_int).map(Vr::Int).chain((0..v.n_flt).map(Vr::Flt));
-        let remat = vregs
+        let remat = v
+            .vregs()
             .zip(defs)
             .map(|(vr, (ndefs, rv))| match (ndefs, rv) {
                 (1, Some(rv)) if matches!(alloc.loc(vr), Loc::Slot(_)) => Some(rv),
@@ -86,14 +85,6 @@ impl<'a> Finalizer<'a> {
             total_alloca: cum,
             alloca_cum,
             remat,
-        }
-    }
-
-    /// Dense index of a vreg of `v`: integer vregs first, then float vregs.
-    fn dense(v: &VFunc, vr: Vr) -> usize {
-        match vr {
-            Vr::Int(n) => n as usize,
-            Vr::Flt(n) => (v.n_int + n) as usize,
         }
     }
 
@@ -128,7 +119,7 @@ impl<'a> Finalizer<'a> {
             Loc::Slot(s) => {
                 if vr.is_int() {
                     let sc = INT_SCRATCH[which];
-                    match self.remat[Finalizer::dense(self.v, vr)] {
+                    match self.remat[self.v.dense(vr)] {
                         Some(RematVal::Int(imm)) => {
                             code.push(MInstr::MovRI { rd: sc, imm })
                         }
@@ -137,7 +128,7 @@ impl<'a> Finalizer<'a> {
                     sc
                 } else {
                     let sc = FLT_SCRATCH[which];
-                    match self.remat[Finalizer::dense(self.v, vr)] {
+                    match self.remat[self.v.dense(vr)] {
                         Some(RematVal::Flt(imm)) => {
                             code.push(MInstr::FMovRI { fd: sc, imm })
                         }

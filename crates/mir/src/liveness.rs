@@ -21,7 +21,7 @@ pub struct Interval {
     pub crosses_call: bool,
 }
 
-/// A fixed-size set of dense vreg indices (see [`dense`]).
+/// A fixed-size set of dense vreg indices (see [`VFunc::dense`]).
 #[derive(Clone, PartialEq)]
 struct BitSet(Vec<u64>);
 
@@ -53,14 +53,6 @@ impl BitSet {
     }
 }
 
-/// Dense index of a vreg: integer vregs first, then float vregs.
-fn dense(f: &VFunc, v: Vr) -> usize {
-    match v {
-        Vr::Int(n) => n as usize,
-        Vr::Flt(n) => (f.n_int + n) as usize,
-    }
-}
-
 /// Liveness analysis result: intervals (sorted by start) and the positions
 /// of call-like instructions (ascending).
 pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
@@ -83,12 +75,12 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
         let (gen, kill) = (&mut gen[bi], &mut kill[bi]);
         for inst in &b.insts {
             inst.for_each_use(|u| {
-                if !kill.contains(dense(f, u)) {
-                    gen.insert(dense(f, u));
+                if !kill.contains(f.dense(u)) {
+                    gen.insert(f.dense(u));
                 }
             });
             if let Some(d) = inst.def() {
-                kill.insert(dense(f, d));
+                kill.insert(f.dense(d));
             }
         }
     }
@@ -122,7 +114,7 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
         }
     }
 
-    // Build intervals: `ranges[dense(v)]` spans every position `v` is live.
+    // Build intervals: `ranges[f.dense(v)]` spans every position `v` is live.
     let mut ranges: Vec<Option<(u32, u32)>> = vec![None; nv];
     let extend = |i: usize, s: u32, e: u32, ranges: &mut Vec<Option<(u32, u32)>>| {
         let r = ranges[i].get_or_insert((s, e));
@@ -131,7 +123,7 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
     };
     // Parameters are defined at position 0 (the ABI moves in the prologue).
     for &p in &f.params {
-        extend(dense(f, p), 0, 1, &mut ranges);
+        extend(f.dense(p), 0, 1, &mut ranges);
     }
     let mut call_sites = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
@@ -139,9 +131,9 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
             if inst.is_call() {
                 call_sites.push(p);
             }
-            inst.for_each_use(|u| extend(dense(f, u), p, p + 1, &mut ranges));
+            inst.for_each_use(|u| extend(f.dense(u), p, p + 1, &mut ranges));
             if let Some(d) = inst.def() {
-                extend(dense(f, d), p, p + 1, &mut ranges);
+                extend(f.dense(d), p, p + 1, &mut ranges);
             }
         }
         for v in live_in[bi].iter() {
@@ -154,20 +146,16 @@ pub fn analyze(f: &VFunc) -> (Vec<Interval>, Vec<u32>) {
         }
     }
 
-    let vreg = |i: usize| match i.checked_sub(f.n_int as usize) {
-        None => Vr::Int(i as u32),
-        Some(n) => Vr::Flt(n as u32),
-    };
-    let mut intervals: Vec<Interval> = ranges
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| {
+    let mut intervals: Vec<Interval> = f
+        .vregs()
+        .zip(&ranges)
+        .filter_map(|(vreg, r)| {
             let (start, end) = (*r)?;
             // A call at position c is crossed when start < c and
             // c + 1 < end: only the first call after `start` can be.
             let next = call_sites.partition_point(|&c| c <= start);
             let crosses_call = call_sites.get(next).is_some_and(|&c| c + 1 < end);
-            Some(Interval { vreg: vreg(i), start, end, crosses_call })
+            Some(Interval { vreg, start, end, crosses_call })
         })
         .collect();
     intervals.sort_by_key(|i| (i.start, i.end, i.vreg));

@@ -143,7 +143,9 @@ impl VInst {
                 mem.for_each_use(&mut f);
             }
             VInst::FrameAddr { .. } => {}
-            VInst::Call { args, .. } | VInst::RtCall { args, .. } => args.iter().for_each(|&a| f(a)),
+            VInst::Call { args, .. } | VInst::RtCall { args, .. } => {
+                args.iter().for_each(|&a| f(a))
+            }
             VInst::Jmp { .. } | VInst::Jcc { .. } => {}
             VInst::Ret { val } => val.iter().for_each(|&v| f(v)),
         }
@@ -221,6 +223,20 @@ impl VFunc {
         let v = Vr::Flt(self.n_flt);
         self.n_flt += 1;
         v
+    }
+
+    /// Dense index of a vreg of this function: integer vregs first, then
+    /// float vregs (`0..n_int + n_flt`).
+    pub fn dense(&self, v: Vr) -> usize {
+        match v {
+            Vr::Int(n) => n as usize,
+            Vr::Flt(n) => (self.n_int + n) as usize,
+        }
+    }
+
+    /// Every vreg of this function, in [`VFunc::dense`] order.
+    pub fn vregs(&self) -> impl Iterator<Item = Vr> {
+        (0..self.n_int).map(Vr::Int).chain((0..self.n_flt).map(Vr::Flt))
     }
 
     /// Successor blocks of block `b` (from its trailing branch instructions).

@@ -140,8 +140,8 @@ fn exact_profile(
             Some(&r) if r >= due && r - due < interval => chosen.next().expect("peeked"),
             _ => due,
         };
-        let mut probe =
-            DueProbe { pinfi: (p.tool == Tool::Pinfi).then_some(&mut pinfi), due: at, at_due: false };
+        let profiler = (p.tool == Tool::Pinfi).then_some(&mut pinfi);
+        let mut probe = DueProbe { pinfi: profiler, due: at, at_due: false };
         if let Some(outcome) = m.run_exact_until_fired(cfg.max_cycles, &mut rt, Some(&mut probe)) {
             break outcome;
         }

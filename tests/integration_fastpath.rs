@@ -238,7 +238,8 @@ fn every_refine_site_is_a_site_skip() {
         assert!(!c.sites.is_empty(), "{}: no sites", b.name);
         for site in &c.sites {
             let pc = pre_fi[&site.id];
-            let what = format!("{}: site {} ({}) with PreFI at pc {pc}", b.name, site.id, site.asm());
+            let what =
+                format!("{}: site {} ({}) with PreFI at pc {pc}", b.name, site.id, site.asm());
             let Some((len, next)) = sb.dispatch(pc) else {
                 panic!("{what} is stepped exactly");
             };
