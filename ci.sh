@@ -48,20 +48,31 @@ for ex in examples/*.rs; do
     echo "   $name exited 0"
 done
 
-echo "== cross-jobs determinism (--jobs 1 vs --jobs 4)"
-# The outcome tables must be bit-identical at any worker count; diff the
-# stdout tables of a short sweep run serially and sharded.
+echo "== table equivalence (--jobs 1, --no-checkpoint, --no-convergence, --engine step)"
+# The outcome tables of a short sweep must be bit-identical at any worker
+# count and with every fast path off: checkpoint restore, the
+# golden-convergence early exit, and the fused engine itself (`--engine
+# step` is the exact oracle: every trial interpreted from the initial
+# state). Each variant's stdout table is diffed against the traced
+# `--jobs 4` default run, whose trace the next step reads.
 EXP=target/release/refine-experiments
-J1="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 1 --quiet 2>/dev/null)"
+SWEEP=(table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --quiet)
 TRACE=target/ci-trace.jsonl
-J4="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet \
-    --trace-out "$TRACE" 2>/dev/null)"
-if [ "$J1" != "$J4" ]; then
-    echo "determinism check FAILED: --jobs 1 and --jobs 4 outputs differ" >&2
-    diff <(printf '%s\n' "$J1") <(printf '%s\n' "$J4") >&2 || true
-    exit 1
-fi
-echo "   identical tables at both job counts"
+BASE="$($EXP "${SWEEP[@]}" --jobs 4 --trace-out "$TRACE" 2>/dev/null)"
+for pair in "cross-jobs determinism|--jobs 1" \
+    "checkpoint equivalence|--jobs 4 --no-checkpoint" \
+    "convergence equivalence|--jobs 4 --no-convergence" \
+    "engine equivalence|--jobs 4 --engine step"; do
+    label="${pair%%|*}" flags="${pair#*|}"
+    # shellcheck disable=SC2086 # one word per flag
+    OUT="$($EXP "${SWEEP[@]}" $flags 2>/dev/null)"
+    if [ "$BASE" != "$OUT" ]; then
+        echo "$label FAILED: default --jobs 4 and $flags outputs differ" >&2
+        diff <(printf '%s\n' "$BASE") <(printf '%s\n' "$OUT") >&2 || true
+        exit 1
+    fi
+    echo "   $label: identical tables with $flags"
+done
 
 echo "== --trace-out (JSON lines, trace-summary, failed write)"
 # Tracing must not change the tables (checked above). Every trace line is
@@ -81,8 +92,7 @@ if ! printf '%s\n' "$SUMMARY" | grep -q '^72 records total'; then
     printf '%s\n' "$SUMMARY" >&2
     exit 1
 fi
-if $EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet \
-    --trace-out /dev/full >/dev/null 2>&1; then
+if $EXP "${SWEEP[@]}" --jobs 4 --trace-out /dev/full >/dev/null 2>&1; then
     echo "trace check FAILED: --trace-out /dev/full exited 0" >&2
     exit 1
 fi
@@ -95,7 +105,7 @@ echo "== --json report (engine work counters vs golden, suite counts, metrics ke
 # count all 12 trials, and the metrics snapshot must hold only what
 # telemetry alone records. Its phase table must count one optimization and
 # one artifact prepare per (app, tool): exact call counts, never timings.
-$EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --json 2>/dev/null \
+$EXP "${SWEEP[@]}" --jobs 4 --json 2>/dev/null \
     | python3 -c '
 import json, sys
 report = json.load(sys.stdin)
@@ -121,41 +131,6 @@ if (calls.get("optimize"), calls.get("prepare-artifact")) != (6, 6):
 ' tests/golden/fastpath_counters.txt
 echo "   six campaigns match the golden counters and count every trial; metrics holds five keys;"
 echo "   phases count 6 optimize and 6 prepare-artifact calls"
-
-echo "== checkpoint equivalence (default vs --no-checkpoint)"
-# Trial fast-forward must be invisible in every output: diff a short sweep
-# with checkpointing on (default) against the exact interpreter path.
-CK="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet 2>/dev/null)"
-NC="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --no-checkpoint 2>/dev/null)"
-if [ "$CK" != "$NC" ]; then
-    echo "checkpoint equivalence FAILED: default and --no-checkpoint outputs differ" >&2
-    diff <(printf '%s\n' "$CK") <(printf '%s\n' "$NC") >&2 || true
-    exit 1
-fi
-echo "   identical tables with checkpointing on and off"
-
-echo "== convergence equivalence (default vs --no-convergence)"
-# The golden-convergence early exit must be invisible too: diff the same
-# sweep with the detector armed (default) against checkpoint-only trials.
-NV="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --no-convergence 2>/dev/null)"
-if [ "$CK" != "$NV" ]; then
-    echo "convergence equivalence FAILED: default and --no-convergence outputs differ" >&2
-    diff <(printf '%s\n' "$CK") <(printf '%s\n' "$NV") >&2 || true
-    exit 1
-fi
-echo "   identical tables with convergence on and off"
-
-echo "== engine equivalence (default superblock vs --engine step)"
-# The fused engine must be invisible in every output: diff the default
-# sweep against `--engine step`, the exact oracle (every trial interpreted
-# from the initial state, no checkpoint restore, no convergence splice).
-ST="$($EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 4 --quiet --engine step 2>/dev/null)"
-if [ "$CK" != "$ST" ]; then
-    echo "engine equivalence FAILED: superblock and step outputs differ" >&2
-    diff <(printf '%s\n' "$CK") <(printf '%s\n' "$ST") >&2 || true
-    exit 1
-fi
-echo "   identical tables under both engines"
 
 echo "== perfbench exact-facts digests (traced, vs tests/golden/perfbench_digests.txt)"
 # A traced perfbench run replays its reference sweep on the exact oracle and

@@ -17,7 +17,7 @@
 //!    bit-identical outcome tables and trace-record multisets.
 //! 2. **Artifact caching** — the full pipeline
 //!    lex→parse→lower→opt→isel→regalloc→finalize→instrument→profile runs
-//!    once per `(program, tool, opt config)` key; every trial then executes
+//!    once per `(program, tool)` key; every trial then executes
 //!    from a shared immutable [`PreparedTool`] behind an `Arc` (the
 //!    [`refine_machine::Binary`] shared-image contract).
 
@@ -25,7 +25,6 @@ use crate::campaign::{execute_trial, program_salt, CampaignResult, OutcomeCounts
 use crate::classify::Outcome;
 use crate::tools::{PreparedTool, Tool, TrialFastStats};
 use refine_core::ExecEngine;
-use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_telemetry::{Phase, Progress, Span, TraceSink};
 use std::collections::HashMap;
@@ -38,37 +37,23 @@ use std::time::Instant;
 /// the tail of the sweep still load-balances.
 pub const DEFAULT_BATCH: u64 = 16;
 
-/// Identity of an instrumented artifact: the program, the tool, and the
-/// complete compile-side configuration. Two equal keys are guaranteed to
-/// produce behaviourally identical artifacts, so trials may share one.
+/// Identity of a cached artifact: the program and the tool. A sweep fills
+/// its cache only through [`PreparedTool::prepare_opt`], whose compile
+/// configuration (O2 and the tool's evaluation flags) is fixed per tool,
+/// so two equal keys name one artifact; an artifact of custom flags
+/// bypasses the cache ([`ArtifactSource::Prepared`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArtifactKey {
     /// Benchmark name.
     pub app: String,
     /// Injection tool.
     pub tool: Tool,
-    /// IR optimization level.
-    pub opt: OptLevel,
-    /// Fingerprint of the tool's FI configuration
-    /// ([`refine_core::FiOptions::fingerprint`] and friends).
-    pub fi_sig: u64,
 }
 
 impl ArtifactKey {
-    /// The key for [`PreparedTool::prepare`]'s standard configuration
-    /// (O2 + the paper's evaluation flags for each tool).
+    /// The key of `app`'s standard artifact for `tool`.
     pub fn standard(app: &str, tool: Tool) -> ArtifactKey {
-        let fi_sig = match tool {
-            Tool::Refine => refine_core::FiOptions::all().fingerprint(),
-            Tool::Llfi => refine_llfi::LlfiOptions::default().fingerprint(),
-            // PINFI runs the uninstrumented binary; its behaviour-shaping
-            // configuration is the DBI attachment itself.
-            Tool::Pinfi => refine_core::fnv1a_continue(
-                refine_core::FiOptions::default().fingerprint(),
-                &refine_pinfi::config_fingerprint().to_le_bytes(),
-            ),
-        };
-        ArtifactKey { app: app.to_string(), tool, opt: OptLevel::O2, fi_sig }
+        ArtifactKey { app: app.to_string(), tool }
     }
 }
 
@@ -252,7 +237,6 @@ impl EngineConfig {
                 enabled: true,
                 interval: self.checkpoint_interval,
                 convergence: self.convergence,
-                ..refine_core::CheckpointOptions::default()
             }
         } else {
             refine_core::CheckpointOptions::disabled()

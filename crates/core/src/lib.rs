@@ -27,7 +27,7 @@ pub mod pass;
 pub mod runtime;
 
 pub use driver::{compile_with_fi, Compiled};
-pub use options::{fnv1a, fnv1a_continue, CheckpointOptions, ExecEngine, FiOptions, InstrClass};
+pub use options::{fnv1a, CheckpointOptions, ExecEngine, FiOptions, InstrClass};
 pub use pass::SiteInfo;
 pub use multibit::{BurstRt, MultiBitProbe};
 pub use runtime::{FaultRecord, InjectingRt, ProfilingRt, ReplayRt};

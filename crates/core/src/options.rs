@@ -105,29 +105,14 @@ impl FiOptions {
     pub fn func_selected(&self, name: &str) -> bool {
         self.fi_funcs.split(',').any(|pat| glob_match(pat.trim(), name))
     }
-
-    /// Stable fingerprint of this flag set, used to key the campaign
-    /// engine's instrumented-artifact cache: two option values with the
-    /// same fingerprint instrument a module identically.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(if self.fi { b"fi=true" } else { b"fi=false" });
-        h = fnv1a_continue(h, self.fi_funcs.as_bytes());
-        let class: &[u8] = match self.fi_instrs {
-            InstrClass::Stack => b"stack",
-            InstrClass::Arith => b"arithm",
-            InstrClass::Mem => b"mem",
-            InstrClass::All => b"all",
-        };
-        fnv1a_continue(h, class)
-    }
 }
 
 /// Golden-run checkpointing knobs for trial fast-forward.
 ///
-/// Deliberately *not* part of any instrumentation fingerprint: checkpoints
-/// never change observable trial behavior (outcomes, fault logs, cycles,
-/// output are bit-identical with checkpointing on or off), only per-trial
-/// wall-clock cost.
+/// Checkpoints never change observable trial behavior (outcomes, fault
+/// logs, cycles, output are bit-identical with checkpointing on or off),
+/// only per-trial wall-clock cost. The snapshot cap is fixed at
+/// [`refine_machine::CheckpointConfig::default`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointOptions {
     /// Capture checkpoints during profiling and fast-forward trials from
@@ -136,9 +121,6 @@ pub struct CheckpointOptions {
     /// Initial snapshot interval in retired instructions
     /// (`--checkpoint-interval`; must be nonzero).
     pub interval: u64,
-    /// Snapshot count cap; reaching it thins to every other snapshot and
-    /// doubles the interval.
-    pub max_checkpoints: usize,
     /// Detect post-injection golden convergence at checkpoint boundaries
     /// and splice the golden outcome (`--no-convergence` clears this).
     /// Requires `enabled`; ignored without checkpoints.
@@ -147,11 +129,9 @@ pub struct CheckpointOptions {
 
 impl Default for CheckpointOptions {
     fn default() -> Self {
-        let d = refine_machine::CheckpointConfig::default();
         CheckpointOptions {
             enabled: true,
-            interval: d.interval,
-            max_checkpoints: d.max_checkpoints,
+            interval: refine_machine::CheckpointConfig::default().interval,
             convergence: true,
         }
     }
@@ -164,25 +144,24 @@ impl CheckpointOptions {
         CheckpointOptions { enabled: false, convergence: false, ..Self::default() }
     }
 
-    /// The machine-layer capture configuration. The convergence-exempt
-    /// scratch range is a property of the instrumented binary, not of the
-    /// campaign options — callers overlay
-    /// [`crate::Compiled::digest_exempt_words`] on the returned config.
+    /// The machine-layer capture configuration: this interval under the
+    /// default snapshot cap. The convergence-exempt scratch range is a
+    /// property of the instrumented binary, not of the campaign options —
+    /// callers overlay [`crate::Compiled::digest_exempt_words`] on the
+    /// returned config.
     pub fn machine_config(&self) -> refine_machine::CheckpointConfig {
         refine_machine::CheckpointConfig {
             interval: self.interval,
-            max_checkpoints: self.max_checkpoints,
-            exempt_data_words: (0, 0),
+            ..refine_machine::CheckpointConfig::default()
         }
     }
 }
 
 /// Which trial execution engine the machine interpreter uses.
 ///
-/// Like [`CheckpointOptions`], this is deliberately *not* part of any
-/// instrumentation fingerprint or artifact-cache key: both engines are
-/// bit-identical in every observable (outcomes, fault logs, cycles, retired
-/// counts, output, traces) — the choice only changes wall-clock cost.
+/// Both engines are bit-identical in every observable (outcomes, fault
+/// logs, cycles, retired counts, output, traces) — the choice only changes
+/// wall-clock cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Checkpoint restore, then superblock-fused direct-threaded dispatch
@@ -220,16 +199,11 @@ impl ExecEngine {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a over `bytes` from the standard offset basis.
+/// FNV-1a over `bytes` from the standard offset basis, after one round of
+/// a `0x00` byte: every trial-stream salt and committed digest depends on
+/// that leading round.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(FNV_OFFSET, bytes)
-}
-
-/// Continue an FNV-1a hash over further bytes (a `0x00` separator is mixed
-/// in first so that concatenated fields cannot collide by reassociation).
-pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    h ^= 0x00;
-    h = h.wrapping_mul(FNV_PRIME);
+    let mut h = FNV_OFFSET.wrapping_mul(FNV_PRIME);
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -254,32 +228,6 @@ pub fn glob_match(pat: &str, s: &str) -> bool {
 mod tests {
     use super::*;
     use refine_machine::{AluOp, Mem};
-
-    #[test]
-    fn fingerprints_distinguish_configurations() {
-        let base = FiOptions::all();
-        assert_eq!(base.fingerprint(), FiOptions::all().fingerprint());
-        let by_class = FiOptions { fi_instrs: InstrClass::Stack, ..FiOptions::all() };
-        let by_funcs = FiOptions { fi_funcs: "compute_*".into(), ..FiOptions::all() };
-        let off = FiOptions::default();
-        let prints = [
-            base.fingerprint(),
-            by_class.fingerprint(),
-            by_funcs.fingerprint(),
-            off.fingerprint(),
-        ];
-        for (i, a) in prints.iter().enumerate() {
-            for b in &prints[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-        // Field-separator mixing: reassociating bytes across fields must
-        // not collide.
-        assert_ne!(
-            fnv1a_continue(fnv1a(b"ab"), b"c"),
-            fnv1a_continue(fnv1a(b"a"), b"bc")
-        );
-    }
 
     #[test]
     fn glob_matching() {

@@ -33,11 +33,6 @@ impl FuncBuilder {
         self.cur = b;
     }
 
-    /// Block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     /// True when the current block already has a terminator.
     pub fn is_terminated(&self) -> bool {
         self.func.block(self.cur).term.is_some()

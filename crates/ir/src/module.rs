@@ -323,11 +323,6 @@ impl Module {
     pub fn func(&self, f: FuncId) -> &Function {
         &self.funcs[f.index()]
     }
-
-    /// Mutable access to a function.
-    pub fn func_mut(&mut self, f: FuncId) -> &mut Function {
-        &mut self.funcs[f.index()]
-    }
 }
 
 fn id_check(f: Function) -> Function {

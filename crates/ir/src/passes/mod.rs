@@ -28,7 +28,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub enum OptLevel {
     /// No IR transformation at all.
     O0,
-    /// mem2reg + folding + CSE + DCE + CFG simplification, iterated.
+    /// Inlining and mem2reg, then folding + GVN + DCE + CFG simplification
+    /// iterated, then LICM with a cleanup (folding, CSE, DCE, CFG).
     O2,
 }
 
@@ -46,7 +47,6 @@ pub fn optimize(m: &mut Module, level: OptLevel) {
         for _ in 0..3 {
             let mut changed = false;
             changed |= constfold::run(f);
-            changed |= cse::run(f);
             changed |= gvn::run(f);
             changed |= dce::run(f, &rets);
             changed |= simplifycfg::run(f);

@@ -44,18 +44,6 @@ pub struct LlfiOptions {
     pub class: LlfiClass,
 }
 
-impl LlfiOptions {
-    /// Stable fingerprint of this configuration for the campaign engine's
-    /// instrumented-artifact cache (see [`refine_core::FiOptions::fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        refine_core::fnv1a(match self.class {
-            LlfiClass::Arith => b"llfi:arith",
-            LlfiClass::Mem => b"llfi:mem",
-            LlfiClass::All => b"llfi:all",
-        })
-    }
-}
-
 /// Description of one instrumented IR site.
 #[derive(Debug, Clone)]
 pub struct LlfiSite {

@@ -81,11 +81,6 @@ impl Binary {
         }
         Some(out)
     }
-
-    /// Static instruction count (text section length).
-    pub fn text_len(&self) -> usize {
-        self.text.len()
-    }
 }
 
 #[cfg(test)]

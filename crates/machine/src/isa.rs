@@ -55,8 +55,6 @@ impl Reg {
 
 /// ABI description of M64 (x64-flavoured split of caller/callee saved).
 pub mod abi {
-    use super::Reg;
-
     /// GPRs used for the first integer/pointer arguments.
     pub const GPR_ARGS: [u8; 6] = [0, 1, 2, 3, 4, 5];
     /// FPRs used for the first floating arguments.
@@ -76,15 +74,6 @@ pub mod abi {
     pub const FPR_CALLER_SAVED: std::ops::Range<u8> = 0..16;
     /// Callee-saved FPRs (none, as on x64 SysV).
     pub const FPR_CALLEE_SAVED: std::ops::Range<u8> = 16..16;
-
-    /// Is `r` clobbered by a call?
-    pub fn is_caller_saved(r: Reg) -> bool {
-        match r {
-            Reg::G(i) => GPR_CALLER_SAVED.contains(&i),
-            Reg::F(i) => FPR_CALLER_SAVED.contains(&i),
-            Reg::Flags => true,
-        }
-    }
 }
 
 /// Integer ALU operations. All of them write FLAGS (like x64 arithmetic),

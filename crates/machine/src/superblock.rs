@@ -193,8 +193,6 @@ pub struct SuperblockProgram {
     /// every skipped REFINE site stores to: the `save_base` pair of
     /// `refine_core::pass`.
     site_words: (usize, usize),
-    /// FI events are FI targets at fetch (PINFI), not hook calls.
-    probed: bool,
 }
 
 impl SuperblockProgram {
@@ -280,7 +278,6 @@ impl SuperblockProgram {
             slots,
             blocks,
             site_words,
-            probed,
         }
     }
 
@@ -316,15 +313,13 @@ impl SuperblockProgram {
     /// counted cannot pass a golden snapshot's `(fi_count, pc)` match point
     /// inside the trace, where the fused loop would not check it. `ckpts`
     /// starts at the loop's cursor, the first snapshot with `fi_count >=
-    /// fi`. A per-instruction run would check every snapshot whose count
-    /// the trace reaches, so for the call-hook tools each of those must
-    /// sit outside the trace's pc range; the probed tool keeps the
-    /// stricter rule that the trace ends before the next snapshot's count.
+    /// fi`. A trace only moves forward, so it passes each pc at most once,
+    /// with an event count in `[fi, fi + fused_events[pc]]`: a
+    /// per-instruction run would check every snapshot whose count the
+    /// trace reaches, so each of those must sit outside the trace's pc
+    /// range. The rule holds whichever instructions are FI events.
     fn passes_no_snapshot(&self, ckpts: &[Checkpoint], fi: u64, pc: usize) -> bool {
         let last = fi + u64::from(self.fused_events[pc]);
-        if self.probed {
-            return ckpts.first().is_none_or(|ck| ck.fi_count > last);
-        }
         let end = self.trace_end[pc] as usize;
         ckpts
             .iter()
@@ -1722,17 +1717,14 @@ mod tests {
         }
     }
 
-    /// Profile `b` fused through `sb` with a snapshot every `interval`
-    /// retired instructions, assert the run and every snapshot equal the
-    /// exact loop's full-scan ones, and return the fused store.
-    fn profile_vs_exact(
-        b: &Binary,
-        sb: &SuperblockProgram,
-        overhead: u64,
-        interval: u64,
-    ) -> CheckpointStore {
+    /// Profile `b` fused with a snapshot every `interval` retired
+    /// instructions, counting FI targets at fetch as events when `probed`
+    /// (PINFI) and FI-hook calls otherwise; assert the run and every
+    /// snapshot equal the exact loop's full-scan ones, and return the fused
+    /// store.
+    fn profile_vs_exact(b: &Binary, probed: bool, overhead: u64, interval: u64) -> CheckpointStore {
         let ckpt = CheckpointConfig { interval, ..CheckpointConfig::default() };
-        profile_vs_exact_with(b, sb, overhead, &ckpt)
+        profile_vs_exact_with(b, probed, overhead, &ckpt)
     }
 
     /// [`profile_vs_exact`] under `ckpt`: every snapshot the store keeps
@@ -1740,13 +1732,14 @@ mod tests {
     /// and the kept snapshots hold distinct due slots of the final interval.
     fn profile_vs_exact_with(
         b: &Binary,
-        sb: &SuperblockProgram,
+        probed: bool,
         overhead: u64,
         ckpt: &CheckpointConfig,
     ) -> CheckpointStore {
         let cfg = RunConfig::default();
         let mut builder = CheckpointBuilder::new(ckpt);
-        let (fused, count) = Machine::run_profile(b, &cfg, sb, overhead, Some(&mut builder));
+        let sb = if probed { SuperblockProgram::probed(b) } else { SuperblockProgram::new(b) };
+        let (fused, count) = Machine::run_profile(b, &cfg, &sb, overhead, Some(&mut builder));
         let store = builder.finish();
 
         let mut m = Machine::new(b, &cfg);
@@ -1759,10 +1752,10 @@ mod tests {
             if let Some(outcome) = run {
                 break outcome;
             }
-            let fi = if sb.probed { probe.targets } else { rt.count };
+            let fi = if probed { probe.targets } else { rt.count };
             snapshots.push(m.snapshot(fi));
         };
-        let events = if sb.probed { probe.targets } else { rt.count };
+        let events = if probed { probe.targets } else { rt.count };
         let exact = m.into_result(outcome);
         assert_eq!(
             (fused.outcome, fused.output, fused.cycles, fused.instrs_retired, count),
@@ -1782,10 +1775,9 @@ mod tests {
     #[test]
     fn halt_or_trap_before_the_due_count_takes_no_snapshot() {
         let halts = boundary_program();
-        let sb = SuperblockProgram::new(&halts);
-        assert!(profile_vs_exact(&halts, &sb, 0, 14).is_empty());
+        assert!(profile_vs_exact(&halts, false, 0, 14).is_empty());
         // The 13th retire is due: its snapshot is taken, on the `Halt`.
-        let store = profile_vs_exact(&halts, &sb, 0, 13);
+        let store = profile_vs_exact(&halts, false, 0, 13);
         let points: Vec<_> = store.checkpoints.iter().map(|c| (c.retired, c.pc)).collect();
         assert_eq!(points, [(13, 8)]);
         let traps = bin(vec![
@@ -1796,9 +1788,8 @@ mod tests {
         ]);
         // The trap ends the program's only trace, before any dispatch
         // boundary at or after a due count.
-        let sb = SuperblockProgram::new(&traps);
-        assert!(profile_vs_exact(&traps, &sb, 0, 3).is_empty());
-        assert!(profile_vs_exact(&traps, &sb, 0, 2).is_empty());
+        assert!(profile_vs_exact(&traps, false, 0, 3).is_empty());
+        assert!(profile_vs_exact(&traps, false, 0, 2).is_empty());
     }
 
     #[test]
@@ -1818,7 +1809,7 @@ mod tests {
         let native = Machine::run(&b, &cfg, &mut NoFi, None);
         assert_eq!(fused.cycles, native.cycles + 10 * (native.instrs_retired + 1));
         for interval in [1, 2, 5] {
-            profile_vs_exact(&b, &sb, 10, interval);
+            profile_vs_exact(&b, true, 10, interval);
         }
     }
 
@@ -1840,8 +1831,7 @@ mod tests {
             MInstr::St { rs: 1, mem: word }, // the data word is 0 again
             MInstr::Halt,
         ]);
-        let sb = SuperblockProgram::new(&b);
-        let store = profile_vs_exact(&b, &sb, 0, 1);
+        let store = profile_vs_exact(&b, false, 0, 1);
         let pages = |c: &Checkpoint| (c.data_pages.len(), c.stack_pages.len());
         let counts: Vec<_> = store.checkpoints.iter().map(pages).collect();
         assert_eq!(counts, [(0, 0), (1, 0), (1, 1), (1, 1), (0, 1)]);
@@ -1881,9 +1871,8 @@ mod tests {
     #[test]
     fn capture_shares_unchanged_pages_with_the_previous_snapshot() {
         let b = paging_program();
-        let sb = SuperblockProgram::new(&b);
         // One snapshot per iteration, each equal to the full scan.
-        let store = profile_vs_exact(&b, &sb, 0, 7);
+        let store = profile_vs_exact(&b, false, 0, 7);
         assert_eq!(store.len(), 16);
         let shared = |x: Option<&DirtyPage>, y: Option<&DirtyPage>| {
             Arc::ptr_eq(&x.unwrap().words, &y.unwrap().words)
@@ -1922,11 +1911,10 @@ mod tests {
     #[test]
     fn thinned_capture_resumes_to_the_exact_snapshots() {
         let b = paging_program();
-        let sb = SuperblockProgram::new(&b);
         let ckpt = CheckpointConfig { interval: 7, max_checkpoints: 4, ..Default::default() };
         // Thinning drops snapshots whose pages later ones share: each kept
         // one still equals the exact loop's full scan at its retired count.
-        let store = profile_vs_exact_with(&b, &sb, 0, &ckpt);
+        let store = profile_vs_exact_with(&b, false, 0, &ckpt);
         assert_eq!((store.len(), store.interval), (4, 28));
         for ck in &store.checkpoints {
             let m = Machine::resume(&b, &RunConfig::default(), ck);
@@ -1979,7 +1967,7 @@ mod tests {
         assert_eq!((sb.dispatch(0), sb.fused_len[0]), (Some((11, 11)), 14));
         // CAPTURE: every snapshot lands right after a fused iteration, so
         // only the absorbed stores can have written the save-area page.
-        let store = profile_vs_exact(&b, &sb, 0, 14);
+        let store = profile_vs_exact(&b, false, 0, 14);
         let points: Vec<_> =
             store.checkpoints.iter().map(|c| (c.retired, c.pc, c.fi_count)).collect();
         assert_eq!(points, [(14, 0, 1), (28, 0, 2), (42, 14, 3)]);
@@ -2015,6 +2003,80 @@ mod tests {
             (out, fused.cycles, fused.instrs_retired, &fused.output),
             (exact_out, exact.cycles, exact.instrs_retired, &exact.output)
         );
+    }
+
+    /// One trace from pc 1 to the `print` at pc 7 (it crosses a forward
+    /// `Jmp`): every instruction but the `Jmp`s and the `print` writes a
+    /// register, so under PINFI's event model the trace passes FI counts 1
+    /// to 5. Pc 2 rewrites `r1`, repairing a fault in it.
+    fn probed_trace_program() -> Binary {
+        bin(vec![
+            MInstr::MovRI { rd: 1, imm: 1 },
+            MInstr::MovRI { rd: 2, imm: 2 },
+            MInstr::MovRI { rd: 1, imm: 3 },
+            MInstr::AluI { op: AluOp::Add, rd: 3, ra: 2, imm: 1 },
+            MInstr::Jmp { target: 6 },
+            MInstr::Nop,
+            MInstr::Alu { op: AluOp::Add, rd: 0, ra: 1, rb: 3 },
+            MInstr::CallRt { func: RtFunc::PrintI64, imm: 0 },
+            MInstr::MovRI { rd: 0, imm: 0 },
+            MInstr::Halt,
+        ])
+    }
+
+    #[test]
+    fn probed_trace_converges_at_a_snapshot_inside_or_fuses_to_one_at_its_end() {
+        let b = probed_trace_program();
+        let sb = SuperblockProgram::probed(&b);
+        assert_eq!((sb.trace_end[1], sb.fused_events[1]), (7, 4));
+        let cfg = RunConfig::default();
+        let max = cfg.max_cycles;
+        // The golden run and its snapshots pay an attached probe's overhead.
+        let overhead = 10;
+        let golden = Machine::run(&b, &cfg, &mut NoFi, Some(&mut DueProbe::new(overhead)));
+        let end = GoldenEnd {
+            exit_code: 0,
+            output: &golden.output,
+            cycles: golden.cycles,
+            retired: golden.instrs_retired,
+            probe_overhead: overhead,
+        };
+        // (retired, snapshot pc, FI count, dispatches, stepped, saved): a
+        // snapshot strictly inside the trace makes the loop step to it; one
+        // on the trace's end lets the whole trace fuse.
+        for (due, pc, fi, dispatches, stepped, saved) in [(3, 3, 3, 0, 2, 5), (6, 7, 5, 1, 0, 2)] {
+            let mut g = Machine::new(&b, &cfg);
+            let mut probe = DueProbe { due, ..DueProbe::new(overhead) };
+            assert_eq!(g.run_exact_until_fired(max, &mut NoFi, Some(&mut probe)), None);
+            let ck = g.snapshot(probe.targets);
+            assert_eq!((ck.pc, ck.fi_count), (pc, fi));
+            let store =
+                CheckpointStore { interval: due, checkpoints: vec![ck], exempt_data_words: (0, 0) };
+            // The fault fires on pc 0 and corrupts `r1`; the trial detaches.
+            let (mut fused, mut exact) = (Machine::new(&b, &cfg), Machine::new(&b, &cfg));
+            let mut count = 0;
+            for m in [&mut fused, &mut exact] {
+                let mut probe = DueProbe { due: 1, ..DueProbe::new(overhead) };
+                assert_eq!(m.run_exact_until_fired(max, &mut NoFi, Some(&mut probe)), None);
+                m.regs[1] ^= 1 << 40;
+                count = probe.targets;
+            }
+            let mut stats = TrialFastStats::default();
+            let out =
+                fused.run_sb(&sb, &mut count, 0, u64::MAX, Some((&store, end)), max, &mut stats);
+            assert!(stats.converged, "snapshot at pc {pc}: no convergence");
+            assert_eq!(
+                (stats.sb_dispatches, stats.sb_stepped_instrs, stats.conv_saved_instrs),
+                (dispatches, stepped, saved),
+                "snapshot at pc {pc}"
+            );
+            let exact_out = exact.run_exact_until_fired(max, &mut NoFi, None);
+            assert_eq!(
+                (out, fused.cycles, fused.instrs_retired, &fused.output),
+                (exact_out, exact.cycles, exact.instrs_retired, &exact.output),
+                "snapshot at pc {pc}"
+            );
+        }
     }
 
     /// Four stack pages: enough to store below golden's lowest one.

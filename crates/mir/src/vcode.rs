@@ -177,11 +177,6 @@ impl VInst {
     pub fn is_call(&self) -> bool {
         matches!(self, VInst::Call { .. } | VInst::RtCall { .. })
     }
-
-    /// True for block terminators.
-    pub fn is_term(&self) -> bool {
-        matches!(self, VInst::Jmp { .. } | VInst::Ret { .. })
-    }
 }
 
 /// One VCode basic block.

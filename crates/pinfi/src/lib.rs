@@ -36,17 +36,6 @@ pub fn is_target(i: &MInstr) -> bool {
     !fi_outputs(i).is_empty()
 }
 
-/// Stable fingerprint of the PINFI attachment configuration for the
-/// campaign engine's instrumented-artifact cache. PINFI has no compile-time
-/// flags — the binary is the *uninstrumented* optimized program — so the
-/// fingerprint covers the DBI parameters that shape trial behaviour.
-pub fn config_fingerprint() -> u64 {
-    refine_core::fnv1a_continue(
-        refine_core::fnv1a(b"pinfi"),
-        &PIN_OVERHEAD_CYCLES.to_le_bytes(),
-    )
-}
-
 /// Profiling probe: counts the dynamic FI-target population.
 #[derive(Debug, Default)]
 pub struct PinfiProfiler {

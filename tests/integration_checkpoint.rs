@@ -189,27 +189,38 @@ fn assert_profiles_equal(
 /// its lowest written word; over the 14-app suite x 3 tools it must equal
 /// the exact interpreter snapshotting by full scan at the capture points
 /// the fused run chose — with the default capture settings, with a
-/// thinning one (interval 97, cap 8), and with checkpointing off.
+/// thinning one (interval 97, cap 8) driven over the prepared binary, and
+/// with checkpointing off.
 #[test]
 fn fused_profiling_equals_exact_profiling() {
-    let thinning =
-        CheckpointOptions { interval: 97, max_checkpoints: 8, ..CheckpointOptions::default() };
-    let configs = [("default", CheckpointOptions::default()), ("thinning", thinning)];
+    let thinning = CheckpointConfig { interval: 97, max_checkpoints: 8, ..Default::default() };
     for b in refine_benchmarks::all() {
         let m = b.module();
         for tool in Tool::all() {
-            for (label, opts) in &configs {
-                let p = PreparedTool::prepare_opt(&m, tool, opts);
-                let fp = p.fastpath.as_deref().expect("checkpointing on builds a store");
-                let exempt_data_words = fp.store.exempt_data_words;
-                let ckpt = CheckpointConfig { exempt_data_words, ..opts.machine_config() };
-                let chosen: Vec<u64> = fp.store.checkpoints.iter().map(|c| c.retired).collect();
-                let (er, epop, es) = exact_profile(&p, Some(ckpt), &chosen);
-                let ctx = format!("{} {} {label}", b.name, tool.name());
-                let fused = (&fp.golden_run, p.population, Some(&fp.store));
-                assert_profiles_equal(&ctx, fused, (&er, epop, es.as_ref()));
-                assert_eq!(p.profile_cycles, er.cycles, "{ctx}: profile cycles");
-            }
+            let p = PreparedTool::prepare(&m, tool);
+            let fp = p.fastpath.as_deref().expect("checkpointing on builds a store");
+            let exempt_data_words = fp.store.exempt_data_words;
+            let ckpt = CheckpointConfig { exempt_data_words, ..Default::default() };
+            let chosen: Vec<u64> = fp.store.checkpoints.iter().map(|c| c.retired).collect();
+            let (er, epop, es) = exact_profile(&p, Some(ckpt), &chosen);
+            let ctx = format!("{} {} default", b.name, tool.name());
+            let fused = (&fp.golden_run, p.population, Some(&fp.store));
+            assert_profiles_equal(&ctx, fused, (&er, epop, es.as_ref()));
+            assert_eq!(p.profile_cycles, er.cycles, "{ctx}: profile cycles");
+
+            // Thinning: the same fused call with a builder whose small cap
+            // makes it drop snapshots and double its interval.
+            let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: p.stack_words };
+            let overhead = if tool == Tool::Pinfi { PIN_OVERHEAD_CYCLES } else { 0 };
+            let mut builder = CheckpointBuilder::new(&thinning);
+            let (fr, fpop) =
+                Machine::run_profile(&p.binary, &cfg, &p.superblock, overhead, Some(&mut builder));
+            let fs = builder.finish();
+            let chosen: Vec<u64> = fs.checkpoints.iter().map(|c| c.retired).collect();
+            let (er, epop, es) = exact_profile(&p, Some(thinning), &chosen);
+            let ctx = format!("{} {} thinning", b.name, tool.name());
+            assert_profiles_equal(&ctx, (&fr, fpop, Some(&fs)), (&er, epop, es.as_ref()));
+
             // Checkpointing off: the same fused call without a builder.
             let p = PreparedTool::prepare_opt(&m, tool, &CheckpointOptions::disabled());
             let (er, epop, _) = exact_profile(&p, None, &[]);
@@ -217,8 +228,6 @@ fn fused_profiling_equals_exact_profiling() {
             let facts = (p.population, p.profile_cycles);
             assert_eq!(facts, (epop, er.cycles), "{ctx}: population, cycles");
             assert_eq!(p.golden, Golden::from_run(&er), "{ctx}: golden");
-            let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: p.stack_words };
-            let overhead = if tool == Tool::Pinfi { PIN_OVERHEAD_CYCLES } else { 0 };
             let (fr, fpop) = Machine::run_profile(&p.binary, &cfg, &p.superblock, overhead, None);
             assert_profiles_equal(&ctx, (&fr, fpop, None), (&er, epop, None));
         }
