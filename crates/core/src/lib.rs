@@ -21,7 +21,6 @@
 //! * [`options`] — flag parsing and the `-fi-funcs` glob matcher.
 
 pub mod driver;
-pub mod multibit;
 pub mod options;
 pub mod pass;
 pub mod runtime;
@@ -29,5 +28,4 @@ pub mod runtime;
 pub use driver::{compile_with_fi, Compiled};
 pub use options::{fnv1a, CheckpointOptions, ExecEngine, FiOptions, InstrClass};
 pub use pass::SiteInfo;
-pub use multibit::{BurstRt, MultiBitProbe};
 pub use runtime::{FaultRecord, InjectingRt, ProfilingRt, ReplayRt};

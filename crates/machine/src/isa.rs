@@ -53,7 +53,9 @@ impl Reg {
     }
 }
 
-/// ABI description of M64 (x64-flavoured split of caller/callee saved).
+/// Argument and return registers of the M64 ABI. Which registers survive
+/// a call is stated once, by the register allocator's caller- and
+/// callee-saved sets (`refine_mir::regalloc`).
 pub mod abi {
     /// GPRs used for the first integer/pointer arguments.
     pub const GPR_ARGS: [u8; 6] = [0, 1, 2, 3, 4, 5];
@@ -63,17 +65,6 @@ pub mod abi {
     pub const GPR_RET: u8 = 0;
     /// Floating return register.
     pub const FPR_RET: u8 = 0;
-    /// Caller-saved (volatile) GPRs.
-    pub const GPR_CALLER_SAVED: std::ops::Range<u8> = 0..9;
-    /// Callee-saved GPRs (excluding fp/sp, which are managed by the
-    /// prologue/epilogue).
-    pub const GPR_CALLEE_SAVED: std::ops::Range<u8> = 9..14;
-    /// Caller-saved (volatile) FPRs — like x64 SysV, *all* of them: no
-    /// floating-point value survives a call in a register, which is why
-    /// call-based (LLFI-style) instrumentation is so expensive for FP codes.
-    pub const FPR_CALLER_SAVED: std::ops::Range<u8> = 0..16;
-    /// Callee-saved FPRs (none, as on x64 SysV).
-    pub const FPR_CALLEE_SAVED: std::ops::Range<u8> = 16..16;
 }
 
 /// Integer ALU operations. All of them write FLAGS (like x64 arithmetic),

@@ -26,9 +26,6 @@ pub enum Trap {
     DivFault,
     /// Control transfer outside the text section (corrupted return address).
     BadPc(u64),
-    /// Undecodable instruction word (`#UD`), reachable only via opcode
-    /// corruption.
-    IllegalInstr,
 }
 
 impl Trap {
@@ -40,7 +37,6 @@ impl Trap {
             Trap::Misaligned(_) => "misaligned",
             Trap::DivFault => "div-fault",
             Trap::BadPc(_) => "bad-pc",
-            Trap::IllegalInstr => "illegal-instr",
         }
     }
 }
@@ -52,7 +48,6 @@ impl std::fmt::Display for Trap {
             Trap::Misaligned(a) => write!(f, "misaligned access at {a:#x}"),
             Trap::DivFault => write!(f, "integer divide fault"),
             Trap::BadPc(a) => write!(f, "bad program counter {a:#x}"),
-            Trap::IllegalInstr => write!(f, "illegal instruction"),
         }
     }
 }
@@ -357,14 +352,12 @@ impl<'a> Machine<'a> {
             if self.cycles >= max_cycles {
                 break RunOutcome::Timeout;
             }
-            let Some(&fetched) = self.binary.text.get(self.pc as usize) else {
+            let Some(&instr) = self.binary.text.get(self.pc as usize) else {
                 break RunOutcome::Trap(Trap::BadPc(self.pc as u64));
             };
             let pc = self.pc;
-            let mut instr = fetched;
             // --- DBI probe (PIN analogue).
             let mut inject: Option<(usize, u32)> = None;
-            let mut inject_mask: Option<(usize, u64)> = None;
             let mut probe_fired = false;
             if let Some(p) = probe.as_deref_mut() {
                 self.cycles += p.overhead_cycles();
@@ -374,17 +367,6 @@ impl<'a> Machine<'a> {
                     ProbeAction::Detach => detach = true,
                     ProbeAction::InjectAfter { op, bit, detach: d } => {
                         inject = Some((op, bit));
-                        detach = d;
-                    }
-                    ProbeAction::Substitute { instr: sub, detach: d } => {
-                        instr = sub;
-                        detach = d;
-                    }
-                    ProbeAction::IllegalInstr => {
-                        break RunOutcome::Trap(Trap::IllegalInstr);
-                    }
-                    ProbeAction::InjectMaskAfter { op, mask, detach: d } => {
-                        inject_mask = Some((op, mask));
                         detach = d;
                     }
                 }
@@ -410,12 +392,6 @@ impl<'a> Machine<'a> {
                     self.flip(reg, bit % bits);
                 }
             }
-            if let Some((op, mask)) = inject_mask {
-                let outs = fi_outputs(&instr);
-                if let Some(&(reg, _)) = outs.get(op) {
-                    self.xor_mask(reg, mask);
-                }
-            }
             if let Some(t) = tracer.as_deref_mut() {
                 t.after_step(ArchState {
                     pc,
@@ -435,7 +411,10 @@ impl<'a> Machine<'a> {
         Some(outcome)
     }
 
-    /// XOR a full mask into an architectural register (multi-bit faults).
+    /// XOR `mask` into an architectural register (FLAGS keeps its 4 bits).
+    /// With `mask = old ^ new` it sets the register to any value: the
+    /// any-state check resumes golden checkpoints this way and runs the
+    /// corrupted rest fused and exactly.
     pub fn xor_mask(&mut self, reg: Reg, mask: u64) {
         match reg {
             Reg::G(i) => self.regs[i as usize] ^= mask,

@@ -27,27 +27,6 @@ pub enum ProbeAction {
     },
     /// Remove instrumentation; run natively from here on.
     Detach,
-    /// Execute `instr` in place of the fetched instruction (opcode
-    /// corruption that still decodes); optionally detach afterwards.
-    Substitute {
-        /// The instruction to execute instead.
-        instr: MInstr,
-        /// Remove instrumentation afterwards.
-        detach: bool,
-    },
-    /// The fetched instruction's encoding was corrupted into an
-    /// undecodable word: raise an illegal-instruction trap (`#UD`).
-    IllegalInstr,
-    /// Execute the instruction, then XOR output operand `op` with `mask`
-    /// (multi-bit spatial upsets); optionally detach.
-    InjectMaskAfter {
-        /// Index into the instruction's output-operand list.
-        op: usize,
-        /// Bit mask to XOR into the operand.
-        mask: u64,
-        /// Remove instrumentation afterwards.
-        detach: bool,
-    },
 }
 
 /// A dynamic instrumentation client.

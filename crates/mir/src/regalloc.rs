@@ -18,7 +18,8 @@ pub const INT_CALLER: [u8; 7] = [0, 1, 2, 3, 4, 5, 6];
 /// Allocatable callee-saved GPRs.
 pub const INT_CALLEE: [u8; 5] = [9, 10, 11, 12, 13];
 /// Allocatable caller-saved FPRs (all of them — x64 SysV has no
-/// callee-saved XMM registers, so float values crossing calls must spill).
+/// callee-saved XMM registers, so float values crossing calls must spill,
+/// which is why call-based LLFI instrumentation is so costly for FP codes).
 pub const FLT_CALLER: [u8; 14] = [0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15];
 /// Allocatable callee-saved FPRs: none, as on x64 SysV.
 pub const FLT_CALLEE: [u8; 0] = [];

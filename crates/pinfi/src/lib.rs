@@ -17,10 +17,6 @@
 //! * while attached, every instruction pays [`PIN_OVERHEAD_CYCLES`] extra
 //!   cycles (PIN's JIT + analysis-routine cost).
 
-pub mod opcode;
-
-pub use opcode::{OpcodeFault, OpcodeInjector};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use refine_core::FaultRecord;

@@ -12,15 +12,25 @@
 //!   `run_trial_exact` oracle over random (kernel, tool, checkpointing,
 //!   target, seed) points;
 //! * a deterministic sweep of the first and last targets of every corpus
-//!   kernel and tool against the same oracle.
+//!   kernel and tool against the same oracle;
+//! * an any-state check: golden runs of every program and tool resumed
+//!   with one register set to an arbitrary value, then run to the end
+//!   fused (convergence on) and exactly.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use refine_campaign::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
 };
 use refine_campaign::tools::{PreparedTool, Tool, TrialFastStats, TrialRun};
 use refine_core::{CheckpointOptions, ExecEngine, FaultRecord};
-use refine_machine::{OutEvent, RunOutcome};
+use refine_machine::isa::{FP, SP};
+use refine_machine::machine::{GLOBAL_BASE, STACK_TOP};
+use refine_machine::{
+    Checkpoint, GoldenEnd, Machine, NoFi, OutEvent, Reg, RunConfig, RunOutcome, RunResult,
+};
+use refine_pinfi::PIN_OVERHEAD_CYCLES;
 use refine_telemetry::{TraceSink, TrialTrace};
 use std::sync::{Arc, OnceLock};
 
@@ -301,4 +311,180 @@ fn edge_targets_match_exact_oracle() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Any-state layer: one register set to an arbitrary value, fused vs exact.
+// ---------------------------------------------------------------------------
+
+/// Number of value kinds [`corrupt_value`] draws from.
+const VALUE_KINDS: u64 = 11;
+
+/// Value kind `kind` for a register holding `old`: a random word, a
+/// single-bit flip, the extremes, a neighbouring word, a wild frame offset
+/// within a stack's size, and the words on and just below each segment's
+/// edge. Any k-bit flip of a register is one of these states.
+fn corrupt_value(kind: u64, old: u64, stack_bytes: u64, rng: &mut StdRng) -> u64 {
+    match kind {
+        0 => rng.gen(),
+        1 => old ^ 1 << rng.gen_range(0..64u32),
+        2 => 0,
+        3 => u64::MAX,
+        4 => old.wrapping_add(8),
+        5 => old.wrapping_sub(8),
+        6 => old.wrapping_add(rng.gen_range(0..2 * stack_bytes).wrapping_sub(stack_bytes) & !7),
+        7 => GLOBAL_BASE,
+        8 => GLOBAL_BASE - 8,
+        9 => STACK_TOP,
+        _ => STACK_TOP - 8,
+    }
+}
+
+/// The register to corrupt: `sp` and `fp` a quarter of the time each, as
+/// they decide where every frame access lands; otherwise any GPR, FPR or
+/// FLAGS.
+fn corrupt_reg(rng: &mut StdRng) -> Reg {
+    match rng.gen_range(0..8u32) {
+        0 | 1 => Reg::G(SP),
+        2 | 3 => Reg::G(FP),
+        4 | 5 => Reg::G(rng.gen_range(0..16u8)),
+        6 => Reg::F(rng.gen_range(0..16u8)),
+        _ => Reg::Flags,
+    }
+}
+
+/// The value `reg` holds in `ck`.
+fn reg_value(ck: &Checkpoint, reg: Reg) -> u64 {
+    match reg {
+        Reg::G(i) => ck.regs[i as usize],
+        Reg::F(i) => ck.fregs[i as usize],
+        Reg::Flags => u64::from(ck.flags),
+    }
+}
+
+/// Outcome, bit-exact output, cycles and retired count of one run.
+type RunFacts = (RunOutcome, Vec<(u8, u64, String)>, u64, u64);
+
+fn run_facts(r: &RunResult) -> RunFacts {
+    (r.outcome, bits(&r.output), r.cycles, r.instrs_retired)
+}
+
+/// Resume `p`'s golden run at `ck` with `reg` set to `value` and run the
+/// rest twice: fused from `ck`'s FI count with convergence against the
+/// golden end, as a trial's post-fire suffix runs, and exactly with no
+/// injector. Returns (fused, exact, whether the fused run converged).
+fn fused_and_exact(
+    p: &PreparedTool,
+    ck: &Checkpoint,
+    reg: Reg,
+    value: u64,
+) -> (RunFacts, RunFacts, bool) {
+    let cfg = RunConfig { max_cycles: p.timeout_cycles, stack_words: p.stack_words };
+    let fp = p.fastpath.as_deref().expect("default prepare keeps golden checkpoints");
+    let corrupted = || {
+        let mut m = Machine::resume(&p.binary, &cfg, ck);
+        m.xor_mask(reg, reg_value(ck, reg) ^ value);
+        m
+    };
+    let g = &fp.golden_run;
+    let RunOutcome::Exit(exit_code) = g.outcome else { panic!("golden run did not exit") };
+    let end = GoldenEnd {
+        exit_code,
+        output: &g.output,
+        cycles: g.cycles,
+        retired: g.instrs_retired,
+        probe_overhead: if p.tool == Tool::Pinfi { PIN_OVERHEAD_CYCLES } else { 0 },
+    };
+    let mut fast = TrialFastStats::default();
+    let (mut m, mut count) = (corrupted(), ck.fi_count);
+    let golden = Some((&fp.store, end));
+    let outcome = m
+        .run_sb(&p.superblock, &mut count, 0, u64::MAX, golden, cfg.max_cycles, &mut fast)
+        .expect("a run with no stop count ends");
+    let fused = m.into_result(outcome);
+    let mut m = corrupted();
+    let outcome =
+        m.run_exact_until_fired(cfg.max_cycles, &mut NoFi, None).expect("NoFi never fires");
+    let exact = m.into_result(outcome);
+    (run_facts(&fused), run_facts(&exact), fast.converged)
+}
+
+/// For every (program, tool): `checkpoints` golden checkpoints, each the
+/// nearest below a seeded target (the initial state when none is), times
+/// every value kind in a freshly drawn register. Fails on any fused/exact
+/// difference or panic, naming each state; returns the number of states
+/// run.
+fn check_any_register_value(checkpoints: usize) -> usize {
+    let (mut states, mut converged, mut failures) = (0, 0, Vec::new());
+    let mut pair = 0u64;
+    for b in all_apps() {
+        let module = b.module();
+        for tool in Tool::all() {
+            pair += 1;
+            let p = PreparedTool::prepare(&module, tool);
+            let store = &p.fastpath.as_deref().expect("default prepare keeps checkpoints").store;
+            let cfg = RunConfig { max_cycles: p.timeout_cycles, stack_words: p.stack_words };
+            let initial = Machine::new(&p.binary, &cfg).snapshot(0);
+            let stack_bytes = p.stack_words as u64 * 8;
+            let mut rng = StdRng::seed_from_u64(SEED ^ pair);
+            for _ in 0..checkpoints {
+                let target = rng.gen_range(1..=p.population);
+                let ck = store.nearest_below(target).unwrap_or(&initial);
+                for kind in 0..VALUE_KINDS {
+                    let reg = corrupt_reg(&mut rng);
+                    let value = corrupt_value(kind, reg_value(ck, reg), stack_bytes, &mut rng);
+                    let state = format!(
+                        "{} {} at retired {}: {} := {value:#x}",
+                        b.name,
+                        tool.name(),
+                        ck.retired,
+                        reg.name()
+                    );
+                    states += 1;
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        fused_and_exact(&p, ck, reg, value)
+                    }));
+                    match run {
+                        Ok((fused, exact, conv)) if fused == exact => {
+                            converged += usize::from(conv)
+                        }
+                        Ok((fused, exact, _)) => {
+                            failures.push(format!("{state}: fused {fused:?} != exact {exact:?}"))
+                        }
+                        Err(_) => failures.push(format!("{state}: panicked")),
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {states} states failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    eprintln!(
+        "any register value: {states} states over {pair} pairs, {converged} converged, 0 failed"
+    );
+    states
+}
+
+/// Any register value a fault can leave behind, not only the bit flips a
+/// campaign seed happens to draw: the fused suffix (convergence on) and
+/// the exact interpreter agree on outcome, output, cycles and retired
+/// count, and neither panics. The pinned tier-1 instance: 2 checkpoints
+/// per (program, tool), 990 states.
+#[test]
+fn any_register_value_fused_equals_exact() {
+    assert_eq!(check_any_register_value(2), 45 * 2 * VALUE_KINDS as usize);
+}
+
+/// The full instance of [`any_register_value_fused_equals_exact`]: 6
+/// checkpoints per (program, tool), 2,970 states. Run it in release:
+/// `cargo test --release -p refine-campaign --test integration_engine_equiv
+/// -- --ignored any_register_value`.
+#[test]
+#[ignore = "full any-state check, run in release by ci.sh"]
+fn any_register_value_fused_equals_exact_full() {
+    assert_eq!(check_any_register_value(6), 45 * 6 * VALUE_KINDS as usize);
 }

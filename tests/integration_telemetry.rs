@@ -81,7 +81,7 @@ fn traced_campaign_emits_one_record_per_trial() {
     for r in records.iter().filter(|r| r.outcome == "crash") {
         if let Some(t) = &r.trap {
             assert!(
-                ["segfault", "misaligned", "div-fault", "bad-pc", "illegal-instr", "timeout"]
+                ["segfault", "misaligned", "div-fault", "bad-pc", "timeout"]
                     .contains(&t.as_str()),
                 "unexpected trap cause {t}"
             );
