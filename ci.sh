@@ -11,6 +11,8 @@
 #     checkpointing, convergence and the fused engine on and off;
 #   * the --trace-out file of that sweep: JSON lines, read back by
 #     trace-summary, and a failed write exits non-zero;
+#   * the stdout of the paper's whole campaign (`all --trials 1068`) against
+#     the hash in tests/golden/paper_campaign_digest.txt;
 #   * traced perfbench exact-facts digests against
 #     tests/golden/perfbench_digests.txt.
 # Wall-clock claims live in perfbench (`python3 perfbench/run.py`, medians
@@ -105,6 +107,21 @@ if $EXP "${SWEEP[@]}" --jobs 4 --trace-out /dev/full >/dev/null 2>&1; then
     exit 1
 fi
 echo "   72 JSON lines read back; an unwritable trace exits non-zero"
+
+echo "== paper campaign stdout (all --trials 1068, vs tests/golden/paper_campaign_digest.txt)"
+# Every table of the paper's campaign at EXPERIMENTS.md's seed (about 8 s at
+# --jobs 2 on 2 vCPUs) must print byte for byte as pinned: a change to any
+# outcome count, cycle total or chi-squared figure moves the hash.
+# Regenerate the hash only for a deliberate table change, recorded in
+# CHANGES.md.
+PAPER=(all --trials 1068 --seed 20171112 --jobs 2 --quiet)
+want="$(grep -v '^#' tests/golden/paper_campaign_digest.txt)"
+got="$($EXP "${PAPER[@]}" 2>/dev/null | sha256sum | cut -d' ' -f1)"
+if [ "$got" != "$want" ]; then
+    echo "paper campaign digest FAILED: ${PAPER[*]} stdout hashes to $got, expected $want" >&2
+    exit 1
+fi
+echo "   ${PAPER[*]}: $got"
 
 echo "== --json report (engine work counters vs golden, suite counts, metrics keys, phase calls)"
 # The engine's per-campaign rows are the only sums of trial work: at

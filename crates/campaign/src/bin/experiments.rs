@@ -117,11 +117,13 @@ fn campaign_json(r: &CampaignResult) -> Json {
 /// what `jobs` workers could physically execute in `wall_ns`.
 fn engine_json(report: &EngineReport) -> Json {
     let sb_dispatches: u64 = report.stats.iter().map(|s| s.sb_dispatches).sum();
+    let sb_uops: u64 = report.stats.iter().map(|s| s.sb_uops).sum();
     let sb_fused: u64 = report.stats.iter().map(|s| s.sb_fused_instrs).sum();
     let sb_stepped: u64 = report.stats.iter().map(|s| s.sb_stepped_instrs).sum();
     let sb_total = sb_fused + sb_stepped;
     let superblock = Json::object([
         ("dispatches", Json::U64(sb_dispatches)),
+        ("uops", Json::U64(sb_uops)),
         ("fused_instrs", Json::U64(sb_fused)),
         ("stepped_instrs", Json::U64(sb_stepped)),
         (
@@ -162,6 +164,7 @@ fn stats_json(s: &CampaignStats) -> Json {
         ("conv_checked_instrs", Json::U64(s.conv_checked_instrs)),
         ("conv_saved_instrs", Json::U64(s.conv_saved_instrs)),
         ("sb_dispatches", Json::U64(s.sb_dispatches)),
+        ("sb_uops", Json::U64(s.sb_uops)),
         ("sb_fused_instrs", Json::U64(s.sb_fused_instrs)),
         ("sb_stepped_instrs", Json::U64(s.sb_stepped_instrs)),
     ])
@@ -396,6 +399,7 @@ mod tests {
             conv_checked_instrs: 4,
             conv_saved_instrs: 5,
             sb_dispatches: 6,
+            sb_uops: 9,
             sb_fused_instrs: 7,
             sb_stepped_instrs: 1,
         };
@@ -440,6 +444,7 @@ mod tests {
     },
     "superblock": {
       "dispatches": 6,
+      "uops": 9,
       "fused_instrs": 7,
       "stepped_instrs": 1,
       "fused_instr_share": 0.875
@@ -458,6 +463,7 @@ mod tests {
         "conv_checked_instrs": 4,
         "conv_saved_instrs": 5,
         "sb_dispatches": 6,
+        "sb_uops": 9,
         "sb_fused_instrs": 7,
         "sb_stepped_instrs": 1
       }

@@ -287,6 +287,8 @@ pub struct CampaignStats {
     pub conv_saved_instrs: u64,
     /// Fused superblock dispatches across this campaign's trials.
     pub sb_dispatches: u64,
+    /// µops those dispatches ran, summed.
+    pub sb_uops: u64,
     /// Dynamic instructions retired inside fused superblocks, summed.
     pub sb_fused_instrs: u64,
     /// Dynamic instructions retired by the engine's exact-step fallback
@@ -360,6 +362,7 @@ struct Tally {
     conv_checked_instrs: u64,
     conv_saved_instrs: u64,
     sb_dispatches: u64,
+    sb_uops: u64,
     sb_fused_instrs: u64,
     sb_stepped_instrs: u64,
 }
@@ -378,6 +381,7 @@ impl Default for Tally {
             conv_checked_instrs: 0,
             conv_saved_instrs: 0,
             sb_dispatches: 0,
+            sb_uops: 0,
             sb_fused_instrs: 0,
             sb_stepped_instrs: 0,
         }
@@ -402,6 +406,7 @@ impl Tally {
             conv_checked_instrs,
             conv_saved_instrs,
             sb_dispatches,
+            sb_uops,
             sb_fused_instrs,
             sb_stepped_instrs,
         } = *fast;
@@ -418,6 +423,7 @@ impl Tally {
         self.conv_checked_instrs += conv_checked_instrs;
         self.conv_saved_instrs += conv_saved_instrs;
         self.sb_dispatches += sb_dispatches;
+        self.sb_uops += sb_uops;
         self.sb_fused_instrs += sb_fused_instrs;
         self.sb_stepped_instrs += sb_stepped_instrs;
     }
@@ -437,6 +443,7 @@ impl Tally {
         self.conv_checked_instrs += o.conv_checked_instrs;
         self.conv_saved_instrs += o.conv_saved_instrs;
         self.sb_dispatches += o.sb_dispatches;
+        self.sb_uops += o.sb_uops;
         self.sb_fused_instrs += o.sb_fused_instrs;
         self.sb_stepped_instrs += o.sb_stepped_instrs;
     }
@@ -594,6 +601,7 @@ pub fn run_sweep(
             conv_checked_instrs: t.conv_checked_instrs,
             conv_saved_instrs: t.conv_saved_instrs,
             sb_dispatches: t.sb_dispatches,
+            sb_uops: t.sb_uops,
             sb_fused_instrs: t.sb_fused_instrs,
             sb_stepped_instrs: t.sb_stepped_instrs,
         });
@@ -642,7 +650,7 @@ mod tests {
     }
 
     /// Every per-campaign work counter of a [`CampaignStats`].
-    fn work_counters(s: &CampaignStats) -> [u64; 8] {
+    fn work_counters(s: &CampaignStats) -> [u64; 9] {
         [
             s.ckpt_restores,
             s.ckpt_skipped_instrs,
@@ -650,6 +658,7 @@ mod tests {
             s.conv_checked_instrs,
             s.conv_saved_instrs,
             s.sb_dispatches,
+            s.sb_uops,
             s.sb_fused_instrs,
             s.sb_stepped_instrs,
         ]

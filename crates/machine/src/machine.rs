@@ -364,7 +364,6 @@ impl<'a> Machine<'a> {
                 let mut detach = false;
                 match p.before(self.pc, &instr, self.instrs_retired) {
                     ProbeAction::Continue => {}
-                    ProbeAction::Detach => detach = true,
                     ProbeAction::InjectAfter { op, bit, detach: d } => {
                         inject = Some((op, bit));
                         detach = d;
@@ -1162,14 +1161,16 @@ mod tests {
         assert_eq!(r.outcome, RunOutcome::Exit(2));
     }
 
-    /// Probe overhead counts cycles while attached and stops after detach.
+    /// Probe overhead counts cycles while attached and stops after an
+    /// injection that detaches. The flipped `r1` is overwritten before it
+    /// is read, so only the cycles differ.
     #[test]
     fn probe_overhead_and_detach() {
         struct DetachAt(u64);
         impl Probe for DetachAt {
             fn before(&mut self, _pc: u32, _i: &MInstr, n: u64) -> ProbeAction {
                 if n >= self.0 {
-                    ProbeAction::Detach
+                    ProbeAction::InjectAfter { op: 0, bit: 0, detach: true }
                 } else {
                     ProbeAction::Continue
                 }
@@ -1191,5 +1192,6 @@ mod tests {
         let native = Machine::run(&b, &RunConfig::default(), &mut NoFi, None);
         assert!(attached.cycles > early.cycles);
         assert!(early.cycles > native.cycles);
+        assert_eq!(early.outcome, native.outcome);
     }
 }

@@ -5,8 +5,8 @@
 //! instruction's *output* registers after it retires — this is exactly how
 //! PINFI operates. Each consulted instruction costs
 //! [`Probe::overhead_cycles`] extra cycles (PIN's JIT + analysis-routine
-//! overhead); after [`ProbeAction::Detach`] the program runs at native
-//! speed, modelling the authors' detach optimization (§5.2).
+//! overhead); after an injection with `detach` set the program runs at
+//! native speed, modelling the authors' detach optimization (§5.2).
 
 use crate::isa::MInstr;
 
@@ -25,8 +25,6 @@ pub enum ProbeAction {
         /// Remove instrumentation afterwards.
         detach: bool,
     },
-    /// Remove instrumentation; run natively from here on.
-    Detach,
 }
 
 /// A dynamic instrumentation client.

@@ -21,21 +21,40 @@
 //! dispatches, which may skip ahead of the instruction path, because the
 //! accounting never reads it. A trace run to its end is accounted with
 //! `fused_x[head]`; one stopped early — by a trap or a side exit — is
-//! accounted by the stopping µop `k` itself, `fused_x[head] - fused_x[k] +
-//! x[k]`, since a stopping µop is always one instruction. Three rules skip
-//! ahead:
+//! accounted by the stopping instruction `k` itself, `fused_x[head] -
+//! fused_x[k] + x[k]`. The µop names `k`: its own pc, or for a pair µop's
+//! second instruction the pc after it (the first retired), and an absorbed
+//! tail runs only after its instruction completed and never stops a trace.
+//! Four rules skip ahead:
 //!
 //! - *No-op linking*: a `Nop`, a forward `Jmp` and an LLFI `injectFault`
 //!   hook do nothing while the runtime only counts, so a µop's `next` skips
 //!   them and they run only as trace heads.
 //! - *LLFI hook µops*: `mov r0 <- x; injectFault; mov y <- r0` (integer or
-//!   floating-point) is one copy µop.
-//! - *Site absorption*: the non-firing path REFINE emits around each site
-//!   (save `r0`/FLAGS, `selInstr`, test, skip, restore) nets out to two
-//!   save-area stores. A one-instruction µop followed by a site runs its
-//!   site-absorbing variant (its handler with `S = true`): the instruction,
-//!   then — only if it completed — the stores. A site's own *site skip* µop
-//!   runs only where a trace starts on it.
+//!   floating-point) is one copy µop, which runs only where a trace starts
+//!   on it.
+//! - *Absorption*: a one-instruction µop runs a variant of its handler
+//!   with a const tail `T` that also covers what follows it on the trace.
+//!   The non-firing path REFINE emits around each site (save `r0`/FLAGS,
+//!   `selInstr`, test, skip, restore) nets out to two save-area stores
+//!   (`SITE`). LLFI's hook plumbing on the register `x` the instruction
+//!   wrote nets out to `r0 = x` (`HOOK`: `mov r0 <- x; injectFault`,
+//!   with the `mov` or store of `r0` after it left to its own µop) or `r0 =
+//!   x; y = x` (`HOOK_COPY`: the whole copy), and a move `mov y <- x` of
+//!   what it wrote to `y = x` (`COPY`: also `injectFault; mov y <- r0`
+//!   after a writer of `r0` itself). The tail runs only if the
+//!   instruction completed. A site's own *site skip* µop runs only where a
+//!   trace starts on it.
+//! - *Pair µops*: a compare and the `Jcc` guard after it, an unindexed
+//!   `FLd f` and an `FAlu` reading `f`, two unindexed loads or stores of
+//!   either register file, and two register moves run as one µop where
+//!   both fit its operand bytes (a `CmpI` immediate and the memory
+//!   displacements in 32 bits). Either instruction may stop the trace,
+//!   and the µop reports which.
+//!
+//! None of these moves a trace head or a trace's end, so µop fusion never
+//! changes the dispatch, fused or stepped instruction counts of a run: only
+//! the µops it dispatches ([`TrialFastStats::sb_uops`]).
 //!
 //! The fused loop only ever runs counting-only runtimes (a one-shot
 //! injector is counting-only before its target event and after it fired),
@@ -84,18 +103,70 @@ use crate::rt::NoFi;
 /// accounts for those in bulk.
 type UopFn = fn(&mut Machine<'_>, &Uop) -> Result<(), Exit>;
 
-/// Why a µop ended its trace early.
+/// Why a µop ended its trace early, and which of its instructions did: a
+/// one-instruction µop's, or a pair µop's first (at the µop's pc) or second
+/// (at the next pc, after the first retired). A trapping instruction is
+/// charged but not retired; a taken guard retires.
+///
+/// Flat, with at most one word of payload per variant: the result of every
+/// µop is then a tag and a word and comes back in two registers, where a
+/// nested `Trap` beside another payload would go through memory.
 enum Exit {
-    /// The instruction trapped: it is charged but not retired.
-    Trap(Trap),
-    /// A `Jcc` guard's condition held: it retires and the run continues at
-    /// its target (the µop's `imm`).
+    /// [`Trap::Segfault`] at this address.
+    Segfault(u64),
+    /// [`Trap::Misaligned`] at this address.
+    Misaligned(u64),
+    /// [`Trap::DivFault`].
+    DivFault,
+    /// A `Jcc` guard's condition held: the run continues at its target,
+    /// the µop's `imm`.
     Taken,
+    /// A pair µop's `Jcc` guard held: its target is the high half of the
+    /// µop's `imm`.
+    TakenSecond,
+    /// A pair µop's second instruction, a memory access, trapped with
+    /// [`Trap::Segfault`] at this address.
+    SegfaultSecond(u64),
+    /// ... with [`Trap::Misaligned`] at this address.
+    MisalignedSecond(u64),
 }
+
+const _: () = assert!(std::mem::size_of::<Result<(), Exit>>() == 16);
 
 impl From<Trap> for Exit {
     fn from(t: Trap) -> Self {
-        Exit::Trap(t)
+        match t {
+            Trap::Segfault(a) => Exit::Segfault(a),
+            Trap::Misaligned(a) => Exit::Misaligned(a),
+            Trap::DivFault => Exit::DivFault,
+            Trap::BadPc(_) => unreachable!("a fused µop never transfers control"),
+        }
+    }
+}
+
+impl Exit {
+    /// The exit of a pair µop whose second instruction, a memory access,
+    /// trapped.
+    fn memory_second(t: Trap) -> Exit {
+        match Exit::from(t) {
+            Exit::Segfault(a) => Exit::SegfaultSecond(a),
+            Exit::Misaligned(a) => Exit::MisalignedSecond(a),
+            _ => unreachable!("a memory access traps on its address"),
+        }
+    }
+
+    /// For this exit of the µop `u` at pc `k`: the pc of the instruction
+    /// that stopped, the pc the run continues at, and the trap, if any.
+    fn resolve(self, k: usize, u: &Uop) -> (usize, usize, Result<(), Trap>) {
+        match self {
+            Exit::Segfault(a) => (k, k, Err(Trap::Segfault(a))),
+            Exit::Misaligned(a) => (k, k, Err(Trap::Misaligned(a))),
+            Exit::DivFault => (k, k, Err(Trap::DivFault)),
+            Exit::Taken => (k, u.imm as usize, Ok(())),
+            Exit::TakenSecond => (k + 1, (u.imm >> 32) as usize, Ok(())),
+            Exit::SegfaultSecond(a) => (k + 1, k + 1, Err(Trap::Segfault(a))),
+            Exit::MisalignedSecond(a) => (k + 1, k + 1, Err(Trap::Misaligned(a))),
+        }
     }
 }
 
@@ -156,6 +227,9 @@ pub struct TrialFastStats {
     pub conv_saved_instrs: u64,
     /// Fused trace dispatches this trial (0 for the exact oracle).
     pub sb_dispatches: u64,
+    /// µops those dispatches ran: a trace runs one µop per instruction
+    /// less the ones it links past, absorbs or pairs.
+    pub sb_uops: u64,
     /// Instructions retired through fused dispatch this trial.
     pub sb_fused_instrs: u64,
     /// Instructions retired via exact single-step fallback inside the
@@ -177,7 +251,7 @@ pub struct SuperblockProgram {
     fused_len: Vec<u32>,
     /// Suffix-sum cycle costs along the trace's instruction path:
     /// `fused_cost[pc]` is the full trace cost, and a trace from `head`
-    /// stopped by the one-instruction µop at `k` costs `fused_cost[head] -
+    /// stopped by the instruction at `k` costs `fused_cost[head] -
     /// fused_cost[k] + slots[k].cost`.
     fused_cost: Vec<u64>,
     /// Suffix-sum FI-event counts, same indexing identities.
@@ -221,16 +295,16 @@ impl SuperblockProgram {
                 Slot { cost, is_event }
             })
             .collect();
-        let mut uops: Vec<Uop> = text.iter().map(lower::<false>).collect();
+        let mut uops: Vec<Uop> = text.iter().map(lower::<NO_TAIL>).collect();
         let mut fused_len = vec![0u32; n];
         let mut fused_cost = vec![0u64; n];
         let mut fused_events = vec![0u32; n];
         let mut trace_end = vec![0u32; n];
         // Build-time only: `link[pc]` is the first µop a trace passing `pc`
-        // dispatches (past any no-ops), and `skips[pc]` marks the site-skip
-        // µops a predecessor may absorb.
+        // dispatches (past any no-ops), and `merge[pc]` what the µop before
+        // it on a trace may do with the µop at `pc`.
         let mut link: Vec<u32> = (0..n as u32).collect();
-        let mut skips = vec![false; n];
+        let mut merge = vec![Merge::None; n];
         let mut site_words = None;
         // Reverse scan: every trace edge points forward, so a successor's
         // sums and links are final before its predecessors read them.
@@ -249,23 +323,40 @@ impl SuperblockProgram {
             // does not runs one µop per instruction.
             let site = site_skip(binary, pc)
                 .filter(|&(_, words)| *site_words.get_or_insert(words) == words);
+            let hook = hook_at(text, pc);
             // The real pc after the instructions this µop covers itself.
-            let after = if let Some((post, _)) = site {
-                uops[pc].exec = u_nop::<true>;
-                skips[pc] = true;
-                post + 3
-            } else if let Some(copy) = hook_copy(text, pc) {
-                uops[pc] = copy;
-                pc + 3
+            let (after, mut merged) = if let Some((post, _)) = site {
+                uops[pc].exec = u_nop::<SITE>;
+                (post + 3, Merge::Site)
+            } else if let Some(h @ Hook { copy: Some(y), .. }) = hook {
+                let exec = if h.float { u_fcopy } else { u_copy };
+                uops[pc] = simple(exec, y, h.x, 0, 0);
+                (pc + 3, Merge::Hook(h))
             } else {
-                succ
+                (succ, hook.map_or(Merge::One, Merge::Hook))
             };
             let mut next = link[after] as usize;
-            if after == succ && skips[next] {
-                uops[pc].exec = lower::<true>(&text[pc]).exec;
-                next = uops[next].next as usize;
+            // A one-instruction µop absorbs a site, hook plumbing or a
+            // move of what it wrote after it, or pairs with the
+            // one-instruction µop after it; the combined µop continues
+            // where the absorbed or paired one did.
+            if after == succ {
+                let combined = match merge[next] {
+                    Merge::Site => Some(lower::<SITE>(&text[pc])),
+                    Merge::Hook(h) => absorb_hook(&text[pc], h),
+                    Merge::One if next == pc + 1 => absorb_copy(&text[pc], &text[next])
+                        .or_else(|| pair(&text[pc], &text[next])),
+                    Merge::One => absorb_copy(&text[pc], &text[next]),
+                    _ => None,
+                };
+                if let Some(u) = combined {
+                    uops[pc] = u;
+                    next = uops[next].next as usize;
+                    merged = Merge::None;
+                }
             }
             uops[pc].next = next as u32;
+            merge[pc] = merged;
         }
         let site_words = site_words.unwrap_or_default();
         let blocks = block_count(text, &fused_len);
@@ -299,8 +390,9 @@ impl SuperblockProgram {
     }
 
     /// What one dispatch of the µop at `pc` does when it completes without
-    /// an exit: the instructions it retires (its own, the REFINE site it
-    /// absorbed, the no-ops it links past) and the pc its trace continues
+    /// an exit: the instructions it retires (its own, the REFINE site or
+    /// LLFI hook plumbing it absorbed or the instruction it pairs with, the
+    /// no-ops it links past) and the pc its trace continues
     /// at, the next µop dispatched or the trace's end. `None` when `pc` is
     /// stepped exactly.
     pub fn dispatch(&self, pc: usize) -> Option<(u32, usize)> {
@@ -379,24 +471,54 @@ fn is_noop(i: &MInstr) -> bool {
     )
 }
 
-/// Match LLFI's hook plumbing at `pc`, `mov r0 <- x; injectFaultI; mov y
-/// <- r0` or its `fmov`/`injectFaultF` form, and build its one copy µop: the
-/// hook is the identity while the runtime only counts. Only where the third
-/// instruction falls through inside the text, so the three are one trace.
-fn hook_copy(text: &[MInstr], pc: usize) -> Option<Uop> {
+/// What the µop before a pc on a trace may do with the µop at it (build
+/// time only).
+#[derive(Debug, Clone, Copy)]
+enum Merge {
+    /// Nothing: a trace end, or a µop that already covers more than its own
+    /// instruction.
+    None,
+    /// Pair with it, or absorb it as a [`COPY`] tail when it moves what
+    /// the µop before wrote: a one-instruction µop with no tail.
+    One,
+    /// Absorb it as a [`SITE`] tail: a REFINE site's skip µop.
+    Site,
+    /// Absorb it as a [`HOOK`] or [`HOOK_COPY`] tail: LLFI hook plumbing.
+    Hook(Hook),
+}
+
+/// LLFI hook plumbing: `mov r0 <- x; injectFaultI`, or its
+/// `fmov`/`injectFaultF` form when `float`, and with `copy = Some(y)` the
+/// `mov y <- r0` (`fmov`) after it. The hook is the identity while the
+/// runtime only counts.
+#[derive(Debug, Clone, Copy)]
+struct Hook {
+    float: bool,
+    x: u8,
+    copy: Option<u8>,
+}
+
+/// Match LLFI's hook plumbing at `pc`, only where the hook, and the copy's
+/// `mov` when there is one, fall through inside the text, so the plumbing
+/// is one trace. The copy form's own µop at `pc` runs all three where a
+/// trace starts on it.
+fn hook_at(text: &[MInstr], pc: usize) -> Option<Hook> {
     use MInstr::{CallRt, FMovRR, MovRR};
-    if pc + 3 >= text.len() {
+    let (float, x) = match *text.get(pc..pc + 2)? {
+        [MovRR { rd: 0, ra }, CallRt { func: RtFunc::LlfiInjectI, .. }] => (false, ra),
+        [FMovRR { fd: 0, fa }, CallRt { func: RtFunc::LlfiInjectF, .. }] => (true, fa),
+        _ => return None,
+    };
+    if pc + 2 >= text.len() {
         return None;
     }
-    match text[pc..pc + 3] {
-        [MovRR { rd: 0, ra }, CallRt { func: RtFunc::LlfiInjectI, .. }, MovRR { rd, ra: 0 }] => {
-            Some(simple(u_copy, rd, ra, 0, 0))
-        }
-        [FMovRR { fd: 0, fa }, CallRt { func: RtFunc::LlfiInjectF, .. }, FMovRR { fd, fa: 0 }] => {
-            Some(simple(u_fcopy, fd, fa, 0, 0))
-        }
+    let copy = match text[pc + 2] {
+        _ if pc + 3 >= text.len() => None,
+        MovRR { rd, ra: 0 } if !float => Some(rd),
+        FMovRR { fd, fa: 0 } if float => Some(fd),
         _ => None,
-    }
+    };
+    Some(Hook { float, x, copy })
 }
 
 /// Match the non-firing path `refine_core::pass` emits for one FI site
@@ -475,7 +597,7 @@ impl<'a> Machine<'a> {
     /// the trace's end or a taken guard's target; on a trap the
     /// architectural state is exactly what the per-instruction loop would
     /// have left.
-    #[inline]
+    #[inline(always)]
     fn exec_trace(
         &mut self,
         sb: &SuperblockProgram,
@@ -485,10 +607,11 @@ impl<'a> Machine<'a> {
         stats: &mut TrialFastStats,
     ) -> Result<(), Trap> {
         let end = sb.trace_end[head] as usize;
-        let mut k = head;
-        // `stop` is the µop that ended the trace early, if one did.
+        let (mut k, mut uops) = (head, 0);
+        // `stop` is the instruction that ended the trace early, if one did.
         let (stop, pc, result) = loop {
             let u = &sb.uops[k];
+            uops += 1;
             match (u.exec)(self, u) {
                 Ok(()) => {
                     k = u.next as usize;
@@ -496,16 +619,19 @@ impl<'a> Machine<'a> {
                         break (None, end, Ok(()));
                     }
                 }
-                Err(Exit::Taken) => break (Some(k), u.imm as usize, Ok(())),
                 // The exact loop adds the trapping instruction's cost
                 // before stepping but does not retire it, and leaves pc on
                 // the trapping instruction.
-                Err(Exit::Trap(t)) => break (Some(k), k, Err(t)),
+                Err(exit) => {
+                    let (at, pc, result) = exit.resolve(k, u);
+                    break (Some(at), pc, result);
+                }
             }
         };
-        // A stopping µop is one instruction (an absorbed site runs only
-        // after it completes), so the trace fetched its path up to `k` and
-        // `k` itself: the suffix sums from `k` less `k`'s own share.
+        // The stopping instruction `k` is one instruction of its µop (an
+        // absorbed tail runs only after its instruction completes), so the
+        // trace fetched its path up to `k` and `k` itself: the suffix sums
+        // from `k` less `k`'s own share.
         let (rest_len, rest_cost, rest_events) = stop.map_or((0, 0, 0), |k| {
             let own = &sb.slots[k];
             (
@@ -521,6 +647,7 @@ impl<'a> Machine<'a> {
         self.instrs_retired += retired;
         self.pc = pc as u32;
         stats.sb_dispatches += 1;
+        stats.sb_uops += uops;
         stats.sb_fused_instrs += retired;
         result
     }
@@ -816,20 +943,33 @@ fn segment_matches(
 // --- µop handlers -----------------------------------------------------------
 //
 // Each handler mirrors one `step` arm's data side effects exactly (the FI
-// hooks as a counting-only runtime executes them). Every handler
-// that is one instruction takes a const `S`: with `S` it absorbed the
-// REFINE site skip after it and ends with [`done`]'s stores.
+// hooks as a counting-only runtime executes them). Every handler that is
+// one instruction takes a const tail `T` ([`NO_TAIL`], [`SITE`], [`HOOK`],
+// [`COPY`] or [`HOOK_COPY`]) and ends with [`done`] (or [`done_r`]/
+// [`done_f`] when it writes a register), which runs the tail. The pair
+// handlers run two instructions and no tail.
 
-/// Finish a one-instruction µop. With `S` it then runs the non-firing path
-/// of the REFINE site after it ([`site_skip`]): store `r0` and FLAGS
-/// straight into the program's save-area words, data-segment indices
-/// [`save_word`] validated, so neither store can trap. PostFI's `wrflags`
-/// leaves FLAGS as it is: every FLAGS writer keeps the four architectural
-/// bits. A handler that trapped or took its guard returned before this,
-/// leaving the words untouched.
+/// What a one-instruction µop runs after its instruction: nothing.
+const NO_TAIL: u8 = 0;
+/// The non-firing path of the REFINE site after it ([`site_skip`]).
+const SITE: u8 = 1;
+/// The LLFI hook plumbing after it ([`hook_at`]) up to the hook: `r0 = x`
+/// (`f0 = x`), `x` being the register the instruction wrote.
+const HOOK: u8 = 2;
+/// The register move after it of what it wrote: `y = x`.
+const COPY: u8 = 4;
+/// The whole LLFI hook copy after it: `r0 = x; y = x` (or `f0`).
+const HOOK_COPY: u8 = HOOK | COPY;
+
+/// Finish a one-instruction µop that writes no register. With [`SITE`] it
+/// then stores `r0` and FLAGS straight into the program's save-area words,
+/// data-segment indices [`save_word`] validated, so neither store can
+/// trap. PostFI's `wrflags` leaves FLAGS as it is: every FLAGS writer
+/// keeps the four architectural bits. A handler that trapped or took its
+/// guard returned before this, leaving the words untouched.
 #[inline(always)]
-fn done<const S: bool>(m: &mut Machine<'_>) -> Result<(), Exit> {
-    if S {
+fn done<const T: u8>(m: &mut Machine<'_>) -> Result<(), Exit> {
+    if T == SITE {
         let (a, f) = m.site_words;
         m.data[a] = m.regs[0];
         m.data[f] = u64::from(m.flags);
@@ -837,9 +977,42 @@ fn done<const S: bool>(m: &mut Machine<'_>) -> Result<(), Exit> {
     Ok(())
 }
 
-/// A no-op; with `S`, a site skip on its own (the site heads a trace).
-fn u_nop<const S: bool>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
-    done::<S>(m)
+/// [`done`] for a µop whose instruction wrote integer register `x`: a
+/// [`HOOK`] tail copies `x` into `r0`, a [`COPY`] tail into `y`.
+#[inline(always)]
+fn done_r<const T: u8>(m: &mut Machine<'_>, x: u8, y: u8) -> Result<(), Exit> {
+    if T & (HOOK | COPY) != 0 {
+        let v = m.regs[x as usize];
+        if T & HOOK != 0 {
+            m.regs[0] = v;
+        }
+        if T & COPY != 0 {
+            m.regs[y as usize] = v;
+        }
+    }
+    done::<T>(m)
+}
+
+/// [`done_r`] for a floating-point destination `x`, copied into `f0` or
+/// `y`.
+#[inline(always)]
+fn done_f<const T: u8>(m: &mut Machine<'_>, x: u8, y: u8) -> Result<(), Exit> {
+    if T & (HOOK | COPY) != 0 {
+        let v = m.fregs[x as usize];
+        if T & HOOK != 0 {
+            m.fregs[0] = v;
+        }
+        if T & COPY != 0 {
+            m.fregs[y as usize] = v;
+        }
+    }
+    done::<T>(m)
+}
+
+/// A no-op; with [`SITE`], a site skip on its own (the site heads a
+/// trace).
+fn u_nop<const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+    done::<T>(m)
 }
 
 fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
@@ -847,32 +1020,33 @@ fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
 }
 
 /// A `Jcc` guard: side-exit to the target (`imm`) when the condition holds.
-fn u_jcc<const C: usize, const S: bool>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+fn u_jcc<const C: usize, const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
     if CCS[C].eval(m.flags) {
         Err(Exit::Taken)
     } else {
-        done::<S>(m)
+        done::<T>(m)
     }
 }
 
-fn jcc_fn<const S: bool>(cc: Cc) -> UopFn {
+fn jcc_fn<const T: u8>(cc: Cc) -> UopFn {
     match cc {
-        Cc::E => u_jcc::<0, S>,
-        Cc::Ne => u_jcc::<1, S>,
-        Cc::Lt => u_jcc::<2, S>,
-        Cc::Le => u_jcc::<3, S>,
-        Cc::Gt => u_jcc::<4, S>,
-        Cc::Ge => u_jcc::<5, S>,
+        Cc::E => u_jcc::<0, T>,
+        Cc::Ne => u_jcc::<1, T>,
+        Cc::Lt => u_jcc::<2, T>,
+        Cc::Le => u_jcc::<3, T>,
+        Cc::Gt => u_jcc::<4, T>,
+        Cc::Ge => u_jcc::<5, T>,
     }
 }
 
 /// `selInstr` under a counting-only runtime: never inject.
-fn u_sel_instr<const S: bool>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+fn u_sel_instr<const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
     m.regs[0] = 0;
-    done::<S>(m)
+    done::<T>(m)
 }
 
-/// LLFI's integer hook plumbing ([`hook_copy`]): `r0 = x; y = r0`.
+/// LLFI's integer hook plumbing ([`hook_at`]) heading a trace:
+/// `r0 = x; y = r0`.
 fn u_copy(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let v = m.regs[u.b as usize];
     m.regs[0] = v;
@@ -888,24 +1062,27 @@ fn u_fcopy(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     Ok(())
 }
 
-fn u_mov_rr<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+// The one-instruction register writers below keep their destination in `a`
+// and a copying tail's `y` in the otherwise unused `d`.
+
+fn u_mov_rr<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = m.regs[u.b as usize];
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn u_mov_ri<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_mov_ri<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = u.imm;
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn u_fmov_rr<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fmov_rr<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.fregs[u.a as usize] = m.fregs[u.b as usize];
-    done::<S>(m)
+    done_f::<T>(m, u.a, u.d)
 }
 
-fn u_fmov_ri<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fmov_ri<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.fregs[u.a as usize] = u.imm;
-    done::<S>(m)
+    done_f::<T>(m, u.a, u.d)
 }
 
 const ALU_OPS: [AluOp; 11] = [
@@ -922,128 +1099,153 @@ const ALU_OPS: [AluOp; 11] = [
     AluOp::AShr,
 ];
 
-fn u_alu_rr<const OP: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_alu_rr<const OP: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let r = m.alu(ALU_OPS[OP], m.regs[u.b as usize] as i64, m.regs[u.c as usize] as i64)?;
     m.regs[u.a as usize] = r as u64;
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn u_alu_ri<const OP: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_alu_ri<const OP: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let r = m.alu(ALU_OPS[OP], m.regs[u.b as usize] as i64, u.imm as i64)?;
     m.regs[u.a as usize] = r as u64;
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn alu_rr_fn<const S: bool>(op: AluOp) -> UopFn {
+fn alu_rr_fn<const T: u8>(op: AluOp) -> UopFn {
     match op {
-        AluOp::Add => u_alu_rr::<0, S>,
-        AluOp::Sub => u_alu_rr::<1, S>,
-        AluOp::Mul => u_alu_rr::<2, S>,
-        AluOp::Div => u_alu_rr::<3, S>,
-        AluOp::Rem => u_alu_rr::<4, S>,
-        AluOp::And => u_alu_rr::<5, S>,
-        AluOp::Or => u_alu_rr::<6, S>,
-        AluOp::Xor => u_alu_rr::<7, S>,
-        AluOp::Shl => u_alu_rr::<8, S>,
-        AluOp::LShr => u_alu_rr::<9, S>,
-        AluOp::AShr => u_alu_rr::<10, S>,
+        AluOp::Add => u_alu_rr::<0, T>,
+        AluOp::Sub => u_alu_rr::<1, T>,
+        AluOp::Mul => u_alu_rr::<2, T>,
+        AluOp::Div => u_alu_rr::<3, T>,
+        AluOp::Rem => u_alu_rr::<4, T>,
+        AluOp::And => u_alu_rr::<5, T>,
+        AluOp::Or => u_alu_rr::<6, T>,
+        AluOp::Xor => u_alu_rr::<7, T>,
+        AluOp::Shl => u_alu_rr::<8, T>,
+        AluOp::LShr => u_alu_rr::<9, T>,
+        AluOp::AShr => u_alu_rr::<10, T>,
     }
 }
 
-fn alu_ri_fn<const S: bool>(op: AluOp) -> UopFn {
+fn alu_ri_fn<const T: u8>(op: AluOp) -> UopFn {
     match op {
-        AluOp::Add => u_alu_ri::<0, S>,
-        AluOp::Sub => u_alu_ri::<1, S>,
-        AluOp::Mul => u_alu_ri::<2, S>,
-        AluOp::Div => u_alu_ri::<3, S>,
-        AluOp::Rem => u_alu_ri::<4, S>,
-        AluOp::And => u_alu_ri::<5, S>,
-        AluOp::Or => u_alu_ri::<6, S>,
-        AluOp::Xor => u_alu_ri::<7, S>,
-        AluOp::Shl => u_alu_ri::<8, S>,
-        AluOp::LShr => u_alu_ri::<9, S>,
-        AluOp::AShr => u_alu_ri::<10, S>,
+        AluOp::Add => u_alu_ri::<0, T>,
+        AluOp::Sub => u_alu_ri::<1, T>,
+        AluOp::Mul => u_alu_ri::<2, T>,
+        AluOp::Div => u_alu_ri::<3, T>,
+        AluOp::Rem => u_alu_ri::<4, T>,
+        AluOp::And => u_alu_ri::<5, T>,
+        AluOp::Or => u_alu_ri::<6, T>,
+        AluOp::Xor => u_alu_ri::<7, T>,
+        AluOp::Shl => u_alu_ri::<8, T>,
+        AluOp::LShr => u_alu_ri::<9, T>,
+        AluOp::AShr => u_alu_ri::<10, T>,
     }
 }
 
-fn u_cmp<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_cmp<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.cmp_flags(m.regs[u.a as usize] as i64, m.regs[u.b as usize] as i64);
-    done::<S>(m)
+    done::<T>(m)
 }
 
-fn u_cmp_i<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_cmp_i<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.cmp_flags(m.regs[u.a as usize] as i64, u.imm as i64);
-    done::<S>(m)
+    done::<T>(m)
 }
 
 const CCS: [Cc; 6] = [Cc::E, Cc::Ne, Cc::Lt, Cc::Le, Cc::Gt, Cc::Ge];
 
-fn u_setcc<const C: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_setcc<const C: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = CCS[C].eval(m.flags) as u64;
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn setcc_fn<const S: bool>(cc: Cc) -> UopFn {
+fn setcc_fn<const T: u8>(cc: Cc) -> UopFn {
     match cc {
-        Cc::E => u_setcc::<0, S>,
-        Cc::Ne => u_setcc::<1, S>,
-        Cc::Lt => u_setcc::<2, S>,
-        Cc::Le => u_setcc::<3, S>,
-        Cc::Gt => u_setcc::<4, S>,
-        Cc::Ge => u_setcc::<5, S>,
+        Cc::E => u_setcc::<0, T>,
+        Cc::Ne => u_setcc::<1, T>,
+        Cc::Lt => u_setcc::<2, T>,
+        Cc::Le => u_setcc::<3, T>,
+        Cc::Gt => u_setcc::<4, T>,
+        Cc::Ge => u_setcc::<5, T>,
     }
 }
 
-fn u_falu<const OP: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let (a, b) = (m.f(u.b), m.f(u.c));
-    let r = match OP {
+/// The floating-point operation `OP` indexes in [`FAluOp`] order.
+#[inline(always)]
+fn falu<const OP: usize>(a: f64, b: f64) -> f64 {
+    match OP {
         0 => a + b,
         1 => a - b,
         2 => a * b,
         3 => a / b,
         4 => a.min(b),
         _ => a.max(b),
-    };
-    m.set_f(u.a, r);
-    done::<S>(m)
-}
-
-fn falu_fn<const S: bool>(op: FAluOp) -> UopFn {
-    match op {
-        FAluOp::Add => u_falu::<0, S>,
-        FAluOp::Sub => u_falu::<1, S>,
-        FAluOp::Mul => u_falu::<2, S>,
-        FAluOp::Div => u_falu::<3, S>,
-        FAluOp::Min => u_falu::<4, S>,
-        FAluOp::Max => u_falu::<5, S>,
     }
 }
 
-fn u_fcmp<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let (a, b) = (m.f(u.a), m.f(u.b));
-    m.fcmp_flags(a, b);
-    done::<S>(m)
+fn falu_index(op: FAluOp) -> usize {
+    match op {
+        FAluOp::Add => 0,
+        FAluOp::Sub => 1,
+        FAluOp::Mul => 2,
+        FAluOp::Div => 3,
+        FAluOp::Min => 4,
+        FAluOp::Max => 5,
+    }
 }
 
-fn u_cvt<const K: usize, const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_falu<const OP: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    let r = falu::<OP>(m.f(u.b), m.f(u.c));
+    m.set_f(u.a, r);
+    done_f::<T>(m, u.a, u.d)
+}
+
+fn falu_fn<const T: u8>(op: FAluOp) -> UopFn {
+    match falu_index(op) {
+        0 => u_falu::<0, T>,
+        1 => u_falu::<1, T>,
+        2 => u_falu::<2, T>,
+        3 => u_falu::<3, T>,
+        4 => u_falu::<4, T>,
+        _ => u_falu::<5, T>,
+    }
+}
+
+fn u_fcmp<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    let (a, b) = (m.f(u.a), m.f(u.b));
+    m.fcmp_flags(a, b);
+    done::<T>(m)
+}
+
+fn u_cvt<const K: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     match K {
         0 => {
             let v = m.regs[u.b as usize] as i64 as f64;
             m.set_f(u.a, v);
+            done_f::<T>(m, u.a, u.d)
         }
-        1 => m.regs[u.a as usize] = (m.f(u.b) as i64) as u64,
-        2 => m.fregs[u.a as usize] = m.regs[u.b as usize],
-        _ => m.regs[u.a as usize] = m.fregs[u.b as usize],
+        1 => {
+            m.regs[u.a as usize] = (m.f(u.b) as i64) as u64;
+            done_r::<T>(m, u.a, u.d)
+        }
+        2 => {
+            m.fregs[u.a as usize] = m.regs[u.b as usize];
+            done_f::<T>(m, u.a, u.d)
+        }
+        _ => {
+            m.regs[u.a as usize] = m.fregs[u.b as usize];
+            done_r::<T>(m, u.a, u.d)
+        }
     }
-    done::<S>(m)
 }
 
-fn cvt_fn<const S: bool>(kind: CvtKind) -> UopFn {
+fn cvt_fn<const T: u8>(kind: CvtKind) -> UopFn {
     match kind {
-        CvtKind::SiToF => u_cvt::<0, S>,
-        CvtKind::FToSi => u_cvt::<1, S>,
-        CvtKind::BitsToF => u_cvt::<2, S>,
-        CvtKind::FToBits => u_cvt::<3, S>,
+        CvtKind::SiToF => u_cvt::<0, T>,
+        CvtKind::FToSi => u_cvt::<1, T>,
+        CvtKind::BitsToF => u_cvt::<2, T>,
+        CvtKind::FToBits => u_cvt::<3, T>,
     }
 }
 
@@ -1061,87 +1263,264 @@ fn uop_addr<const BASE: bool, const INDEX: bool>(m: &Machine<'_>, u: &Uop) -> u6
     a
 }
 
-fn u_ld<const BASE: bool, const INDEX: bool, const S: bool>(
+// The memory register writers keep their destination in `d` and a copying
+// tail's `y` in the index byte `b`, or in the base byte `a` of an indexed
+// shape with no base ([`writer`] builds no copying tail for a shape with
+// both).
+
+fn u_ld<const BASE: bool, const INDEX: bool, const T: u8>(
     m: &mut Machine<'_>,
     u: &Uop,
 ) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
     m.regs[u.d as usize] = m.mem_read(a)?;
-    done::<S>(m)
+    done_r::<T>(m, u.d, if INDEX { u.a } else { u.b })
 }
 
-fn u_st<const BASE: bool, const INDEX: bool, const S: bool>(
+fn u_st<const BASE: bool, const INDEX: bool, const T: u8>(
     m: &mut Machine<'_>,
     u: &Uop,
 ) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
     m.mem_write(a, m.regs[u.d as usize])?;
-    done::<S>(m)
+    done::<T>(m)
 }
 
-fn u_fld<const BASE: bool, const INDEX: bool, const S: bool>(
+fn u_fld<const BASE: bool, const INDEX: bool, const T: u8>(
     m: &mut Machine<'_>,
     u: &Uop,
 ) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
     m.fregs[u.d as usize] = m.mem_read(a)?;
-    done::<S>(m)
+    done_f::<T>(m, u.d, if INDEX { u.a } else { u.b })
 }
 
-fn u_fst<const BASE: bool, const INDEX: bool, const S: bool>(
+fn u_fst<const BASE: bool, const INDEX: bool, const T: u8>(
     m: &mut Machine<'_>,
     u: &Uop,
 ) -> Result<(), Exit> {
     let a = uop_addr::<BASE, INDEX>(m, u);
     m.mem_write(a, m.fregs[u.d as usize])?;
-    done::<S>(m)
+    done::<T>(m)
 }
 
-fn u_lea<const BASE: bool, const INDEX: bool, const S: bool>(
+fn u_lea<const BASE: bool, const INDEX: bool, const T: u8>(
     m: &mut Machine<'_>,
     u: &Uop,
 ) -> Result<(), Exit> {
     m.regs[u.d as usize] = uop_addr::<BASE, INDEX>(m, u);
-    done::<S>(m)
+    done_r::<T>(m, u.d, if INDEX { u.a } else { u.b })
 }
 
-fn u_push<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_push<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.push(m.regs[u.a as usize])?;
-    done::<S>(m)
+    done::<T>(m)
 }
 
-fn u_pop<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_pop<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     let v = m.pop()?;
     m.regs[u.a as usize] = v;
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn u_rdflags<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_rdflags<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.regs[u.a as usize] = m.flags as u64;
-    done::<S>(m)
+    done_r::<T>(m, u.a, u.d)
 }
 
-fn u_wrflags<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_wrflags<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.flags = (m.regs[u.a as usize] & 0xf) as u8;
-    done::<S>(m)
+    done::<T>(m)
 }
 
-fn u_fxori<const S: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+fn u_fxori<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
     m.fregs[u.a as usize] ^= u.imm;
-    done::<S>(m)
+    done_f::<T>(m, u.a, u.d)
+}
+
+// --- pair µops: two instructions, the second at the µop's pc + 1 -----------
+
+/// A 32-bit half of a pair µop's packed `imm`, sign-extended: `HI` picks
+/// the high half.
+#[inline(always)]
+fn half<const HI: bool>(imm: u64) -> u64 {
+    let bits = if HI { imm >> 32 } else { imm };
+    i64::from(bits as u32 as i32) as u64
+}
+
+/// A compare (`K`: 0 `Cmp`, 1 `CmpI`, 2 `FCmp`) and the `Jcc` guard on
+/// condition `C` after it: `a`/`b` the compared registers, a `CmpI`
+/// immediate in the low half of `imm`, and the guard's target in the high
+/// half.
+fn u_cmp_jcc<const K: u8, const C: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    match K {
+        0 => m.cmp_flags(m.regs[u.a as usize] as i64, m.regs[u.b as usize] as i64),
+        1 => m.cmp_flags(m.regs[u.a as usize] as i64, half::<false>(u.imm) as i64),
+        _ => {
+            let (a, b) = (m.f(u.a), m.f(u.b));
+            m.fcmp_flags(a, b);
+        }
+    }
+    if CCS[C].eval(m.flags) {
+        Err(Exit::TakenSecond)
+    } else {
+        Ok(())
+    }
+}
+
+fn cmp_jcc_fn<const K: u8>(cc: Cc) -> UopFn {
+    match cc {
+        Cc::E => u_cmp_jcc::<K, 0>,
+        Cc::Ne => u_cmp_jcc::<K, 1>,
+        Cc::Lt => u_cmp_jcc::<K, 2>,
+        Cc::Le => u_cmp_jcc::<K, 3>,
+        Cc::Gt => u_cmp_jcc::<K, 4>,
+        Cc::Ge => u_cmp_jcc::<K, 5>,
+    }
+}
+
+/// The memory access kinds of [`u_mem_pair`]: `Ld`, `St`, `FLd`, `FSt`.
+const LD: u8 = 0;
+const ST: u8 = 1;
+const FLD: u8 = 2;
+const FST: u8 = 3;
+
+/// One unindexed memory access of kind `K` at `addr`, with data register
+/// `r`.
+#[inline(always)]
+fn mem_access<const K: u8>(m: &mut Machine<'_>, addr: u64, r: u8) -> Result<(), Trap> {
+    match K {
+        LD => m.regs[r as usize] = m.mem_read(addr)?,
+        ST => m.mem_write(addr, m.regs[r as usize])?,
+        FLD => m.fregs[r as usize] = m.mem_read(addr)?,
+        _ => m.mem_write(addr, m.fregs[r as usize])?,
+    }
+    Ok(())
+}
+
+/// Two unindexed loads or stores of kinds `K1` and `K2`: `a`/`b` their
+/// bases (used when `B1`/`B2`), `c`/`d` their data registers, and their
+/// displacements in the low and high halves of `imm`.
+fn u_mem_pair<const K1: u8, const B1: bool, const K2: u8, const B2: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
+    let mut addr = half::<false>(u.imm);
+    if B1 {
+        addr = addr.wrapping_add(m.regs[u.a as usize]);
+    }
+    mem_access::<K1>(m, addr, u.c)?;
+    let mut addr = half::<true>(u.imm);
+    if B2 {
+        addr = addr.wrapping_add(m.regs[u.b as usize]);
+    }
+    mem_access::<K2>(m, addr, u.d).map_err(Exit::memory_second)
+}
+
+fn mem_pair_second<const K1: u8, const B1: bool>(k2: u8, b2: bool) -> UopFn {
+    match (k2, b2) {
+        (LD, false) => u_mem_pair::<K1, B1, LD, false>,
+        (LD, true) => u_mem_pair::<K1, B1, LD, true>,
+        (ST, false) => u_mem_pair::<K1, B1, ST, false>,
+        (ST, true) => u_mem_pair::<K1, B1, ST, true>,
+        (FLD, false) => u_mem_pair::<K1, B1, FLD, false>,
+        (FLD, true) => u_mem_pair::<K1, B1, FLD, true>,
+        (_, false) => u_mem_pair::<K1, B1, FST, false>,
+        (_, true) => u_mem_pair::<K1, B1, FST, true>,
+    }
+}
+
+fn mem_pair_fn((k1, b1): (u8, bool), (k2, b2): (u8, bool)) -> UopFn {
+    match (k1, b1) {
+        (LD, false) => mem_pair_second::<LD, false>(k2, b2),
+        (LD, true) => mem_pair_second::<LD, true>(k2, b2),
+        (ST, false) => mem_pair_second::<ST, false>(k2, b2),
+        (ST, true) => mem_pair_second::<ST, true>(k2, b2),
+        (FLD, false) => mem_pair_second::<FLD, false>(k2, b2),
+        (FLD, true) => mem_pair_second::<FLD, true>(k2, b2),
+        (_, false) => mem_pair_second::<FST, false>(k2, b2),
+        (_, true) => mem_pair_second::<FST, true>(k2, b2),
+    }
+}
+
+/// An unindexed memory access with a 32-bit displacement, as a
+/// [`u_mem_pair`] half: its kind, whether it has a base, the base, the data
+/// register and the displacement.
+fn mem_half(i: &MInstr) -> Option<((u8, bool), u8, u8, i64)> {
+    let (kind, r, mem) = match *i {
+        MInstr::Ld { rd, mem } => (LD, rd, mem),
+        MInstr::St { rs, mem } => (ST, rs, mem),
+        MInstr::FLd { fd, mem } => (FLD, fd, mem),
+        MInstr::FSt { fs, mem } => (FST, fs, mem),
+        _ => return None,
+    };
+    let fits = mem.index.is_none() && i32::try_from(mem.disp).is_ok();
+    fits.then_some(((kind, mem.base.is_some()), mem.base.unwrap_or(0), r, mem.disp))
+}
+
+/// Two register moves (`F1`/`F2`: floating-point): `a = b`, then `c = d`.
+fn u_mov_pair<const F1: bool, const F2: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    if F1 {
+        m.fregs[u.a as usize] = m.fregs[u.b as usize];
+    } else {
+        m.regs[u.a as usize] = m.regs[u.b as usize];
+    }
+    if F2 {
+        m.fregs[u.c as usize] = m.fregs[u.d as usize];
+    } else {
+        m.regs[u.c as usize] = m.regs[u.d as usize];
+    }
+    Ok(())
+}
+
+/// A register move as a [`u_mov_pair`] half: floating-point, destination,
+/// source.
+fn mov_half(i: &MInstr) -> Option<(bool, u8, u8)> {
+    match *i {
+        MInstr::MovRR { rd, ra } => Some((false, rd, ra)),
+        MInstr::FMovRR { fd, fa } => Some((true, fd, fa)),
+        _ => None,
+    }
+}
+
+/// An unindexed `FLd f` (`a` base when `BASE`, `d` = `f`, `imm` the
+/// displacement) and the `FAlu` (`OP`) after it that reads `f` as its left
+/// operand when `L`, else its right: `b` its destination, `c` its other
+/// operand.
+fn u_fld_falu<const BASE: bool, const OP: usize, const L: bool>(
+    m: &mut Machine<'_>,
+    u: &Uop,
+) -> Result<(), Exit> {
+    let a = uop_addr::<BASE, false>(m, u);
+    m.fregs[u.d as usize] = m.mem_read(a)?;
+    let (f, other) = (m.f(u.d), m.f(u.c));
+    let r = if L { falu::<OP>(f, other) } else { falu::<OP>(other, f) };
+    m.set_f(u.b, r);
+    Ok(())
+}
+
+fn fld_falu_fn<const BASE: bool, const L: bool>(op: FAluOp) -> UopFn {
+    match falu_index(op) {
+        0 => u_fld_falu::<BASE, 0, L>,
+        1 => u_fld_falu::<BASE, 1, L>,
+        2 => u_fld_falu::<BASE, 2, L>,
+        3 => u_fld_falu::<BASE, 3, L>,
+        4 => u_fld_falu::<BASE, 4, L>,
+        _ => u_fld_falu::<BASE, 5, L>,
+    }
 }
 
 /// Select the memory-shape instantiation of a base/index const-generic
 /// handler for `$mem` and build its µop (a = base, b = index, c = scale,
 /// d = data register, imm = displacement).
 macro_rules! mem_uop {
-    ($f:ident, $s:ident, $mem:expr, $data:expr) => {{
+    ($f:ident, $t:ident, $mem:expr, $data:expr) => {{
         let mem: &Mem = $mem;
         let exec: UopFn = match (mem.base.is_some(), mem.index.is_some()) {
-            (false, false) => $f::<false, false, $s>,
-            (true, false) => $f::<true, false, $s>,
-            (false, true) => $f::<false, true, $s>,
-            (true, true) => $f::<true, true, $s>,
+            (false, false) => $f::<false, false, $t>,
+            (true, false) => $f::<true, false, $t>,
+            (false, true) => $f::<false, true, $t>,
+            (true, true) => $f::<true, true, $t>,
         };
         let (ix, scale) = mem.index.unwrap_or((0, 0));
         Uop {
@@ -1160,44 +1539,156 @@ fn simple(exec: UopFn, a: u8, b: u8, c: u8, imm: u64) -> Uop {
     Uop { exec, imm, next: 0, a, b, c, d: 0 }
 }
 
+/// A register an instruction writes: floating-point when the flag is set.
+type Dest = (bool, u8);
+
+/// The µop of an instruction that writes one register, and that register:
+/// with tail `T` (any of the four), the variant that also runs the tail,
+/// `y` being a [`COPY`] or [`HOOK_COPY`] tail's copy destination. `None`
+/// for any other instruction, and for a memory writer with both a base and
+/// an index under a copying tail, which has no byte left for `y`.
+fn writer<const T: u8>(instr: &MInstr, y: u8) -> Option<(Uop, Dest)> {
+    let with_y = |u: Uop, dest: Dest| Some((Uop { d: y, ..u }, dest));
+    let mem_with_y = |u: Uop, mem: &Mem, dest: Dest| {
+        if T & COPY == 0 {
+            Some((u, dest))
+        } else if mem.index.is_none() {
+            Some((Uop { b: y, ..u }, dest))
+        } else if mem.base.is_none() {
+            Some((Uop { a: y, ..u }, dest))
+        } else {
+            None
+        }
+    };
+    match *instr {
+        MInstr::MovRR { rd, ra } => with_y(simple(u_mov_rr::<T>, rd, ra, 0, 0), (false, rd)),
+        MInstr::MovRI { rd, imm } => {
+            with_y(simple(u_mov_ri::<T>, rd, 0, 0, imm as u64), (false, rd))
+        }
+        MInstr::FMovRR { fd, fa } => with_y(simple(u_fmov_rr::<T>, fd, fa, 0, 0), (true, fd)),
+        MInstr::FMovRI { fd, imm } => with_y(simple(u_fmov_ri::<T>, fd, 0, 0, imm), (true, fd)),
+        MInstr::Alu { op, rd, ra, rb } => {
+            with_y(simple(alu_rr_fn::<T>(op), rd, ra, rb, 0), (false, rd))
+        }
+        MInstr::AluI { op, rd, ra, imm } => {
+            with_y(simple(alu_ri_fn::<T>(op), rd, ra, 0, imm as u64), (false, rd))
+        }
+        MInstr::SetCc { cc, rd } => with_y(simple(setcc_fn::<T>(cc), rd, 0, 0, 0), (false, rd)),
+        MInstr::FAlu { op, fd, fa, fb } => {
+            with_y(simple(falu_fn::<T>(op), fd, fa, fb, 0), (true, fd))
+        }
+        MInstr::Cvt { kind, dst, src } => {
+            let float = matches!(kind, CvtKind::SiToF | CvtKind::BitsToF);
+            with_y(simple(cvt_fn::<T>(kind), dst, src, 0, 0), (float, dst))
+        }
+        MInstr::Pop { rd } => with_y(simple(u_pop::<T>, rd, 0, 0, 0), (false, rd)),
+        MInstr::RdFlags { rd } => with_y(simple(u_rdflags::<T>, rd, 0, 0, 0), (false, rd)),
+        MInstr::FXorI { fd, imm } => with_y(simple(u_fxori::<T>, fd, 0, 0, imm), (true, fd)),
+        MInstr::Ld { rd, ref mem } => mem_with_y(mem_uop!(u_ld, T, mem, rd), mem, (false, rd)),
+        MInstr::FLd { fd, ref mem } => mem_with_y(mem_uop!(u_fld, T, mem, fd), mem, (true, fd)),
+        MInstr::Lea { rd, ref mem } => mem_with_y(mem_uop!(u_lea, T, mem, rd), mem, (false, rd)),
+        _ => None,
+    }
+}
+
 /// Lower one instruction to its µop (its `next` is linked when the traces
-/// are built); with `S`, the variant that also absorbs the REFINE site skip
-/// after it. A forward `Jmp` and the LLFI hooks are no-ops in a trace;
+/// are built); with [`SITE`], the variant that also absorbs the REFINE site
+/// skip after it. A forward `Jmp` and the LLFI hooks are no-ops in a trace;
 /// terminators get a placeholder that is never dispatched (their
 /// `fused_len` is always 0).
-fn lower<const S: bool>(instr: &MInstr) -> Uop {
+fn lower<const T: u8>(instr: &MInstr) -> Uop {
+    if let Some((u, _)) = writer::<T>(instr, 0) {
+        return u;
+    }
     match *instr {
         MInstr::Nop
         | MInstr::Jmp { .. }
         | MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. } => {
-            simple(u_nop::<S>, 0, 0, 0, 0)
+            simple(u_nop::<T>, 0, 0, 0, 0)
         }
-        MInstr::MovRR { rd, ra } => simple(u_mov_rr::<S>, rd, ra, 0, 0),
-        MInstr::MovRI { rd, imm } => simple(u_mov_ri::<S>, rd, 0, 0, imm as u64),
-        MInstr::FMovRR { fd, fa } => simple(u_fmov_rr::<S>, fd, fa, 0, 0),
-        MInstr::FMovRI { fd, imm } => simple(u_fmov_ri::<S>, fd, 0, 0, imm),
-        MInstr::Alu { op, rd, ra, rb } => simple(alu_rr_fn::<S>(op), rd, ra, rb, 0),
-        MInstr::AluI { op, rd, ra, imm } => simple(alu_ri_fn::<S>(op), rd, ra, 0, imm as u64),
-        MInstr::Cmp { ra, rb } => simple(u_cmp::<S>, ra, rb, 0, 0),
-        MInstr::CmpI { ra, imm } => simple(u_cmp_i::<S>, ra, 0, 0, imm as u64),
-        MInstr::SetCc { cc, rd } => simple(setcc_fn::<S>(cc), rd, 0, 0, 0),
-        MInstr::FAlu { op, fd, fa, fb } => simple(falu_fn::<S>(op), fd, fa, fb, 0),
-        MInstr::FCmp { fa, fb } => simple(u_fcmp::<S>, fa, fb, 0, 0),
-        MInstr::Cvt { kind, dst, src } => simple(cvt_fn::<S>(kind), dst, src, 0, 0),
-        MInstr::Ld { rd, ref mem } => mem_uop!(u_ld, S, mem, rd),
-        MInstr::St { rs, ref mem } => mem_uop!(u_st, S, mem, rs),
-        MInstr::FLd { fd, ref mem } => mem_uop!(u_fld, S, mem, fd),
-        MInstr::FSt { fs, ref mem } => mem_uop!(u_fst, S, mem, fs),
-        MInstr::Push { rs } => simple(u_push::<S>, rs, 0, 0, 0),
-        MInstr::Pop { rd } => simple(u_pop::<S>, rd, 0, 0, 0),
-        MInstr::RdFlags { rd } => simple(u_rdflags::<S>, rd, 0, 0, 0),
-        MInstr::WrFlags { rs } => simple(u_wrflags::<S>, rs, 0, 0, 0),
-        MInstr::FXorI { fd, imm } => simple(u_fxori::<S>, fd, 0, 0, imm),
-        MInstr::Lea { rd, ref mem } => mem_uop!(u_lea, S, mem, rd),
-        MInstr::Jcc { cc, target } => simple(jcc_fn::<S>(cc), 0, 0, 0, u64::from(target)),
-        MInstr::CallRt { func: RtFunc::FiSelInstr, .. } => simple(u_sel_instr::<S>, 0, 0, 0, 0),
+        MInstr::Cmp { ra, rb } => simple(u_cmp::<T>, ra, rb, 0, 0),
+        MInstr::CmpI { ra, imm } => simple(u_cmp_i::<T>, ra, 0, 0, imm as u64),
+        MInstr::FCmp { fa, fb } => simple(u_fcmp::<T>, fa, fb, 0, 0),
+        MInstr::St { rs, ref mem } => mem_uop!(u_st, T, mem, rs),
+        MInstr::FSt { fs, ref mem } => mem_uop!(u_fst, T, mem, fs),
+        MInstr::Push { rs } => simple(u_push::<T>, rs, 0, 0, 0),
+        MInstr::WrFlags { rs } => simple(u_wrflags::<T>, rs, 0, 0, 0),
+        MInstr::Jcc { cc, target } => simple(jcc_fn::<T>(cc), 0, 0, 0, u64::from(target)),
+        MInstr::CallRt { func: RtFunc::FiSelInstr, .. } => simple(u_sel_instr::<T>, 0, 0, 0, 0),
         MInstr::Call { .. } | MInstr::Ret | MInstr::CallRt { .. } | MInstr::Halt => {
             simple(u_term, 0, 0, 0, 0)
+        }
+        _ => unreachable!("{instr:?} writes one register: lowered by `writer`"),
+    }
+}
+
+/// The µop for `first` absorbing the LLFI hook plumbing `hook` after it:
+/// only where `first` writes the register the hook takes.
+fn absorb_hook(first: &MInstr, hook: Hook) -> Option<Uop> {
+    let (u, dest) = match hook.copy {
+        Some(y) => writer::<HOOK_COPY>(first, y)?,
+        None => writer::<HOOK>(first, 0)?,
+    };
+    (dest == (hook.float, hook.x)).then_some(u)
+}
+
+/// The µop for `first` absorbing the register move `second` after it on
+/// the trace as a [`COPY`] tail: only where the move copies the register
+/// `first` wrote. LLFI's hook plumbing ends this way where the instruction
+/// before the hook wrote the value into `r0` itself (`injectFault; mov y
+/// <- r0`).
+fn absorb_copy(first: &MInstr, second: &MInstr) -> Option<Uop> {
+    let (float, y, x) = mov_half(second)?;
+    let (u, dest) = writer::<COPY>(first, y)?;
+    (dest == (float, x)).then_some(u)
+}
+
+/// The pair µop running `first` and then `second`, the instruction after it
+/// on the trace, where one is built for the two: a compare and the `Jcc`
+/// after it, an unindexed `FLd f` and an `FAlu` reading `f`, two unindexed
+/// `Ld`/`St`/`FLd`/`FSt`, or two `MovRR`/`FMovRR`. Only where both fit one
+/// µop: a `CmpI` immediate, and both memory displacements, in 32 bits.
+fn pair(first: &MInstr, second: &MInstr) -> Option<Uop> {
+    let fits = |v: i64| i32::try_from(v).is_ok();
+    let pack = |lo: i64, hi: u64| u64::from(lo as u32) | hi << 32;
+    match (*first, *second) {
+        (MInstr::Cmp { ra, rb }, MInstr::Jcc { cc, target }) => {
+            Some(simple(cmp_jcc_fn::<0>(cc), ra, rb, 0, pack(0, u64::from(target))))
+        }
+        (MInstr::CmpI { ra, imm }, MInstr::Jcc { cc, target }) if fits(imm) => {
+            Some(simple(cmp_jcc_fn::<1>(cc), ra, 0, 0, pack(imm, u64::from(target))))
+        }
+        (MInstr::FCmp { fa, fb }, MInstr::Jcc { cc, target }) => {
+            Some(simple(cmp_jcc_fn::<2>(cc), fa, fb, 0, pack(0, u64::from(target))))
+        }
+        (MInstr::FLd { fd: f, mem }, MInstr::FAlu { op, fd, fa, fb })
+            if mem.index.is_none() && (fa == f || fb == f) =>
+        {
+            let (left, other) = if fa == f { (true, fb) } else { (false, fa) };
+            let exec = match (mem.base.is_some(), left) {
+                (false, false) => fld_falu_fn::<false, false>(op),
+                (true, false) => fld_falu_fn::<true, false>(op),
+                (false, true) => fld_falu_fn::<false, true>(op),
+                (true, true) => fld_falu_fn::<true, true>(op),
+            };
+            let u = simple(exec, mem.base.unwrap_or(0), fd, other, mem.disp as u64);
+            Some(Uop { d: f, ..u })
+        }
+        _ => {
+            if let (Some((k1, b1, r1, d1)), Some((k2, b2, r2, d2))) =
+                (mem_half(first), mem_half(second))
+            {
+                let u = simple(mem_pair_fn(k1, k2), b1, b2, r1, pack(d1, d2 as u32 as u64));
+                return Some(Uop { d: r2, ..u });
+            }
+            let ((f1, a, b), (f2, c, d)) = (mov_half(first)?, mov_half(second)?);
+            let exec: UopFn = match (f1, f2) {
+                (false, false) => u_mov_pair::<false, false>,
+                (false, true) => u_mov_pair::<false, true>,
+                (true, false) => u_mov_pair::<true, false>,
+                (true, true) => u_mov_pair::<true, true>,
+            };
+            Some(Uop { d, ..simple(exec, a, b, c, 0) })
         }
     }
 }
@@ -1370,10 +1861,11 @@ mod tests {
     }
 
     /// Architectural state both loops must agree on.
-    type State = (u32, u64, u64, [u64; 16], u8, Vec<u64>, Vec<u64>);
+    type State = (u32, u64, u64, [u64; 16], [u64; 16], u8, Vec<u64>, Vec<u64>);
 
     fn state(m: &Machine<'_>) -> State {
-        (m.pc, m.cycles, m.instrs_retired, m.regs, m.flags, m.data.clone(), m.stack.clone())
+        let (data, stack) = (m.data.clone(), m.stack.clone());
+        (m.pc, m.cycles, m.instrs_retired, m.regs, m.fregs, m.flags, data, stack)
     }
 
     /// Run `b` fused until `stop` events (or the end) and exactly until
@@ -1635,6 +2127,262 @@ mod tests {
         assert_eq!(out, Some(RunOutcome::Trap(Trap::Segfault(8))));
         assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs), (1, 3));
         assert_eq!(exact_data(&b)[..2], [0, 0]);
+    }
+
+    const INJECT_I: MInstr = MInstr::CallRt { func: RtFunc::LlfiInjectI, imm: 0 };
+    const INJECT_F: MInstr = MInstr::CallRt { func: RtFunc::LlfiInjectF, imm: 0 };
+
+    /// Run `b` fused and exactly from the same state, `pc` and register
+    /// `(r, value)` set first, to the end; assert the whole state agrees and
+    /// return the fused loop's (outcome, stats).
+    fn from_pc_vs_exact(
+        b: &Binary,
+        pc: u32,
+        (r, value): (u8, u64),
+    ) -> (Option<RunOutcome>, TrialFastStats) {
+        let sb = SuperblockProgram::new(b);
+        let cfg = RunConfig::default();
+        let max = cfg.max_cycles;
+        let (mut fused, mut exact) = (Machine::new(b, &cfg), Machine::new(b, &cfg));
+        for m in [&mut fused, &mut exact] {
+            (m.pc, m.regs[r as usize]) = (pc, value);
+        }
+        let mut stats = TrialFastStats::default();
+        let out = fused.run_sb(&sb, &mut 0, 0, u64::MAX, None, max, &mut stats);
+        assert_eq!(out, exact.run_exact_until_fired(max, &mut NoFi, None), "from pc {pc}");
+        assert_eq!(state(&fused), state(&exact), "from pc {pc}");
+        (out, stats)
+    }
+
+    /// `r3 = 1 / r2`, LLFI's hook plumbing on `r3` into `r4`, then `r0 =
+    /// r4 - 1`: exits 0 when `r2` is 1, traps when it is 0.
+    fn hooked_divide(r2: i64) -> Binary {
+        bin(vec![
+            MInstr::MovRI { rd: 1, imm: 1 },
+            MInstr::MovRI { rd: 2, imm: r2 },
+            MInstr::Alu { op: AluOp::Div, rd: 3, ra: 1, rb: 2 },
+            MInstr::MovRR { rd: 0, ra: 3 },
+            INJECT_I,
+            MInstr::MovRR { rd: 4, ra: 0 },
+            MInstr::AluI { op: AluOp::Sub, rd: 0, ra: 4, imm: 1 },
+            MInstr::Halt,
+        ])
+    }
+
+    #[test]
+    fn producer_absorbs_the_hook_copy_after_it() {
+        let b = hooked_divide(1);
+        let sb = SuperblockProgram::new(&b);
+        // The divide runs the copy; the copy's own µop serves a trace
+        // headed on it.
+        assert_eq!((sb.dispatch(2), sb.dispatch(3)), (Some((4, 6)), Some((3, 6))));
+        let (out, count, stats) = fused_vs_exact(&b, u64::MAX);
+        assert_eq!((out, count), (Some(RunOutcome::Exit(0)), 1));
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs, stats.sb_uops), (1, 7, 4));
+        fused_vs_exact(&b, 1);
+    }
+
+    #[test]
+    fn divide_by_zero_traps_before_its_absorbed_hook() {
+        let b = hooked_divide(0);
+        let (out, count, stats) = fused_vs_exact(&b, u64::MAX);
+        assert_eq!(out, Some(RunOutcome::Trap(Trap::DivFault)));
+        // The divide is charged, not retired; the hook is never fetched.
+        assert_eq!(count, 0);
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs, stats.sb_uops), (1, 2, 3));
+    }
+
+    #[test]
+    fn trace_started_on_absorbed_plumbing_matches_exact() {
+        let b = hooked_divide(1);
+        // Each pc of the plumbing heads a trace of its own: after a fire
+        // window the run resumes past the hook, on the `mov y <- r0`. The
+        // value the plumbing carries is 1, in `r3` or (past the `mov`) `r0`.
+        for pc in 3..=5 {
+            let (out, stats) = from_pc_vs_exact(&b, pc, (if pc == 3 { 3 } else { 0 }, 1));
+            assert_eq!(out, Some(RunOutcome::Exit(0)), "pc {pc}");
+            assert_eq!(stats.sb_dispatches, 1, "pc {pc}");
+        }
+        // The fused prefix stops on the hook, exactly as the exact loop.
+        let (out, count, _) = fused_vs_exact(&b, 1);
+        assert_eq!((out, count), (None, 1));
+    }
+
+    #[test]
+    fn hook_without_copy_and_r0_writer_are_absorbed() {
+        // `ld r3; mov r0 <- r3; hook; st r0` and `lea r0; hook; mov r5 <- r0`
+        // (integer) and `fld f2; fmov f0 <- f2; hook; fmov f4 <- f0`.
+        let b = Binary {
+            data: vec![40, 0, 0, 0, 0, 0, 0, 0],
+            ..bin(vec![
+                MInstr::Ld { rd: 3, mem: Mem::abs(GLOBAL_BASE as i64) },
+                MInstr::MovRR { rd: 0, ra: 3 },
+                INJECT_I,
+                MInstr::St { rs: 0, mem: Mem::abs(GLOBAL_BASE as i64 + 8) },
+                MInstr::Lea { rd: 0, mem: Mem { base: None, index: Some((3, 8)), disp: 2 } },
+                INJECT_I,
+                MInstr::MovRR { rd: 5, ra: 0 },
+                MInstr::FLd { fd: 2, mem: Mem::abs(GLOBAL_BASE as i64) },
+                MInstr::FMovRR { fd: 0, fa: 2 },
+                INJECT_F,
+                MInstr::FMovRR { fd: 4, fa: 0 },
+                MInstr::Cvt { kind: CvtKind::FToBits, dst: 6, src: 4 },
+                MInstr::Alu { op: AluOp::Sub, rd: 0, ra: 5, rb: 6 },
+                MInstr::AluI { op: AluOp::Sub, rd: 0, ra: 0, imm: 322 - 40 },
+                MInstr::Halt,
+            ])
+        };
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.dispatch(0), Some((3, 3)), "ld absorbs `mov r0; hook`");
+        assert_eq!(sb.dispatch(4), Some((3, 7)), "lea absorbs `hook; mov r5 <- r0`");
+        assert_eq!(sb.dispatch(7), Some((4, 11)), "fld absorbs the copy");
+        let (out, count, stats) = fused_vs_exact(&b, u64::MAX);
+        assert_eq!((out, count), (Some(RunOutcome::Exit(0)), 3));
+        assert_eq!(stats.sb_uops, 7);
+        for stop in 1..=3 {
+            fused_vs_exact(&b, stop);
+        }
+    }
+
+    #[test]
+    fn compare_and_guard_pairs_take_or_fall_through_exactly() {
+        let wide = 1 << 40;
+        // (compare, r1, taken): each compare against `r2 = 5` or `f1 = 5.0`.
+        let cases = [
+            (MInstr::Cmp { ra: 1, rb: 2 }, 5, true),
+            (MInstr::Cmp { ra: 1, rb: 2 }, 6, false),
+            (MInstr::CmpI { ra: 1, imm: 5 }, 5, true),
+            (MInstr::CmpI { ra: 1, imm: -5 }, 5, false),
+            (MInstr::CmpI { ra: 1, imm: wide }, wide as u64, true),
+            (MInstr::FCmp { fa: 1, fb: 2 }, 5, true),
+            (MInstr::FCmp { fa: 1, fb: 2 }, 6, false),
+        ];
+        for (cmp, r1, taken) in cases {
+            let b = bin(vec![
+                MInstr::MovRI { rd: 2, imm: 5 },
+                MInstr::Cvt { kind: CvtKind::SiToF, dst: 1, src: 1 },
+                MInstr::Cvt { kind: CvtKind::SiToF, dst: 2, src: 2 },
+                cmp,
+                MInstr::Jcc { cc: Cc::E, target: 7 },
+                MInstr::MovRI { rd: 0, imm: 1 },
+                MInstr::Halt,
+                MInstr::MovRI { rd: 0, imm: 2 },
+                MInstr::Halt,
+            ]);
+            let sb = SuperblockProgram::new(&b);
+            let paired = !matches!(cmp, MInstr::CmpI { imm, .. } if imm == wide);
+            let covers = if paired { 2 } else { 1 };
+            assert_eq!(sb.dispatch(3), Some((covers, 3 + covers as usize)), "{cmp:?}");
+            let (out, stats) = from_pc_vs_exact(&b, 0, (1, r1));
+            let exit = if taken { 2 } else { 1 };
+            assert_eq!(out, Some(RunOutcome::Exit(exit)), "{cmp:?} r1 = {r1}");
+            // The taken guard retires and side-exits: one more dispatch.
+            let uops = 6 - u64::from(paired);
+            assert_eq!((stats.sb_dispatches, stats.sb_uops), (1 + u64::from(taken), uops));
+        }
+    }
+
+    /// `r2 = [r1]` into `[r3]` (a `Ld`/`St` pair) with `r1` set by the
+    /// caller and `r3` pointing at data word 1, or at address 8 when
+    /// `bad_store`; then `f3 = [r1 + 8] * f2` and `f4 = f2 - [r1 + 8]` (two
+    /// `FLd`/`FAlu` pairs). Exits 0, having copied data word 0 into word 1.
+    fn load_pairs(bad_store: bool) -> Binary {
+        let store_to = if bad_store { 8 } else { GLOBAL_BASE as i64 + 8 };
+        let text = vec![
+            MInstr::MovRI { rd: 3, imm: store_to },
+            MInstr::FMovRI { fd: 2, imm: 2.0f64.to_bits() },
+            MInstr::Ld { rd: 2, mem: Mem::base_disp(1, 0) },
+            MInstr::St { rs: 2, mem: Mem::base_disp(3, 0) },
+            MInstr::FLd { fd: 1, mem: Mem::base_disp(1, 16) },
+            MInstr::FAlu { op: FAluOp::Mul, fd: 3, fa: 1, fb: 2 },
+            MInstr::FLd { fd: 1, mem: Mem::abs(GLOBAL_BASE as i64 + 16) },
+            MInstr::FAlu { op: FAluOp::Sub, fd: 4, fa: 2, fb: 1 },
+            MInstr::FAlu { op: FAluOp::Add, fd: 5, fa: 3, fb: 4 },
+            MInstr::Cvt { kind: CvtKind::FToSi, dst: 0, src: 5 },
+            MInstr::AluI { op: AluOp::Sub, rd: 0, ra: 0, imm: 5 },
+            MInstr::Halt,
+        ];
+        Binary { data: vec![7, 0, 3.0f64.to_bits(), 0, 0, 0, 0, 0], ..bin(text) }
+    }
+
+    #[test]
+    fn load_store_and_load_alu_pairs_match_exact() {
+        let b = load_pairs(false);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(
+            (sb.dispatch(2), sb.dispatch(4), sb.dispatch(6)),
+            (Some((2, 4)), Some((2, 6)), Some((2, 8)))
+        );
+        let (out, stats) = from_pc_vs_exact(&b, 0, (1, GLOBAL_BASE));
+        assert_eq!(out, Some(RunOutcome::Exit(0)));
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs, stats.sb_uops), (1, 11, 8));
+        // The first half traps: nothing retires from the pair.
+        let (out, stats) = from_pc_vs_exact(&b, 0, (1, 8));
+        assert_eq!(out, Some(RunOutcome::Trap(Trap::Segfault(8))));
+        assert_eq!((stats.sb_fused_instrs, stats.sb_uops), (2, 3));
+    }
+
+    #[test]
+    fn store_of_a_pair_traps_after_its_load_wrote_the_register() {
+        let b = load_pairs(true);
+        let (out, stats) = from_pc_vs_exact(&b, 0, (1, GLOBAL_BASE));
+        assert_eq!(out, Some(RunOutcome::Trap(Trap::Segfault(8))));
+        // The load retired (`r2` holds 7, checked against the exact state);
+        // the store is charged, not retired, and `pc` is left on it.
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs, stats.sb_uops), (1, 3, 3));
+    }
+
+    /// Register moves and unindexed memory accesses of both register files
+    /// in pairs (pcs 4, 7, 9, 11 and 13), the second of each reading what
+    /// the first wrote; the stores go to data words 0, 1 and 2, the
+    /// second through `r3 + 8`. Exits 0 when `r3` is the data segment.
+    fn move_and_memory_pairs(r3: i64) -> Binary {
+        let abs = |w: usize| Mem::abs(data_addr(w) as i64);
+        let add = |rb| MInstr::Alu { op: AluOp::Add, rd: 0, ra: 0, rb };
+        bin(vec![
+            MInstr::MovRI { rd: 1, imm: 5 },
+            MInstr::MovRI { rd: 2, imm: 9 },
+            MInstr::MovRI { rd: 3, imm: r3 },
+            MInstr::MovRR { rd: 4, ra: 1 },
+            MInstr::MovRR { rd: 1, ra: 2 },
+            MInstr::MovRR { rd: 2, ra: 4 },
+            MInstr::Cvt { kind: CvtKind::BitsToF, dst: 1, src: 1 },
+            MInstr::FMovRR { fd: 2, fa: 1 },
+            MInstr::MovRR { rd: 5, ra: 2 },
+            MInstr::St { rs: 1, mem: abs(0) },
+            MInstr::St { rs: 2, mem: Mem::base_disp(3, 8) },
+            MInstr::FSt { fs: 2, mem: abs(2) },
+            MInstr::Ld { rd: 6, mem: Mem::base_disp(3, 8) },
+            MInstr::FLd { fd: 3, mem: abs(0) },
+            MInstr::Ld { rd: 7, mem: abs(2) },
+            MInstr::Cvt { kind: CvtKind::FToBits, dst: 0, src: 3 },
+            add(1),
+            add(2),
+            add(5),
+            add(6),
+            add(7),
+            MInstr::AluI { op: AluOp::Sub, rd: 0, ra: 0, imm: 9 + 9 + 5 + 5 + 5 + 9 },
+            MInstr::Halt,
+        ])
+    }
+
+    #[test]
+    fn move_and_memory_pairs_match_exact() {
+        let b = move_and_memory_pairs(GLOBAL_BASE as i64);
+        let sb = SuperblockProgram::new(&b);
+        for pc in [4, 7, 9, 11, 13] {
+            assert_eq!(sb.dispatch(pc), Some((2, pc + 2)), "pair at pc {pc}");
+        }
+        assert_eq!(sb.dispatch(3), Some((1, 4)));
+        let (out, stats) = from_pc_vs_exact(&b, 0, (0, 0));
+        assert_eq!(out, Some(RunOutcome::Exit(0)));
+        assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs, stats.sb_uops), (1, 22, 17));
+        // The pair's second store faults after its first retired.
+        for (r3, trap) in [(4, Trap::Misaligned(12)), (8, Trap::Segfault(16))] {
+            let (out, stats) = from_pc_vs_exact(&move_and_memory_pairs(r3), 0, (0, 0));
+            assert_eq!(out, Some(RunOutcome::Trap(trap)), "r3 = {r3}");
+            assert_eq!((stats.sb_fused_instrs, stats.sb_uops), (10, 8), "r3 = {r3}");
+        }
     }
 
     /// Stops `run_exact_until_fired` right after the retire that reaches

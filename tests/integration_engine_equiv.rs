@@ -28,10 +28,12 @@ use refine_core::{CheckpointOptions, ExecEngine, FaultRecord};
 use refine_machine::isa::{FP, SP};
 use refine_machine::machine::{GLOBAL_BASE, STACK_TOP};
 use refine_machine::{
-    Checkpoint, GoldenEnd, Machine, NoFi, OutEvent, Reg, RunConfig, RunOutcome, RunResult,
+    Checkpoint, GoldenEnd, MInstr, Machine, NoFi, OutEvent, Reg, RtFunc, RunConfig, RunOutcome,
+    RunResult,
 };
 use refine_pinfi::PIN_OVERHEAD_CYCLES;
 use refine_telemetry::{TraceSink, TrialTrace};
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 const TRIALS: u64 = 4;
@@ -133,8 +135,10 @@ fn engines_byte_identical_without_checkpoints() {
 
 /// Small MiniLang corpus spanning the fusion-relevant shapes: long
 /// straight-line arithmetic, tight branchy loops, call-heavy code, float
-/// kernels, memory traffic, and an early-exit program.
-const CORPUS: [&str; 8] = [
+/// kernels, memory traffic, an early-exit program, and a kernel whose
+/// binaries hold every multi-instruction µop shape
+/// ([`corpus_covers_every_fused_shape`]).
+const CORPUS: [&str; 9] = [
     // Straight-line integer arithmetic (long fusable blocks) on runtime
     // values, so O2 cannot fold it away.
     "var w[4];\n\
@@ -212,6 +216,37 @@ const CORPUS: [&str; 8] = [
        print_f(s);\n\
        return 0;\n\
      }",
+    // Integer, immediate and float compares before their branches, a
+    // constant-index array copy (an absolute load and store through one
+    // register), float loads feeding arithmetic, and under LLFI every
+    // value's hook plumbing after the instruction that computed it; the
+    // five accumulators of `acc` leave some values only `r0`.
+    "var a[16]; var b[16]; fvar x[16]; fvar y[16];\n\
+     fn acc() -> int {\n\
+       let s0 = 0; let s1 = 1; let s2 = 2; let s3 = 3; let s4 = 4;\n\
+       for (i = 0; i < 15; i = i + 1) {\n\
+         s0 = s0 + a[i + 1] * 2 + (a[i] < 5);\n\
+         s1 = s1 + a[i + 1] * 3 + (a[i] < 6);\n\
+         s2 = s2 + a[i + 1] * 4 + (a[i] < 7);\n\
+         s3 = s3 + a[i + 1] * 5 + (a[i] < 8);\n\
+         s4 = s4 + a[i + 1] * 6 + (a[i] < 9);\n\
+       }\n\
+       return s0 + s1 + s2 + s3 + s4;\n\
+     }\n\
+     fn main() {\n\
+       for (i = 0; i < 16; i = i + 1) { a[i] = i * 5 - 7; x[i] = float(i) * 0.5 - 2.0; }\n\
+       let s = 0; let t: float = 0.0;\n\
+       for (i = 0; i < 16; i = i + 1) {\n\
+         let j = 15 - i;\n\
+         if (a[i] < a[j]) { s = s + a[i]; } else { s = s - a[j]; }\n\
+         if (x[i] < x[j]) { t = t + x[i] * 2.0; } else { t = t - x[j]; }\n\
+         b[3] = a[5];\n\
+         y[i] = x[j] + t;\n\
+       }\n\
+       print_i(s + acc() + b[3]);\n\
+       print_f(t + y[7]);\n\
+       return 0;\n\
+     }",
 ];
 
 fn corpus_prepared(kernel: usize, tool: Tool, checkpoint: bool) -> &'static PreparedTool {
@@ -274,6 +309,73 @@ proptest! {
         let step = p.run_trial_engine(ExecEngine::Step, target, seed);
         prop_assert_eq!(step.fast, TrialFastStats::default());
     }
+}
+
+/// The multi-instruction µop a fused dispatch at `pc` runs, continuing at
+/// `next`, in an LLFI or PINFI binary (no REFINE site to absorb): a
+/// one-instruction µop absorbing LLFI hook plumbing (`mov r0 <- x; hook`,
+/// with or without the `mov y <- r0` copy, or `hook; mov y <- r0` after a
+/// writer of `r0`), or a pair µop (memory pairs are any two of `Ld`, `St`,
+/// `FLd` and `FSt`, move pairs any two of `MovRR` and `FMovRR`). `None` for
+/// a µop of one instruction and for the hook plumbing's own copy µop.
+fn fused_shape(text: &[MInstr], pc: usize, next: usize) -> Option<&'static str> {
+    use MInstr::{Cmp, CmpI, FAlu, FCmp, FLd, FMovRR, FSt, Jcc, Ld, MovRR, St};
+    let hook = |i: Option<&MInstr>| {
+        matches!(i, Some(MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. }))
+    };
+    let to_r0 = |i: Option<&MInstr>| matches!(i, Some(MovRR { rd: 0, .. } | FMovRR { fd: 0, .. }));
+    let from_r0 =
+        |i: Option<&MInstr>| matches!(i, Some(MovRR { ra: 0, .. } | FMovRR { fa: 0, .. }));
+    let at = |k: usize| text.get(pc + k);
+    if next <= pc + 1 || (to_r0(at(0)) && hook(at(1))) {
+        return None;
+    }
+    Some(match (text[pc], text[pc + 1]) {
+        _ if to_r0(at(1)) && hook(at(2)) && from_r0(at(3)) && next > pc + 3 => "hook copy",
+        _ if to_r0(at(1)) && hook(at(2)) => "hook",
+        _ if hook(at(1)) && from_r0(at(2)) => "r0 hook copy",
+        (Cmp { .. }, Jcc { .. }) => "Cmp-Jcc",
+        (CmpI { .. }, Jcc { .. }) => "CmpI-Jcc",
+        (FCmp { .. }, Jcc { .. }) => "FCmp-Jcc",
+        (FLd { .. }, FAlu { .. }) => "FLd-FAlu",
+        (
+            Ld { .. } | St { .. } | FLd { .. } | FSt { .. },
+            Ld { .. } | St { .. } | FLd { .. } | FSt { .. },
+        ) => "memory pair",
+        (MovRR { .. } | FMovRR { .. }, MovRR { .. } | FMovRR { .. }) => "move pair",
+        _ => return None,
+    })
+}
+
+/// Every shape a µop may fuse, each built in the LLFI or PINFI binary of
+/// the corpus's last kernel, so the property and edge-target tests run
+/// them against the exact oracle under every tool. REFINE's binaries have
+/// none: every compare, load and hook-free writer there is followed by its
+/// site, which the µop absorbs instead.
+#[test]
+fn corpus_covers_every_fused_shape() {
+    let kernel = CORPUS.len() - 1;
+    let mut seen = BTreeSet::new();
+    for tool in [Tool::Llfi, Tool::Pinfi] {
+        let p = corpus_prepared(kernel, tool, false);
+        for pc in 0..p.binary.text.len() {
+            if let Some((_, next)) = p.superblock.dispatch(pc) {
+                seen.extend(fused_shape(&p.binary.text, pc, next));
+            }
+        }
+    }
+    let all = [
+        "hook copy",
+        "hook",
+        "r0 hook copy",
+        "Cmp-Jcc",
+        "CmpI-Jcc",
+        "FCmp-Jcc",
+        "FLd-FAlu",
+        "memory pair",
+        "move pair",
+    ];
+    assert_eq!(seen, BTreeSet::from(all));
 }
 
 /// Everything a trial must reproduce bit-for-bit: outcome, output, cycles,

@@ -5,7 +5,8 @@
 //! show a change that silently loses fusion or convergence. This test pins
 //! the deterministic work counters of a fixed sweep instead: checkpoint
 //! restores and skipped instructions, convergence hits and checked/saved
-//! instructions, fused dispatches and fused/stepped instructions, per
+//! instructions, fused dispatches, fused/stepped instructions and the µops
+//! the dispatches ran, per
 //! campaign, with the default checkpoint and convergence settings and with
 //! checkpointing off. It also pins each campaign's profiling facts
 //! (`prof_*`): FI population, profile cycles, and with checkpointing on the
@@ -66,7 +67,7 @@ fn render(label: &str, checkpoint: bool, out: &mut String) -> Vec<CampaignStats>
             out,
             "{label} {} {} ckpt_restores={} ckpt_skipped_instrs={} conv_hits={} \
              conv_checked_instrs={} conv_saved_instrs={} sb_dispatches={} \
-             sb_fused_instrs={} sb_stepped_instrs={}",
+             sb_fused_instrs={} sb_stepped_instrs={} sb_uops={}",
             s.app,
             s.tool,
             s.ckpt_restores,
@@ -77,6 +78,7 @@ fn render(label: &str, checkpoint: bool, out: &mut String) -> Vec<CampaignStats>
             s.sb_dispatches,
             s.sb_fused_instrs,
             s.sb_stepped_instrs,
+            s.sb_uops,
         );
     }
     report.stats

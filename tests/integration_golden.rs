@@ -185,12 +185,19 @@ fn compile_digests_match_golden() {
 /// Snapshot hygiene: no stray snapshot files for programs that no longer
 /// exist (renames must move their snapshot). The non-program files are
 /// the fast-path counter snapshot of `integration_fastpath`, the
-/// perfbench digests ci.sh checks and the compile digests above.
+/// perfbench digests and paper-campaign stdout hash ci.sh checks, and the
+/// compile digests above.
 #[test]
 fn no_orphan_snapshots() {
     let mut known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
     known.extend(
-        ["fastpath_counters.txt", "perfbench_digests.txt", "compile_digests.txt"].map(String::from),
+        [
+            "fastpath_counters.txt",
+            "perfbench_digests.txt",
+            "compile_digests.txt",
+            "paper_campaign_digest.txt",
+        ]
+        .map(String::from),
     );
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden missing") {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
