@@ -31,8 +31,8 @@
 //!   hook do nothing while the runtime only counts, so a µop's `next` skips
 //!   them and they run only as trace heads.
 //! - *LLFI hook µops*: `mov r0 <- x; injectFault; mov y <- r0` (integer or
-//!   floating-point) is one copy µop, which runs only where a trace starts
-//!   on it.
+//!   floating-point) is one µop, the `mov` with a `COPY` tail (below),
+//!   which runs only where a trace starts on it.
 //! - *Absorption*: a one-instruction µop runs a variant of its handler
 //!   with a const tail `T` that also covers what follows it on the trace.
 //!   The non-firing path REFINE emits around each site (save `r0`/FLAGS,
@@ -329,8 +329,9 @@ impl SuperblockProgram {
                 uops[pc].exec = u_nop::<SITE>;
                 (post + 3, Merge::Site)
             } else if let Some(h @ Hook { copy: Some(y), .. }) = hook {
-                let exec = if h.float { u_fcopy } else { u_copy };
-                uops[pc] = simple(exec, y, h.x, 0, 0);
+                // Heading a trace, the copy form's `mov r0 <- x` runs the
+                // whole plumbing as a `COPY` tail: `r0 = x; y = r0`.
+                (uops[pc], _) = writer::<COPY>(&text[pc], y).expect("plumbing starts with a move");
                 (pc + 3, Merge::Hook(h))
             } else {
                 (succ, hook.map_or(Merge::One, Merge::Hook))
@@ -1043,23 +1044,6 @@ fn jcc_fn<const T: u8>(cc: Cc) -> UopFn {
 fn u_sel_instr<const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
     m.regs[0] = 0;
     done::<T>(m)
-}
-
-/// LLFI's integer hook plumbing ([`hook_at`]) heading a trace:
-/// `r0 = x; y = r0`.
-fn u_copy(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let v = m.regs[u.b as usize];
-    m.regs[0] = v;
-    m.regs[u.a as usize] = v;
-    Ok(())
-}
-
-/// LLFI's floating-point hook plumbing: `f0 = x; y = f0`.
-fn u_fcopy(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let v = m.fregs[u.b as usize];
-    m.fregs[0] = v;
-    m.fregs[u.a as usize] = v;
-    Ok(())
 }
 
 // The one-instruction register writers below keep their destination in `a`

@@ -317,7 +317,7 @@ proptest! {
 /// with or without the `mov y <- r0` copy, or `hook; mov y <- r0` after a
 /// writer of `r0`), or a pair µop (memory pairs are any two of `Ld`, `St`,
 /// `FLd` and `FSt`, move pairs any two of `MovRR` and `FMovRR`). `None` for
-/// a µop of one instruction and for the hook plumbing's own copy µop.
+/// a µop of one instruction and for the hook plumbing's own µop.
 fn fused_shape(text: &[MInstr], pc: usize, next: usize) -> Option<&'static str> {
     use MInstr::{Cmp, CmpI, FAlu, FCmp, FLd, FMovRR, FSt, Jcc, Ld, MovRR, St};
     let hook = |i: Option<&MInstr>| {
