@@ -4,8 +4,9 @@
 #     the work floors and the checkpoint residency gate of
 #     tests/integration_fastpath.rs), clippy and rustdoc with warnings
 #     denied, and a perfbench type-check;
-#   * the full any-register-value state check (fused against exact over
-#     2,970 corrupted golden states), the `--ignored` test, in release;
+#   * the full any-state check (fused against exact over 5,940 corrupted
+#     golden states: a register or a memory word each), the `--ignored`
+#     test, in release;
 #   * every example, run once in release with its default arguments;
 #   * outcome-table diffs of one short sweep across --jobs counts, with
 #     checkpointing, convergence and the fused engine on and off;
@@ -27,9 +28,9 @@ cargo build --release --offline
 echo "== cargo test"
 cargo test -q --offline
 
-echo "== any-register-value state check (full, --ignored, release)"
-# `cargo test` runs a pinned 990-state instance; the full one runs here,
-# in release, where it takes about 10 s on 2 vCPUs.
+echo "== any-state check (full, --ignored, release)"
+# `cargo test` runs a pinned 1,980-state instance; the full one runs here,
+# in release, where it takes about 20 s on 2 vCPUs.
 cargo test --release --offline -q -p refine-campaign --test integration_engine_equiv \
     -- --ignored --exact any_register_value_fused_equals_exact_full --nocapture
 

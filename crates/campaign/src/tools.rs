@@ -99,6 +99,13 @@ pub struct TrialRun {
     pub fast: TrialFastStats,
 }
 
+/// Cycle budget of a prepare's golden profiling run: about 80 times the
+/// longest suite golden run (13.3 M cycles, an LLFI binary), so only a run
+/// that never ends reaches it. Fused, that takes about a second, where an
+/// unbounded run would hang prepare; [`PreparedTool::prepare_fi`] then
+/// panics naming the budget.
+const PROFILE_MAX_CYCLES: u64 = 1 << 30;
+
 /// Predecode + fuse one prepared binary under its telemetry span, counting
 /// the FI events `tool` samples: PINFI's probe counts FI targets at fetch,
 /// REFINE and LLFI count their hook calls.
@@ -142,6 +149,10 @@ impl PreparedTool {
     /// which counts the FI events `tool` samples, and captures the golden
     /// checkpoints as it goes (none with checkpointing off). PINFI's run
     /// pays its attached probe's per-fetch overhead.
+    ///
+    /// # Panics
+    ///
+    /// If the profiling run does not exit within [`PROFILE_MAX_CYCLES`].
     fn prepare_fi(
         module: &Module,
         tool: Tool,
@@ -149,7 +160,7 @@ impl PreparedTool {
         ckpt: &CheckpointOptions,
     ) -> PreparedTool {
         let stack_words = 1 << 16;
-        let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
+        let cfg = RunConfig { max_cycles: PROFILE_MAX_CYCLES, stack_words };
         let mut mcfg = ckpt.enabled.then(|| ckpt.machine_config());
         let (binary, site_opcodes) = match tool {
             Tool::Refine => {
@@ -186,6 +197,12 @@ impl PreparedTool {
                 Machine::run_profile(&binary, &cfg, &superblock, overhead, builder.as_mut());
             (profile, population, builder.map(CheckpointBuilder::finish))
         };
+        assert!(
+            profile.outcome != RunOutcome::Timeout,
+            "{}: golden profiling run did not exit within PROFILE_MAX_CYCLES \
+             ({PROFILE_MAX_CYCLES} cycles)",
+            tool.name()
+        );
         assert!(population > 0, "{}: empty FI population", tool.name());
         let golden = Golden::from_run(&profile);
         let profile_cycles = profile.cycles;
@@ -509,6 +526,19 @@ mod tests {
             assert_eq!(got.result.instrs_retired, want.result.instrs_retired, "trial {target}");
             assert_eq!(got.log, want.log, "trial {target}");
         }
+    }
+
+    /// A golden run that never ends fails prepare at the profiling budget,
+    /// with a panic naming it, instead of hanging.
+    #[test]
+    #[should_panic(expected = "LLFI: golden profiling run did not exit within PROFILE_MAX_CYCLES")]
+    fn golden_run_that_never_exits_fails_prepare() {
+        let m = refine_frontend::compile_source(
+            "var g;\n\
+             fn main() { let x = 1; while (g == 0) { x = x * 3 + 1; } print_i(x); return 0; }",
+        )
+        .unwrap();
+        PreparedTool::prepare(&m, Tool::Llfi);
     }
 
     #[test]

@@ -422,6 +422,19 @@ impl<'a> Machine<'a> {
         }
     }
 
+    /// The word at byte address `addr`, read as a load would.
+    pub fn load_word(&self, addr: u64) -> Result<u64, Trap> {
+        self.mem_read(addr)
+    }
+
+    /// Write `value` to the word at byte address `addr` as a store would.
+    /// With [`Machine::xor_mask`] it sets any state a fault can leave
+    /// behind: the any-state check resumes golden checkpoints this way, with
+    /// a data word or stack slot set to an arbitrary value.
+    pub fn store_word(&mut self, addr: u64, value: u64) -> Result<(), Trap> {
+        self.mem_write(addr, value)
+    }
+
     /// Flip one bit of an architectural register.
     pub fn flip(&mut self, reg: Reg, bit: u32) {
         match reg {
@@ -471,7 +484,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn eff_addr(&self, mem: &Mem) -> u64 {
+    pub(crate) fn eff_addr(&self, mem: &Mem) -> u64 {
         let mut a = mem.disp as u64;
         if let Some(b) = mem.base {
             a = a.wrapping_add(self.regs[b as usize]);

@@ -23,8 +23,9 @@
 //! `fused_x[head]`; one stopped early — by a trap or a side exit — is
 //! accounted by the stopping instruction `k` itself, `fused_x[head] -
 //! fused_x[k] + x[k]`. The µop names `k`: its own pc, or for a pair µop's
-//! second instruction the pc after it (the first retired), and an absorbed
-//! tail runs only after its instruction completed and never stops a trace.
+//! second instruction (the first retired) the first half's tail, from which
+//! the exit finds the second's pc (`second_pc`). An absorbed tail runs
+//! only after its instruction completed and never stops a trace.
 //! Four rules skip ahead:
 //!
 //! - *No-op linking*: a `Nop`, a forward `Jmp` and an LLFI `injectFault`
@@ -33,7 +34,7 @@
 //! - *LLFI hook µops*: `mov r0 <- x; injectFault; mov y <- r0` (integer or
 //!   floating-point) is one µop, the `mov` with a `COPY` tail (below),
 //!   which runs only where a trace starts on it.
-//! - *Absorption*: a one-instruction µop runs a variant of its handler
+//! - *Absorption*: a one-instruction µop runs its instruction's kernel
 //!   with a const tail `T` that also covers what follows it on the trace.
 //!   The non-firing path REFINE emits around each site (save `r0`/FLAGS,
 //!   `selInstr`, test, skip, restore) nets out to two save-area stores
@@ -45,12 +46,16 @@
 //!   after a writer of `r0` itself). The tail runs only if the
 //!   instruction completed. A site's own *site skip* µop runs only where a
 //!   trace starts on it.
-//! - *Pair µops*: a compare and the `Jcc` guard after it, an unindexed
-//!   `FLd f` and an `FAlu` reading `f`, two unindexed loads or stores of
-//!   either register file, and two register moves run as one µop where
-//!   both fit its operand bytes (a `CmpI` immediate and the memory
-//!   displacements in 32 bits). Either instruction may stop the trace,
-//!   and the µop reports which.
+//! - *Pair µops*: a one-instruction µop and the one its trace dispatches
+//!   next run as one µop, `two`, whose halves are the two instructions'
+//!   kernels each with its own tail, so a pair crosses REFINE sites and
+//!   LLFI hook plumbing. The combinations built are a table
+//!   (`pair_table`): the compare-and-guard, load-and-operate, memory,
+//!   move, guard-and-move and stack families, and the combinations of
+//!   kernels and tails that ran most often unpaired. A pair is built where
+//!   both halves' operands fit one µop (registers in nibbles; two
+//!   immediates in 32 bits each). Either half may stop the trace, and the
+//!   µop reports which.
 //!
 //! None of these moves a trace head or a trace's end, so µop fusion never
 //! changes the dispatch, fused or stepped instruction counts of a run: only
@@ -92,25 +97,27 @@ use crate::binary::Binary;
 use crate::checkpoint::{
     diff_pages_from, Checkpoint, CheckpointBuilder, CheckpointStore, DirtyPage, PAGE_WORDS,
 };
-use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
+use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc, SP};
 use crate::machine::{
     GoldenEnd, Machine, OutEvent, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
 };
 use crate::rt::NoFi;
+use std::sync::OnceLock;
 
-/// A µop handler: executes one fused instruction's data side effects.
-/// Never touches `pc`, `cycles` or `instrs_retired` — the trace dispatcher
-/// accounts for those in bulk.
+/// A µop handler: executes one fused µop's data side effects, one
+/// instruction's or a pair's two. Never touches `pc`, `cycles` or
+/// `instrs_retired` — the trace dispatcher accounts for those in bulk.
 type UopFn = fn(&mut Machine<'_>, &Uop) -> Result<(), Exit>;
 
 /// Why a µop ended its trace early, and which of its instructions did: a
-/// one-instruction µop's, or a pair µop's first (at the µop's pc) or second
-/// (at the next pc, after the first retired). A trapping instruction is
+/// one-instruction µop's or a pair µop's first half (at the µop's pc), or
+/// a pair's second half ([`Exit::Second`]). A trapping instruction is
 /// charged but not retired; a taken guard retires.
 ///
 /// Flat, with at most one word of payload per variant: the result of every
 /// µop is then a tag and a word and comes back in two registers, where a
 /// nested `Trap` beside another payload would go through memory.
+#[derive(Debug, Clone, Copy)]
 enum Exit {
     /// [`Trap::Segfault`] at this address.
     Segfault(u64),
@@ -118,17 +125,13 @@ enum Exit {
     Misaligned(u64),
     /// [`Trap::DivFault`].
     DivFault,
-    /// A `Jcc` guard's condition held: the run continues at its target,
-    /// the µop's `imm`.
-    Taken,
-    /// A pair µop's `Jcc` guard held: its target is the high half of the
-    /// µop's `imm`.
-    TakenSecond,
-    /// A pair µop's second instruction, a memory access, trapped with
-    /// [`Trap::Segfault`] at this address.
-    SegfaultSecond(u64),
-    /// ... with [`Trap::Misaligned`] at this address.
-    MisalignedSecond(u64),
+    /// A `Jcc` guard's condition held: the run continues at this target.
+    Taken(u64),
+    /// A pair µop's second half trapped or took its guard. The payload is
+    /// the first half's tail, from which [`second_pc`] finds the second
+    /// instruction; [`Machine::second_exit`] reads the trap or target off
+    /// that instruction and the state it left.
+    Second(u64),
 }
 
 const _: () = assert!(std::mem::size_of::<Result<(), Exit>>() == 16);
@@ -144,36 +147,46 @@ impl From<Trap> for Exit {
     }
 }
 
-impl Exit {
-    /// The exit of a pair µop whose second instruction, a memory access,
-    /// trapped.
-    fn memory_second(t: Trap) -> Exit {
-        match Exit::from(t) {
-            Exit::Segfault(a) => Exit::SegfaultSecond(a),
-            Exit::Misaligned(a) => Exit::MisalignedSecond(a),
-            _ => unreachable!("a memory access traps on its address"),
-        }
-    }
+/// The pc of the second instruction of the pair µop at `k` whose first
+/// half ran with tail `first_tail`: the first µop its trace dispatches
+/// past what the first half covers, found the way the build linked it.
+/// Only an exit needs it, so no per-pc array holds it.
+fn second_pc(text: &[MInstr], k: usize, first_tail: u8) -> usize {
+    let p = linked(text, k + 1);
+    let after = match first_tail {
+        // The site's PreFI ends with `jmp post`; its PostFI is 3 long.
+        SITE => match text[p + 6] {
+            MInstr::Jmp { target } => target as usize + 3,
+            _ => unreachable!("a site's PreFI ends with its `jmp post`"),
+        },
+        HOOK => p + 2,
+        COPY => p + 1,
+        HOOK_COPY => p + 3,
+        _ => return p,
+    };
+    linked(text, after)
+}
 
-    /// For this exit of the µop `u` at pc `k`: the pc of the instruction
-    /// that stopped, the pc the run continues at, and the trap, if any.
-    fn resolve(self, k: usize, u: &Uop) -> (usize, usize, Result<(), Trap>) {
-        match self {
-            Exit::Segfault(a) => (k, k, Err(Trap::Segfault(a))),
-            Exit::Misaligned(a) => (k, k, Err(Trap::Misaligned(a))),
-            Exit::DivFault => (k, k, Err(Trap::DivFault)),
-            Exit::Taken => (k, u.imm as usize, Ok(())),
-            Exit::TakenSecond => (k + 1, (u.imm >> 32) as usize, Ok(())),
-            Exit::SegfaultSecond(a) => (k + 1, k + 1, Err(Trap::Segfault(a))),
-            Exit::MisalignedSecond(a) => (k + 1, k + 1, Err(Trap::Misaligned(a))),
-        }
+/// The first µop a trace passing `pc` dispatches: `pc`, or the first pc
+/// past the no-ops ([`is_noop`]) from it. Only for pcs inside a trace,
+/// whose no-ops all continue forward.
+fn linked(text: &[MInstr], mut pc: usize) -> usize {
+    loop {
+        pc = match text[pc] {
+            MInstr::Jmp { target } => {
+                debug_assert!(target as usize > pc, "a trace never crosses a backward `Jmp`");
+                target as usize
+            }
+            ref i if is_noop(i) => pc + 1,
+            _ => return pc,
+        };
     }
 }
 
-/// One predecoded instruction with fully resolved operand offsets. The
-/// field meaning is per-handler; for memory ops `a`/`b`/`c` are base
-/// register / index register / scale, `d` the data register, and `imm` the
-/// displacement.
+/// One predecoded µop with fully resolved operand offsets. A
+/// one-instruction µop holds its kernel's [`Ops`] as they are; a pair µop
+/// ([`two`]) holds each half's four operand bytes as nibbles (`a`, `b` the
+/// first half's, `c`, `d` the second's) and their immediates in `imm`.
 #[derive(Debug, Clone, Copy)]
 struct Uop {
     exec: UopFn,
@@ -295,19 +308,22 @@ impl SuperblockProgram {
                 Slot { cost, is_event }
             })
             .collect();
-        let mut uops: Vec<Uop> = text.iter().map(lower::<NO_TAIL>).collect();
+        let mut uops = vec![Uop { exec: u_term, imm: 0, next: 0, a: 0, b: 0, c: 0, d: 0 }; n];
         let mut fused_len = vec![0u32; n];
         let mut fused_cost = vec![0u64; n];
         let mut fused_events = vec![0u32; n];
         let mut trace_end = vec![0u32; n];
         // Build-time only: `link[pc]` is the first µop a trace passing `pc`
-        // dispatches (past any no-ops), and `merge[pc]` what the µop before
-        // it on a trace may do with the µop at `pc`.
+        // dispatches (past any no-ops), `merge[pc]` what the µop before it
+        // on a trace may absorb of the µop at `pc`, and `single[pc]` how
+        // that µop runs as one instruction, which a pair µop before it
+        // recreates as its second half.
         let mut link: Vec<u32> = (0..n as u32).collect();
         let mut merge = vec![Merge::None; n];
+        let mut single = vec![Single::default(); n];
         let mut site_words = None;
         // Reverse scan: every trace edge points forward, so a successor's
-        // sums and links are final before its predecessors read them.
+        // sums, links and µops are final before its predecessors read them.
         for pc in (0..n).rev() {
             let Some(succ) = successor(&text[pc], pc, n) else {
                 continue;
@@ -324,40 +340,56 @@ impl SuperblockProgram {
             let site = site_skip(binary, pc)
                 .filter(|&(_, words)| *site_words.get_or_insert(words) == words);
             let hook = hook_at(text, pc);
-            // The real pc after the instructions this µop covers itself.
-            let (after, mut merged) = if let Some((post, _)) = site {
-                uops[pc].exec = u_nop::<SITE>;
-                (post + 3, Merge::Site)
+            let own = Half::decode(&text[pc]).expect("a fused instruction has a kernel");
+            // This pc's one-instruction µop, the real pc after the
+            // instructions it covers itself, and what it offers the µop
+            // before it.
+            let (mut half, mut y, after, mut offer) = if let Some((post, _)) = site {
+                (Half::SITE_SKIP, 0, post + 3, Merge::Site)
             } else if let Some(h @ Hook { copy: Some(y), .. }) = hook {
                 // Heading a trace, the copy form's `mov r0 <- x` runs the
                 // whole plumbing as a `COPY` tail: `r0 = x; y = r0`.
-                (uops[pc], _) = writer::<COPY>(&text[pc], y).expect("plumbing starts with a move");
-                (pc + 3, Merge::Hook(h))
+                let copy = own.with_tail(COPY, y).expect("plumbing starts with a move");
+                (copy, y, pc + 3, Merge::Hook(h))
             } else {
-                (succ, hook.map_or(Merge::One, Merge::Hook))
+                (own, 0, succ, hook.map_or(Merge::One, Merge::Hook))
             };
             let mut next = link[after] as usize;
-            // A one-instruction µop absorbs a site, hook plumbing or a
-            // move of what it wrote after it, or pairs with the
-            // one-instruction µop after it; the combined µop continues
-            // where the absorbed or paired one did.
+            // A one-instruction µop absorbs a site, hook plumbing or a move
+            // of what it wrote after it as its tail, and continues where
+            // the absorbed µop did.
             if after == succ {
-                let combined = match merge[next] {
-                    Merge::Site => Some(lower::<SITE>(&text[pc])),
-                    Merge::Hook(h) => absorb_hook(&text[pc], h),
-                    Merge::One if next == pc + 1 => absorb_copy(&text[pc], &text[next])
-                        .or_else(|| pair(&text[pc], &text[next])),
-                    Merge::One => absorb_copy(&text[pc], &text[next]),
-                    _ => None,
+                let (tail, copy_to) = match merge[next] {
+                    Merge::Site => (SITE, 0),
+                    Merge::Hook(h) if half.dest == Some((h.float, h.x)) => match h.copy {
+                        Some(y) => (HOOK_COPY, y),
+                        None => (HOOK, 0),
+                    },
+                    Merge::One => match mov_operands(&text[next]) {
+                        Some((float, y, x)) if half.dest == Some((float, x)) => (COPY, y),
+                        _ => (NO_TAIL, 0),
+                    },
+                    _ => (NO_TAIL, 0),
                 };
-                if let Some(u) = combined {
-                    uops[pc] = u;
-                    next = uops[next].next as usize;
-                    merged = Merge::None;
+                if let Some(h) = half.with_tail(tail, copy_to).filter(|_| tail != NO_TAIL) {
+                    (half, y) = (h, copy_to);
+                    next = single[next].next as usize;
+                    offer = Merge::None;
                 }
             }
-            uops[pc].next = next as u32;
-            merge[pc] = merged;
+            // It pairs with the one-instruction µop its trace dispatches
+            // next where a pair µop is built for the two.
+            let second = || {
+                let s = single[next];
+                let h = match merge[next] {
+                    Merge::Site => Half::SITE_SKIP,
+                    _ => Half::decode(&text[next])?.with_tail(s.tail, s.y)?,
+                };
+                half.pair(&h, s.next as usize)
+            };
+            uops[pc] = (fused_len[next] > 0).then(second).flatten().unwrap_or_else(|| half.uop(next));
+            single[pc] = Single { tail: half.tail, y, next: next as u32 };
+            merge[pc] = offer;
         }
         let site_words = site_words.unwrap_or_default();
         let blocks = block_count(text, &fused_len);
@@ -472,6 +504,15 @@ fn is_noop(i: &MInstr) -> bool {
     )
 }
 
+/// How the one-instruction µop at a pc runs (build time only): its tail,
+/// a copying tail's `y`, and the pc its trace continues at.
+#[derive(Debug, Clone, Copy, Default)]
+struct Single {
+    tail: u8,
+    y: u8,
+    next: u32,
+}
+
 /// What the µop before a pc on a trace may do with the µop at it (build
 /// time only).
 #[derive(Debug, Clone, Copy)]
@@ -479,8 +520,8 @@ enum Merge {
     /// Nothing: a trace end, or a µop that already covers more than its own
     /// instruction.
     None,
-    /// Pair with it, or absorb it as a [`COPY`] tail when it moves what
-    /// the µop before wrote: a one-instruction µop with no tail.
+    /// Absorb it as a [`COPY`] tail when it moves what the µop before
+    /// wrote: a one-instruction µop with no tail.
     One,
     /// Absorb it as a [`SITE`] tail: a REFINE site's skip µop.
     Site,
@@ -624,7 +665,7 @@ impl<'a> Machine<'a> {
                 // before stepping but does not retire it, and leaves pc on
                 // the trapping instruction.
                 Err(exit) => {
-                    let (at, pc, result) = exit.resolve(k, u);
+                    let (at, pc, result) = self.resolve(exit, k);
                     break (Some(at), pc, result);
                 }
             }
@@ -651,6 +692,49 @@ impl<'a> Machine<'a> {
         stats.sb_uops += uops;
         stats.sb_fused_instrs += retired;
         result
+    }
+
+    /// For `exit` of the µop at pc `k`, taken just now: the pc of the
+    /// instruction that stopped, the pc the run continues at, and the trap,
+    /// if any.
+    fn resolve(&self, exit: Exit, k: usize) -> (usize, usize, Result<(), Trap>) {
+        let (at, exit) = match exit {
+            Exit::Second(tail) => {
+                let at = second_pc(&self.binary.text, k, tail as u8);
+                (at, self.second_exit(&self.binary.text[at]))
+            }
+            first => (k, first),
+        };
+        match exit {
+            Exit::Segfault(a) => (at, at, Err(Trap::Segfault(a))),
+            Exit::Misaligned(a) => (at, at, Err(Trap::Misaligned(a))),
+            Exit::DivFault => (at, at, Err(Trap::DivFault)),
+            Exit::Taken(target) => (at, target as usize, Ok(())),
+            Exit::Second(_) => unreachable!("a second half's exit is read off its instruction"),
+        }
+    }
+
+    /// The exit of a pair's second half `i` that just stopped, read off the
+    /// state it left: a guard that stops was taken, an ALU operation that
+    /// stops faulted on a divide, and a memory access, push or pop that
+    /// stops trapped on its address (a trapping access writes nothing, and
+    /// a trapping push has already lowered `sp` to the address).
+    fn second_exit(&self, i: &MInstr) -> Exit {
+        let addr = match *i {
+            MInstr::Jcc { target, .. } => return Exit::Taken(target.into()),
+            MInstr::Alu { .. } | MInstr::AluI { .. } => return Exit::DivFault,
+            MInstr::Ld { ref mem, .. }
+            | MInstr::St { ref mem, .. }
+            | MInstr::FLd { ref mem, .. }
+            | MInstr::FSt { ref mem, .. } => self.eff_addr(mem),
+            MInstr::Push { .. } | MInstr::Pop { .. } => self.regs[SP as usize],
+            _ => unreachable!("{i:?} never stops a trace"),
+        };
+        if addr.is_multiple_of(8) {
+            Exit::Segfault(addr)
+        } else {
+            Exit::Misaligned(addr)
+        }
     }
 
     /// Run with fused dispatch from the current state until `stop` FI
@@ -943,12 +1027,12 @@ fn segment_matches(
 
 // --- µop handlers -----------------------------------------------------------
 //
-// Each handler mirrors one `step` arm's data side effects exactly (the FI
-// hooks as a counting-only runtime executes them). Every handler that is
-// one instruction takes a const tail `T` ([`NO_TAIL`], [`SITE`], [`HOOK`],
-// [`COPY`] or [`HOOK_COPY`]) and ends with [`done`] (or [`done_r`]/
-// [`done_f`] when it writes a register), which runs the tail. The pair
-// handlers run two instructions and no tail.
+// Each kernel mirrors one `step` arm's data side effects exactly (the FI
+// hooks as a counting-only runtime executes them) and then runs a const
+// tail `T` ([`NO_TAIL`], [`SITE`], [`HOOK`], [`COPY`] or [`HOOK_COPY`]): it
+// ends with [`done`] (or [`done_r`]/[`done_f`] when it writes a register),
+// which runs the tail. A one-instruction µop runs one kernel ([`one`]); a
+// pair µop runs two, each with its own tail ([`two`]).
 
 /// What a one-instruction µop runs after its instruction: nothing.
 const NO_TAIL: u8 = 0;
@@ -962,11 +1046,11 @@ const COPY: u8 = 4;
 /// The whole LLFI hook copy after it: `r0 = x; y = x` (or `f0`).
 const HOOK_COPY: u8 = HOOK | COPY;
 
-/// Finish a one-instruction µop that writes no register. With [`SITE`] it
-/// then stores `r0` and FLAGS straight into the program's save-area words,
+/// Finish a kernel that writes no register. With [`SITE`] it then stores
+/// `r0` and FLAGS straight into the program's save-area words,
 /// data-segment indices [`save_word`] validated, so neither store can
 /// trap. PostFI's `wrflags` leaves FLAGS as it is: every FLAGS writer
-/// keeps the four architectural bits. A handler that trapped or took its
+/// keeps the four architectural bits. A kernel that trapped or took its
 /// guard returned before this, leaving the words untouched.
 #[inline(always)]
 fn done<const T: u8>(m: &mut Machine<'_>) -> Result<(), Exit> {
@@ -978,7 +1062,7 @@ fn done<const T: u8>(m: &mut Machine<'_>) -> Result<(), Exit> {
     Ok(())
 }
 
-/// [`done`] for a µop whose instruction wrote integer register `x`: a
+/// [`done`] for a kernel whose instruction wrote integer register `x`: a
 /// [`HOOK`] tail copies `x` into `r0`, a [`COPY`] tail into `y`.
 #[inline(always)]
 fn done_r<const T: u8>(m: &mut Machine<'_>, x: u8, y: u8) -> Result<(), Exit> {
@@ -1010,64 +1094,263 @@ fn done_f<const T: u8>(m: &mut Machine<'_>, x: u8, y: u8) -> Result<(), Exit> {
     done::<T>(m)
 }
 
-/// A no-op; with [`SITE`], a site skip on its own (the site heads a
-/// trace).
-fn u_nop<const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+/// One instruction's operands as its kernel reads them: four register
+/// bytes and an immediate, laid out per kernel ([`Half::decode`]).
+#[derive(Debug, Clone, Copy)]
+struct Ops {
+    a: u8,
+    b: u8,
+    c: u8,
+    d: u8,
+    imm: u64,
+}
+
+impl Ops {
+    const ZERO: Ops = Ops { a: 0, b: 0, c: 0, d: 0, imm: 0 };
+
+    /// Set operand byte `i` (`a` to `d`) to `v`.
+    fn set(&mut self, i: u8, v: u8) {
+        match i {
+            0 => self.a = v,
+            1 => self.b = v,
+            2 => self.c = v,
+            _ => self.d = v,
+        }
+    }
+}
+
+/// One instruction's data side effects followed by a tail: the body of a
+/// one-instruction µop and of either half of a pair µop.
+trait Kernel {
+    /// The key its µop handlers are looked up by when the program is built.
+    const ID: Kid;
+    /// Whether it reads [`Ops::imm`]: a pair of two such kernels gives each
+    /// 32 bits of the µop's immediate.
+    const IMM: bool;
+    /// Run the instruction, then tail `T`; an exit skips the tail.
+    fn run<const T: u8>(m: &mut Machine<'_>, o: Ops) -> Result<(), Exit>;
+}
+
+/// Define kernel `$name`, generic over any const parameters given: its
+/// [`Kid`], whether it reads an immediate, and its body over machine `$m`,
+/// operands `$o` and tail `$t`.
+macro_rules! kernel {
+    ($name:ident $(<$(const $p:ident: $pt:ty),+>)?: $id:expr, imm: $imm:expr,
+     |$m:ident, $o:ident, $t:ident| $body:expr) => {
+        struct $name $(<$(const $p: $pt),+>)?;
+
+        impl $(<$(const $p: $pt),+>)? Kernel for $name $(<$($p),+>)? {
+            const ID: Kid = $id;
+            const IMM: bool = $imm;
+            #[inline(always)]
+            fn run<const $t: u8>($m: &mut Machine<'_>, $o: Ops) -> Result<(), Exit> {
+                $body
+            }
+        }
+    };
+}
+
+// A no-op; with [`SITE`], a site skip on its own (the site heads a trace).
+kernel!(Nop: Kid::Nop, imm: false, |m, _o, T| done::<T>(m));
+
+// `selInstr` under a counting-only runtime: never inject.
+kernel!(SelInstr: Kid::SelInstr, imm: false, |m, _o, T| {
+    m.regs[0] = 0;
     done::<T>(m)
-}
+});
 
-fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
-    unreachable!("terminator µop is never dispatched fused")
-}
-
-/// A `Jcc` guard: side-exit to the target (`imm`) when the condition holds.
-fn u_jcc<const C: usize, const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+// A `Jcc` guard: side-exit to the target (`imm`) when the condition holds.
+kernel!(Jcc<const C: usize>: Kid::Jcc(C as u8), imm: true, |m, o, T| {
     if CCS[C].eval(m.flags) {
-        Err(Exit::Taken)
+        Err(Exit::Taken(o.imm))
     } else {
         done::<T>(m)
     }
+});
+
+// The register writers below keep their destination in `a` and a copying
+// tail's `y` in `d`.
+
+kernel!(MovRR: Kid::MovRR, imm: false, |m, o, T| {
+    m.regs[o.a as usize] = m.regs[o.b as usize];
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(MovRI: Kid::MovRI, imm: true, |m, o, T| {
+    m.regs[o.a as usize] = o.imm;
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(FMovRR: Kid::FMovRR, imm: false, |m, o, T| {
+    m.fregs[o.a as usize] = m.fregs[o.b as usize];
+    done_f::<T>(m, o.a, o.d)
+});
+
+kernel!(FMovRI: Kid::FMovRI, imm: true, |m, o, T| {
+    m.fregs[o.a as usize] = o.imm;
+    done_f::<T>(m, o.a, o.d)
+});
+
+kernel!(Alu<const OP: usize>: Kid::Alu(OP as u8), imm: false, |m, o, T| {
+    let r = m.alu(ALU_OPS[OP], m.regs[o.b as usize] as i64, m.regs[o.c as usize] as i64)?;
+    m.regs[o.a as usize] = r as u64;
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(AluI<const OP: usize>: Kid::AluI(OP as u8), imm: true, |m, o, T| {
+    let r = m.alu(ALU_OPS[OP], m.regs[o.b as usize] as i64, o.imm as i64)?;
+    m.regs[o.a as usize] = r as u64;
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(Cmp: Kid::Cmp, imm: false, |m, o, T| {
+    m.cmp_flags(m.regs[o.a as usize] as i64, m.regs[o.b as usize] as i64);
+    done::<T>(m)
+});
+
+kernel!(CmpI: Kid::CmpI, imm: true, |m, o, T| {
+    m.cmp_flags(m.regs[o.a as usize] as i64, o.imm as i64);
+    done::<T>(m)
+});
+
+kernel!(FCmp: Kid::FCmp, imm: false, |m, o, T| {
+    let (a, b) = (m.f(o.a), m.f(o.b));
+    m.fcmp_flags(a, b);
+    done::<T>(m)
+});
+
+kernel!(SetCc<const C: usize>: Kid::SetCc(C as u8), imm: false, |m, o, T| {
+    m.regs[o.a as usize] = CCS[C].eval(m.flags) as u64;
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(FAlu<const OP: usize>: Kid::FAlu(OP as u8), imm: false, |m, o, T| {
+    let r = falu::<OP>(m.f(o.b), m.f(o.c));
+    m.set_f(o.a, r);
+    done_f::<T>(m, o.a, o.d)
+});
+
+// `K` indexes [`CvtKind`] in declaration order.
+kernel!(Cvt<const K: usize>: Kid::Cvt(K as u8), imm: false, |m, o, T| match K {
+    0 => {
+        let v = m.regs[o.b as usize] as i64 as f64;
+        m.set_f(o.a, v);
+        done_f::<T>(m, o.a, o.d)
+    }
+    1 => {
+        m.regs[o.a as usize] = (m.f(o.b) as i64) as u64;
+        done_r::<T>(m, o.a, o.d)
+    }
+    2 => {
+        m.fregs[o.a as usize] = m.regs[o.b as usize];
+        done_f::<T>(m, o.a, o.d)
+    }
+    _ => {
+        m.regs[o.a as usize] = m.fregs[o.b as usize];
+        done_r::<T>(m, o.a, o.d)
+    }
+});
+
+kernel!(Push: Kid::Push, imm: false, |m, o, T| {
+    m.push(m.regs[o.a as usize])?;
+    done::<T>(m)
+});
+
+kernel!(Pop: Kid::Pop, imm: false, |m, o, T| {
+    let v = m.pop()?;
+    m.regs[o.a as usize] = v;
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(RdFlags: Kid::RdFlags, imm: false, |m, o, T| {
+    m.regs[o.a as usize] = m.flags as u64;
+    done_r::<T>(m, o.a, o.d)
+});
+
+kernel!(WrFlags: Kid::WrFlags, imm: false, |m, o, T| {
+    m.flags = (m.regs[o.a as usize] & 0xf) as u8;
+    done::<T>(m)
+});
+
+kernel!(FXorI: Kid::FXorI, imm: true, |m, o, T| {
+    m.fregs[o.a as usize] ^= o.imm;
+    done_f::<T>(m, o.a, o.d)
+});
+
+/// Effective address with the memory shape burned in as const generics, so
+/// the fused path has no `Option` branches: `a` the base, `b` the index,
+/// `c` the scale and `imm` the displacement.
+#[inline(always)]
+fn addr<const BASE: bool, const INDEX: bool>(m: &Machine<'_>, o: Ops) -> u64 {
+    let mut a = o.imm;
+    if BASE {
+        a = a.wrapping_add(m.regs[o.a as usize]);
+    }
+    if INDEX {
+        a = a.wrapping_add(m.regs[o.b as usize].wrapping_mul(o.c as u64));
+    }
+    a
 }
 
-fn jcc_fn<const T: u8>(cc: Cc) -> UopFn {
-    match cc {
-        Cc::E => u_jcc::<0, T>,
-        Cc::Ne => u_jcc::<1, T>,
-        Cc::Lt => u_jcc::<2, T>,
-        Cc::Le => u_jcc::<3, T>,
-        Cc::Gt => u_jcc::<4, T>,
-        Cc::Ge => u_jcc::<5, T>,
+/// A memory register writer's copying-tail `y`: in the index byte `b`, or
+/// in the base byte `a` of an indexed shape with no base ([`Half::decode`]
+/// builds no copying tail for a shape with both). Its destination is `d`.
+#[inline(always)]
+fn mem_y<const INDEX: bool>(o: Ops) -> u8 {
+    if INDEX {
+        o.a
+    } else {
+        o.b
     }
 }
 
-/// `selInstr` under a counting-only runtime: never inject.
-fn u_sel_instr<const T: u8>(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
-    m.regs[0] = 0;
+kernel!(Ld<const BASE: bool, const INDEX: bool>: Kid::Ld(BASE, INDEX), imm: true, |m, o, T| {
+    m.regs[o.d as usize] = m.mem_read(addr::<BASE, INDEX>(m, o))?;
+    done_r::<T>(m, o.d, mem_y::<INDEX>(o))
+});
+
+kernel!(St<const BASE: bool, const INDEX: bool>: Kid::St(BASE, INDEX), imm: true, |m, o, T| {
+    m.mem_write(addr::<BASE, INDEX>(m, o), m.regs[o.d as usize])?;
     done::<T>(m)
-}
+});
 
-// The one-instruction register writers below keep their destination in `a`
-// and a copying tail's `y` in the otherwise unused `d`.
+kernel!(FLd<const BASE: bool, const INDEX: bool>: Kid::FLd(BASE, INDEX), imm: true, |m, o, T| {
+    m.fregs[o.d as usize] = m.mem_read(addr::<BASE, INDEX>(m, o))?;
+    done_f::<T>(m, o.d, mem_y::<INDEX>(o))
+});
 
-fn u_mov_rr<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.regs[u.a as usize] = m.regs[u.b as usize];
-    done_r::<T>(m, u.a, u.d)
-}
+kernel!(FSt<const BASE: bool, const INDEX: bool>: Kid::FSt(BASE, INDEX), imm: true, |m, o, T| {
+    m.mem_write(addr::<BASE, INDEX>(m, o), m.fregs[o.d as usize])?;
+    done::<T>(m)
+});
 
-fn u_mov_ri<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.regs[u.a as usize] = u.imm;
-    done_r::<T>(m, u.a, u.d)
-}
+kernel!(Lea<const BASE: bool, const INDEX: bool>: Kid::Lea(BASE, INDEX), imm: true, |m, o, T| {
+    m.regs[o.d as usize] = addr::<BASE, INDEX>(m, o);
+    done_r::<T>(m, o.d, mem_y::<INDEX>(o))
+});
 
-fn u_fmov_rr<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.fregs[u.a as usize] = m.fregs[u.b as usize];
-    done_f::<T>(m, u.a, u.d)
-}
-
-fn u_fmov_ri<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.fregs[u.a as usize] = u.imm;
-    done_f::<T>(m, u.a, u.d)
-}
+// The memory shapes by name, for the tables: base + displacement,
+// absolute, absolute + scaled index, and base + scaled index.
+type LdB = Ld<true, false>;
+type LdA = Ld<false, false>;
+type LdX = Ld<false, true>;
+type LdBX = Ld<true, true>;
+type StB = St<true, false>;
+type StA = St<false, false>;
+type StX = St<false, true>;
+type StBX = St<true, true>;
+type FLdB = FLd<true, false>;
+type FLdA = FLd<false, false>;
+type FLdX = FLd<false, true>;
+type FLdBX = FLd<true, true>;
+type FStB = FSt<true, false>;
+type FStA = FSt<false, false>;
+type FStX = FSt<false, true>;
+type FStBX = FSt<true, true>;
+type LeaB = Lea<true, false>;
+type LeaA = Lea<false, false>;
+type LeaX = Lea<false, true>;
+type LeaBX = Lea<true, true>;
 
 const ALU_OPS: [AluOp; 11] = [
     AluOp::Add,
@@ -1083,246 +1366,73 @@ const ALU_OPS: [AluOp; 11] = [
     AluOp::AShr,
 ];
 
-fn u_alu_rr<const OP: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let r = m.alu(ALU_OPS[OP], m.regs[u.b as usize] as i64, m.regs[u.c as usize] as i64)?;
-    m.regs[u.a as usize] = r as u64;
-    done_r::<T>(m, u.a, u.d)
-}
-
-fn u_alu_ri<const OP: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let r = m.alu(ALU_OPS[OP], m.regs[u.b as usize] as i64, u.imm as i64)?;
-    m.regs[u.a as usize] = r as u64;
-    done_r::<T>(m, u.a, u.d)
-}
-
-fn alu_rr_fn<const T: u8>(op: AluOp) -> UopFn {
-    match op {
-        AluOp::Add => u_alu_rr::<0, T>,
-        AluOp::Sub => u_alu_rr::<1, T>,
-        AluOp::Mul => u_alu_rr::<2, T>,
-        AluOp::Div => u_alu_rr::<3, T>,
-        AluOp::Rem => u_alu_rr::<4, T>,
-        AluOp::And => u_alu_rr::<5, T>,
-        AluOp::Or => u_alu_rr::<6, T>,
-        AluOp::Xor => u_alu_rr::<7, T>,
-        AluOp::Shl => u_alu_rr::<8, T>,
-        AluOp::LShr => u_alu_rr::<9, T>,
-        AluOp::AShr => u_alu_rr::<10, T>,
-    }
-}
-
-fn alu_ri_fn<const T: u8>(op: AluOp) -> UopFn {
-    match op {
-        AluOp::Add => u_alu_ri::<0, T>,
-        AluOp::Sub => u_alu_ri::<1, T>,
-        AluOp::Mul => u_alu_ri::<2, T>,
-        AluOp::Div => u_alu_ri::<3, T>,
-        AluOp::Rem => u_alu_ri::<4, T>,
-        AluOp::And => u_alu_ri::<5, T>,
-        AluOp::Or => u_alu_ri::<6, T>,
-        AluOp::Xor => u_alu_ri::<7, T>,
-        AluOp::Shl => u_alu_ri::<8, T>,
-        AluOp::LShr => u_alu_ri::<9, T>,
-        AluOp::AShr => u_alu_ri::<10, T>,
-    }
-}
-
-fn u_cmp<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.cmp_flags(m.regs[u.a as usize] as i64, m.regs[u.b as usize] as i64);
-    done::<T>(m)
-}
-
-fn u_cmp_i<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.cmp_flags(m.regs[u.a as usize] as i64, u.imm as i64);
-    done::<T>(m)
-}
-
 const CCS: [Cc; 6] = [Cc::E, Cc::Ne, Cc::Lt, Cc::Le, Cc::Gt, Cc::Ge];
 
-fn u_setcc<const C: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.regs[u.a as usize] = CCS[C].eval(m.flags) as u64;
-    done_r::<T>(m, u.a, u.d)
-}
-
-fn setcc_fn<const T: u8>(cc: Cc) -> UopFn {
-    match cc {
-        Cc::E => u_setcc::<0, T>,
-        Cc::Ne => u_setcc::<1, T>,
-        Cc::Lt => u_setcc::<2, T>,
-        Cc::Le => u_setcc::<3, T>,
-        Cc::Gt => u_setcc::<4, T>,
-        Cc::Ge => u_setcc::<5, T>,
-    }
-}
+// The kernels' const parameters by name: operations index [`ALU_OPS`] (the
+// first four also [`FAluOp`]'s order, whose `Min` and `Max` follow),
+// conditions [`CCS`], and conversions [`CvtKind`]'s order.
+const ADD: usize = 0;
+const SUB: usize = 1;
+const MUL: usize = 2;
+const DIV: usize = 3;
+const REM: usize = 4;
+const AND: usize = 5;
+const OR: usize = 6;
+const XOR: usize = 7;
+const SHL: usize = 8;
+const LSHR: usize = 9;
+const ASHR: usize = 10;
+const MIN: usize = 4;
+const MAX: usize = 5;
+const EQ: usize = 0;
+const NE: usize = 1;
+const LT: usize = 2;
+const LE: usize = 3;
+const GT: usize = 4;
+const GE: usize = 5;
+const SI_TO_F: usize = 0;
+const F_TO_SI: usize = 1;
+const BITS_TO_F: usize = 2;
+const F_TO_BITS: usize = 3;
 
 /// The floating-point operation `OP` indexes in [`FAluOp`] order.
 #[inline(always)]
 fn falu<const OP: usize>(a: f64, b: f64) -> f64 {
     match OP {
-        0 => a + b,
-        1 => a - b,
-        2 => a * b,
-        3 => a / b,
-        4 => a.min(b),
+        ADD => a + b,
+        SUB => a - b,
+        MUL => a * b,
+        DIV => a / b,
+        MIN => a.min(b),
         _ => a.max(b),
     }
 }
 
-fn falu_index(op: FAluOp) -> usize {
-    match op {
-        FAluOp::Add => 0,
-        FAluOp::Sub => 1,
-        FAluOp::Mul => 2,
-        FAluOp::Div => 3,
-        FAluOp::Min => 4,
-        FAluOp::Max => 5,
-    }
+/// A one-instruction µop: kernel `K` on the µop's operands, then tail `T`.
+fn one<K: Kernel, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
+    K::run::<T>(m, Ops { a: u.a, b: u.b, c: u.c, d: u.d, imm: u.imm })
 }
 
-fn u_falu<const OP: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let r = falu::<OP>(m.f(u.b), m.f(u.c));
-    m.set_f(u.a, r);
-    done_f::<T>(m, u.a, u.d)
-}
-
-fn falu_fn<const T: u8>(op: FAluOp) -> UopFn {
-    match falu_index(op) {
-        0 => u_falu::<0, T>,
-        1 => u_falu::<1, T>,
-        2 => u_falu::<2, T>,
-        3 => u_falu::<3, T>,
-        4 => u_falu::<4, T>,
-        _ => u_falu::<5, T>,
-    }
-}
-
-fn u_fcmp<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let (a, b) = (m.f(u.a), m.f(u.b));
-    m.fcmp_flags(a, b);
-    done::<T>(m)
-}
-
-fn u_cvt<const K: usize, const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    match K {
-        0 => {
-            let v = m.regs[u.b as usize] as i64 as f64;
-            m.set_f(u.a, v);
-            done_f::<T>(m, u.a, u.d)
-        }
-        1 => {
-            m.regs[u.a as usize] = (m.f(u.b) as i64) as u64;
-            done_r::<T>(m, u.a, u.d)
-        }
-        2 => {
-            m.fregs[u.a as usize] = m.regs[u.b as usize];
-            done_f::<T>(m, u.a, u.d)
-        }
-        _ => {
-            m.regs[u.a as usize] = m.fregs[u.b as usize];
-            done_r::<T>(m, u.a, u.d)
-        }
-    }
-}
-
-fn cvt_fn<const T: u8>(kind: CvtKind) -> UopFn {
-    match kind {
-        CvtKind::SiToF => u_cvt::<0, T>,
-        CvtKind::FToSi => u_cvt::<1, T>,
-        CvtKind::BitsToF => u_cvt::<2, T>,
-        CvtKind::FToBits => u_cvt::<3, T>,
-    }
-}
-
-/// Effective address with the memory shape burned in as const generics, so
-/// the fused path has no `Option` branches.
-#[inline(always)]
-fn uop_addr<const BASE: bool, const INDEX: bool>(m: &Machine<'_>, u: &Uop) -> u64 {
-    let mut a = u.imm;
-    if BASE {
-        a = a.wrapping_add(m.regs[u.a as usize]);
-    }
-    if INDEX {
-        a = a.wrapping_add(m.regs[u.b as usize].wrapping_mul(u.c as u64));
-    }
-    a
-}
-
-// The memory register writers keep their destination in `d` and a copying
-// tail's `y` in the index byte `b`, or in the base byte `a` of an indexed
-// shape with no base ([`writer`] builds no copying tail for a shape with
-// both).
-
-fn u_ld<const BASE: bool, const INDEX: bool, const T: u8>(
+/// A pair µop: kernel `K1` and its tail `T1`, then `K2` and its tail `T2`
+/// on the instruction the trace dispatches after what the first half
+/// covers (the next pc, or past a site, hook plumbing or move the first
+/// half absorbed). A half's four operand bytes are nibbles of two of the
+/// µop's; where both halves read an immediate, each gets 32 bits of `imm`,
+/// sign-extended, and otherwise the one that does gets all of it. Either
+/// half may stop the trace, and the exit says which.
+fn two<K1: Kernel, const T1: u8, K2: Kernel, const T2: u8>(
     m: &mut Machine<'_>,
     u: &Uop,
 ) -> Result<(), Exit> {
-    let a = uop_addr::<BASE, INDEX>(m, u);
-    m.regs[u.d as usize] = m.mem_read(a)?;
-    done_r::<T>(m, u.d, if INDEX { u.a } else { u.b })
+    let (imm1, imm2) = if K1::IMM && K2::IMM {
+        (half::<false>(u.imm), half::<true>(u.imm))
+    } else {
+        (u.imm, u.imm)
+    };
+    let ops = |lo: u8, hi: u8, imm| Ops { a: lo & 15, b: lo >> 4, c: hi & 15, d: hi >> 4, imm };
+    K1::run::<T1>(m, ops(u.a, u.b, imm1))?;
+    K2::run::<T2>(m, ops(u.c, u.d, imm2)).map_err(|_| Exit::Second(T1.into()))
 }
-
-fn u_st<const BASE: bool, const INDEX: bool, const T: u8>(
-    m: &mut Machine<'_>,
-    u: &Uop,
-) -> Result<(), Exit> {
-    let a = uop_addr::<BASE, INDEX>(m, u);
-    m.mem_write(a, m.regs[u.d as usize])?;
-    done::<T>(m)
-}
-
-fn u_fld<const BASE: bool, const INDEX: bool, const T: u8>(
-    m: &mut Machine<'_>,
-    u: &Uop,
-) -> Result<(), Exit> {
-    let a = uop_addr::<BASE, INDEX>(m, u);
-    m.fregs[u.d as usize] = m.mem_read(a)?;
-    done_f::<T>(m, u.d, if INDEX { u.a } else { u.b })
-}
-
-fn u_fst<const BASE: bool, const INDEX: bool, const T: u8>(
-    m: &mut Machine<'_>,
-    u: &Uop,
-) -> Result<(), Exit> {
-    let a = uop_addr::<BASE, INDEX>(m, u);
-    m.mem_write(a, m.fregs[u.d as usize])?;
-    done::<T>(m)
-}
-
-fn u_lea<const BASE: bool, const INDEX: bool, const T: u8>(
-    m: &mut Machine<'_>,
-    u: &Uop,
-) -> Result<(), Exit> {
-    m.regs[u.d as usize] = uop_addr::<BASE, INDEX>(m, u);
-    done_r::<T>(m, u.d, if INDEX { u.a } else { u.b })
-}
-
-fn u_push<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.push(m.regs[u.a as usize])?;
-    done::<T>(m)
-}
-
-fn u_pop<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    let v = m.pop()?;
-    m.regs[u.a as usize] = v;
-    done_r::<T>(m, u.a, u.d)
-}
-
-fn u_rdflags<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.regs[u.a as usize] = m.flags as u64;
-    done_r::<T>(m, u.a, u.d)
-}
-
-fn u_wrflags<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.flags = (m.regs[u.a as usize] & 0xf) as u8;
-    done::<T>(m)
-}
-
-fn u_fxori<const T: u8>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    m.fregs[u.a as usize] ^= u.imm;
-    done_f::<T>(m, u.a, u.d)
-}
-
-// --- pair µops: two instructions, the second at the µop's pc + 1 -----------
 
 /// A 32-bit half of a pair µop's packed `imm`, sign-extended: `HI` picks
 /// the high half.
@@ -1332,134 +1442,252 @@ fn half<const HI: bool>(imm: u64) -> u64 {
     i64::from(bits as u32 as i32) as u64
 }
 
-/// A compare (`K`: 0 `Cmp`, 1 `CmpI`, 2 `FCmp`) and the `Jcc` guard on
-/// condition `C` after it: `a`/`b` the compared registers, a `CmpI`
-/// immediate in the low half of `imm`, and the guard's target in the high
-/// half.
-fn u_cmp_jcc<const K: u8, const C: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    match K {
-        0 => m.cmp_flags(m.regs[u.a as usize] as i64, m.regs[u.b as usize] as i64),
-        1 => m.cmp_flags(m.regs[u.a as usize] as i64, half::<false>(u.imm) as i64),
-        _ => {
-            let (a, b) = (m.f(u.a), m.f(u.b));
-            m.fcmp_flags(a, b);
+fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Exit> {
+    unreachable!("terminator µop is never dispatched fused")
+}
+
+/// Which kernel a µop half runs: the build-time key of its handlers. The
+/// `u8` parameters are the kernels' const parameters; a memory kernel's
+/// are its shape (base, index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kid {
+    Nop,
+    SelInstr,
+    Jcc(u8),
+    MovRR,
+    MovRI,
+    FMovRR,
+    FMovRI,
+    Alu(u8),
+    AluI(u8),
+    Cmp,
+    CmpI,
+    FCmp,
+    SetCc(u8),
+    FAlu(u8),
+    Cvt(u8),
+    Ld(bool, bool),
+    St(bool, bool),
+    FLd(bool, bool),
+    FSt(bool, bool),
+    Lea(bool, bool),
+    Push,
+    Pop,
+    RdFlags,
+    WrFlags,
+    FXorI,
+}
+
+impl Kid {
+    /// How many kernels there are.
+    const COUNT: usize = 78;
+
+    /// This kernel's key with tail `tail`, dense below `COUNT * 8`: its
+    /// handlers' index in [`Handlers`].
+    fn key(self, tail: u8) -> usize {
+        let shape = |base: bool, index: bool| usize::from(base) | usize::from(index) << 1;
+        let kernel = match self {
+            Kid::Nop => 0,
+            Kid::SelInstr => 1,
+            Kid::MovRR => 2,
+            Kid::MovRI => 3,
+            Kid::FMovRR => 4,
+            Kid::FMovRI => 5,
+            Kid::Cmp => 6,
+            Kid::CmpI => 7,
+            Kid::FCmp => 8,
+            Kid::Push => 9,
+            Kid::Pop => 10,
+            Kid::RdFlags => 11,
+            Kid::WrFlags => 12,
+            Kid::FXorI => 13,
+            Kid::Jcc(c) => 14 + usize::from(c),
+            Kid::SetCc(c) => 20 + usize::from(c),
+            Kid::FAlu(op) => 26 + usize::from(op),
+            Kid::Cvt(k) => 32 + usize::from(k),
+            Kid::Ld(b, x) => 36 + shape(b, x),
+            Kid::St(b, x) => 40 + shape(b, x),
+            Kid::FLd(b, x) => 44 + shape(b, x),
+            Kid::FSt(b, x) => 48 + shape(b, x),
+            Kid::Lea(b, x) => 52 + shape(b, x),
+            Kid::Alu(op) => 56 + usize::from(op),
+            Kid::AluI(op) => 67 + usize::from(op),
+        };
+        kernel * 8 + usize::from(tail)
+    }
+}
+
+/// A register an instruction writes: floating-point when the flag is set.
+type Dest = (bool, u8);
+
+/// One instruction as a µop runs it, alone or as a pair's half: its kernel
+/// and operands and the tail it runs, and for a register writer the
+/// register it writes and the operand byte a copying tail's `y` goes in
+/// (none for a memory shape with both a base and an index).
+#[derive(Debug, Clone, Copy)]
+struct Half {
+    kid: Kid,
+    ops: Ops,
+    tail: u8,
+    dest: Option<Dest>,
+    y_byte: Option<u8>,
+}
+
+impl Half {
+    /// A no-op.
+    const NOP: Half =
+        Half { kid: Kid::Nop, ops: Ops::ZERO, tail: NO_TAIL, dest: None, y_byte: None };
+
+    /// A site skip heading its trace: a no-op with [`SITE`].
+    const SITE_SKIP: Half = Half { tail: SITE, ..Half::NOP };
+
+    /// `instr`'s kernel and operands with no tail, or `None` for a
+    /// terminator. A forward `Jmp` and the LLFI hooks are no-ops in a
+    /// trace.
+    fn decode(instr: &MInstr) -> Option<Half> {
+        use MInstr as I;
+        let ops = |a, b, c, d, imm| Ops { a, b, c, d, imm };
+        let other = |kid, ops| Half { kid, ops, ..Half::NOP };
+        // A register writer keeps its destination in `a` and `y` in `d`.
+        let writer = |kid, ops: Ops, float| Half {
+            dest: Some((float, ops.a)),
+            y_byte: Some(3),
+            ..other(kid, ops)
+        };
+        // A memory access: base, index and scale in `a` to `c`, the data
+        // register in `d`; a loading one keeps `y` where [`mem_y`] reads it.
+        let memory = |kid: fn(bool, bool) -> Kid, mem: &Mem, data, float: Option<bool>| {
+            let (index, scale) = mem.index.unwrap_or((0, 0));
+            let ops = ops(mem.base.unwrap_or(0), index, scale, data, mem.disp as u64);
+            let y_byte = match (mem.base, mem.index) {
+                (_, None) => Some(1),
+                (None, Some(_)) => Some(0),
+                _ => None,
+            };
+            let h = other(kid(mem.base.is_some(), mem.index.is_some()), ops);
+            match float {
+                Some(float) => Half { dest: Some((float, data)), y_byte, ..h },
+                None => h,
+            }
+        };
+        Some(match *instr {
+            I::Nop | I::Jmp { .. } => Half::NOP,
+            I::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. } => Half::NOP,
+            I::CallRt { func: RtFunc::FiSelInstr, .. } => other(Kid::SelInstr, Ops::ZERO),
+            I::Jcc { cc, target } => other(Kid::Jcc(cc_index(cc)), ops(0, 0, 0, 0, target.into())),
+            I::MovRR { rd, ra } => writer(Kid::MovRR, ops(rd, ra, 0, 0, 0), false),
+            I::MovRI { rd, imm } => writer(Kid::MovRI, ops(rd, 0, 0, 0, imm as u64), false),
+            I::FMovRR { fd, fa } => writer(Kid::FMovRR, ops(fd, fa, 0, 0, 0), true),
+            I::FMovRI { fd, imm } => writer(Kid::FMovRI, ops(fd, 0, 0, 0, imm), true),
+            I::Alu { op, rd, ra, rb } => {
+                writer(Kid::Alu(alu_index(op)), ops(rd, ra, rb, 0, 0), false)
+            }
+            I::AluI { op, rd, ra, imm } => {
+                writer(Kid::AluI(alu_index(op)), ops(rd, ra, 0, 0, imm as u64), false)
+            }
+            I::Cmp { ra, rb } => other(Kid::Cmp, ops(ra, rb, 0, 0, 0)),
+            I::CmpI { ra, imm } => other(Kid::CmpI, ops(ra, 0, 0, 0, imm as u64)),
+            I::FCmp { fa, fb } => other(Kid::FCmp, ops(fa, fb, 0, 0, 0)),
+            I::SetCc { cc, rd } => writer(Kid::SetCc(cc_index(cc)), ops(rd, 0, 0, 0, 0), false),
+            I::FAlu { op, fd, fa, fb } => {
+                writer(Kid::FAlu(falu_index(op)), ops(fd, fa, fb, 0, 0), true)
+            }
+            I::Cvt { kind, dst, src } => {
+                let float = matches!(kind, CvtKind::SiToF | CvtKind::BitsToF);
+                writer(Kid::Cvt(cvt_index(kind)), ops(dst, src, 0, 0, 0), float)
+            }
+            I::Ld { rd, ref mem } => memory(Kid::Ld, mem, rd, Some(false)),
+            I::FLd { fd, ref mem } => memory(Kid::FLd, mem, fd, Some(true)),
+            I::Lea { rd, ref mem } => memory(Kid::Lea, mem, rd, Some(false)),
+            I::St { rs, ref mem } => memory(Kid::St, mem, rs, None),
+            I::FSt { fs, ref mem } => memory(Kid::FSt, mem, fs, None),
+            I::Push { rs } => other(Kid::Push, ops(rs, 0, 0, 0, 0)),
+            I::Pop { rd } => writer(Kid::Pop, ops(rd, 0, 0, 0, 0), false),
+            I::RdFlags { rd } => writer(Kid::RdFlags, ops(rd, 0, 0, 0, 0), false),
+            I::WrFlags { rs } => other(Kid::WrFlags, ops(rs, 0, 0, 0, 0)),
+            I::FXorI { fd, imm } => writer(Kid::FXorI, ops(fd, 0, 0, 0, imm), true),
+            I::Call { .. } | I::Ret | I::Halt | I::CallRt { .. } => return None,
+        })
+    }
+
+    /// This half with tail `tail` (`y` the copy destination of a copying
+    /// one), where it can run it: [`HOOK`] and [`COPY`] tails only after a
+    /// register writer, a copying one only where `y` has a byte.
+    fn with_tail(mut self, tail: u8, y: u8) -> Option<Half> {
+        if tail & (HOOK | COPY) != 0 && self.dest.is_none() {
+            return None;
         }
+        if tail & COPY != 0 {
+            self.ops.set(self.y_byte?, y);
+        }
+        self.tail = tail;
+        Some(self)
     }
-    if CCS[C].eval(m.flags) {
-        Err(Exit::TakenSecond)
-    } else {
-        Ok(())
+
+    /// This half as a one-instruction µop continuing at `next`.
+    fn uop(&self, next: usize) -> Uop {
+        let Ops { a, b, c, d, imm } = self.ops;
+        Uop { exec: handlers().single(self.kid, self.tail), imm, next: next as u32, a, b, c, d }
+    }
+
+    /// The pair µop running this half and then `second`, continuing at
+    /// `next`, where the table has one for the two halves' kernels and
+    /// tails and their operands fit: every operand byte in a nibble, and
+    /// both immediates in 32 bits where both halves read one.
+    fn pair(&self, second: &Half, next: usize) -> Option<Uop> {
+        let PairFn { exec, imms } = handlers().pair(self, second)?;
+        let narrow = |v: u64| i32::try_from(v as i64).ok().map(|v| u64::from(v as u32));
+        let imm = match imms {
+            (true, true) => narrow(self.ops.imm)? | narrow(second.ops.imm)? << 32,
+            (true, false) => self.ops.imm,
+            (false, true) => second.ops.imm,
+            (false, false) => 0,
+        };
+        let nibbles = |lo: u8, hi: u8| (lo < 16 && hi < 16).then_some(lo | hi << 4);
+        let (o1, o2) = (self.ops, second.ops);
+        Some(Uop {
+            exec,
+            imm,
+            next: next as u32,
+            a: nibbles(o1.a, o1.b)?,
+            b: nibbles(o1.c, o1.d)?,
+            c: nibbles(o2.a, o2.b)?,
+            d: nibbles(o2.c, o2.d)?,
+        })
     }
 }
 
-fn cmp_jcc_fn<const K: u8>(cc: Cc) -> UopFn {
-    match cc {
-        Cc::E => u_cmp_jcc::<K, 0>,
-        Cc::Ne => u_cmp_jcc::<K, 1>,
-        Cc::Lt => u_cmp_jcc::<K, 2>,
-        Cc::Le => u_cmp_jcc::<K, 3>,
-        Cc::Gt => u_cmp_jcc::<K, 4>,
-        Cc::Ge => u_cmp_jcc::<K, 5>,
+fn alu_index(op: AluOp) -> u8 {
+    ALU_OPS.iter().position(|&o| o == op).expect("every ALU operation is listed") as u8
+}
+
+fn cc_index(cc: Cc) -> u8 {
+    CCS.iter().position(|&c| c == cc).expect("every condition is listed") as u8
+}
+
+fn falu_index(op: FAluOp) -> u8 {
+    match op {
+        FAluOp::Add => ADD as u8,
+        FAluOp::Sub => SUB as u8,
+        FAluOp::Mul => MUL as u8,
+        FAluOp::Div => DIV as u8,
+        FAluOp::Min => MIN as u8,
+        FAluOp::Max => MAX as u8,
     }
 }
 
-/// The memory access kinds of [`u_mem_pair`]: `Ld`, `St`, `FLd`, `FSt`.
-const LD: u8 = 0;
-const ST: u8 = 1;
-const FLD: u8 = 2;
-const FST: u8 = 3;
-
-/// One unindexed memory access of kind `K` at `addr`, with data register
-/// `r`.
-#[inline(always)]
-fn mem_access<const K: u8>(m: &mut Machine<'_>, addr: u64, r: u8) -> Result<(), Trap> {
-    match K {
-        LD => m.regs[r as usize] = m.mem_read(addr)?,
-        ST => m.mem_write(addr, m.regs[r as usize])?,
-        FLD => m.fregs[r as usize] = m.mem_read(addr)?,
-        _ => m.mem_write(addr, m.fregs[r as usize])?,
-    }
-    Ok(())
+fn cvt_index(kind: CvtKind) -> u8 {
+    (match kind {
+        CvtKind::SiToF => SI_TO_F,
+        CvtKind::FToSi => F_TO_SI,
+        CvtKind::BitsToF => BITS_TO_F,
+        CvtKind::FToBits => F_TO_BITS,
+    }) as u8
 }
 
-/// Two unindexed loads or stores of kinds `K1` and `K2`: `a`/`b` their
-/// bases (used when `B1`/`B2`), `c`/`d` their data registers, and their
-/// displacements in the low and high halves of `imm`.
-fn u_mem_pair<const K1: u8, const B1: bool, const K2: u8, const B2: bool>(
-    m: &mut Machine<'_>,
-    u: &Uop,
-) -> Result<(), Exit> {
-    let mut addr = half::<false>(u.imm);
-    if B1 {
-        addr = addr.wrapping_add(m.regs[u.a as usize]);
-    }
-    mem_access::<K1>(m, addr, u.c)?;
-    let mut addr = half::<true>(u.imm);
-    if B2 {
-        addr = addr.wrapping_add(m.regs[u.b as usize]);
-    }
-    mem_access::<K2>(m, addr, u.d).map_err(Exit::memory_second)
-}
-
-fn mem_pair_second<const K1: u8, const B1: bool>(k2: u8, b2: bool) -> UopFn {
-    match (k2, b2) {
-        (LD, false) => u_mem_pair::<K1, B1, LD, false>,
-        (LD, true) => u_mem_pair::<K1, B1, LD, true>,
-        (ST, false) => u_mem_pair::<K1, B1, ST, false>,
-        (ST, true) => u_mem_pair::<K1, B1, ST, true>,
-        (FLD, false) => u_mem_pair::<K1, B1, FLD, false>,
-        (FLD, true) => u_mem_pair::<K1, B1, FLD, true>,
-        (_, false) => u_mem_pair::<K1, B1, FST, false>,
-        (_, true) => u_mem_pair::<K1, B1, FST, true>,
-    }
-}
-
-fn mem_pair_fn((k1, b1): (u8, bool), (k2, b2): (u8, bool)) -> UopFn {
-    match (k1, b1) {
-        (LD, false) => mem_pair_second::<LD, false>(k2, b2),
-        (LD, true) => mem_pair_second::<LD, true>(k2, b2),
-        (ST, false) => mem_pair_second::<ST, false>(k2, b2),
-        (ST, true) => mem_pair_second::<ST, true>(k2, b2),
-        (FLD, false) => mem_pair_second::<FLD, false>(k2, b2),
-        (FLD, true) => mem_pair_second::<FLD, true>(k2, b2),
-        (_, false) => mem_pair_second::<FST, false>(k2, b2),
-        (_, true) => mem_pair_second::<FST, true>(k2, b2),
-    }
-}
-
-/// An unindexed memory access with a 32-bit displacement, as a
-/// [`u_mem_pair`] half: its kind, whether it has a base, the base, the data
-/// register and the displacement.
-fn mem_half(i: &MInstr) -> Option<((u8, bool), u8, u8, i64)> {
-    let (kind, r, mem) = match *i {
-        MInstr::Ld { rd, mem } => (LD, rd, mem),
-        MInstr::St { rs, mem } => (ST, rs, mem),
-        MInstr::FLd { fd, mem } => (FLD, fd, mem),
-        MInstr::FSt { fs, mem } => (FST, fs, mem),
-        _ => return None,
-    };
-    let fits = mem.index.is_none() && i32::try_from(mem.disp).is_ok();
-    fits.then_some(((kind, mem.base.is_some()), mem.base.unwrap_or(0), r, mem.disp))
-}
-
-/// Two register moves (`F1`/`F2`: floating-point): `a = b`, then `c = d`.
-fn u_mov_pair<const F1: bool, const F2: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Exit> {
-    if F1 {
-        m.fregs[u.a as usize] = m.fregs[u.b as usize];
-    } else {
-        m.regs[u.a as usize] = m.regs[u.b as usize];
-    }
-    if F2 {
-        m.fregs[u.c as usize] = m.fregs[u.d as usize];
-    } else {
-        m.regs[u.c as usize] = m.regs[u.d as usize];
-    }
-    Ok(())
-}
-
-/// A register move as a [`u_mov_pair`] half: floating-point, destination,
-/// source.
-fn mov_half(i: &MInstr) -> Option<(bool, u8, u8)> {
+/// The register move `mov y <- x` (floating-point when the flag is set) as
+/// `(float, y, x)`.
+fn mov_operands(i: &MInstr) -> Option<(bool, u8, u8)> {
     match *i {
         MInstr::MovRR { rd, ra } => Some((false, rd, ra)),
         MInstr::FMovRR { fd, fa } => Some((true, fd, fa)),
@@ -1467,213 +1695,262 @@ fn mov_half(i: &MInstr) -> Option<(bool, u8, u8)> {
     }
 }
 
-/// An unindexed `FLd f` (`a` base when `BASE`, `d` = `f`, `imm` the
-/// displacement) and the `FAlu` (`OP`) after it that reads `f` as its left
-/// operand when `L`, else its right: `b` its destination, `c` its other
-/// operand.
-fn u_fld_falu<const BASE: bool, const OP: usize, const L: bool>(
-    m: &mut Machine<'_>,
-    u: &Uop,
-) -> Result<(), Exit> {
-    let a = uop_addr::<BASE, false>(m, u);
-    m.fregs[u.d as usize] = m.mem_read(a)?;
-    let (f, other) = (m.f(u.d), m.f(u.c));
-    let r = if L { falu::<OP>(f, other) } else { falu::<OP>(other, f) };
-    m.set_f(u.b, r);
-    Ok(())
+/// A pair handler's key: both halves' kernels and tails.
+type PairKey = (Kid, u8, Kid, u8);
+
+/// A pair handler, and whether each half reads an immediate.
+#[derive(Clone, Copy)]
+struct PairFn {
+    exec: UopFn,
+    imms: (bool, bool),
 }
 
-fn fld_falu_fn<const BASE: bool, const L: bool>(op: FAluOp) -> UopFn {
-    match falu_index(op) {
-        0 => u_fld_falu::<BASE, 0, L>,
-        1 => u_fld_falu::<BASE, 1, L>,
-        2 => u_fld_falu::<BASE, 2, L>,
-        3 => u_fld_falu::<BASE, 3, L>,
-        4 => u_fld_falu::<BASE, 4, L>,
-        _ => u_fld_falu::<BASE, 5, L>,
+/// Every µop handler the program builder picks from, by [`Kid::key`]:
+/// one-instruction handlers, and per first half the pair handlers with the
+/// second half's key.
+struct Handlers {
+    singles: Vec<Option<UopFn>>,
+    pairs: Vec<Vec<(usize, PairFn)>>,
+}
+
+impl Handlers {
+    /// The one-instruction handler of kernel `kid` with tail `tail`; every
+    /// kernel has [`NO_TAIL`] and [`SITE`], every register writer all five.
+    fn single(&self, kid: Kid, tail: u8) -> UopFn {
+        self.singles[kid.key(tail)].expect("a one-instruction µop for every kernel and tail it runs")
+    }
+
+    /// The pair handler running `first` and then `second`, if the table has
+    /// one.
+    fn pair(&self, first: &Half, second: &Half) -> Option<PairFn> {
+        let want = second.kid.key(second.tail);
+        let row = &self.pairs[first.kid.key(first.tail)];
+        row.iter().find(|&&(key, _)| key == want).map(|&(_, f)| f)
     }
 }
 
-/// Select the memory-shape instantiation of a base/index const-generic
-/// handler for `$mem` and build its µop (a = base, b = index, c = scale,
-/// d = data register, imm = displacement).
-macro_rules! mem_uop {
-    ($f:ident, $t:ident, $mem:expr, $data:expr) => {{
-        let mem: &Mem = $mem;
-        let exec: UopFn = match (mem.base.is_some(), mem.index.is_some()) {
-            (false, false) => $f::<false, false, $t>,
-            (true, false) => $f::<true, false, $t>,
-            (false, true) => $f::<false, true, $t>,
-            (true, true) => $f::<true, true, $t>,
-        };
-        let (ix, scale) = mem.index.unwrap_or((0, 0));
-        Uop {
-            exec,
-            imm: mem.disp as u64,
-            next: 0,
-            a: mem.base.unwrap_or(0),
-            b: ix,
-            c: scale,
-            d: $data,
-        }
+/// One-instruction handlers: every tail for the register writers, none and
+/// [`SITE`] for the other kernels.
+macro_rules! singles {
+    (writers: [$($w:ty),+ $(,)?], others: [$($k:ty),+ $(,)?] $(,)?) => {
+        vec![
+            $(
+                ((<$w>::ID, NO_TAIL), one::<$w, NO_TAIL> as UopFn),
+                ((<$w>::ID, SITE), one::<$w, SITE>),
+                ((<$w>::ID, HOOK), one::<$w, HOOK>),
+                ((<$w>::ID, COPY), one::<$w, COPY>),
+                ((<$w>::ID, HOOK_COPY), one::<$w, HOOK_COPY>),
+            )+
+            $(
+                ((<$k>::ID, NO_TAIL), one::<$k, NO_TAIL>),
+                ((<$k>::ID, SITE), one::<$k, SITE>),
+            )+
+        ]
+    };
+}
+
+/// Pair handlers: each row `[first kernels] T1 => [second kernels] T2;`
+/// instantiates [`two`] for every first kernel with every second one.
+macro_rules! pairs {
+    ($([$($k1:ty),+ $(,)?] $t1:ident => $k2s:tt $t2:ident;)+) => {{
+        let mut v: Vec<(PairKey, PairFn)> = Vec::new();
+        $($(pairs!(@row v, $k1, $t1, $k2s, $t2);)+)+
+        v
     }};
-}
-
-fn simple(exec: UopFn, a: u8, b: u8, c: u8, imm: u64) -> Uop {
-    Uop { exec, imm, next: 0, a, b, c, d: 0 }
-}
-
-/// A register an instruction writes: floating-point when the flag is set.
-type Dest = (bool, u8);
-
-/// The µop of an instruction that writes one register, and that register:
-/// with tail `T` (any of the four), the variant that also runs the tail,
-/// `y` being a [`COPY`] or [`HOOK_COPY`] tail's copy destination. `None`
-/// for any other instruction, and for a memory writer with both a base and
-/// an index under a copying tail, which has no byte left for `y`.
-fn writer<const T: u8>(instr: &MInstr, y: u8) -> Option<(Uop, Dest)> {
-    let with_y = |u: Uop, dest: Dest| Some((Uop { d: y, ..u }, dest));
-    let mem_with_y = |u: Uop, mem: &Mem, dest: Dest| {
-        if T & COPY == 0 {
-            Some((u, dest))
-        } else if mem.index.is_none() {
-            Some((Uop { b: y, ..u }, dest))
-        } else if mem.base.is_none() {
-            Some((Uop { a: y, ..u }, dest))
-        } else {
-            None
-        }
+    (@row $v:ident, $k1:ty, $t1:ident, [$($k2:ty),+ $(,)?], $t2:ident) => {
+        $v.extend([$((
+            (<$k1>::ID, $t1, <$k2>::ID, $t2),
+            PairFn { exec: two::<$k1, $t1, $k2, $t2>, imms: (<$k1>::IMM, <$k2>::IMM) },
+        )),+]);
     };
-    match *instr {
-        MInstr::MovRR { rd, ra } => with_y(simple(u_mov_rr::<T>, rd, ra, 0, 0), (false, rd)),
-        MInstr::MovRI { rd, imm } => {
-            with_y(simple(u_mov_ri::<T>, rd, 0, 0, imm as u64), (false, rd))
-        }
-        MInstr::FMovRR { fd, fa } => with_y(simple(u_fmov_rr::<T>, fd, fa, 0, 0), (true, fd)),
-        MInstr::FMovRI { fd, imm } => with_y(simple(u_fmov_ri::<T>, fd, 0, 0, imm), (true, fd)),
-        MInstr::Alu { op, rd, ra, rb } => {
-            with_y(simple(alu_rr_fn::<T>(op), rd, ra, rb, 0), (false, rd))
-        }
-        MInstr::AluI { op, rd, ra, imm } => {
-            with_y(simple(alu_ri_fn::<T>(op), rd, ra, 0, imm as u64), (false, rd))
-        }
-        MInstr::SetCc { cc, rd } => with_y(simple(setcc_fn::<T>(cc), rd, 0, 0, 0), (false, rd)),
-        MInstr::FAlu { op, fd, fa, fb } => {
-            with_y(simple(falu_fn::<T>(op), fd, fa, fb, 0), (true, fd))
-        }
-        MInstr::Cvt { kind, dst, src } => {
-            let float = matches!(kind, CvtKind::SiToF | CvtKind::BitsToF);
-            with_y(simple(cvt_fn::<T>(kind), dst, src, 0, 0), (float, dst))
-        }
-        MInstr::Pop { rd } => with_y(simple(u_pop::<T>, rd, 0, 0, 0), (false, rd)),
-        MInstr::RdFlags { rd } => with_y(simple(u_rdflags::<T>, rd, 0, 0, 0), (false, rd)),
-        MInstr::FXorI { fd, imm } => with_y(simple(u_fxori::<T>, fd, 0, 0, imm), (true, fd)),
-        MInstr::Ld { rd, ref mem } => mem_with_y(mem_uop!(u_ld, T, mem, rd), mem, (false, rd)),
-        MInstr::FLd { fd, ref mem } => mem_with_y(mem_uop!(u_fld, T, mem, fd), mem, (true, fd)),
-        MInstr::Lea { rd, ref mem } => mem_with_y(mem_uop!(u_lea, T, mem, rd), mem, (false, rd)),
-        _ => None,
-    }
 }
 
-/// Lower one instruction to its µop (its `next` is linked when the traces
-/// are built); with [`SITE`], the variant that also absorbs the REFINE site
-/// skip after it. A forward `Jmp` and the LLFI hooks are no-ops in a trace;
-/// terminators get a placeholder that is never dispatched (their
-/// `fused_len` is always 0).
-fn lower<const T: u8>(instr: &MInstr) -> Uop {
-    if let Some((u, _)) = writer::<T>(instr, 0) {
-        return u;
-    }
-    match *instr {
-        MInstr::Nop
-        | MInstr::Jmp { .. }
-        | MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. } => {
-            simple(u_nop::<T>, 0, 0, 0, 0)
+/// The handler tables, built once per process.
+fn handlers() -> &'static Handlers {
+    static HANDLERS: OnceLock<Handlers> = OnceLock::new();
+    HANDLERS.get_or_init(|| {
+        let singles = singles! {
+            writers: [
+                MovRR, MovRI, FMovRR, FMovRI,
+                Alu<ADD>, Alu<SUB>, Alu<MUL>, Alu<DIV>, Alu<REM>, Alu<AND>,
+                Alu<OR>, Alu<XOR>, Alu<SHL>, Alu<LSHR>, Alu<ASHR>,
+                AluI<ADD>, AluI<SUB>, AluI<MUL>, AluI<DIV>, AluI<REM>, AluI<AND>,
+                AluI<OR>, AluI<XOR>, AluI<SHL>, AluI<LSHR>, AluI<ASHR>,
+                SetCc<EQ>, SetCc<NE>, SetCc<LT>, SetCc<LE>, SetCc<GT>, SetCc<GE>,
+                FAlu<ADD>, FAlu<SUB>, FAlu<MUL>, FAlu<DIV>, FAlu<MIN>, FAlu<MAX>,
+                Cvt<SI_TO_F>, Cvt<F_TO_SI>, Cvt<BITS_TO_F>, Cvt<F_TO_BITS>,
+                LdB, LdA, LdX, LdBX, FLdB, FLdA, FLdX, FLdBX, LeaB, LeaA, LeaX, LeaBX,
+                Pop, RdFlags, FXorI,
+            ],
+            others: [
+                Nop, SelInstr,
+                Jcc<EQ>, Jcc<NE>, Jcc<LT>, Jcc<LE>, Jcc<GT>, Jcc<GE>,
+                Cmp, CmpI, FCmp,
+                StB, StA, StX, StBX, FStB, FStA, FStX, FStBX,
+                Push, WrFlags,
+            ],
+        };
+        let mut handlers = Handlers {
+            singles: vec![None; Kid::COUNT * 8],
+            pairs: vec![Vec::new(); Kid::COUNT * 8],
+        };
+        for ((kid, tail), f) in singles {
+            handlers.singles[kid.key(tail)] = Some(f);
         }
-        MInstr::Cmp { ra, rb } => simple(u_cmp::<T>, ra, rb, 0, 0),
-        MInstr::CmpI { ra, imm } => simple(u_cmp_i::<T>, ra, 0, 0, imm as u64),
-        MInstr::FCmp { fa, fb } => simple(u_fcmp::<T>, fa, fb, 0, 0),
-        MInstr::St { rs, ref mem } => mem_uop!(u_st, T, mem, rs),
-        MInstr::FSt { fs, ref mem } => mem_uop!(u_fst, T, mem, fs),
-        MInstr::Push { rs } => simple(u_push::<T>, rs, 0, 0, 0),
-        MInstr::WrFlags { rs } => simple(u_wrflags::<T>, rs, 0, 0, 0),
-        MInstr::Jcc { cc, target } => simple(jcc_fn::<T>(cc), 0, 0, 0, u64::from(target)),
-        MInstr::CallRt { func: RtFunc::FiSelInstr, .. } => simple(u_sel_instr::<T>, 0, 0, 0, 0),
-        MInstr::Call { .. } | MInstr::Ret | MInstr::CallRt { .. } | MInstr::Halt => {
-            simple(u_term, 0, 0, 0, 0)
+        for ((k1, t1, k2, t2), f) in pair_table() {
+            let (row, key) = (&mut handlers.pairs[k1.key(t1)], k2.key(t2));
+            debug_assert!(row.iter().all(|e| e.0 != key), "a pair is listed twice");
+            row.push((key, f));
         }
-        _ => unreachable!("{instr:?} writes one register: lowered by `writer`"),
-    }
+        handlers
+    })
 }
 
-/// The µop for `first` absorbing the LLFI hook plumbing `hook` after it:
-/// only where `first` writes the register the hook takes.
-fn absorb_hook(first: &MInstr, hook: Hook) -> Option<Uop> {
-    let (u, dest) = match hook.copy {
-        Some(y) => writer::<HOOK_COPY>(first, y)?,
-        None => writer::<HOOK>(first, 0)?,
-    };
-    (dest == (hook.float, hook.x)).then_some(u)
-}
-
-/// The µop for `first` absorbing the register move `second` after it on
-/// the trace as a [`COPY`] tail: only where the move copies the register
-/// `first` wrote. LLFI's hook plumbing ends this way where the instruction
-/// before the hook wrote the value into `r0` itself (`injectFault; mov y
-/// <- r0`).
-fn absorb_copy(first: &MInstr, second: &MInstr) -> Option<Uop> {
-    let (float, y, x) = mov_half(second)?;
-    let (u, dest) = writer::<COPY>(first, y)?;
-    (dest == (float, x)).then_some(u)
-}
-
-/// The pair µop running `first` and then `second`, the instruction after it
-/// on the trace, where one is built for the two: a compare and the `Jcc`
-/// after it, an unindexed `FLd f` and an `FAlu` reading `f`, two unindexed
-/// `Ld`/`St`/`FLd`/`FSt`, or two `MovRR`/`FMovRR`. Only where both fit one
-/// µop: a `CmpI` immediate, and both memory displacements, in 32 bits.
-fn pair(first: &MInstr, second: &MInstr) -> Option<Uop> {
-    let fits = |v: i64| i32::try_from(v).is_ok();
-    let pack = |lo: i64, hi: u64| u64::from(lo as u32) | hi << 32;
-    match (*first, *second) {
-        (MInstr::Cmp { ra, rb }, MInstr::Jcc { cc, target }) => {
-            Some(simple(cmp_jcc_fn::<0>(cc), ra, rb, 0, pack(0, u64::from(target))))
-        }
-        (MInstr::CmpI { ra, imm }, MInstr::Jcc { cc, target }) if fits(imm) => {
-            Some(simple(cmp_jcc_fn::<1>(cc), ra, 0, 0, pack(imm, u64::from(target))))
-        }
-        (MInstr::FCmp { fa, fb }, MInstr::Jcc { cc, target }) => {
-            Some(simple(cmp_jcc_fn::<2>(cc), fa, fb, 0, pack(0, u64::from(target))))
-        }
-        (MInstr::FLd { fd: f, mem }, MInstr::FAlu { op, fd, fa, fb })
-            if mem.index.is_none() && (fa == f || fb == f) =>
-        {
-            let (left, other) = if fa == f { (true, fb) } else { (false, fa) };
-            let exec = match (mem.base.is_some(), left) {
-                (false, false) => fld_falu_fn::<false, false>(op),
-                (true, false) => fld_falu_fn::<true, false>(op),
-                (false, true) => fld_falu_fn::<false, true>(op),
-                (true, true) => fld_falu_fn::<true, true>(op),
-            };
-            let u = simple(exec, mem.base.unwrap_or(0), fd, other, mem.disp as u64);
-            Some(Uop { d: f, ..u })
-        }
-        _ => {
-            if let (Some((k1, b1, r1, d1)), Some((k2, b2, r2, d2))) =
-                (mem_half(first), mem_half(second))
-            {
-                let u = simple(mem_pair_fn(k1, k2), b1, b2, r1, pack(d1, d2 as u32 as u64));
-                return Some(Uop { d: r2, ..u });
-            }
-            let ((f1, a, b), (f2, c, d)) = (mov_half(first)?, mov_half(second)?);
-            let exec: UopFn = match (f1, f2) {
-                (false, false) => u_mov_pair::<false, false>,
-                (false, true) => u_mov_pair::<false, true>,
-                (true, false) => u_mov_pair::<true, false>,
-                (true, true) => u_mov_pair::<true, true>,
-            };
-            Some(Uop { d, ..simple(exec, a, b, c, 0) })
-        }
+/// The pair µops built: compare-and-guard, load-and-operate, memory, move,
+/// guard-and-move and stack pairs of every shape, then the combinations of
+/// kernels and tails that ran most often unpaired on the suite's
+/// checkpoint-off sweep (all three tools), grouped by tails. A pair not
+/// listed runs as two µops.
+fn pair_table() -> Vec<(PairKey, PairFn)> {
+    pairs! {
+        [Cmp, CmpI, FCmp] NO_TAIL => [Jcc<EQ>, Jcc<NE>, Jcc<LT>, Jcc<LE>, Jcc<GT>, Jcc<GE>] NO_TAIL;
+        [FLdB, FLdA] NO_TAIL
+            => [FAlu<ADD>, FAlu<SUB>, FAlu<MUL>, FAlu<DIV>, FAlu<MIN>, FAlu<MAX>] NO_TAIL;
+        [LdB, LdA, StB, StA, FLdB, FLdA, FStB, FStA] NO_TAIL
+            => [LdB, LdA, StB, StA, FLdB, FLdA, FStB, FStA] NO_TAIL;
+        [MovRR, FMovRR] NO_TAIL => [MovRR, FMovRR] NO_TAIL;
+        [Jcc<EQ>, Jcc<NE>, Jcc<LT>, Jcc<LE>, Jcc<GT>, Jcc<GE>] NO_TAIL => [MovRR, FMovRR] NO_TAIL;
+        [Push] NO_TAIL => [Push] NO_TAIL;
+        [Pop] NO_TAIL => [Pop] NO_TAIL;
+        [Alu<ADD>] NO_TAIL => [FLdX] NO_TAIL;
+        [FAlu<MUL>] NO_TAIL => [FAlu<ADD>] NO_TAIL;
+        [LdB] NO_TAIL => [CmpI] NO_TAIL;
+        [FLdX] NO_TAIL => [FLdX] NO_TAIL;
+        [MovRR] NO_TAIL => [FStB] NO_TAIL;
+        [MovRR] NO_TAIL => [FLdB] NO_TAIL;
+        [MovRR] NO_TAIL => [LdB] NO_TAIL;
+        [FLdX] NO_TAIL => [FAlu<ADD>] NO_TAIL;
+        [FLdB] NO_TAIL => [MovRR] NO_TAIL;
+        [LdB] NO_TAIL => [Alu<ADD>] NO_TAIL;
+        [FAlu<ADD>] NO_TAIL => [FStX] NO_TAIL;
+        [Push] NO_TAIL => [MovRR] NO_TAIL;
+        [FLdX] NO_TAIL => [FAlu<SUB>] NO_TAIL;
+        [FAlu<ADD>] NO_TAIL => [LdB] NO_TAIL;
+        [FStX] NO_TAIL => [AluI<ADD>] NO_TAIL;
+        [FMovRI] NO_TAIL => [FAlu<DIV>] NO_TAIL;
+        [LdB] NO_TAIL => [MovRR] NO_TAIL;
+        [FMovRR] NO_TAIL => [StB] NO_TAIL;
+        [AluI<MUL>] NO_TAIL => [Alu<ADD>] NO_TAIL;
+        [FLdX] NO_TAIL => [FCmp] NO_TAIL;
+        [FLdB] NO_TAIL => [FCmp] NO_TAIL;
+        [FMovRI] NO_TAIL => [FAlu<MUL>] NO_TAIL;
+        [FStB] NO_TAIL => [MovRR] NO_TAIL;
+        [FStX] NO_TAIL => [FLdX] NO_TAIL;
+        [AluI<SUB>] NO_TAIL => [FLdX] NO_TAIL;
+        [FAlu<MUL>] NO_TAIL => [FMovRI] NO_TAIL;
+        [FAlu<MUL>] NO_TAIL => [FAlu<SUB>] NO_TAIL;
+        [FMovRR] NO_TAIL => [LdB] NO_TAIL;
+        [FAlu<MUL>] NO_TAIL => [FLdX] NO_TAIL;
+        [FAlu<MUL>] NO_TAIL => [FLdB] NO_TAIL;
+        [LdB] NO_TAIL => [FMovRR] NO_TAIL;
+        [AluI<ADD>] NO_TAIL => [AluI<REM>] NO_TAIL;
+        [LdA] NO_TAIL => [AluI<MUL>] NO_TAIL;
+        [Alu<ADD>] NO_TAIL => [AluI<DIV>] NO_TAIL;
+        [FMovRI] NO_TAIL => [FCmp] NO_TAIL;
+        [FAlu<DIV>] NO_TAIL => [FStX] NO_TAIL;
+        [FAlu<SUB>] NO_TAIL => [FStX] NO_TAIL;
+        [Cvt<SI_TO_F>] NO_TAIL => [FMovRI] NO_TAIL;
+        [FLdX] NO_TAIL => [FAlu<MUL>] NO_TAIL;
+        [FAlu<SUB>] NO_TAIL => [LdB] NO_TAIL;
+        [FMovRR] NO_TAIL => [FMovRI] NO_TAIL;
+        [MovRR] SITE => [MovRR] SITE;
+        [LdB] SITE => [LdB] SITE;
+        [Alu<ADD>] SITE => [FLdX] SITE;
+        [AluI<ADD>] SITE => [MovRR] SITE;
+        [FAlu<MUL>] SITE => [FAlu<ADD>] SITE;
+        [FMovRR] SITE => [MovRR] SITE;
+        [FLdX] SITE => [FLdX] SITE;
+        [FMovRR] SITE => [FMovRR] SITE;
+        [LdB] SITE => [CmpI] SITE;
+        [FLdX] SITE => [FAlu<ADD>] SITE;
+        [MovRR] SITE => [FMovRR] SITE;
+        [FLdX] SITE => [FAlu<SUB>] SITE;
+        [FAlu<ADD>] SITE => [LdB] SITE;
+        [LdB] SITE => [Alu<ADD>] SITE;
+        [FMovRI] SITE => [FAlu<DIV>] SITE;
+        [FMovRI] SITE => [FAlu<MUL>] SITE;
+        [FLdX] SITE => [FAlu<MUL>] SITE;
+        [AluI<MUL>] SITE => [Alu<ADD>] SITE;
+        [FLdX] SITE => [FCmp] SITE;
+        [AluI<SUB>] SITE => [FLdX] SITE;
+        [FAlu<MUL>] SITE => [FMovRI] SITE;
+        [FLdB] SITE => [FLdB] SITE;
+        [FLdB] SITE => [FAlu<MUL>] SITE;
+        [MovRR] SITE => [LdB] SITE;
+        [AluI<ADD>] SITE => [AluI<REM>] SITE;
+        [LdA] SITE => [AluI<MUL>] SITE;
+        [FAlu<MUL>] SITE => [FLdB] SITE;
+        [FAlu<MUL>] SITE => [FAlu<SUB>] SITE;
+        [Push] SITE => [MovRR] SITE;
+        [Cvt<SI_TO_F>] SITE => [FMovRI] SITE;
+        [Alu<ADD>] SITE => [AluI<DIV>] SITE;
+        [LdB] SITE => [MovRR] SITE;
+        [FAlu<SUB>] SITE => [LdB] SITE;
+        [LdB] SITE => [StB] NO_TAIL;
+        [CmpI] SITE => [Jcc<LT>] NO_TAIL;
+        [FAlu<ADD>] SITE => [FStX] NO_TAIL;
+        [MovRR] SITE => [FStB] NO_TAIL;
+        [FAlu<DIV>] SITE => [FStX] NO_TAIL;
+        [FAlu<SUB>] SITE => [FStX] NO_TAIL;
+        [StB] NO_TAIL => [LdB] SITE;
+        [FStX] NO_TAIL => [AluI<ADD>] SITE;
+        [StA] NO_TAIL => [LdA] SITE;
+        [FStX] NO_TAIL => [FLdX] SITE;
+        [FStB] NO_TAIL => [MovRR] SITE;
+        [StB] NO_TAIL => [FMovRR] SITE;
+        [FLdB] HOOK_COPY => [FLdB] NO_TAIL;
+        [FAlu<MUL>] HOOK_COPY => [FLdB] NO_TAIL;
+        [FAlu<ADD>] HOOK_COPY => [FStB] NO_TAIL;
+        [SetCc<LT>] HOOK_COPY => [CmpI] NO_TAIL;
+        [SetCc<GT>] HOOK_COPY => [CmpI] NO_TAIL;
+        [AluI<ADD>] HOOK_COPY => [MovRR] NO_TAIL;
+        [FAlu<SUB>] HOOK_COPY => [FLdB] NO_TAIL;
+        [FAlu<SUB>] HOOK_COPY => [FStB] NO_TAIL;
+        [FAlu<MUL>] HOOK_COPY => [FMovRI] NO_TAIL;
+        [Cvt<SI_TO_F>] HOOK_COPY => [FMovRI] NO_TAIL;
+        [FMovRR] HOOK_COPY => [FMovRI] NO_TAIL;
+        [FAlu<DIV>] HOOK_COPY => [FStB] NO_TAIL;
+        [CmpI] NO_TAIL => [SetCc<LT>] HOOK_COPY;
+        [FStB] NO_TAIL => [LeaX] HOOK_COPY;
+        [FLdB] NO_TAIL => [FAlu<MUL>] HOOK_COPY;
+        [FStB] NO_TAIL => [FLdB] HOOK_COPY;
+        [FStB] NO_TAIL => [AluI<ADD>] HOOK_COPY;
+        [LdB] NO_TAIL => [LeaX] HOOK_COPY;
+        [FLdB] NO_TAIL => [FAlu<ADD>] HOOK_COPY;
+        [StA] NO_TAIL => [LdA] HOOK_COPY;
+        [FLdB] NO_TAIL => [FAlu<SUB>] HOOK_COPY;
+        [LdB] NO_TAIL => [Alu<ADD>] HOOK_COPY;
+        [LdB] NO_TAIL => [AluI<ADD>] HOOK_COPY;
+        [LeaX] HOOK_COPY => [FLdB] HOOK_COPY;
+        [Alu<ADD>] HOOK_COPY => [LeaX] HOOK_COPY;
+        [AluI<MUL>] HOOK_COPY => [Alu<ADD>] HOOK_COPY;
+        [AluI<ADD>] HOOK_COPY => [AluI<REM>] HOOK_COPY;
+        [LdA] HOOK_COPY => [AluI<MUL>] HOOK_COPY;
+        [Alu<ADD>] HOOK_COPY => [AluI<DIV>] HOOK_COPY;
+        [LeaX] HOOK_COPY => [LeaX] HOOK_COPY;
+        [AluI<SUB>] HOOK_COPY => [LeaX] HOOK_COPY;
+        [FLdB] HOOK => [FStB] NO_TAIL;
+        [FAlu<ADD>] HOOK => [FStB] NO_TAIL;
+        [FAlu<MUL>] HOOK => [FStB] NO_TAIL;
+        [FAlu<SUB>] HOOK => [FStB] NO_TAIL;
+        [FMovRR] HOOK => [FStB] NO_TAIL;
+        [FLdB] NO_TAIL => [FAlu<ADD>] HOOK;
+        [FLdB] NO_TAIL => [FAlu<MUL>] HOOK;
+        [LeaX] HOOK_COPY => [FLdB] HOOK;
+        [AluI<ADD>] NO_TAIL => [MovRR] COPY;
+        [MovRR] NO_TAIL => [AluI<ADD>] COPY;
+        [AluI<ADD>] COPY => [FMovRR] NO_TAIL;
+        [AluI<ADD>] HOOK_COPY => [MovRR] COPY;
     }
 }
 
@@ -2317,9 +2594,10 @@ mod tests {
     }
 
     /// Register moves and unindexed memory accesses of both register files
-    /// in pairs (pcs 4, 7, 9, 11 and 13), the second of each reading what
-    /// the first wrote; the stores go to data words 0, 1 and 2, the
-    /// second through `r3 + 8`. Exits 0 when `r3` is the data segment.
+    /// in pairs (pcs 3, 7, 9, 11 and 13 on the trace from pc 0), the second
+    /// of each reading what the first wrote; the stores go to data words 0,
+    /// 1 and 2, the second through `r3 + 8`. Exits 0 when `r3` is the data
+    /// segment.
     fn move_and_memory_pairs(r3: i64) -> Binary {
         let abs = |w: usize| Mem::abs(data_addr(w) as i64);
         let add = |rb| MInstr::Alu { op: AluOp::Add, rd: 0, ra: 0, rb };
@@ -2354,10 +2632,12 @@ mod tests {
     fn move_and_memory_pairs_match_exact() {
         let b = move_and_memory_pairs(GLOBAL_BASE as i64);
         let sb = SuperblockProgram::new(&b);
-        for pc in [4, 7, 9, 11, 13] {
+        // A trace pairs forward from wherever it starts: from pc 0 the
+        // moves at 3 and 4 pair, and a trace headed at 4 pairs 4 and 5.
+        for pc in [3, 4, 7, 9, 11, 13] {
             assert_eq!(sb.dispatch(pc), Some((2, pc + 2)), "pair at pc {pc}");
         }
-        assert_eq!(sb.dispatch(3), Some((1, 4)));
+        assert_eq!(sb.dispatch(5), Some((1, 6)));
         let (out, stats) = from_pc_vs_exact(&b, 0, (0, 0));
         assert_eq!(out, Some(RunOutcome::Exit(0)));
         assert_eq!((stats.sb_dispatches, stats.sb_fused_instrs, stats.sb_uops), (1, 22, 17));
@@ -2366,6 +2646,244 @@ mod tests {
             let (out, stats) = from_pc_vs_exact(&move_and_memory_pairs(r3), 0, (0, 0));
             assert_eq!(out, Some(RunOutcome::Trap(trap)), "r3 = {r3}");
             assert_eq!((stats.sb_fused_instrs, stats.sb_uops), (10, 8), "r3 = {r3}");
+        }
+    }
+
+    /// `items` with a REFINE site (PreFI and PostFI, the save area in data
+    /// words 0 and 1) wherever `None` stands, then `Halt` and the SetupFI
+    /// slot every site's trigger branch targets; and the pc of each item.
+    fn with_sites(items: &[Option<MInstr>]) -> (Binary, Vec<usize>) {
+        let (mut text, mut pcs, mut sites) = (Vec::new(), Vec::new(), Vec::new());
+        for item in items {
+            pcs.push(text.len());
+            match *item {
+                Some(i) => text.push(i),
+                None => {
+                    sites.push(text.len());
+                    text.extend(pre_fi(text.len(), SAVE_A, SAVE_F));
+                    text.extend(post_fi(SAVE_F, SAVE_A));
+                }
+            }
+        }
+        text.push(MInstr::Halt);
+        let setup = text.len() as u32;
+        text.extend([MInstr::MovRI { rd: 0, imm: 99 }, MInstr::Halt]);
+        for pre in sites {
+            text[pre + 5] = MInstr::Jcc { cc: Cc::Ne, target: setup };
+        }
+        (bin(text), pcs)
+    }
+
+    /// Run `b` fused and exactly from pc 0 with the registers `regs` set
+    /// first, to the end; assert the whole state agrees and return the
+    /// fused loop's (outcome, final pc, stats).
+    fn regs_vs_exact(b: &Binary, regs: &[(u8, u64)]) -> (Option<RunOutcome>, u32, TrialFastStats) {
+        let sb = SuperblockProgram::new(b);
+        let cfg = RunConfig::default();
+        let max = cfg.max_cycles;
+        let (mut fused, mut exact) = (Machine::new(b, &cfg), Machine::new(b, &cfg));
+        for m in [&mut fused, &mut exact] {
+            for &(r, v) in regs {
+                m.regs[r as usize] = v;
+            }
+        }
+        let mut stats = TrialFastStats::default();
+        let out = fused.run_sb(&sb, &mut 0, 0, u64::MAX, None, max, &mut stats);
+        assert_eq!(out, exact.run_exact_until_fired(max, &mut NoFi, None), "{regs:?}");
+        assert_eq!(state(&fused), state(&exact), "{regs:?}");
+        (out, fused.pc, stats)
+    }
+
+    /// Data word `w`'s address, as a register value.
+    fn word(w: usize) -> u64 {
+        data_addr(w)
+    }
+
+    fn ld(rd: u8, base: u8) -> MInstr {
+        MInstr::Ld { rd, mem: Mem::base_disp(base, 0) }
+    }
+
+    fn st(rs: u8, base: u8) -> MInstr {
+        MInstr::St { rs, mem: Mem::base_disp(base, 0) }
+    }
+
+    #[test]
+    fn second_half_across_a_site_stops_at_its_own_pc() {
+        // `ld r2 <- [r1]; <site>; st r2 -> [r3]`: one pair µop, its store
+        // eleven instructions past its load.
+        let (b, pcs) = with_sites(&[Some(ld(2, 1)), None, Some(st(2, 3)), Some(ld(4, 3))]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.dispatch(0), Some((12, 12)), "load, site and store are one µop");
+        let store = pcs[2] as u32;
+        // `r0` is 42 so the site's save stores show in the data compared.
+        let (out, _, stats) = regs_vs_exact(&b, &[(0, 42), (1, word(2)), (3, word(3))]);
+        assert_eq!(out, Some(RunOutcome::Exit(42)));
+        assert_eq!((stats.sb_dispatches, stats.sb_uops, stats.sb_fused_instrs), (1, 2, 13));
+        // The store faults or is misaligned: charged, not retired, with `pc`
+        // on it; the load and the whole site retired.
+        for (r3, trap) in [(8, Trap::Segfault(8)), (word(3) + 4, Trap::Misaligned(word(3) + 4))] {
+            let (out, pc, stats) = regs_vs_exact(&b, &[(0, 42), (1, word(2)), (3, r3)]);
+            assert_eq!((out, pc), (Some(RunOutcome::Trap(trap)), store), "r3 = {r3:#x}");
+            assert_eq!((stats.sb_uops, stats.sb_fused_instrs), (1, 11), "r3 = {r3:#x}");
+        }
+        // The load faults: the site never runs.
+        let (out, pc, stats) = regs_vs_exact(&b, &[(0, 42), (1, 8), (3, word(3))]);
+        assert_eq!((out, pc), (Some(RunOutcome::Trap(Trap::Segfault(8))), 0));
+        assert_eq!(stats.sb_fused_instrs, 0);
+    }
+
+    #[test]
+    fn site_tailed_second_half_traps_in_either_half_exactly() {
+        // (items, instructions the pair covers, the second half's item): a
+        // load with its site, or a store with none, then a load with its
+        // site, all one µop.
+        let programs = [
+            (vec![Some(ld(2, 1)), None, Some(ld(4, 3)), None, Some(st(4, 1))], 22, 2),
+            (vec![Some(st(2, 1)), Some(ld(4, 3)), None, Some(st(4, 1))], 12, 1),
+        ];
+        for (items, covers, second) in programs {
+            let (b, pcs) = with_sites(&items);
+            let sb = SuperblockProgram::new(&b);
+            assert_eq!(sb.dispatch(0), Some((covers, covers as usize)), "{items:?}");
+            let (out, _, stats) = regs_vs_exact(&b, &[(0, 42), (1, word(2)), (3, word(3))]);
+            assert_eq!((out, stats.sb_uops), (Some(RunOutcome::Exit(42)), 2), "{items:?}");
+            // The second load faults after the first half (and its site)
+            // retired, before its own site stores.
+            let (out, pc, _) = regs_vs_exact(&b, &[(0, 42), (1, word(2)), (3, 16)]);
+            let second = pcs[second] as u32;
+            assert_eq!((out, pc), (Some(RunOutcome::Trap(Trap::Segfault(16))), second));
+            let (out, pc, _) = regs_vs_exact(&b, &[(0, 42), (1, 16), (3, word(3))]);
+            assert_eq!((out, pc), (Some(RunOutcome::Trap(Trap::Segfault(16))), 0), "{items:?}");
+        }
+    }
+
+    #[test]
+    fn second_half_guard_across_a_site_side_exits_exactly() {
+        // `cmpi r1, 5; <site>; jl taken`, then a fall-through path.
+        let (mut b, pcs) = with_sites(&[
+            Some(MInstr::CmpI { ra: 1, imm: 5 }),
+            None,
+            Some(MInstr::Jcc { cc: Cc::Lt, target: 0 }),
+            Some(MInstr::MovRI { rd: 0, imm: 1 }),
+            Some(MInstr::Halt),
+            Some(MInstr::MovRI { rd: 0, imm: 2 }),
+        ]);
+        b.text[pcs[2]] = MInstr::Jcc { cc: Cc::Lt, target: pcs[5] as u32 };
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.dispatch(0), Some((12, 12)), "compare, site and guard are one µop");
+        for (r1, exit, dispatches) in [(3, 2, 2), (7, 1, 1)] {
+            let (out, _, stats) = regs_vs_exact(&b, &[(1, r1)]);
+            assert_eq!(out, Some(RunOutcome::Exit(exit)), "r1 = {r1}");
+            // A taken guard retires and its trace side-exits to the target.
+            assert_eq!(stats.sb_dispatches, dispatches, "r1 = {r1}");
+            assert_eq!(stats.sb_stepped_instrs, 0, "r1 = {r1}");
+        }
+    }
+
+    #[test]
+    fn second_half_divide_fault_across_a_site() {
+        // `add r2 <- r1 + r5; <site>; div r4 <- r2 / -1; <site>` faults on
+        // `i64::MIN / -1`.
+        let (b, pcs) = with_sites(&[
+            Some(MInstr::Alu { op: AluOp::Add, rd: 2, ra: 1, rb: 5 }),
+            None,
+            Some(MInstr::AluI { op: AluOp::Div, rd: 4, ra: 2, imm: -1 }),
+            None,
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.dispatch(0), Some((22, 22)));
+        let (out, _, _) = regs_vs_exact(&b, &[(1, 6)]);
+        assert_eq!(out, Some(RunOutcome::Exit(0)));
+        let (out, pc, stats) = regs_vs_exact(&b, &[(1, i64::MIN as u64)]);
+        assert_eq!((out, pc), (Some(RunOutcome::Trap(Trap::DivFault)), pcs[2] as u32));
+        assert_eq!(stats.sb_fused_instrs, 11);
+    }
+
+    #[test]
+    fn pairs_around_llfi_hook_plumbing_trap_in_either_half_exactly() {
+        let f = |fd, base| MInstr::FLd { fd, mem: Mem::base_disp(base, 0) };
+        let fst = |fs, base| MInstr::FSt { fs, mem: Mem::base_disp(base, 0) };
+        let fmov = |fd, fa| MInstr::FMovRR { fd, fa };
+        let programs = [
+            // A load with its hook (`HOOK`), then the store of `f0`.
+            (vec![f(2, 1), fmov(0, 2), INJECT_F, fst(0, 3)], 4, 3),
+            // A multiply with its hook copy (`HOOK_COPY`), then a load.
+            (
+                vec![
+                    MInstr::FAlu { op: FAluOp::Mul, fd: 3, fa: 1, fb: 2 },
+                    fmov(0, 3),
+                    INJECT_F,
+                    fmov(4, 0),
+                    f(5, 3),
+                ],
+                5,
+                4,
+            ),
+            // A store, then a load with its hook copy as the second half's
+            // tail.
+            (vec![fst(1, 1), f(2, 3), fmov(0, 2), INJECT_F, fmov(4, 0)], 5, 1),
+        ];
+        for (i, (mut text, covers, second)) in programs.into_iter().enumerate() {
+            text.extend([MInstr::MovRI { rd: 0, imm: 0 }, MInstr::Halt]);
+            let b = bin(text);
+            let sb = SuperblockProgram::new(&b);
+            assert_eq!(sb.dispatch(0), Some((covers, covers as usize)), "program {i}");
+            let (out, _, stats) = regs_vs_exact(&b, &[(1, word(2)), (3, word(3))]);
+            assert_eq!((out, stats.sb_uops), (Some(RunOutcome::Exit(0)), 2), "program {i}");
+            let (out, pc, _) = regs_vs_exact(&b, &[(1, word(2)), (3, 24)]);
+            assert_eq!((out, pc), (Some(RunOutcome::Trap(Trap::Segfault(24))), second), "{i}");
+            if i != 1 {
+                let (out, pc, _) = regs_vs_exact(&b, &[(1, 24), (3, word(3))]);
+                assert_eq!((out, pc), (Some(RunOutcome::Trap(Trap::Segfault(24))), 0), "{i}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_half_guard_side_exits_exactly() {
+        // The guard pairs with the move after it; the `subi` setting the
+        // flags pairs with neither.
+        let b = bin(vec![
+            MInstr::AluI { op: AluOp::Sub, rd: 5, ra: 1, imm: 0 },
+            MInstr::Jcc { cc: Cc::Gt, target: 4 },
+            MInstr::FMovRR { fd: 1, fa: 2 },
+            MInstr::Halt,
+            MInstr::MovRI { rd: 0, imm: 7 },
+            MInstr::Halt,
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!((sb.dispatch(0), sb.dispatch(1)), (Some((1, 1)), Some((2, 3))));
+        let (out, pc, stats) = regs_vs_exact(&b, &[(1, 1)]);
+        assert_eq!((out, pc, stats.sb_dispatches), (Some(RunOutcome::Exit(7)), 5, 2));
+        let (out, _, stats) = regs_vs_exact(&b, &[(1, 0)]);
+        assert_eq!((out, stats.sb_uops), (Some(RunOutcome::Exit(0)), 2));
+    }
+
+    #[test]
+    fn push_and_pop_pairs_trap_on_sp_in_either_half() {
+        let base = STACK_TOP - 8 * RunConfig::default().stack_words as u64;
+        let pushes = bin(vec![MInstr::Push { rs: 1 }, MInstr::Push { rs: 2 }, MInstr::Halt]);
+        let pops = bin(vec![MInstr::Pop { rd: 3 }, MInstr::Pop { rd: 4 }, MInstr::Halt]);
+        for b in [&pushes, &pops] {
+            assert_eq!(SuperblockProgram::new(b).dispatch(0), Some((2, 2)));
+        }
+        // (program, sp, trapping pc, address): the second push stores just
+        // below the stack, the second pop loads just above it.
+        let cases = [
+            (&pushes, STACK_TOP, None),
+            (&pushes, base + 8, Some((1, base - 8))),
+            (&pushes, base, Some((0, base - 8))),
+            (&pops, STACK_TOP - 16, None),
+            (&pops, STACK_TOP - 8, Some((1, STACK_TOP))),
+            (&pops, STACK_TOP, Some((0, STACK_TOP))),
+        ];
+        for (b, sp, trap) in cases {
+            let (out, pc, _) = regs_vs_exact(b, &[(15, sp)]);
+            let want = match trap {
+                Some((pc, addr)) => (Some(RunOutcome::Trap(Trap::Segfault(addr))), pc),
+                None => (Some(RunOutcome::Exit(0)), 2),
+            };
+            assert_eq!((out, pc), want, "sp {sp:#x}");
         }
     }
 

@@ -14,8 +14,8 @@
 //! * a deterministic sweep of the first and last targets of every corpus
 //!   kernel and tool against the same oracle;
 //! * an any-state check: golden runs of every program and tool resumed
-//!   with one register set to an arbitrary value, then run to the end
-//!   fused (convergence on) and exactly.
+//!   with one register, data word or stack slot set to an arbitrary value,
+//!   then run to the end fused (convergence on) and exactly.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,7 +29,7 @@ use refine_machine::isa::{FP, SP};
 use refine_machine::machine::{GLOBAL_BASE, STACK_TOP};
 use refine_machine::{
     Checkpoint, GoldenEnd, MInstr, Machine, NoFi, OutEvent, Reg, RtFunc, RunConfig, RunOutcome,
-    RunResult,
+    RunResult, SuperblockProgram,
 };
 use refine_pinfi::PIN_OVERHEAD_CYCLES;
 use refine_telemetry::{TraceSink, TrialTrace};
@@ -138,7 +138,7 @@ fn engines_byte_identical_without_checkpoints() {
 /// kernels, memory traffic, an early-exit program, and a kernel whose
 /// binaries hold every multi-instruction µop shape
 /// ([`corpus_covers_every_fused_shape`]).
-const CORPUS: [&str; 9] = [
+const CORPUS: [&str; 10] = [
     // Straight-line integer arithmetic (long fusable blocks) on runtime
     // values, so O2 cannot fold it away.
     "var w[4];\n\
@@ -247,6 +247,28 @@ const CORPUS: [&str; 9] = [
        print_f(t + y[7]);\n\
        return 0;\n\
      }",
+    // Float dot products over computed indices (an index sum feeding an
+    // indexed load, a multiply feeding a subtract), a constant compared
+    // before its branch, and a move on a branch's fall-through.
+    "fvar p[32]; fvar q[32]; var k[32];\n\
+     fn main() {\n\
+       for (i = 0; i < 32; i = i + 1) {\n\
+         p[i] = float(i) * 0.25 + 0.5; q[i] = 1.0 - float(i) * 0.125; k[i] = i * 3;\n\
+       }\n\
+       let s: float = 0.0; let best: float = 0.0; let m = 0;\n\
+       for (i = 0; i < 16; i = i + 1) {\n\
+         for (j = 0; j < 8; j = j + 1) {\n\
+           let c: float = q[i];\n\
+           s = s + p[i + j] * q[j + i];\n\
+           let d: float = p[i + j] * 2.0 - c;\n\
+           if (d > 1.5) { m = m + 1; } else { best = c; }\n\
+           m = m + k[i + j] + k[j * 2];\n\
+         }\n\
+       }\n\
+       print_f(s + best);\n\
+       print_i(m);\n\
+       return 0;\n\
+     }",
 ];
 
 fn corpus_prepared(kernel: usize, tool: Tool, checkpoint: bool) -> &'static PreparedTool {
@@ -311,71 +333,190 @@ proptest! {
     }
 }
 
-/// The multi-instruction µop a fused dispatch at `pc` runs, continuing at
-/// `next`, in an LLFI or PINFI binary (no REFINE site to absorb): a
-/// one-instruction µop absorbing LLFI hook plumbing (`mov r0 <- x; hook`,
-/// with or without the `mov y <- r0` copy, or `hook; mov y <- r0` after a
-/// writer of `r0`), or a pair µop (memory pairs are any two of `Ld`, `St`,
-/// `FLd` and `FSt`, move pairs any two of `MovRR` and `FMovRR`). `None` for
-/// a µop of one instruction and for the hook plumbing's own µop.
-fn fused_shape(text: &[MInstr], pc: usize, next: usize) -> Option<&'static str> {
-    use MInstr::{Cmp, CmpI, FAlu, FCmp, FLd, FMovRR, FSt, Jcc, Ld, MovRR, St};
-    let hook = |i: Option<&MInstr>| {
-        matches!(i, Some(MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. }))
-    };
-    let to_r0 = |i: Option<&MInstr>| matches!(i, Some(MovRR { rd: 0, .. } | FMovRR { fd: 0, .. }));
-    let from_r0 =
-        |i: Option<&MInstr>| matches!(i, Some(MovRR { ra: 0, .. } | FMovRR { fa: 0, .. }));
-    let at = |k: usize| text.get(pc + k);
-    if next <= pc + 1 || (to_r0(at(0)) && hook(at(1))) {
-        return None;
+/// The class of instruction a pair µop's half runs, naming its family;
+/// `lea` is integer arithmetic.
+fn class(i: &MInstr) -> &'static str {
+    match i {
+        MInstr::Cmp { .. } | MInstr::CmpI { .. } | MInstr::FCmp { .. } => "compare",
+        MInstr::Jcc { .. } => "guard",
+        MInstr::SetCc { .. } => "setcc",
+        MInstr::Ld { .. } | MInstr::St { .. } | MInstr::FLd { .. } | MInstr::FSt { .. } => "memory",
+        MInstr::MovRR { .. } | MInstr::FMovRR { .. } => "move",
+        MInstr::MovRI { .. } | MInstr::FMovRI { .. } => "constant",
+        MInstr::Alu { .. } | MInstr::AluI { .. } | MInstr::Lea { .. } => "alu",
+        MInstr::FAlu { .. } => "falu",
+        MInstr::Cvt { .. } => "convert",
+        MInstr::Push { .. } | MInstr::Pop { .. } => "stack",
+        _ => "other",
     }
-    Some(match (text[pc], text[pc + 1]) {
-        _ if to_r0(at(1)) && hook(at(2)) && from_r0(at(3)) && next > pc + 3 => "hook copy",
-        _ if to_r0(at(1)) && hook(at(2)) => "hook",
-        _ if hook(at(1)) && from_r0(at(2)) => "r0 hook copy",
-        (Cmp { .. }, Jcc { .. }) => "Cmp-Jcc",
-        (CmpI { .. }, Jcc { .. }) => "CmpI-Jcc",
-        (FCmp { .. }, Jcc { .. }) => "FCmp-Jcc",
-        (FLd { .. }, FAlu { .. }) => "FLd-FAlu",
-        (
-            Ld { .. } | St { .. } | FLd { .. } | FSt { .. },
-            Ld { .. } | St { .. } | FLd { .. } | FSt { .. },
-        ) => "memory pair",
-        (MovRR { .. } | FMovRR { .. }, MovRR { .. } | FMovRR { .. }) => "move pair",
+}
+
+/// The register `i` writes that an absorbed LLFI hook or move may take
+/// (floating-point when the flag is set), and whether a move's copy has a
+/// byte left in its µop (a memory shape with both base and index has none).
+fn written(i: &MInstr) -> Option<((bool, u8), bool)> {
+    use MInstr::*;
+    let has_byte = |m: &refine_machine::Mem| !(m.base.is_some() && m.index.is_some());
+    Some(match *i {
+        MovRR { rd, .. } | MovRI { rd, .. } | Alu { rd, .. } | AluI { rd, .. } => {
+            ((false, rd), true)
+        }
+        SetCc { rd, .. } | Pop { rd } | RdFlags { rd } => ((false, rd), true),
+        FMovRR { fd, .. } | FMovRI { fd, .. } | FAlu { fd, .. } | FXorI { fd, .. } => {
+            ((true, fd), true)
+        }
+        Cvt { kind, dst, .. } => {
+            use refine_machine::CvtKind::{BitsToF, SiToF};
+            ((matches!(kind, SiToF | BitsToF), dst), true)
+        }
+        Ld { rd, ref mem } | Lea { rd, ref mem } => ((false, rd), has_byte(mem)),
+        FLd { fd, ref mem } => ((true, fd), has_byte(mem)),
         _ => return None,
     })
 }
 
-/// Every shape a µop may fuse, each built in the LLFI or PINFI binary of
-/// the corpus's last kernel, so the property and edge-target tests run
-/// them against the exact oracle under every tool. REFINE's binaries have
-/// none: every compare, load and hook-free writer there is followed by its
-/// site, which the µop absorbs instead.
-#[test]
-fn corpus_covers_every_fused_shape() {
-    let kernel = CORPUS.len() - 1;
-    let mut seen = BTreeSet::new();
-    for tool in [Tool::Llfi, Tool::Pinfi] {
-        let p = corpus_prepared(kernel, tool, false);
-        for pc in 0..p.binary.text.len() {
-            if let Some((_, next)) = p.superblock.dispatch(pc) {
-                seen.extend(fused_shape(&p.binary.text, pc, next));
+/// What the µop before a pc may absorb of the µop at it.
+#[derive(Clone, Copy, PartialEq)]
+enum Offer {
+    None,
+    /// A move: as a copy of what the µop before wrote.
+    Move,
+    /// A REFINE site's non-firing path.
+    Site,
+    /// LLFI hook plumbing on a register, with or without its copy.
+    Hook((bool, u8), bool),
+}
+
+/// The fused shapes of every µop `sb` dispatches in `text`, derived from the
+/// text alone and checked against `sb`: each half's absorbed tail (`site`,
+/// `hook`, `hook copy`, `copy`, or `r0 hook copy` for a copy of `r0` past a
+/// hook), a pair's family by instruction class, and for a pair the tails
+/// of its first and second half. The derivation follows the trace rules:
+/// every µop must continue exactly where it says its instructions end.
+fn fused_shapes(text: &[MInstr], sb: &SuperblockProgram) -> BTreeSet<String> {
+    use MInstr::{CallRt, FMovRR, Jmp, MovRR, Nop, St};
+    let hook = |p: usize| {
+        matches!(text.get(p), Some(CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. }))
+    };
+    let fused = |p: usize| sb.dispatch(p).is_some();
+    // The first µop a trace passing `p` dispatches, past the no-ops.
+    let linked = |mut p: usize| loop {
+        match text.get(p) {
+            Some(Nop) if fused(p) => p += 1,
+            Some(&Jmp { target }) if fused(p) => p = target as usize,
+            _ if hook(p) && fused(p) => p += 1,
+            _ => return p,
+        }
+    };
+    let mov = |p: usize| match text.get(p) {
+        Some(&MovRR { rd, ra }) => Some((false, rd, ra)),
+        Some(&FMovRR { fd, fa }) => Some((true, fd, fa)),
+        _ => None,
+    };
+    // A REFINE site's PreFI at `p`: its PostFI's end.
+    let site = |p: usize| match (text.get(p), text.get(p + 3), text.get(p + 6)) {
+        (
+            Some(St { rs: 0, .. }),
+            Some(CallRt { func: RtFunc::FiSelInstr, .. }),
+            Some(&Jmp { target }),
+        ) => Some(target as usize + 3),
+        _ => None,
+    };
+    let (n, mut shapes) = (text.len(), BTreeSet::new());
+    // Per pc: its one-instruction µop's tail and where its trace goes on.
+    let mut single: Vec<Option<(Option<&str>, usize)>> = vec![None; n];
+    let mut offer = vec![Offer::None; n];
+    for pc in (0..n).rev() {
+        let Some((_, next)) = sb.dispatch(pc) else { continue };
+        let succ = match text[pc] {
+            Jmp { target } => target as usize,
+            _ => pc + 1,
+        };
+        let copy = mov(pc + 2).filter(|&(_, _, x)| x == 0 && hook(pc + 1));
+        let (mut tail, after, mut offers) = match (site(pc), mov(pc)) {
+            (Some(post), _) => (None, post, Offer::Site),
+            (None, Some((float, 0, x))) if hook(pc + 1) && copy.is_some() => {
+                (Some("hook copy head"), pc + 3, Offer::Hook((float, x), true))
+            }
+            (None, Some((float, 0, x))) if hook(pc + 1) => {
+                (None, succ, Offer::Hook((float, x), false))
+            }
+            (None, Some(_)) => (None, succ, Offer::Move),
+            _ => (None, succ, Offer::None),
+        };
+        let mut cont = linked(after);
+        if after == succ {
+            let w = written(&text[pc]);
+            let absorbed = match offer[cont] {
+                Offer::Site => Some("site"),
+                Offer::Hook(x, copies) if w.is_some_and(|(d, y)| d == x && (y || !copies)) => {
+                    Some(if copies { "hook copy" } else { "hook" })
+                }
+                Offer::Move => match (w, mov(cont)) {
+                    (Some((d, true)), Some((float, _, x))) if d == (float, x) => {
+                        Some(if cont > pc + 1 { "r0 hook copy" } else { "copy" })
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            if absorbed.is_some() {
+                tail = absorbed;
+                cont = single[cont].expect("an absorbed µop is fused").1;
+                offers = Offer::None;
             }
         }
+        single[pc] = Some((tail, cont));
+        offer[pc] = offers;
+        let tail = tail.filter(|&t| t != "hook copy head");
+        if next == cont {
+            shapes.extend(tail.map(String::from));
+            continue;
+        }
+        let (second_tail, second_next) = single[cont].expect("a pair's second half is fused");
+        assert_eq!(next, second_next, "pc {pc}: a pair µop must end where its second half does");
+        shapes.extend(tail.map(String::from));
+        shapes.insert(format!("pair {}-{}", class(&text[pc]), class(&text[cont])));
+        shapes.extend(tail.map(|t| format!("first half {t}")));
+        let second_tail =
+            second_tail.map(|t| if t == "hook copy head" { "r0 hook copy" } else { t });
+        shapes.extend(second_tail.map(|t| format!("second half {t}")));
     }
-    let all = [
-        "hook copy",
-        "hook",
-        "r0 hook copy",
-        "Cmp-Jcc",
-        "CmpI-Jcc",
-        "FCmp-Jcc",
-        "FLd-FAlu",
-        "memory pair",
-        "move pair",
+    shapes
+}
+
+/// Every shape a µop may fuse, each built in some binary of the corpus,
+/// so the property and edge-target tests run them against the exact
+/// oracle under every tool: each tail a one-instruction µop absorbs, every
+/// family of pair µop the program builder has, and pairs whose halves
+/// carry REFINE sites and LLFI hook plumbing, in either half.
+#[test]
+fn corpus_covers_every_fused_shape() {
+    let mut seen = BTreeSet::new();
+    for kernel in 0..CORPUS.len() {
+        for tool in Tool::all() {
+            let p = corpus_prepared(kernel, tool, false);
+            seen.extend(fused_shapes(&p.binary.text, &p.superblock));
+        }
+    }
+    let tails = ["site", "hook", "hook copy", "copy", "r0 hook copy"];
+    let families = [
+        "alu-alu", "alu-memory", "alu-move", "compare-guard", "compare-setcc",
+        "constant-compare", "constant-falu", "convert-constant", "falu-constant", "falu-falu",
+        "falu-memory", "guard-move", "memory-alu", "memory-compare", "memory-falu",
+        "memory-memory", "memory-move", "move-alu", "move-constant", "move-memory", "move-move",
+        "setcc-compare", "stack-move", "stack-stack",
     ];
-    assert_eq!(seen, BTreeSet::from(all));
+    let half_tails = ["site", "hook", "hook copy", "copy"];
+    let want: BTreeSet<String> = tails
+        .iter()
+        .map(|t| t.to_string())
+        .chain(families.iter().map(|f| format!("pair {f}")))
+        .chain(half_tails.iter().map(|t| format!("first half {t}")))
+        .chain(half_tails.iter().map(|t| format!("second half {t}")))
+        .collect();
+    let missing: Vec<_> = want.difference(&seen).collect();
+    assert!(missing.is_empty(), "the corpus builds no {missing:?}; it builds {seen:?}");
 }
 
 /// Everything a trial must reproduce bit-for-bit: outcome, output, cycles,
@@ -455,12 +596,68 @@ fn corrupt_reg(rng: &mut StdRng) -> Reg {
     }
 }
 
-/// The value `reg` holds in `ck`.
-fn reg_value(ck: &Checkpoint, reg: Reg) -> u64 {
-    match reg {
-        Reg::G(i) => ck.regs[i as usize],
-        Reg::F(i) => ck.fregs[i as usize],
-        Reg::Flags => u64::from(ck.flags),
+/// What one corrupted state sets: a register, or the memory word at a
+/// byte address.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    Reg(Reg),
+    Word(u64),
+}
+
+impl Target {
+    /// The value this target holds in `m`, resumed at `ck`.
+    fn value(self, ck: &Checkpoint, m: &Machine<'_>) -> u64 {
+        match self {
+            Target::Reg(Reg::G(i)) => ck.regs[i as usize],
+            Target::Reg(Reg::F(i)) => ck.fregs[i as usize],
+            Target::Reg(Reg::Flags) => u64::from(ck.flags),
+            Target::Word(addr) => m.load_word(addr).expect("a corrupted word is mapped"),
+        }
+    }
+
+    /// Set this target of `m`, resumed at `ck`, to `value`.
+    fn set(self, ck: &Checkpoint, m: &mut Machine<'_>, value: u64) {
+        match self {
+            Target::Reg(reg) => m.xor_mask(reg, self.value(ck, m) ^ value),
+            Target::Word(addr) => m.store_word(addr, value).expect("a corrupted word is mapped"),
+        }
+    }
+
+    fn name(self) -> String {
+        match self {
+            Target::Reg(reg) => reg.name(),
+            Target::Word(addr) => format!("[{addr:#x}]"),
+        }
+    }
+}
+
+/// The memory word to corrupt in `m`: a frame slot near `sp` or `fp` a
+/// quarter of the time each (spills, locals, saved registers and return
+/// addresses), a data word (globals) a quarter, and otherwise one of the
+/// words on the edges of the data segment and the stack. A drawn slot that
+/// is not mapped (a frame pointer not set up yet) falls back to the top
+/// stack word.
+fn corrupt_word(
+    ck: &Checkpoint,
+    m: &Machine<'_>,
+    data_words: u64,
+    stack_bytes: u64,
+    rng: &mut StdRng,
+) -> u64 {
+    let slot = |reg: u8, lo: i64, hi: i64, rng: &mut StdRng| {
+        ck.regs[reg as usize].wrapping_add_signed(8 * rng.gen_range(lo..hi))
+    };
+    let addr = match rng.gen_range(0..8u32) {
+        0 | 1 => slot(SP, -2, 8, rng),
+        2 | 3 => slot(FP, -8, 4, rng),
+        4 | 5 => GLOBAL_BASE + 8 * rng.gen_range(0..data_words),
+        6 => [GLOBAL_BASE, GLOBAL_BASE + 8 * (data_words - 1)][rng.gen_range(0..2usize)],
+        _ => [STACK_TOP - 8, STACK_TOP - stack_bytes][rng.gen_range(0..2usize)],
+    };
+    if m.load_word(addr).is_ok() {
+        addr
+    } else {
+        STACK_TOP - 8
     }
 }
 
@@ -471,21 +668,21 @@ fn run_facts(r: &RunResult) -> RunFacts {
     (r.outcome, bits(&r.output), r.cycles, r.instrs_retired)
 }
 
-/// Resume `p`'s golden run at `ck` with `reg` set to `value` and run the
-/// rest twice: fused from `ck`'s FI count with convergence against the
+/// Resume `p`'s golden run at `ck` with `target` set to `value` and run
+/// the rest twice: fused from `ck`'s FI count with convergence against the
 /// golden end, as a trial's post-fire suffix runs, and exactly with no
 /// injector. Returns (fused, exact, whether the fused run converged).
 fn fused_and_exact(
     p: &PreparedTool,
     ck: &Checkpoint,
-    reg: Reg,
+    target: Target,
     value: u64,
 ) -> (RunFacts, RunFacts, bool) {
     let cfg = RunConfig { max_cycles: p.timeout_cycles, stack_words: p.stack_words };
     let fp = p.fastpath.as_deref().expect("default prepare keeps golden checkpoints");
     let corrupted = || {
         let mut m = Machine::resume(&p.binary, &cfg, ck);
-        m.xor_mask(reg, reg_value(ck, reg) ^ value);
+        target.set(ck, &mut m, value);
         m
     };
     let g = &fp.golden_run;
@@ -513,10 +710,11 @@ fn fused_and_exact(
 
 /// For every (program, tool): `checkpoints` golden checkpoints, each the
 /// nearest below a seeded target (the initial state when none is), times
-/// every value kind in a freshly drawn register. Fails on any fused/exact
+/// every value kind in a freshly drawn register and, drawn from a stream
+/// of its own, in a freshly drawn memory word. Fails on any fused/exact
 /// difference or panic, naming each state; returns the number of states
 /// run.
-fn check_any_register_value(checkpoints: usize) -> usize {
+fn check_any_state(checkpoints: usize) -> usize {
     let (mut states, mut converged, mut failures) = (0, 0, Vec::new());
     let mut pair = 0u64;
     for b in all_apps() {
@@ -527,33 +725,38 @@ fn check_any_register_value(checkpoints: usize) -> usize {
             let store = &p.fastpath.as_deref().expect("default prepare keeps checkpoints").store;
             let cfg = RunConfig { max_cycles: p.timeout_cycles, stack_words: p.stack_words };
             let initial = Machine::new(&p.binary, &cfg).snapshot(0);
-            let stack_bytes = p.stack_words as u64 * 8;
+            let (stack_bytes, data_words) = (p.stack_words as u64 * 8, p.binary.data.len() as u64);
             let mut rng = StdRng::seed_from_u64(SEED ^ pair);
+            let mut words = StdRng::seed_from_u64(!SEED ^ pair);
             for _ in 0..checkpoints {
                 let target = rng.gen_range(1..=p.population);
                 let ck = store.nearest_below(target).unwrap_or(&initial);
+                let resumed = Machine::resume(&p.binary, &cfg, ck);
                 for kind in 0..VALUE_KINDS {
-                    let reg = corrupt_reg(&mut rng);
-                    let value = corrupt_value(kind, reg_value(ck, reg), stack_bytes, &mut rng);
-                    let state = format!(
-                        "{} {} at retired {}: {} := {value:#x}",
-                        b.name,
-                        tool.name(),
-                        ck.retired,
-                        reg.name()
-                    );
-                    states += 1;
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        fused_and_exact(&p, ck, reg, value)
-                    }));
-                    match run {
-                        Ok((fused, exact, conv)) if fused == exact => {
-                            converged += usize::from(conv)
+                    let reg = Target::Reg(corrupt_reg(&mut rng));
+                    let word = corrupt_word(ck, &resumed, data_words, stack_bytes, &mut words);
+                    for (target, rng) in [(reg, &mut rng), (Target::Word(word), &mut words)] {
+                        let old = target.value(ck, &resumed);
+                        let value = corrupt_value(kind, old, stack_bytes, rng);
+                        let state = format!(
+                            "{} {} at retired {}: {} := {value:#x}",
+                            b.name,
+                            tool.name(),
+                            ck.retired,
+                            target.name()
+                        );
+                        states += 1;
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            fused_and_exact(&p, ck, target, value)
+                        }));
+                        match run {
+                            Ok((fused, exact, conv)) if fused == exact => {
+                                converged += usize::from(conv)
+                            }
+                            Ok((fused, exact, _)) => failures
+                                .push(format!("{state}: fused {fused:?} != exact {exact:?}")),
+                            Err(_) => failures.push(format!("{state}: panicked")),
                         }
-                        Ok((fused, exact, _)) => {
-                            failures.push(format!("{state}: fused {fused:?} != exact {exact:?}"))
-                        }
-                        Err(_) => failures.push(format!("{state}: panicked")),
                     }
                 }
             }
@@ -565,28 +768,27 @@ fn check_any_register_value(checkpoints: usize) -> usize {
         failures.len(),
         failures.join("\n")
     );
-    eprintln!(
-        "any register value: {states} states over {pair} pairs, {converged} converged, 0 failed"
-    );
+    eprintln!("any state: {states} states over {pair} pairs, {converged} converged, 0 failed");
     states
 }
 
-/// Any register value a fault can leave behind, not only the bit flips a
-/// campaign seed happens to draw: the fused suffix (convergence on) and
-/// the exact interpreter agree on outcome, output, cycles and retired
-/// count, and neither panics. The pinned tier-1 instance: 2 checkpoints
-/// per (program, tool), 990 states.
+/// Any register or memory value a fault can leave behind, not only the bit
+/// flips a campaign seed happens to draw: the fused suffix (convergence
+/// on) and the exact interpreter agree on outcome, output, cycles and
+/// retired count, and neither panics. The pinned tier-1 instance: 2
+/// checkpoints per (program, tool), 990 register and 990 memory-word
+/// states.
 #[test]
 fn any_register_value_fused_equals_exact() {
-    assert_eq!(check_any_register_value(2), 45 * 2 * VALUE_KINDS as usize);
+    assert_eq!(check_any_state(2), 2 * 45 * 2 * VALUE_KINDS as usize);
 }
 
 /// The full instance of [`any_register_value_fused_equals_exact`]: 6
-/// checkpoints per (program, tool), 2,970 states. Run it in release:
-/// `cargo test --release -p refine-campaign --test integration_engine_equiv
-/// -- --ignored any_register_value`.
+/// checkpoints per (program, tool), 2,970 register and 2,970 memory-word
+/// states. Run it in release: `cargo test --release -p refine-campaign
+/// --test integration_engine_equiv -- --ignored any_register_value`.
 #[test]
 #[ignore = "full any-state check, run in release by ci.sh"]
 fn any_register_value_fused_equals_exact_full() {
-    assert_eq!(check_any_register_value(6), 45 * 6 * VALUE_KINDS as usize);
+    assert_eq!(check_any_state(6), 2 * 45 * 6 * VALUE_KINDS as usize);
 }
