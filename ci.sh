@@ -14,6 +14,8 @@
 #     trace-summary, and a failed write exits non-zero;
 #   * the stdout of the paper's whole campaign (`all --trials 1068`) against
 #     the hash in tests/golden/paper_campaign_digest.txt;
+#   * the fusion work counters of all 42 suite campaigns on a checkpoint-off
+#     sweep against tests/golden/suite_fusion_counters.txt;
 #   * traced perfbench exact-facts digests against
 #     tests/golden/perfbench_digests.txt.
 # Wall-clock claims live in perfbench (`python3 perfbench/run.py`, medians
@@ -157,6 +159,27 @@ if (calls.get("optimize"), calls.get("prepare-artifact")) != (6, 6):
 ' tests/golden/fastpath_counters.txt
 echo "   six campaigns match the golden counters and count every trial; metrics holds five keys;"
 echo "   phases count 6 optimize and 6 prepare-artifact calls"
+
+echo "== suite fusion counters (checkpoint-off sweep vs tests/golden/suite_fusion_counters.txt)"
+# With checkpointing off every trial runs the fused path from instruction 0,
+# so this sweep (under a second on 2 vCPUs) pins the dispatches, µops, fused
+# and stepped instructions of all 42 campaigns: any change to trace
+# formation or µop fusion moves one of them.
+$EXP table5 --trials 20 --seed 7 --jobs 1 --no-checkpoint --json 2>/dev/null \
+    | python3 -c '
+import json, sys
+want = {}
+for line in open(sys.argv[1]):
+    f = line.split()
+    if f and not f[0].startswith("#"):
+        want[(f[0], f[1])] = {k: int(v) for k, v in (x.split("=") for x in f[2:])}
+got = {(c["app"], c["tool"]): {k: c[k] for k in want.get((c["app"], c["tool"]), {})}
+       for c in json.load(sys.stdin)["engine"]["campaigns"]}
+if len(want) != 42 or got != want:
+    diff = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    sys.exit(f"fusion counters differ from the golden for {len(diff)} campaigns: {diff}")
+' tests/golden/suite_fusion_counters.txt
+echo "   42 campaigns match the golden fusion counters"
 
 echo "== perfbench exact-facts digests (traced, vs tests/golden/perfbench_digests.txt)"
 # A traced perfbench run replays its reference sweep on the exact oracle and

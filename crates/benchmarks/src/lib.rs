@@ -83,6 +83,15 @@ pub fn by_name(name: &str) -> Option<BenchProgram> {
     all().into_iter().chain(extras()).find(|b| b.name == name)
 }
 
+/// [`by_name`], or for a name it does not know the message naming every
+/// name it does.
+pub fn lookup(name: &str) -> Result<BenchProgram, String> {
+    by_name(name).ok_or_else(|| {
+        let valid: Vec<_> = all().iter().chain(&extras()).map(|b| b.name).collect();
+        format!("unknown benchmark `{name}` (valid: {})", valid.join(", "))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +105,14 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 14, "names must be unique");
+    }
+
+    #[test]
+    fn lookup_of_an_unknown_name_lists_every_valid_one() {
+        assert_eq!(lookup("CoMD").map(|b| b.name), Ok("CoMD"));
+        let err = lookup("nope").map(|b| b.name).unwrap_err();
+        assert!(err.starts_with("unknown benchmark `nope` (valid: AMG2013, CoMD, "), "{err}");
+        assert!(err.ends_with(", UA, matmul)"), "{err}");
     }
 
     #[test]

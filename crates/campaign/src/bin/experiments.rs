@@ -230,16 +230,8 @@ fn main() {
                     .map(|s| s.trim().to_string())
                     .collect();
                 for n in &names {
-                    if refine_benchmarks::by_name(n).is_none() {
-                        eprintln!(
-                            "refine-experiments: unknown benchmark `{n}` (valid: {})",
-                            refine_benchmarks::all()
-                                .iter()
-                                .chain(refine_benchmarks::extras().iter())
-                                .map(|b| b.name)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
+                    if let Err(e) = refine_benchmarks::lookup(n) {
+                        eprintln!("refine-experiments: {e}");
                         std::process::exit(2);
                     }
                 }

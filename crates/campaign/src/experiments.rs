@@ -59,7 +59,7 @@ pub struct SuiteObserver<'a> {
 /// [`ArtifactCache`]. Returns the outcome tables in input order with the
 /// [`EngineReport`] (wall-clock, speedup and cache accounting). `obs` adds
 /// live progress reporting and per-trial provenance streaming. Accepts any
-/// benchmark [`refine_benchmarks::by_name`] knows, including the extras
+/// benchmark [`refine_benchmarks::lookup`] knows, including the extras
 /// outside the paper's 14-app suite.
 pub fn run_suite(
     cfg: &EngineConfig,
@@ -69,19 +69,7 @@ pub fn run_suite(
     let selected: Vec<_> = match apps {
         Some(names) => names
             .iter()
-            .map(|n| {
-                refine_benchmarks::by_name(n).unwrap_or_else(|| {
-                    panic!(
-                        "unknown benchmark `{n}` (valid: {})",
-                        refine_benchmarks::all()
-                            .iter()
-                            .chain(refine_benchmarks::extras().iter())
-                            .map(|b| b.name)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })
-            })
+            .map(|n| refine_benchmarks::lookup(n).unwrap_or_else(|e| panic!("{e}")))
             .collect(),
         None => refine_benchmarks::all(),
     };

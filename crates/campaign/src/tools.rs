@@ -169,7 +169,7 @@ impl PreparedTool {
                 // REFINE's trigger-path scratch slot must be exempt from the
                 // convergence comparison or a fired trial never matches.
                 if let Some(m) = mcfg.as_mut() {
-                    m.exempt_data_words = c.digest_exempt_words();
+                    m.exempt_data_words = c.convergence_exempt_words();
                 }
                 (c.binary, opcodes)
             }

@@ -34,7 +34,7 @@ impl Compiled {
     /// The `SAVE_R0`/`SAVE_FLAGS` slots are *not* exempt: both runs
     /// rewrite them at every `selInstr` prologue, and they can be live at
     /// a mid-prologue snapshot pc. `(0, 0)` when uninstrumented.
-    pub fn digest_exempt_words(&self) -> (u32, u32) {
+    pub fn convergence_exempt_words(&self) -> (u32, u32) {
         if self.sites.is_empty() {
             return (0, 0);
         }

@@ -147,7 +147,7 @@ impl CheckpointOptions {
     /// The machine-layer capture configuration: this interval under the
     /// default snapshot cap. The convergence-exempt scratch range is a
     /// property of the instrumented binary, not of the campaign options —
-    /// callers overlay [`crate::Compiled::digest_exempt_words`] on the
+    /// callers overlay [`crate::Compiled::convergence_exempt_words`] on the
     /// returned config.
     pub fn machine_config(&self) -> refine_machine::CheckpointConfig {
         refine_machine::CheckpointConfig {

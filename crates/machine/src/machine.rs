@@ -484,7 +484,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    pub(crate) fn eff_addr(&self, mem: &Mem) -> u64 {
+    fn eff_addr(&self, mem: &Mem) -> u64 {
         let mut a = mem.disp as u64;
         if let Some(b) = mem.base {
             a = a.wrapping_add(self.regs[b as usize]);

@@ -22,10 +22,10 @@
 //! accounting never reads it. A trace run to its end is accounted with
 //! `fused_x[head]`; one stopped early — by a trap or a side exit — is
 //! accounted by the stopping instruction `k` itself, `fused_x[head] -
-//! fused_x[k] + x[k]`. The µop names `k`: its own pc, or for a pair µop's
-//! second instruction (the first retired) the first half's tail, from which
-//! the exit finds the second's pc (`second_pc`). An absorbed tail runs
-//! only after its instruction completed and never stops a trace.
+//! fused_x[k] + x[k]`. The µop's exit names `k`: its own pc, or for a pair
+//! µop's second instruction (the first retired) the pc the build recorded
+//! as its distance past the pair's. An absorbed tail runs only after its
+//! instruction completed and never stops a trace.
 //! Four rules skip ahead:
 //!
 //! - *No-op linking*: a `Nop`, a forward `Jmp` and an LLFI `injectFault`
@@ -54,8 +54,9 @@
 //!   move, guard-and-move and stack families, and the combinations of
 //!   kernels and tails that ran most often unpaired. A pair is built where
 //!   both halves' operands fit one µop (registers in nibbles; two
-//!   immediates in 32 bits each). Either half may stop the trace, and the
-//!   µop reports which.
+//!   immediates in 32 bits each) and the second instruction lies at most
+//!   `u16::MAX` past the first. Either half may stop the trace, and its
+//!   exit says which.
 //!
 //! None of these moves a trace head or a trace's end, so µop fusion never
 //! changes the dispatch, fused or stepped instruction counts of a run: only
@@ -97,7 +98,7 @@ use crate::binary::Binary;
 use crate::checkpoint::{
     diff_pages_from, Checkpoint, CheckpointBuilder, CheckpointStore, DirtyPage, PAGE_WORDS,
 };
-use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc, SP};
+use crate::isa::{fi_outputs, AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
 use crate::machine::{
     GoldenEnd, Machine, OutEvent, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
 };
@@ -111,8 +112,9 @@ type UopFn = fn(&mut Machine<'_>, &Uop) -> Result<(), Exit>;
 
 /// Why a µop ended its trace early, and which of its instructions did: a
 /// one-instruction µop's or a pair µop's first half (at the µop's pc), or
-/// a pair's second half ([`Exit::Second`]). A trapping instruction is
-/// charged but not retired; a taken guard retires.
+/// a pair's second half (the `…2` variants, at the pc [`Slot::second`]
+/// records). A trapping instruction is charged but not retired; a taken
+/// guard retires.
 ///
 /// Flat, with at most one word of payload per variant: the result of every
 /// µop is then a tag and a word and comes back in two registers, where a
@@ -127,14 +129,28 @@ enum Exit {
     DivFault,
     /// A `Jcc` guard's condition held: the run continues at this target.
     Taken(u64),
-    /// A pair µop's second half trapped or took its guard. The payload is
-    /// the first half's tail, from which [`second_pc`] finds the second
-    /// instruction; [`Machine::second_exit`] reads the trap or target off
-    /// that instruction and the state it left.
-    Second(u64),
+    // The same four, taken by a pair µop's second half.
+    Segfault2(u64),
+    Misaligned2(u64),
+    DivFault2,
+    Taken2(u64),
 }
 
 const _: () = assert!(std::mem::size_of::<Result<(), Exit>>() == 16);
+
+impl Exit {
+    /// This exit, taken by a pair µop's second half.
+    #[inline(always)]
+    fn second(self) -> Exit {
+        match self {
+            Exit::Segfault(a) => Exit::Segfault2(a),
+            Exit::Misaligned(a) => Exit::Misaligned2(a),
+            Exit::DivFault => Exit::DivFault2,
+            Exit::Taken(t) => Exit::Taken2(t),
+            second => second,
+        }
+    }
+}
 
 impl From<Trap> for Exit {
     fn from(t: Trap) -> Self {
@@ -144,42 +160,6 @@ impl From<Trap> for Exit {
             Trap::DivFault => Exit::DivFault,
             Trap::BadPc(_) => unreachable!("a fused µop never transfers control"),
         }
-    }
-}
-
-/// The pc of the second instruction of the pair µop at `k` whose first
-/// half ran with tail `first_tail`: the first µop its trace dispatches
-/// past what the first half covers, found the way the build linked it.
-/// Only an exit needs it, so no per-pc array holds it.
-fn second_pc(text: &[MInstr], k: usize, first_tail: u8) -> usize {
-    let p = linked(text, k + 1);
-    let after = match first_tail {
-        // The site's PreFI ends with `jmp post`; its PostFI is 3 long.
-        SITE => match text[p + 6] {
-            MInstr::Jmp { target } => target as usize + 3,
-            _ => unreachable!("a site's PreFI ends with its `jmp post`"),
-        },
-        HOOK => p + 2,
-        COPY => p + 1,
-        HOOK_COPY => p + 3,
-        _ => return p,
-    };
-    linked(text, after)
-}
-
-/// The first µop a trace passing `pc` dispatches: `pc`, or the first pc
-/// past the no-ops ([`is_noop`]) from it. Only for pcs inside a trace,
-/// whose no-ops all continue forward.
-fn linked(text: &[MInstr], mut pc: usize) -> usize {
-    loop {
-        pc = match text[pc] {
-            MInstr::Jmp { target } => {
-                debug_assert!(target as usize > pc, "a trace never crosses a backward `Jmp`");
-                target as usize
-            }
-            ref i if is_noop(i) => pc + 1,
-            _ => return pc,
-        };
     }
 }
 
@@ -204,17 +184,22 @@ struct Uop {
 // every prepared artifact's resident size.
 const _: () = assert!(std::mem::size_of::<Uop>() == 24);
 
-/// The exact-step fallback's view of one pc: its instruction's cycle cost
-/// and FI-event flag. The fallback steps the binary's own instruction.
+/// One pc's instruction as the exit accounting and the exact-step fallback
+/// see it: its cycle cost and FI-event flag, and where the pair µop at the
+/// pc has its second half. The fallback steps the binary's own instruction.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     cost: u8,
     is_event: bool,
+    /// The second half's distance past this pc (0 without a pair µop): a
+    /// pair is built only where it fits.
+    second: u16,
 }
 
-// Two bytes per pc, resident in every prepared artifact: the binary holds
-// the instruction, and the largest cost (an LLFI hook's `CallRt`) is 92.
-const _: () = assert!(std::mem::size_of::<Slot>() == 2);
+// Four bytes per pc, resident in every prepared artifact: the binary holds
+// the instruction, the largest cost (an LLFI hook's `CallRt`) is 92, and a
+// `u16` distance keeps the second half's pc off the 24-byte `Uop`.
+const _: () = assert!(std::mem::size_of::<Slot>() == 4);
 
 /// [`Machine::sb_loop`] modes: a quiescent prefix or plain suffix, a
 /// convergence-tracked suffix, and a checkpointed profiling run.
@@ -300,12 +285,12 @@ impl SuperblockProgram {
     fn build(binary: &Binary, probed: bool) -> Self {
         let text = &binary.text;
         let n = text.len();
-        let slots: Vec<Slot> = text
+        let mut slots: Vec<Slot> = text
             .iter()
             .map(|i| {
                 let is_event = if probed { !fi_outputs(i).is_empty() } else { is_fi_hook(i) };
                 let cost = u8::try_from(i.cycles()).expect("instruction cycle cost fits u8");
-                Slot { cost, is_event }
+                Slot { cost, is_event, second: 0 }
             })
             .collect();
         let mut uops = vec![Uop { exec: u_term, imm: 0, next: 0, a: 0, b: 0, c: 0, d: 0 }; n];
@@ -315,15 +300,15 @@ impl SuperblockProgram {
         let mut trace_end = vec![0u32; n];
         // Build-time only: `link[pc]` is the first µop a trace passing `pc`
         // dispatches (past any no-ops), `merge[pc]` what the µop before it
-        // on a trace may absorb of the µop at `pc`, and `single[pc]` how
-        // that µop runs as one instruction, which a pair µop before it
-        // recreates as its second half.
+        // on a trace may absorb of the µop at `pc`, and `kinds[pc]` the
+        // kernel and tail of the one-instruction µop at `pc`.
         let mut link: Vec<u32> = (0..n as u32).collect();
         let mut merge = vec![Merge::None; n];
-        let mut single = vec![Single::default(); n];
+        let mut kinds = vec![(Kid::Nop, NO_TAIL); n];
         let mut site_words = None;
         // Reverse scan: every trace edge points forward, so a successor's
-        // sums, links and µops are final before its predecessors read them.
+        // sums, links and one-instruction µops are final before its
+        // predecessors read them.
         for pc in (0..n).rev() {
             let Some(succ) = successor(&text[pc], pc, n) else {
                 continue;
@@ -344,15 +329,15 @@ impl SuperblockProgram {
             // This pc's one-instruction µop, the real pc after the
             // instructions it covers itself, and what it offers the µop
             // before it.
-            let (mut half, mut y, after, mut offer) = if let Some((post, _)) = site {
-                (Half::SITE_SKIP, 0, post + 3, Merge::Site)
+            let (mut half, after, mut offer) = if let Some((post, _)) = site {
+                (Half::SITE_SKIP, post + 3, Merge::Site)
             } else if let Some(h @ Hook { copy: Some(y), .. }) = hook {
                 // Heading a trace, the copy form's `mov r0 <- x` runs the
                 // whole plumbing as a `COPY` tail: `r0 = x; y = r0`.
                 let copy = own.with_tail(COPY, y).expect("plumbing starts with a move");
-                (copy, y, pc + 3, Merge::Hook(h))
+                (copy, pc + 3, Merge::Hook(h))
             } else {
-                (own, 0, succ, hook.map_or(Merge::One, Merge::Hook))
+                (own, succ, hook.map_or(Merge::One, Merge::Hook))
             };
             let mut next = link[after] as usize;
             // A one-instruction µop absorbs a site, hook plumbing or a move
@@ -372,24 +357,31 @@ impl SuperblockProgram {
                     _ => (NO_TAIL, 0),
                 };
                 if let Some(h) = half.with_tail(tail, copy_to).filter(|_| tail != NO_TAIL) {
-                    (half, y) = (h, copy_to);
-                    next = single[next].next as usize;
+                    half = h;
+                    next = uops[next].next as usize;
                     offer = Merge::None;
                 }
             }
-            // It pairs with the one-instruction µop its trace dispatches
-            // next where a pair µop is built for the two.
-            let second = || {
-                let s = single[next];
-                let h = match merge[next] {
-                    Merge::Site => Half::SITE_SKIP,
-                    _ => Half::decode(&text[next])?.with_tail(s.tail, s.y)?,
-                };
-                half.pair(&h, s.next as usize)
-            };
-            uops[pc] = (fused_len[next] > 0).then(second).flatten().unwrap_or_else(|| half.uop(next));
-            single[pc] = Single { tail: half.tail, y, next: next as u32 };
+            uops[pc] = half.uop(next);
+            kinds[pc] = (half.kid, half.tail);
             merge[pc] = offer;
+        }
+        // Each one-instruction µop pairs with the one its trace dispatches
+        // next where a pair µop is built for the two and the second's
+        // distance fits its slot. Ascending, so a µop turns into a pair
+        // only after every pc before it has read its one-instruction form.
+        for pc in 0..n {
+            let next = uops[pc].next as usize;
+            if fused_len[pc] == 0 || fused_len[next] == 0 {
+                continue;
+            }
+            let Ok(distance) = u16::try_from(next - pc) else {
+                continue;
+            };
+            if let Some(p) = pair((kinds[pc], &uops[pc]), (kinds[next], &uops[next])) {
+                uops[pc] = p;
+                slots[pc].second = distance;
+            }
         }
         let site_words = site_words.unwrap_or_default();
         let blocks = block_count(text, &fused_len);
@@ -432,6 +424,24 @@ impl SuperblockProgram {
         let len = *self.fused_len.get(pc)?;
         let next = self.uops[pc].next as usize;
         (len > 0).then(|| (len - self.fused_len[next], next))
+    }
+
+    /// For `exit` of the µop at pc `k`, taken just now: the pc of the
+    /// instruction that stopped, the pc the run continues at, and the trap,
+    /// if any.
+    fn resolve(&self, exit: Exit, k: usize) -> (usize, usize, Result<(), Trap>) {
+        let at = match exit {
+            Exit::Segfault2(_) | Exit::Misaligned2(_) | Exit::DivFault2 | Exit::Taken2(_) => {
+                k + usize::from(self.slots[k].second)
+            }
+            _ => k,
+        };
+        match exit {
+            Exit::Segfault(a) | Exit::Segfault2(a) => (at, at, Err(Trap::Segfault(a))),
+            Exit::Misaligned(a) | Exit::Misaligned2(a) => (at, at, Err(Trap::Misaligned(a))),
+            Exit::DivFault | Exit::DivFault2 => (at, at, Err(Trap::DivFault)),
+            Exit::Taken(target) | Exit::Taken2(target) => (at, target as usize, Ok(())),
+        }
     }
 
     /// Whether a run entering the trace headed at `pc` with `fi` events
@@ -502,15 +512,6 @@ fn is_noop(i: &MInstr) -> bool {
             | MInstr::Jmp { .. }
             | MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. }
     )
-}
-
-/// How the one-instruction µop at a pc runs (build time only): its tail,
-/// a copying tail's `y`, and the pc its trace continues at.
-#[derive(Debug, Clone, Copy, Default)]
-struct Single {
-    tail: u8,
-    y: u8,
-    next: u32,
 }
 
 /// What the µop before a pc on a trace may do with the µop at it (build
@@ -665,7 +666,7 @@ impl<'a> Machine<'a> {
                 // before stepping but does not retire it, and leaves pc on
                 // the trapping instruction.
                 Err(exit) => {
-                    let (at, pc, result) = self.resolve(exit, k);
+                    let (at, pc, result) = sb.resolve(exit, k);
                     break (Some(at), pc, result);
                 }
             }
@@ -692,49 +693,6 @@ impl<'a> Machine<'a> {
         stats.sb_uops += uops;
         stats.sb_fused_instrs += retired;
         result
-    }
-
-    /// For `exit` of the µop at pc `k`, taken just now: the pc of the
-    /// instruction that stopped, the pc the run continues at, and the trap,
-    /// if any.
-    fn resolve(&self, exit: Exit, k: usize) -> (usize, usize, Result<(), Trap>) {
-        let (at, exit) = match exit {
-            Exit::Second(tail) => {
-                let at = second_pc(&self.binary.text, k, tail as u8);
-                (at, self.second_exit(&self.binary.text[at]))
-            }
-            first => (k, first),
-        };
-        match exit {
-            Exit::Segfault(a) => (at, at, Err(Trap::Segfault(a))),
-            Exit::Misaligned(a) => (at, at, Err(Trap::Misaligned(a))),
-            Exit::DivFault => (at, at, Err(Trap::DivFault)),
-            Exit::Taken(target) => (at, target as usize, Ok(())),
-            Exit::Second(_) => unreachable!("a second half's exit is read off its instruction"),
-        }
-    }
-
-    /// The exit of a pair's second half `i` that just stopped, read off the
-    /// state it left: a guard that stops was taken, an ALU operation that
-    /// stops faulted on a divide, and a memory access, push or pop that
-    /// stops trapped on its address (a trapping access writes nothing, and
-    /// a trapping push has already lowered `sp` to the address).
-    fn second_exit(&self, i: &MInstr) -> Exit {
-        let addr = match *i {
-            MInstr::Jcc { target, .. } => return Exit::Taken(target.into()),
-            MInstr::Alu { .. } | MInstr::AluI { .. } => return Exit::DivFault,
-            MInstr::Ld { ref mem, .. }
-            | MInstr::St { ref mem, .. }
-            | MInstr::FLd { ref mem, .. }
-            | MInstr::FSt { ref mem, .. } => self.eff_addr(mem),
-            MInstr::Push { .. } | MInstr::Pop { .. } => self.regs[SP as usize],
-            _ => unreachable!("{i:?} never stops a trace"),
-        };
-        if addr.is_multiple_of(8) {
-            Exit::Segfault(addr)
-        } else {
-            Exit::Misaligned(addr)
-        }
     }
 
     /// Run with fused dispatch from the current state until `stop` FI
@@ -1431,7 +1389,7 @@ fn two<K1: Kernel, const T1: u8, K2: Kernel, const T2: u8>(
     };
     let ops = |lo: u8, hi: u8, imm| Ops { a: lo & 15, b: lo >> 4, c: hi & 15, d: hi >> 4, imm };
     K1::run::<T1>(m, ops(u.a, u.b, imm1))?;
-    K2::run::<T2>(m, ops(u.c, u.d, imm2)).map_err(|_| Exit::Second(T1.into()))
+    K2::run::<T2>(m, ops(u.c, u.d, imm2)).map_err(Exit::second)
 }
 
 /// A 32-bit half of a pair µop's packed `imm`, sign-extended: `HI` picks
@@ -1629,32 +1587,32 @@ impl Half {
         let Ops { a, b, c, d, imm } = self.ops;
         Uop { exec: handlers().single(self.kid, self.tail), imm, next: next as u32, a, b, c, d }
     }
+}
 
-    /// The pair µop running this half and then `second`, continuing at
-    /// `next`, where the table has one for the two halves' kernels and
-    /// tails and their operands fit: every operand byte in a nibble, and
-    /// both immediates in 32 bits where both halves read one.
-    fn pair(&self, second: &Half, next: usize) -> Option<Uop> {
-        let PairFn { exec, imms } = handlers().pair(self, second)?;
-        let narrow = |v: u64| i32::try_from(v as i64).ok().map(|v| u64::from(v as u32));
-        let imm = match imms {
-            (true, true) => narrow(self.ops.imm)? | narrow(second.ops.imm)? << 32,
-            (true, false) => self.ops.imm,
-            (false, true) => second.ops.imm,
-            (false, false) => 0,
-        };
-        let nibbles = |lo: u8, hi: u8| (lo < 16 && hi < 16).then_some(lo | hi << 4);
-        let (o1, o2) = (self.ops, second.ops);
-        Some(Uop {
-            exec,
-            imm,
-            next: next as u32,
-            a: nibbles(o1.a, o1.b)?,
-            b: nibbles(o1.c, o1.d)?,
-            c: nibbles(o2.a, o2.b)?,
-            d: nibbles(o2.c, o2.d)?,
-        })
-    }
+/// The pair µop running the one-instruction µop `first` and then `second`,
+/// each with its kernel and tail, and continuing where `second` does: where
+/// the table has one for the two and their operands fit, every operand
+/// byte in a nibble and both immediates in 32 bits where both halves read
+/// one.
+fn pair((k1, first): ((Kid, u8), &Uop), (k2, second): ((Kid, u8), &Uop)) -> Option<Uop> {
+    let PairFn { exec, imms } = handlers().pair(k1, k2)?;
+    let narrow = |v: u64| i32::try_from(v as i64).ok().map(|v| u64::from(v as u32));
+    let imm = match imms {
+        (true, true) => narrow(first.imm)? | narrow(second.imm)? << 32,
+        (true, false) => first.imm,
+        (false, true) => second.imm,
+        (false, false) => 0,
+    };
+    let nibbles = |lo: u8, hi: u8| (lo < 16 && hi < 16).then_some(lo | hi << 4);
+    Some(Uop {
+        exec,
+        imm,
+        next: second.next,
+        a: nibbles(first.a, first.b)?,
+        b: nibbles(first.c, first.d)?,
+        c: nibbles(second.a, second.b)?,
+        d: nibbles(second.c, second.d)?,
+    })
 }
 
 fn alu_index(op: AluOp) -> u8 {
@@ -1720,12 +1678,11 @@ impl Handlers {
         self.singles[kid.key(tail)].expect("a one-instruction µop for every kernel and tail it runs")
     }
 
-    /// The pair handler running `first` and then `second`, if the table has
-    /// one.
-    fn pair(&self, first: &Half, second: &Half) -> Option<PairFn> {
-        let want = second.kid.key(second.tail);
-        let row = &self.pairs[first.kid.key(first.tail)];
-        row.iter().find(|&&(key, _)| key == want).map(|&(_, f)| f)
+    /// The pair handler running kernel and tail `first` and then `second`,
+    /// if the table has one.
+    fn pair(&self, (k1, t1): (Kid, u8), (k2, t2): (Kid, u8)) -> Option<PairFn> {
+        let want = k2.key(t2);
+        self.pairs[k1.key(t1)].iter().find(|&&(key, _)| key == want).map(|&(_, f)| f)
     }
 }
 
@@ -1794,12 +1751,15 @@ fn handlers() -> &'static Handlers {
             singles: vec![None; Kid::COUNT * 8],
             pairs: vec![Vec::new(); Kid::COUNT * 8],
         };
+        // Every kernel has a one-instruction handler, so two kernels
+        // sharing a key collide here, before the pairs file under it.
         for ((kid, tail), f) in singles {
-            handlers.singles[kid.key(tail)] = Some(f);
+            let slot = &mut handlers.singles[kid.key(tail)];
+            assert!(slot.replace(f).is_none(), "{kid:?} with tail {tail} shares a handler key");
         }
         for ((k1, t1, k2, t2), f) in pair_table() {
             let (row, key) = (&mut handlers.pairs[k1.key(t1)], k2.key(t2));
-            debug_assert!(row.iter().all(|e| e.0 != key), "a pair is listed twice");
+            assert!(row.iter().all(|e| e.0 != key), "{k1:?} {t1} => {k2:?} {t2} is listed twice");
             row.push((key, f));
         }
         handlers
@@ -2884,6 +2844,31 @@ mod tests {
                 None => (Some(RunOutcome::Exit(0)), 2),
             };
             assert_eq!((out, pc), want, "sp {sp:#x}");
+        }
+    }
+
+    #[test]
+    fn pair_is_built_only_where_its_second_half_is_within_u16_of_it() {
+        // `ld r2 <- [r1]; jmp far; …; far: st r2 -> [r3]`: the load and
+        // store pair where the store's distance fits a `u16`, and run as
+        // two µops one pc further.
+        for (far, paired) in [(usize::from(u16::MAX), true), (usize::from(u16::MAX) + 1, false)] {
+            let mut text = vec![MInstr::Halt; far + 2];
+            text[0] = ld(2, 1);
+            text[1] = MInstr::Jmp { target: far as u32 };
+            text[far] = st(2, 3);
+            let b = bin(text);
+            let want = if paired { (3, far + 1) } else { (2, far) };
+            assert_eq!(SuperblockProgram::new(&b).dispatch(0), Some(want), "far = {far}");
+            let (out, _, stats) = regs_vs_exact(&b, &[(1, word(2)), (3, word(3))]);
+            let uops = if paired { 1 } else { 2 };
+            assert_eq!((out, stats.sb_uops), (Some(RunOutcome::Exit(0)), uops), "far = {far}");
+            // Either instruction traps, with `pc` left on it.
+            for (r1, r3, at) in [(word(2), 8, far), (8, word(3), 0)] {
+                let (out, pc, _) = regs_vs_exact(&b, &[(1, r1), (3, r3)]);
+                let want = (Some(RunOutcome::Trap(Trap::Segfault(8))), at as u32);
+                assert_eq!((out, pc), want, "far = {far}");
+            }
         }
     }
 

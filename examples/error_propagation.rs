@@ -15,8 +15,8 @@ use refine_campaign::tools::{PreparedTool, Tool};
 
 fn main() {
     let app = std::env::args().nth(1).unwrap_or_else(|| "miniFE".to_string());
-    let program = refine_benchmarks::by_name(&app).unwrap_or_else(|| {
-        eprintln!("unknown benchmark {app}");
+    let program = refine_benchmarks::lookup(&app).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
     });
     println!("error propagation on {} ({})\n", program.name, program.description);

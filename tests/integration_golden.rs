@@ -185,8 +185,8 @@ fn compile_digests_match_golden() {
 /// Snapshot hygiene: no stray snapshot files for programs that no longer
 /// exist (renames must move their snapshot). The non-program files are
 /// the fast-path counter snapshot of `integration_fastpath`, the
-/// perfbench digests and paper-campaign stdout hash ci.sh checks, and the
-/// compile digests above.
+/// perfbench digests, paper-campaign stdout hash and suite fusion counters
+/// ci.sh checks, and the compile digests above.
 #[test]
 fn no_orphan_snapshots() {
     let mut known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
@@ -196,6 +196,7 @@ fn no_orphan_snapshots() {
             "perfbench_digests.txt",
             "compile_digests.txt",
             "paper_campaign_digest.txt",
+            "suite_fusion_counters.txt",
         ]
         .map(String::from),
     );
